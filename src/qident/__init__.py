@@ -21,7 +21,6 @@ from .errors import (
     QIdentError,
     SufficiencyViolated,
     UnbalancedParameters,
-    UnboundedDomain,
     UnknownClosedForm,
 )
 from .qpoly import ONE, ZERO, QPoly, Truncation, mul, qpoch, render, truncated_equal
@@ -38,7 +37,6 @@ __all__ = [
     "SufficiencyViolated",
     "Truncation",
     "UnbalancedParameters",
-    "UnboundedDomain",
     "UnknownClosedForm",
     "ZERO",
     "mul",

@@ -29,25 +29,13 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidParams, SufficiencyViolated, UnknownClosedForm
-from .lattice import axis_source, cartan, enumerate_admissible
-from .qbinom import qbin, qbin_vector
-from .qpoly import ONE, ZERO, QPoly, mul
+from .lattice import axis_source, cartan, system_sum
+from .qbinom import qbin
+from .qpoly import ONE, ZERO, QPoly, as_int, mul, norm_rat
 
 Rational = Union[int, Fraction]
 Evaluator4 = Callable[[int, int, int, int], QPoly]
 Evaluator2 = Callable[[int, int], QPoly]
-
-
-def _norm_rat(x: Rational) -> Rational:
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
-
-
-def _as_int(x: Rational, what: str) -> int:
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise InvalidParams(f"{what} must be an integer, got {x}")
-    return f.numerator
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -68,8 +56,8 @@ class BurgeParams:
     sigma: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "L1", _norm_rat(self.L1))
-        object.__setattr__(self, "L2", _norm_rat(self.L2))
+        object.__setattr__(self, "L1", norm_rat(self.L1))
+        object.__setattr__(self, "L2", norm_rat(self.L2))
 
     @property
     def M12(self) -> int:
@@ -105,7 +93,7 @@ def burge_x(bp: BurgeParams) -> QPoly:
         raise InvalidParams("p and p' must be >= 1")
     p, pp, r, s = bp.p, bp.pprime, bp.r, bp.s
     M1, M2 = bp.M1, bp.M2
-    L1, L2 = _as_int(bp.L1, "L1"), _as_int(bp.L2, "L2")
+    L1, L2 = as_int(bp.L1, "L1"), as_int(bp.L2, "L2")
     M12 = M1 - M2
     total = ZERO
     lo = max(_ceil_div(-M1, p), _ceil_div(-L2, pp))
@@ -131,7 +119,7 @@ def burge_x(bp: BurgeParams) -> QPoly:
 
 def burge_symmetry_check(bp: BurgeParams) -> bool:
     """X_{r,s}^{(p,p')}(M1,L1,M2,L2) = X_{s-L12,r+M12}^{(p',p)}(L1,M1,L2,M2)."""
-    L1, L2 = _as_int(bp.L1, "L1"), _as_int(bp.L2, "L2")
+    L1, L2 = as_int(bp.L1, "L1"), as_int(bp.L2, "L2")
     L12 = L1 - L2
     image = BurgeParams(
         bp.pprime, bp.p, bp.s - L12, bp.r + bp.M12, L1, bp.M1, L2, bp.M2
@@ -158,33 +146,27 @@ def _xn_term(
     j: int, shift: int, s_shift: Fraction,
 ) -> QPoly:
     """Inner eta-sum of one j-term; shift = 0 or r, s_shift = 0 or (r-s)/N."""
-    global _xn_nonintegral_skips
     b1_bot = M1 + p * j + shift
     b2_bot = M2 - p * j - shift
     v = axis_source(cd.rank, [(1, b1_bot), (cd.rank, b2_bot)])
     offset = Fraction(M1 - M2 + 2 * p * j + 2 * shift + sigma * n_lat, 2 * n_lat)
-    acc = ZERO
-    for sol in enumerate_admissible(cd, v, offset):
-        if cd.rank:
-            mu1, mu_last = sol.m_vec[0], sol.m_vec[-1]
-        else:
-            mu1, mu_last = b2_bot, b1_bot
-        top1 = Fraction(M1) + Fraction(L1) - Fraction((pp - p) * j, n_lat) + s_shift - Fraction(b2_bot - mu1, 2)
-        top2 = Fraction(M2) + Fraction(L2) + Fraction((pp - p) * j, n_lat) - s_shift - Fraction(b1_bot - mu_last, 2)
+    base1 = Fraction(M1) + Fraction(L1) - Fraction((pp - p) * j, n_lat) + s_shift
+    base2 = Fraction(M2) + Fraction(L2) + Fraction((pp - p) * j, n_lat) - s_shift
+
+    def weight(m):
+        global _xn_nonintegral_skips
+        mu1, mu_last = (m[0], m[-1]) if m else (b2_bot, b1_bot)
+        top1 = base1 - Fraction(b2_bot - mu1, 2)
+        top2 = base2 - Fraction(b1_bot - mu_last, 2)
         if top1.denominator != 1 or top2.denominator != 1:
             _xn_nonintegral_skips += 1
-            continue
+            return ZERO
         t = qbin(top1.numerator, b1_bot)
         if t.is_zero():
-            continue
-        t = mul(t, qbin(top2.numerator, b2_bot))
-        if t.is_zero():
-            continue
-        t = mul(t, qbin_vector(tuple(zip(sol.m_vec, sol.n_vec))))
-        if t.is_zero():
-            continue
-        acc = acc + t.times_monomial(1, cd.qform(sol.n_vec))
-    return acc
+            return t
+        return mul(t, qbin(top2.numerator, b2_bot))
+
+    return system_sum(cd, v, offset, weight)
 
 
 def burge_xn(bp: BurgeParams) -> QPoly:
@@ -278,7 +260,7 @@ def _level_kernel_sum(
     M12 = M1 - M2
     if (M12 + sigma * n_lat) % 2:
         raise InvalidParams("M1-M2 + sigma*N must be even")
-    l1l2 = _as_int(Fraction(L1) + Fraction(L2), "L1+L2")
+    l1l2 = as_int(Fraction(L1) + Fraction(L2), "L1+L2")
     total = ZERO
     for i in range(i_low, M2 + 1):
         kernel = qbin(l1l2 + M2 - i, M2 - i)
@@ -286,16 +268,7 @@ def _level_kernel_sum(
             continue
         v = axis_source(cd.rank, [(1, 2 * i + M12)])
         offset = Fraction(2 * i + M12 + sigma * n_lat, 2 * n_lat)
-        inner = ZERO
-        for sol in enumerate_admissible(cd, v, offset):
-            m1 = sol.m_vec[0] if cd.rank else 0
-            val = child_args(i, m1)
-            if val.is_zero():
-                continue
-            vec = qbin_vector(tuple(zip(sol.m_vec, sol.n_vec)))
-            if vec.is_zero():
-                continue
-            inner = inner + mul(vec, val).times_monomial(1, cd.qform(sol.n_vec))
+        inner = system_sum(cd, v, offset, lambda m: child_args(i, m[0] if m else 0))
         if inner.is_zero():
             continue
         total = total + mul(kernel, inner).times_monomial(1, Fraction(i * (i + M12), n_lat))
@@ -312,8 +285,8 @@ def transform_burgetrafo_n(
     _check_sufficiency(labels, "suf", n_lat, M12, L1, L2, enforce)
 
     def child_args(i: int, m1: int) -> QPoly:
-        a = _as_int(Fraction(L1) - i + Fraction(m1, 2), "child L1")
-        b = _as_int(Fraction(L2) - M12 - i + Fraction(m1, 2), "child L2")
+        a = as_int(Fraction(L1) - i + Fraction(m1, 2), "child L1")
+        b = as_int(Fraction(L2) - M12 - i + Fraction(m1, 2), "child L2")
         return child(i + M12, a, i, b)
 
     return _level_kernel_sum(n_lat, sigma, M1, L1, M2, L2, child_args, _ceil_div(-M12, 2))
@@ -329,8 +302,8 @@ def transform_trafo(
     _check_sufficiency(labels, "suf2", n_lat, M12, L1, L2, enforce)
 
     def child_args(i: int, m1: int) -> QPoly:
-        a = _as_int(Fraction(L1) - i + Fraction(m1, 2), "child M1")
-        b = _as_int(Fraction(L2) - M12 - i + Fraction(m1, 2), "child M2")
+        a = as_int(Fraction(L1) - i + Fraction(m1, 2), "child M1")
+        b = as_int(Fraction(L2) - M12 - i + Fraction(m1, 2), "child M2")
         return child(a, i + M12, b, i)
 
     return _level_kernel_sum(n_lat, sigma, M1, L1, M2, L2, child_args, _ceil_div(-M12, 2))
@@ -484,22 +457,18 @@ def _parity_ok(m_vec: Sequence[int], n_lat: int, sigma: int, flip: bool) -> bool
     return True
 
 
-def _matrix_form(mat, vec) -> int:
-    return sum(vec[i] * sum(mat[i][j] * vec[j] for j in range(len(vec))) for i in range(len(vec)))
-
-
 def closed_form(name: str, M: int, L: Rational, n_lat: int = 1, sigma: int = 0) -> QPoly:
     """Explicit right-hand sides for the recognized tree nodes."""
     if name == "initial":
         return ONE if L == 0 else ZERO
     if name == "nn":
-        Li = _as_int(L, "L")
+        Li = as_int(L, "L")
         return qbin(Li + M, 2 * Li).times_monomial(1, Li * Li)
     if name == "euler":
-        Li = _as_int(L, "L")
+        Li = as_int(L, "L")
         return qbin(2 * Li + M, 2 * Li)
     if name == "ising":
-        Li = _as_int(L, "L")
+        Li = as_int(L, "L")
         total = ZERO
         for m in range(0, Li + 1, 2):
             t = mul(qbin(2 * Li + M - m // 2, 2 * Li), qbin(Li, m))
@@ -507,7 +476,7 @@ def closed_form(name: str, M: int, L: Rational, n_lat: int = 1, sigma: int = 0) 
                 total = total + t.times_monomial(1, m * m // 2)
         return total
     if name == "rr":
-        Li = _as_int(L, "L")
+        Li = as_int(L, "L")
         total = ZERO
         for k in range(0, Li + 1):
             t = mul(qbin(2 * Li + M - k, 2 * Li), qbin(2 * Li - k, k))
@@ -517,7 +486,7 @@ def closed_form(name: str, M: int, L: Rational, n_lat: int = 1, sigma: int = 0) 
     if name == "euler_n":
         if sigma != 0:
             return ZERO
-        Li = _as_int(L, "L")
+        Li = as_int(L, "L")
         return qbin(2 * Li + M, 2 * Li)
     if name == "tadpole":
         return _tadpole_form(M, L, n_lat, sigma)
@@ -531,53 +500,42 @@ def closed_form(name: str, M: int, L: Rational, n_lat: int = 1, sigma: int = 0) 
 
 
 def _tadpole_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
-    two_l = _as_int(2 * Fraction(L), "2L")
+    two_l = as_int(2 * Fraction(L), "2L")
     if n_lat % 2 and sigma != 0:
         raise InvalidParams("odd N forces sigma = 0 here")
     cd = cartan(n_lat, "tadpole")
     v = axis_source(cd.rank, [(1, two_l)])
-    total = ZERO
-    for sol in enumerate_admissible(cd, v, None):
-        if not _parity_ok(sol.m_vec, n_lat, sigma, flip=False):
-            continue
-        m1 = sol.m_vec[0] if cd.rank else 0
-        top = Fraction(L) + M - Fraction(m1, 2)
-        t = qbin(_as_int(top, "binomial top"), two_l)
-        if t.is_zero():
-            continue
-        t = mul(t, qbin_vector(tuple(zip(sol.m_vec, sol.n_vec))))
-        if t.is_zero():
-            continue
-        exp = Fraction(_matrix_form(cd.cartan, sol.m_vec), 4)
-        total = total + t.times_monomial(1, exp)
-    return total.times_monomial(1, Fraction(L) * Fraction(L))
+
+    def weight(m):
+        if not _parity_ok(m, n_lat, sigma, flip=False):
+            return ZERO
+        m1 = m[0] if m else 0
+        return qbin(as_int(Fraction(L) + M - Fraction(m1, 2), "binomial top"), two_l)
+
+    # m C m / 4 = n Cinv n - v Cinv n + v Cinv v / 4 for m = Cinv (v - 2n), C symmetric
+    total = system_sum(cd, v, None, weight, shift=v)
+    return total.times_monomial(1, cd.qform(v) / 4 + Fraction(L) * Fraction(L))
 
 
 def _a_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
-    two_l = _as_int(2 * Fraction(L), "2L")
+    two_l = as_int(2 * Fraction(L), "2L")
     if n_lat % 2 and sigma != 0:
         raise InvalidParams("odd N forces sigma = 0 here")
     cd = cartan(n_lat + 1, "a")  # rank N system
     v = axis_source(cd.rank, [(1, two_l)])
-    total = ZERO
-    for sol in enumerate_admissible(cd, v, None):
-        if not _parity_ok(sol.m_vec, n_lat, sigma, flip=True):
-            continue
-        m1 = sol.m_vec[0] if cd.rank else 0
-        top = 2 * Fraction(L) + M - Fraction(m1, 2)
-        t = qbin(_as_int(top, "binomial top"), two_l)
-        if t.is_zero():
-            continue
-        t = mul(t, qbin_vector(tuple(zip(sol.n_vec, sol.m_vec))))
-        if t.is_zero():
-            continue
-        exp = Fraction(_matrix_form(cd.cartan, sol.m_vec), 4)
-        total = total + t.times_monomial(1, exp)
-    return total
+
+    def weight(m):
+        if not _parity_ok(m, n_lat, sigma, flip=True):
+            return ZERO
+        m1 = m[0] if m else 0
+        return qbin(as_int(2 * Fraction(L) + M - Fraction(m1, 2), "binomial top"), two_l)
+
+    # exponent m C m / 4, rewritten as in _tadpole_form
+    return system_sum(cd, v, None, weight, shift=v).times_monomial(1, cd.qform(v) / 4)
 
 
 def _rr_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
-    two_l = _as_int(2 * Fraction(L), "2L")
+    two_l = as_int(2 * Fraction(L), "2L")
     cd = cartan(n_lat)
     total = ZERO
     for i in range(0, M + 1):
@@ -586,16 +544,7 @@ def _rr_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
             continue
         v = axis_source(cd.rank, [(1, 2 * i)])
         offset = Fraction(2 * i + sigma * n_lat, 2 * n_lat)
-        inner = ZERO
-        for sol in enumerate_admissible(cd, v, offset):
-            m1 = sol.m_vec[0] if cd.rank else 0
-            t = qbin(two_l - i + m1, i)
-            if t.is_zero():
-                continue
-            t = mul(t, qbin_vector(tuple(zip(sol.m_vec, sol.n_vec))))
-            if t.is_zero():
-                continue
-            inner = inner + t.times_monomial(1, cd.qform(sol.n_vec))
+        inner = system_sum(cd, v, offset, lambda m: qbin(two_l - i + (m[0] if m else 0), i))
         if inner.is_zero():
             continue
         total = total + mul(outer, inner).times_monomial(1, Fraction(i * i, n_lat))
@@ -605,7 +554,7 @@ def _rr_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
 def _slater_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
     if n_lat != 2:
         raise InvalidParams("this double sum is the N=2 display")
-    two_l = _as_int(2 * Fraction(L), "2L")
+    two_l = as_int(2 * Fraction(L), "2L")
     total = ZERO
     for i in range(0, M + 1):
         outer = qbin(two_l + M - i, two_l)
@@ -664,8 +613,8 @@ class TreeNode:
 
 def _verify_node(p: int, pp: int, r: int, s: int, n_lat: int, sigma: int,
                  form: Optional[str], grid: int) -> Optional[bool]:
-    if form is None:
-        return None
+    if form is None or grid < 0:
+        return None  # no point to check
     shift = Fraction(sigma, 2)
     for M in range(0, grid + 1):
         for twoL in range(0, 2 * grid + 1, 2):
@@ -726,6 +675,8 @@ def build_tree(depth: int, n_lat: int = 1, sigma: int = 0, verify_grid: int = 2)
     """
     if depth < 0:
         raise InvalidParams("depth must be >= 0")
+    if verify_grid < 0:
+        raise InvalidParams("verify_grid must be >= 0")
     if n_lat % 2 and sigma != 0:
         raise InvalidParams("odd N forces sigma = 0")
     nodes: List[TreeNode] = []

@@ -10,7 +10,7 @@ elapsed_ms stays 0 unless timing is requested explicitly.
 
 Exit codes: 0 when every verdict is equal or skipped_precondition, 1 when
 any point mismatches or errors, 2 for configuration problems (unknown
-family, malformed or empty ranges, oversized sweeps).
+family, malformed or empty ranges, oversized sweeps, out-of-range flags).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 import random
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +94,7 @@ GRID_VERSION = "1"
 TREE_DEPTH_CAP = 6
 MAX_SWEEP_POINTS = 200_000
 
+# (verdict, lhs, rhs, diff, truncation); a mismatch may append a witness dict
 Verdict = Tuple[str, Optional[str], Optional[str], Optional[str], Optional[int]]
 
 
@@ -419,10 +421,10 @@ def _chk_cbp(p, d, opts) -> Verdict:
         return _SKIP
     if fail is None:
         return ("equal", None, None, None, d)
-    _, gamma, want = fail
+    L, gamma, want = fail
     t = Truncation(d)
     gt, wt = gamma.truncate(t), want.truncate(t)
-    return ("mismatch", render(gt), render(wt), render(gt - wt), d)
+    return ("mismatch", render(gt), render(wt), render(gt - wt), d, {"L": L})
 
 
 def _chk_strings(p, d, opts) -> Verdict:
@@ -856,10 +858,12 @@ def _eval_point(task):
     t0 = time.perf_counter()
     note = None
     try:
-        verdict, lhs, rhs, diff, used = spec.check(params, d, opts)
-    except QIdentError as ex:
-        verdict, lhs, rhs, diff, used = "error", None, None, None, None
+        verdict, lhs, rhs, diff, used, *witness = spec.check(params, d, opts)
+    except Exception as ex:  # one failing point is an error row, never an aborted sweep
+        verdict, lhs, rhs, diff, used, witness = "error", None, None, None, None, None
         note = f"{type(ex).__name__}: {ex}"
+        if not isinstance(ex, QIdentError):
+            note += "\n" + traceback.format_exc().rstrip()
     row: Dict[str, object] = {
         "identity_id": ident,
         "params": {k: _encode_value(v) for k, v in items},
@@ -873,6 +877,8 @@ def _eval_point(task):
         row["diff_repr"] = diff
     if used is not None:
         row["truncation"] = used
+    if witness:
+        row["witness"] = witness[0]
     row["elapsed_ms"] = int((time.perf_counter() - t0) * 1000) if opts.get("timing") else 0
     return row, note
 
@@ -1197,6 +1203,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:
+        for flag, least in (("trunc", 0), ("jobs", 1), ("grid", 0)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise ConfigError(f"--{flag} must be >= {least}, got {value}")
         if args.cmd == "verify":
             return cmd_verify(args, extras)
         if args.cmd == "eval":

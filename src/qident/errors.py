@@ -23,10 +23,6 @@ class NonPolynomial(QIdentError):
     """Operation requires nonnegative integer exponents."""
 
 
-class UnboundedDomain(QIdentError):
-    """Enumeration over an infinite set was requested without a bound."""
-
-
 class InvalidParams(QIdentError):
     """Parameter set violates the stated integrality or range constraints."""
 

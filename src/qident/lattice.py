@@ -1,4 +1,4 @@
-"""Cartan matrices, incidence forms, and admissible-system enumeration.
+"""Cartan matrices, admissible (m,n)-systems, and the one sum over them.
 
 Two families are supported, both of rank N-1: the simply-laced "a" family
 with Cartan matrix C_ij = 2 d_ij - d_|i-j|,1 and the "tadpole" family whose
@@ -7,15 +7,17 @@ the rank is zero and every bilinear form is identically zero.
 
 A system solution pairs a nonnegative integer vector n with the derived
 vector m = Cinv (v - 2n), which rewrites the defining constraint
-m + n = (incidence*m + v)/2.  A solution is admissible when m is integral;
-the enumeration additionally imposes the caller's congruence restriction
-offset + (Cinv n)_1 in Z and, in the default mode, nonnegativity of both
-m and n (the support of the standard q-binomial products).
+m + n = (incidence*m + v)/2.  A solution is admissible when m is integral
+and nonnegative (the support of the standard q-binomial products) and n
+satisfies the caller's congruence restriction offset + (Cinv n)_1 in Z.
 
-Enumeration in the nonnegative mode is exhaustive over a proven region:
-summing the constraint over all components gives
-2*sum(n) + (column-sum weights of m) = sum(v) with nonnegative weights,
-hence sum(n) <= floor(sum(v)/2).
+Enumeration is exhaustive over a proven region: summing the constraint over
+all components gives 2*sum(n) + (column-sum weights of m) = sum(v) with
+nonnegative weights, hence sum(n) <= floor(sum(v)/2).
+
+Every fermionic sum in the package has the same inner sum over these
+solutions, sum of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - s Cinv n);
+system_sum is that sum, and the only loop over admissible solutions.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
-from .errors import UnboundedDomain
+from .qbinom import qbin_vector
+from .qpoly import ZERO, QPoly, mul
 
 Offset = Union[int, Fraction, None]
 IntVec = Tuple[int, ...]
@@ -46,12 +49,6 @@ class CartanData:
 
     def cinv_entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.cinv_num[i][j], self.cinv_den)
-
-    def apply_cinv(self, vec: Sequence[int]) -> Tuple[Fraction, ...]:
-        return tuple(
-            Fraction(sum(r * x for r, x in zip(row, vec)), self.cinv_den)
-            for row in self.cinv_num
-        )
 
     def cinv_component(self, vec: Sequence[int], idx: int) -> Fraction:
         """(Cinv vec)_{idx+1} in 1-based math notation; idx is 0-based."""
@@ -76,12 +73,10 @@ class CartanData:
 
 @dataclass(frozen=True)
 class SystemSolution:
-    """One candidate n with its derived m; admissible means m is integral."""
+    """One n with its derived integral m = Cinv (v - 2n)."""
 
     n_vec: IntVec
-    m_vec: Optional[IntVec]
-    source_vector: IntVec
-    admissible: bool
+    m_vec: IntVec
 
 
 def _invert_fraction_matrix(rows: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -141,21 +136,19 @@ def restriction_holds(cd: CartanData, n_vec: Sequence[int], offset: Union[int, F
     return total.denominator == 1
 
 
-def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int]) -> SystemSolution:
-    """Derive m = Cinv (v - 2n); admissible iff every component is integral."""
-    n_t = tuple(n_vec)
-    v_t = tuple(v)
+def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int]) -> Optional[SystemSolution]:
+    """Derive m = Cinv (v - 2n); None unless every component is integral."""
     if cd.rank == 0:
-        return SystemSolution((), (), (), True)
-    w = tuple(a - 2 * b for a, b in zip(v_t, n_t))
+        return SystemSolution((), ())
+    w = tuple(a - 2 * b for a, b in zip(v, n_vec))
     den = cd.cinv_den
     m = []
     for row in cd.cinv_num:
         u = sum(r * x for r, x in zip(row, w))
         if u % den:
-            return SystemSolution(n_t, None, v_t, False)
+            return None
         m.append(u // den)
-    return SystemSolution(n_t, tuple(m), v_t, True)
+    return SystemSolution(tuple(n_vec), tuple(m))
 
 
 def _vectors_summing_at_most(rank: int, budget: int) -> Iterator[IntVec]:
@@ -172,29 +165,13 @@ def _vectors_summing_at_most(rank: int, budget: int) -> Iterator[IntVec]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(
-    cd: CartanData,
-    v: IntVec,
-    offset: Offset,
-    require_nonneg: bool,
-    bound: Optional[int],
-) -> Tuple[SystemSolution, ...]:
+def _enumerate_cached(cd: CartanData, v: IntVec, offset: Offset) -> Tuple[SystemSolution, ...]:
     if cd.rank == 0:
         ok = offset is None or Fraction(offset).denominator == 1
-        return (SystemSolution((), (), (), True),) if ok else ()
-    candidates: Iterator[IntVec]
-    if require_nonneg:
-        budget = sum(v)
-        if budget < 0:
-            return ()
-        candidates = _vectors_summing_at_most(cd.rank, budget // 2)
-    else:
-        if bound is None:
-            raise UnboundedDomain("enumeration without nonnegativity needs an explicit bound")
-        span = range(-bound, bound + 1)
-        from itertools import product
-
-        candidates = product(span, repeat=cd.rank)  # type: ignore[assignment]
+        return (SystemSolution((), ()),) if ok else ()
+    budget = sum(v)
+    if budget < 0:
+        return ()
     out = []
     den = cd.cinv_den
     row1 = cd.cinv_num[0]
@@ -202,40 +179,55 @@ def _enumerate_cached(
         off = Fraction(offset)
         off_num, off_den = off.numerator, off.denominator
         mod = off_den * den
-    for n_vec in candidates:
+    for n_vec in _vectors_summing_at_most(cd.rank, budget // 2):
         if offset is not None:
             dot1 = sum(r * x for r, x in zip(row1, n_vec))
             if (off_num * den + off_den * dot1) % mod:
                 continue
         sol = solve_system(cd, n_vec, v)
-        if not sol.admissible:
-            continue
-        if require_nonneg and any(x < 0 for x in sol.m_vec):
-            continue
-        out.append(sol)
+        if sol is not None and all(x >= 0 for x in sol.m_vec):
+            out.append(sol)
     return tuple(out)
 
 
-def enumerate_admissible(
+def enumerate_admissible(cd: CartanData, v: Sequence[int], offset: Offset) -> Tuple[SystemSolution, ...]:
+    """All admissible solutions with n, m >= 0, in lexicographic n order."""
+    return _enumerate_cached(cd, tuple(v), offset)
+
+
+def system_sum(
     cd: CartanData,
     v: Sequence[int],
     offset: Offset,
-    require_nonneg: bool = True,
-    bound: Optional[int] = None,
-) -> Tuple[SystemSolution, ...]:
-    """All admissible solutions, in lexicographic n order.
+    weight: Optional[Callable[[IntVec], QPoly]] = None,
+    shift: Optional[Sequence[int]] = None,
+) -> QPoly:
+    """Sum over admissible (m, n) of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - shift Cinv n).
 
-    With require_nonneg (the default) both n and m must be componentwise
-    nonnegative and the enumeration region sum(n) <= floor(sum(v)/2) is
-    exhaustive.  Without it a symmetric box |n_k| <= bound is scanned and
-    the caller owns the sufficiency of that bound.
+    weight defaults to 1 and shift to the zero vector.  A solution whose
+    weight is zero is dropped before its binomials are built.
     """
-    return _enumerate_cached(cd, tuple(v), offset, require_nonneg, bound)
-
-
-def unit_vector(rank: int, idx_1based: int) -> IntVec:
-    """e_idx in Z^rank; indices outside 1..rank give the zero vector."""
-    return tuple(int(j + 1 == idx_1based) for j in range(rank))
+    den = cd.cinv_den
+    shift_row = None
+    if shift is not None and any(shift):
+        # shift . Cinv as numerators over cinv_den
+        shift_row = tuple(sum(s * row[j] for s, row in zip(shift, cd.cinv_num)) for j in range(cd.rank))
+    total = ZERO
+    for sol in enumerate_admissible(cd, v, offset):
+        if weight is not None:
+            w = weight(sol.m_vec)
+            if w.is_zero():
+                continue
+        term = qbin_vector(zip(sol.m_vec, sol.n_vec))
+        if term.is_zero():
+            continue
+        if weight is not None:
+            term = mul(w, term)
+        exp = cd.qform(sol.n_vec)
+        if shift_row is not None:
+            exp -= Fraction(sum(a * b for a, b in zip(shift_row, sol.n_vec)), den)
+        total = total + term.times_monomial(1, exp)
+    return total
 
 
 def axis_source(rank: int, pairs: Sequence[Tuple[int, int]]) -> IntVec:

@@ -19,19 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 from .errors import InvalidParams, NonPolynomial, StabilizationFailure
-from .lattice import CartanData, axis_source, cartan, enumerate_admissible
+from .lattice import CartanData, _vectors_summing_at_most, axis_source, cartan, system_sum
 from .qbinom import qbin
 from .qpoly import (
-    ONE,
     ZERO,
     QPoly,
     Truncation,
+    as_int,
     eval_at_one,
     exact_div,
     mul,
+    norm_rat,
     qpoch,
     truncated_equal,
 )
@@ -47,8 +48,7 @@ class MultinomialQuery:
     n_index: int = 0
 
     def __post_init__(self) -> None:
-        a = Fraction(self.a)
-        object.__setattr__(self, "a", a.numerator if a.denominator == 1 else a)
+        object.__setattr__(self, "a", norm_rat(self.a))
 
     def validate(self) -> None:
         if self.N < 1:
@@ -66,25 +66,6 @@ class MultinomialQuery:
             raise InvalidParams("n_index must lie in [0, N-1]")
 
 
-def _eta_box(rank: int, total: int) -> Iterator[Tuple[int, ...]]:
-    # all eta >= 0 with sum <= total, lexicographic
-    if rank == 0:
-        yield ()
-        return
-    vec = [0] * rank
-
-    def rec(pos: int, left: int) -> Iterator[Tuple[int, ...]]:
-        if pos == rank:
-            yield tuple(vec)
-            return
-        for val in range(left + 1):
-            vec[pos] = val
-            yield from rec(pos + 1, left - val)
-        vec[pos] = 0
-
-    yield from rec(0, total)
-
-
 def _t_sum(cd: CartanData, L: int, a: Fraction, n_index: int) -> QPoly:
     """Defining eta-sum; out-of-range a simply yields the zero polynomial."""
     rank = cd.rank
@@ -95,7 +76,7 @@ def _t_sum(cd: CartanData, L: int, a: Fraction, n_index: int) -> QPoly:
     bound = (cd.n * L - 2 * abs(a)) / 2
     if bound < 0:
         return ZERO
-    for eta in _eta_box(rank, int(bound)):
+    for eta in _vectors_summing_at_most(rank, int(bound)):
         first = cd.cinv_component(eta, 0) if rank else Fraction(0)
         if (half_l + shift + first).denominator != 1:
             continue
@@ -168,24 +149,14 @@ def tnew_rhs(N: int, L: int, ell: int, sigma: int) -> QPoly:
     for i in range(0, _tnew_i_bound(N, L, ell) + 1):
         v = axis_source(cd.rank, [(1, 2 * i + ell)])
         offset = Fraction(L, 2) + Fraction(2 * i + ell, 2 * N)
-        inner = ZERO
-        for sol in enumerate_admissible(cd, v, offset):
-            m1 = sol.m_vec[0] if cd.rank else 0
-            top1 = Fraction(L + ell + m1, 2)
-            top2 = Fraction(L - ell + m1, 2)
-            if top1.denominator != 1 or top2.denominator != 1:
-                raise InvalidParams("internal: fractional binomial entry")
-            t = mul(qbin(top1.numerator, i + ell), qbin(top2.numerator, i))
-            if t.is_zero():
-                continue
-            vec = ONE
-            for mj, nj in zip(sol.m_vec, sol.n_vec):
-                vec = mul(vec, qbin(mj + nj, nj))
-                if vec.is_zero():
-                    break
-            if vec.is_zero():
-                continue
-            inner = inner + mul(t, vec).times_monomial(1, cd.qform(sol.n_vec))
+
+        def weight(m):
+            m1 = m[0] if m else 0
+            top1 = as_int(Fraction(L + ell + m1, 2), "binomial entry")
+            top2 = as_int(Fraction(L - ell + m1, 2), "binomial entry")
+            return mul(qbin(top1, i + ell), qbin(top2, i))
+
+        inner = system_sum(cd, v, offset, weight)
         if inner.is_zero():
             continue
         total = total + inner.times_monomial(1, Fraction(i * (i + ell), N))
@@ -211,32 +182,19 @@ def difference_sides(N: int, L: int, ell: int, n_index: int) -> Tuple[QPoly, QPo
         1, Fraction(ell + 1, N)
     )
     source_idx = N - n_index
+    shift = axis_source(cd.rank, [(source_idx, 1)])
     rhs = ZERO
     for i in range(0, max(0, (N * L - ell + n_index) // 2) + 1):
         v = axis_source(cd.rank, [(1, 2 * i + ell), (source_idx, 1)])
         offset = Fraction(L, 2) + Fraction(2 * i + ell - n_index, 2 * N)
-        inner = ZERO
-        for sol in enumerate_admissible(cd, v, offset):
-            m1 = sol.m_vec[0] if cd.rank else 0
-            tops = [Fraction(L + ell + m1, 2), Fraction(L - ell + m1, 2),
-                    Fraction(L + ell + 2 + m1, 2), Fraction(L - ell - 2 + m1, 2)]
-            if any(t.denominator != 1 for t in tops):
-                raise InvalidParams("internal: fractional binomial entry")
 
-            pair = mul(qbin(tops[0].numerator, i + ell), qbin(tops[1].numerator, i)) - mul(
-                qbin(tops[2].numerator, i + ell + 1), qbin(tops[3].numerator, i - 1)
-            )
-            if pair.is_zero():
-                continue
-            vec = ONE
-            for mj, nj in zip(sol.m_vec, sol.n_vec):
-                vec = mul(vec, qbin(mj + nj, nj))
-                if vec.is_zero():
-                    break
-            if vec.is_zero():
-                continue
-            exp = cd.qform(sol.n_vec) - cd.cinv_component(sol.n_vec, source_idx - 1)
-            inner = inner + mul(pair, vec).times_monomial(1, exp)
+        def weight(m):
+            m1 = m[0] if m else 0
+            t0, t1, t2, t3 = (as_int(Fraction(L + k + m1, 2), "binomial entry")
+                              for k in (ell, -ell, ell + 2, -ell - 2))
+            return mul(qbin(t0, i + ell), qbin(t1, i)) - mul(qbin(t2, i + ell + 1), qbin(t3, i - 1))
+
+        inner = system_sum(cd, v, offset, weight, shift=shift)
         if inner.is_zero():
             continue
         rhs = rhs + inner.times_monomial(1, Fraction(i * (i + ell), N))

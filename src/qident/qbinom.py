@@ -80,7 +80,3 @@ def qbin_vector(
             return ZERO
         out = mul(out, factor, trunc)
     return out
-
-
-def qbin_cache_clear() -> None:
-    _qbin_symmetric.cache_clear()

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
-from .errors import NonExactDivision, NonPolynomial, NonUnitConstantTerm
+from .errors import InvalidParams, NonExactDivision, NonPolynomial, NonUnitConstantTerm
 
 Exponent = Union[int, Fraction]
 ExponentLike = Union[int, Fraction]
@@ -34,6 +34,20 @@ def _norm_exp(e: ExponentLike) -> Exponent:
     if isinstance(e, Fraction):
         return e.numerator if e.denominator == 1 else e
     raise TypeError(f"exponent must be int or Fraction, got {type(e).__name__}")
+
+
+def norm_rat(x) -> Exponent:
+    """x as an exact rational: an int when integral, a Fraction otherwise."""
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
+def as_int(x, what: str) -> int:
+    """x as an int; InvalidParams names `what` when x is not integral."""
+    f = Fraction(x)
+    if f.denominator != 1:
+        raise InvalidParams(f"{what} must be an integer, got {x}")
+    return f.numerator
 
 
 class QPoly:

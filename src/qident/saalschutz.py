@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidParams, UnbalancedParameters
-from .lattice import axis_source, cartan, enumerate_admissible
-from .qbinom import qbin, qbin_mod_tb, qbin_vector
-from .qpoly import ONE, ZERO, QPoly, mul
+from .lattice import axis_source, cartan, system_sum
+from .qbinom import qbin, qbin_mod_tb
+from .qpoly import ONE, ZERO, QPoly, as_int, mul, norm_rat
 
 Rational = Union[int, Fraction]
 
@@ -34,11 +34,6 @@ class ClassicParams:
     ell: int
 
 
-def _norm_rat(x: Rational) -> Rational:
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
-
-
 @dataclass(frozen=True)
 class SaalschutzParams:
     N: int
@@ -49,8 +44,8 @@ class SaalschutzParams:
     L2: Rational
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "L1", _norm_rat(self.L1))
-        object.__setattr__(self, "L2", _norm_rat(self.L2))
+        object.__setattr__(self, "L1", norm_rat(self.L1))
+        object.__setattr__(self, "L2", norm_rat(self.L2))
 
     def validate(self) -> None:
         if self.N < 1:
@@ -65,13 +60,6 @@ class SaalschutzParams:
                 raise InvalidParams(f"{name} must be >= 0")
             if (Fraction(L) + half).denominator != 1:
                 raise InvalidParams(f"{name} + (ell+sigma)/2 must be an integer")
-
-
-def _int_top(top: Rational) -> int:
-    f = Fraction(top)
-    if f.denominator != 1:
-        raise InvalidParams(f"non-integral binomial entry {top}")
-    return f.numerator
 
 
 # --- classical summation ----------------------------------------------------
@@ -173,27 +161,23 @@ def sears_rhs(a: int, b: int, c: int, d: int, e: int, f: int, g: int) -> QPoly:
 def gensum_lhs(p: SaalschutzParams) -> QPoly:
     p.validate()
     cd = cartan(p.N)
-    l12 = _int_top(Fraction(p.L1) + Fraction(p.L2))
+    l12 = as_int(Fraction(p.L1) + Fraction(p.L2), "binomial entry")
     total = ZERO
     for i in range(0, p.M + 1):
         outer = qbin(l12 + p.M - i, p.M - i)
         if outer.is_zero():
             continue
+
+        def weight(m):
+            m1 = m[0] if m else 0
+            b1 = qbin(as_int(p.L1 + Fraction(m1, 2), "binomial entry"), i + p.ell)
+            if b1.is_zero():
+                return b1
+            return mul(b1, qbin(as_int(p.L2 + Fraction(m1, 2), "binomial entry"), i))
+
         v = axis_source(cd.rank, [(1, 2 * i + p.ell)])
         offset = Fraction(2 * i + p.ell + p.sigma * p.N, 2 * p.N)
-        inner = ZERO
-        for sol in enumerate_admissible(cd, v, offset):
-            m1 = sol.m_vec[0] if cd.rank else 0
-            b1 = qbin(_int_top(p.L1 + Fraction(m1, 2)), i + p.ell)
-            if b1.is_zero():
-                continue
-            b2 = qbin(_int_top(p.L2 + Fraction(m1, 2)), i)
-            if b2.is_zero():
-                continue
-            term = mul(mul(b1, b2), qbin_vector(tuple(zip(sol.m_vec, sol.n_vec))))
-            if term.is_zero():
-                continue
-            inner = inner + term.times_monomial(1, cd.qform(sol.n_vec))
+        inner = system_sum(cd, v, offset, weight)
         if inner.is_zero():
             continue
         total = total + mul(outer, inner).times_monomial(1, Fraction(i * (i + p.ell), p.N))
@@ -205,23 +189,16 @@ def gensum_rhs(p: SaalschutzParams) -> QPoly:
     cd = cartan(p.N)
     v = axis_source(cd.rank, [(1, p.M + p.ell), (cd.rank, p.M)])
     offset = Fraction(p.ell + p.sigma * p.N, 2 * p.N)
-    total = ZERO
-    for sol in enumerate_admissible(cd, v, offset):
-        if cd.rank:
-            mu_first, mu_last = sol.m_vec[0], sol.m_vec[-1]
-        else:
-            mu_first, mu_last = p.M, p.M + p.ell  # rank-0 convention
-        b1 = qbin(_int_top(p.L1 + Fraction(p.M + mu_first, 2)), p.M + p.ell)
+
+    def weight(m):
+        mu_first, mu_last = (m[0], m[-1]) if m else (p.M, p.M + p.ell)  # rank-0 convention
+        b1 = qbin(as_int(p.L1 + Fraction(p.M + mu_first, 2), "binomial entry"), p.M + p.ell)
         if b1.is_zero():
-            continue
-        b2 = qbin(_int_top(p.L2 + Fraction(p.M + p.ell + mu_last, 2)), p.M)
-        if b2.is_zero():
-            continue
-        term = mul(mul(b1, b2), qbin_vector(tuple(zip(sol.m_vec, sol.n_vec))))
-        if term.is_zero():
-            continue
-        total = total + term.times_monomial(1, cd.qform(sol.n_vec))
-    return total
+            return b1
+        top2 = as_int(p.L2 + Fraction(p.M + p.ell + mu_last, 2), "binomial entry")
+        return mul(b1, qbin(top2, p.M))
+
+    return system_sum(cd, v, offset, weight)
 
 
 # --- Bailey-type limit check -----------------------------------------------------

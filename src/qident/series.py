@@ -20,9 +20,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import InvalidParams
-from .lattice import axis_source, cartan, enumerate_admissible
+from .lattice import axis_source, cartan, system_sum
 from .multinom import abf_config_sum
-from .qbinom import qbin
 from .qpoly import (
     ONE,
     ZERO,
@@ -121,25 +120,6 @@ def _restricted_inverse_sum(cd, offset: Fraction, trunc: Truncation) -> QPoly:
     return mul(total, ONE, trunc)
 
 
-def _system_binomial_sum(cd, v, offset: Fraction, extra_exp_idx: Optional[int] = None) -> QPoly:
-    # sum over admissible (m, n): q^(n Cinv n) [m+n over n], optionally
-    # with the quadratic form shifted by -(Cinv n)_idx (1-based idx)
-    total = ZERO
-    for sol in enumerate_admissible(cd, v, offset):
-        vec = ONE
-        for mj, nj in zip(sol.m_vec, sol.n_vec):
-            vec = mul(vec, qbin(mj + nj, nj))
-            if vec.is_zero():
-                break
-        if vec.is_zero():
-            continue
-        exp = cd.qform(sol.n_vec)
-        if extra_exp_idx is not None:
-            exp -= cd.cinv_component(sol.n_vec, extra_exp_idx - 1)
-        total = total + vec.times_monomial(1, exp)
-    return total
-
-
 def durfee_sides(ell: int, trunc: Truncation) -> Tuple[QPoly, QPoly]:
     """Durfee rectangle dissection of the partition generating series."""
     if ell < 0:
@@ -169,9 +149,7 @@ def _gamma_delta(bq: BaileyPairQuery) -> Tuple[Dict[int, QPoly], Dict[int, QPoly
     while Fraction(L * (L + bq.ell), bq.N) <= d:
         pref = Fraction(L * (L + bq.ell), bq.N)
         offset = Fraction(2 * L + bq.ell + bq.sigma * bq.N, 2 * bq.N)
-        inner_delta = _system_binomial_sum(
-            cd, axis_source(cd.rank, [(1, 2 * L + bq.ell)]), offset
-        )
+        inner_delta = system_sum(cd, axis_source(cd.rank, [(1, 2 * L + bq.ell)]), offset)
         if bq.M is None:
             gamma_base = mul(
                 euler_inverse_truncated(trunc), _inv_shifted_euler(bq.ell, trunc), trunc
@@ -184,7 +162,7 @@ def _gamma_delta(bq: BaileyPairQuery) -> Tuple[Dict[int, QPoly], Dict[int, QPoly
             delta = ZERO
         else:
             v = axis_source(cd.rank, [(1, bq.M + L + bq.ell), (cd.rank, bq.M - L)])
-            eta_sum = _system_binomial_sum(cd, v, offset)
+            eta_sum = system_sum(cd, v, offset)
             gamma_base = mul(
                 _inv_qpoch(bq.M - L, trunc),
                 invert_truncated(qpoch(bq.ell + 1, bq.M + L), trunc),
@@ -239,7 +217,7 @@ def limlm_sides(N: int, ell: int, sigma: int, trunc: Truncation) -> Tuple[QPoly,
     lhs = ZERO
     i = 0
     while Fraction(i * (i + ell), N) <= d:
-        inner = _system_binomial_sum(
+        inner = system_sum(
             cd,
             axis_source(cd.rank, [(1, 2 * i + ell)]),
             Fraction(2 * i + ell + sigma * N, 2 * N),
@@ -305,20 +283,12 @@ def string_fermionic(sq: StringFunctionQuery) -> QPoly:
         return ZERO
     d = inner_trunc.degree_cap
     cd = cartan(N)
+    shift = axis_source(cd.rank, [(ell, 1)])  # zero unless 1 <= ell <= N-1
     total = ZERO
     i = 0
     while Fraction(i * (i + m), N) <= d or i <= abs(m):
-        pairs = [(1, 2 * i + m)]
-        extra = None
-        if 1 <= ell <= N - 1:
-            pairs.append((ell, 1))
-            extra = ell
-        inner = _system_binomial_sum(
-            cd,
-            axis_source(cd.rank, pairs),
-            Fraction(2 * i + m + ell, 2 * N),
-            extra_exp_idx=extra,
-        )
+        v = axis_source(cd.rank, [(1, 2 * i + m), (ell, 1)])
+        inner = system_sum(cd, v, Fraction(2 * i + m + ell, 2 * N), shift=shift)
         if not inner.is_zero():
             term = mul(_inv_qpoch(i, inner_trunc), _inv_qpoch(i + m, inner_trunc), inner_trunc)
             term = mul(term, inner, inner_trunc)

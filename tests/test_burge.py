@@ -399,3 +399,13 @@ def test_tree_rejects_bad_depth_and_sigma():
         build_tree(-1)
     with pytest.raises(InvalidParams):
         build_tree(2, n_lat=3, sigma=1)
+
+
+def test_tree_rejects_negative_grid_and_never_verifies_on_no_points():
+    with pytest.raises(InvalidParams):
+        build_tree(1, verify_grid=-1)
+    from qident.burge import _verify_node
+
+    # an empty grid checks nothing, so the node's verdict is open
+    assert _verify_node(1, 2, 0, 1, 1, 0, "initial", -1) is None
+    assert _verify_node(1, 2, 0, 1, 1, 0, "initial", 0) is True

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -14,6 +15,7 @@ from qident.cli import (
     main,
 )
 from qident.errors import QIdentError
+from qident.qpoly import ONE, ZERO
 
 
 def run(argv, capsys):
@@ -113,6 +115,51 @@ def test_eval_unknown_and_missing(capsys):
     assert code == 2 and "--n" in err
 
 
+def test_negative_trunc_is_config_error(capsys):
+    for argv in (["verify", "series.durfee", "--trunc", "-1"],
+                 ["eval", "qbin", "--m", "1", "--n", "1", "--trunc", "-1"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --trunc must be >= 0, got -1\n"
+
+
+def test_nonpositive_jobs_is_config_error(capsys):
+    for argv in (["verify", "qs2", "--jobs", "0"], ["suite", "--jobs", "-3"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --jobs must be >= 1") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_checker_exception_is_one_error_row(capsys, monkeypatch, jobs):
+    spec = REGISTRY["qs2"]
+
+    def check(p, d, opts):
+        if p["M"] == 1:
+            raise ZeroDivisionError("injected")
+        return spec.check(p, d, opts)
+
+    monkeypatch.setitem(REGISTRY, "qs2", dataclasses.replace(spec, check=check))
+    code, out, err = run(["verify", "qs2", "--L1", "1", "--L2", "1", "--M", "0..2",
+                          "--ell", "0", "--jobs", jobs], capsys)
+    assert code == 1
+    rows, summary = rows_of(out)
+    assert [r["verdict"] for r in rows] == ["equal", "error", "equal"]
+    assert summary["error"] == 1 and summary["equal"] == 2 and summary["exit_code"] == 1
+    assert "ZeroDivisionError: injected" in err
+
+
+def test_cbp_mismatch_reports_failing_L(capsys, monkeypatch):
+    monkeypatch.setattr("qident.cli.conjugate_pair_failure", lambda bq: (2, ONE, ZERO))
+    code, out, _ = run(["verify", "series.cbp", "--N", "1", "--ell", "0",
+                        "--sigma", "0", "--M", "3"], capsys)
+    assert code == 1
+    rows, _ = rows_of(out)
+    assert rows[0]["verdict"] == "mismatch"
+    assert rows[0]["witness"] == {"L": 2}
+    assert rows[0]["diff_repr"] == "1"
+
+
 # --- tree ----------------------------------------------------------------------------
 
 def test_tree_depth2_all_nonroot_verified(capsys):
@@ -138,6 +185,12 @@ def test_tree_depth_cap(capsys):
     assert code == 2
     code, _, err = run(["tree", "--depth", "-1"], capsys)
     assert code == 2
+
+
+def test_tree_negative_grid_is_config_error(capsys):
+    code, out, err = run(["tree", "--depth", "1", "--grid", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --grid must be >= 0, got -1\n"
 
 
 def test_tree_odd_level_sigma_config_error(capsys):

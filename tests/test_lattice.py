@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident.errors import UnboundedDomain
 from qident.lattice import (
     axis_source,
     cartan,
     enumerate_admissible,
     restriction_holds,
     solve_system,
-    unit_vector,
+    system_sum,
 )
+from qident.qbinom import qbin
+from qident.qpoly import ONE, ZERO, QPoly, mul
 
 
 # --- independent oracle ----------------------------------------------------
@@ -123,13 +124,9 @@ def test_restriction_examples():
 
 def test_solve_examples():
     cd = cartan(2)
-    sol = solve_system(cd, (0,), (2,))
-    assert sol.admissible and sol.m_vec == (1,)
-    sol = solve_system(cd, (1,), (2,))
-    assert sol.admissible and sol.m_vec == (0,)
-    cd3 = cartan(3)
-    sol = solve_system(cd3, (1, 0), (3, 0))
-    assert not sol.admissible and sol.m_vec is None
+    assert solve_system(cd, (0,), (2,)).m_vec == (1,)
+    assert solve_system(cd, (1,), (2,)).m_vec == (0,)
+    assert solve_system(cartan(3), (1, 0), (3, 0)) is None
 
 
 def test_resubstitution_identity():
@@ -162,21 +159,6 @@ def test_enumeration_empty_when_offset_unreachable():
     # offset 1/2 needs (Cinv n)_1 = n/2 half-integral, i.e. n odd; v=0 then
     # forces m = -n < 0
     assert enumerate_admissible(cartan(2), (0,), Fraction(1, 2)) == ()
-
-
-def test_unbounded_domain_error():
-    with pytest.raises(UnboundedDomain):
-        enumerate_admissible(cartan(3), (1, 0), 0, require_nonneg=False)
-
-
-def test_box_mode_contains_nonneg_solutions():
-    cd = cartan(3)
-    v = (3, 1)
-    free = enumerate_admissible(cd, v, None, require_nonneg=False, bound=6)
-    nonneg = enumerate_admissible(cd, v, None)
-    free_pairs = {(s.n_vec, s.m_vec) for s in free}
-    for s in nonneg:
-        assert (s.n_vec, s.m_vec) in free_pairs
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -251,7 +233,53 @@ def test_parity_pattern(n, i, ell, sigma):
 
 
 def test_unit_vector_and_axis_source():
-    assert unit_vector(3, 1) == (1, 0, 0)
-    assert unit_vector(3, 4) == (0, 0, 0)
+    assert axis_source(3, [(1, 1)]) == (1, 0, 0)
+    assert axis_source(3, [(4, 1)]) == (0, 0, 0)
     assert axis_source(1, [(1, 2), (1, 3)]) == (5,)
     assert axis_source(0, [(1, 9)]) == ()
+
+
+# --- the system-sum kernel ---------------------------------------------------------
+
+def system_sum_oracle(cd, solutions, weight, shift):
+    """Binomial products term by term over box_oracle's solutions."""
+    cinv = invert_oracle(cd.cartan)
+    r = cd.rank
+    total = ZERO
+    for n_vec, m_vec in solutions:
+        term = weight(m_vec)
+        for mj, nj in zip(m_vec, n_vec):
+            term = mul(term, qbin(mj + nj, nj))
+        exp = sum(n_vec[i] * cinv[i][j] * (n_vec[j] - shift[j]) for i in range(r) for j in range(r))
+        total = total + term.times_monomial(1, exp)
+    return total
+
+
+def _dropping_weight(m):
+    # zero when m_1 = 0, a fractional monomial otherwise
+    if m and m[0] == 0:
+        return ZERO
+    return QPoly.monomial(1 + sum(m), Fraction(sum(m), 3))
+
+
+@pytest.mark.parametrize("kind", ["a", "tadpole"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_system_sum_matches_oracle(kind, n):
+    cd = cartan(n, kind)
+    r = cd.rank
+    v = axis_source(r, [(1, 2), (r, 2)])
+    units = [axis_source(r, [(k, 1)]) for k in range(1, r + 1)]
+    nonzero = dropped = 0
+    for offset in (None, Fraction(1, max(n, 2))):
+        solutions = box_oracle(cd, v, offset)
+        dropped += sum(1 for _, m in solutions if m and m[0] == 0)
+        for shift in [None] + units + [v]:
+            for weight in (None, _dropping_weight):
+                got = system_sum(cd, v, offset, weight, shift)
+                want = system_sum_oracle(
+                    cd, solutions, weight or (lambda m: ONE), shift or (0,) * r
+                )
+                assert got == want
+                nonzero += not got.is_zero()
+    assert nonzero
+    assert dropped or r == 0
