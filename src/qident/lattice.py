@@ -47,19 +47,10 @@ class CartanData:
     cinv_num: Tuple[Tuple[int, ...], ...]  # cinv = cinv_num / cinv_den, exact
     cinv_den: int
 
-    def cinv_entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.cinv_num[i][j], self.cinv_den)
-
     def cinv_component(self, vec: Sequence[int], idx: int) -> Fraction:
         """(Cinv vec)_{idx+1} in 1-based math notation; idx is 0-based."""
         row = self.cinv_num[idx]
         return Fraction(sum(r * x for r, x in zip(row, vec)), self.cinv_den)
-
-    def first_component(self, vec: Sequence[int]) -> Fraction:
-        """(Cinv vec)_1; zero for rank 0."""
-        if self.rank == 0:
-            return Fraction(0)
-        return self.cinv_component(vec, 0)
 
     def qform(self, vec: Sequence[int]) -> Fraction:
         """vec . Cinv . vec as an exact rational."""
@@ -128,12 +119,6 @@ def cartan(n: int, kind: str = "a") -> CartanData:
         den = lcm(*(entry.denominator for row in inv for entry in row))
         num = tuple(tuple(int(entry * den) for entry in row) for row in inv)
     return CartanData(n, kind, rank, c, incidence, num, den)
-
-
-def restriction_holds(cd: CartanData, n_vec: Sequence[int], offset: Union[int, Fraction]) -> bool:
-    """offset + (Cinv n)_1 in Z."""
-    total = Fraction(offset) + cd.first_component(tuple(n_vec))
-    return total.denominator == 1
 
 
 def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int]) -> Optional[SystemSolution]:

@@ -15,10 +15,11 @@ followed by a final truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .errors import InvalidParams, NonExactDivision, NonPolynomial, NonUnitConstantTerm
 
@@ -205,9 +206,6 @@ class Truncation:
             raise ValueError("degree cap must be >= 0")
         object.__setattr__(self, "degree_cap", cap)
 
-    def keeps(self, exp: ExponentLike) -> bool:
-        return _norm_exp(exp) <= self.degree_cap
-
 
 def _renorm_keys(out: Dict[Exponent, int]) -> Dict[Exponent, int]:
     # two proper fractions can sum to an integer; the dict slot is already
@@ -376,16 +374,38 @@ def invert_truncated(p: QPoly, trunc: Truncation) -> QPoly:
     return r
 
 
-@lru_cache(maxsize=None)
-def _euler_inverse_int(d: int) -> QPoly:
-    return invert_truncated(qpoch(1, d).truncate(Truncation(d)), Truncation(d))
+# (s, floor(cap)) -> [1/(q^s; q)_k for k = 0, 1, ...], each modulo q^(floor(cap)+1)
+_INV_QPOCH: Dict[Tuple[int, int], List[QPoly]] = {}
+
+
+def inv_qpoch(s: int, k: int, trunc: Truncation) -> QPoly:
+    """1/(q^s; q)_k modulo the cap, for s >= 1; zero for k < 0.
+
+    Each step of the ladder 1/(q^s;q)_k = 1/(q^s;q)_{k-1} / (1 - q^(s+k-1)) is
+    one O(D) pass c[n] += c[n-e], memoized per (s, D) with D = floor(cap);
+    factors with s+k-1 > D are 1 modulo q^(D+1), so k is clamped there.
+    """
+    if s < 1:
+        raise ValueError("inv_qpoch needs s >= 1")
+    if k < 0:
+        return ZERO
+    d = math.floor(trunc.degree_cap)
+    k = min(k, max(0, d - s + 1))
+    ladder = _INV_QPOCH.setdefault((s, d), [ONE])
+    while len(ladder) <= k:
+        c = [0] * (d + 1)
+        for e, v in ladder[-1]._terms.items():
+            c[e] = v
+        step = s + len(ladder) - 1
+        for n in range(step, d + 1):
+            c[n] += c[n - step]
+        ladder.append(QPoly._from_raw({n: v for n, v in enumerate(c) if v}))
+    return ladder[k]
 
 
 def euler_inverse_truncated(trunc: Truncation) -> QPoly:
     """Generating series of all partitions, 1/(q; q)_inf, up to the cap."""
-    cap = trunc.degree_cap
-    d = cap if isinstance(cap, int) else int(cap)
-    return _euler_inverse_int(d)
+    return inv_qpoch(1, math.floor(trunc.degree_cap), trunc)
 
 
 def eval_at_one(p: QPoly) -> int:

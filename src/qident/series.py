@@ -1,12 +1,13 @@
 """Truncated q-series verification: Bailey pairs, string functions, products.
 
 Everything here compares formal power series modulo q^(D+1) for a caller
-supplied degree cap D.  Infinite sums are cut off by proven or probed
-lower bounds on the degree of their terms: quadratic prefactors for the
-i-sums, the positive definite quadratic form for the eta-sums.  The one
-empirical margin is in the spinon sum, where the per-term minimum degree
-tracks i(i+m)/N + (l^2 - m^2)/(4N) to within 3/2 on all probed grids; a
-slack of 2 is used, and the refinement property test guards it.
+supplied degree cap D.  Infinite sums are cut off by lower bounds on the
+degree of their terms: quadratic prefactors for the i-sums, the positive
+definite quadratic form for the eta-sums.  The spinon sum has no proven
+bound: its per-term minimum degree tracks i(i+m)/N + (l^2 - m^2)/(4N) to
+within 3/2 on all probed grids, so it stops at a slack of 2 past the cap
+and then checks itself, raising unless the configuration sums of the next
+few i have no term at or below the cap.
 
 An M of None means the unbounded version of a display: binomial factors
 degenerate to inverse factorials and 1/(q)_{M-L} to 1/(q)_inf.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
-from .errors import InvalidParams
+from .errors import InvalidParams, StabilizationFailure
 from .lattice import axis_source, cartan, system_sum
 from .multinom import abf_config_sum
 from .qpoly import (
@@ -28,9 +29,10 @@ from .qpoly import (
     QPoly,
     Truncation,
     euler_inverse_truncated,
+    inv_qpoch,
     invert_truncated,
     mul,
-    qpoch,
+    prod,
     qpoch_signed_base2,
     truncated_equal,
 )
@@ -74,49 +76,52 @@ class StringFunctionQuery:
             raise InvalidParams("sigma must be 0 or 1")
 
 
-def _inv_qpoch(k: int, trunc: Truncation) -> QPoly:
-    if k < 0:
-        return ZERO
-    return invert_truncated(qpoch(1, k), trunc)
+def _eta_shell(cd, offset: Fraction, cap) -> Iterator[Tuple[Tuple[int, ...], Fraction]]:
+    """(eta, eta Cinv eta) for eta >= 0 with restricted first component and form <= cap.
 
-
-def _inv_shifted_euler(ell: int, trunc: Truncation) -> QPoly:
-    # 1/(q^{ell+1}; q)_inf modulo the cap: factors beyond the cap are 1
-    d = math.floor(trunc.degree_cap)
-    return invert_truncated(qpoch(ell + 1, max(0, d - ell)), trunc)
-
-
-def _eta_shell(cd, offset: Fraction, cap) -> Iterator[Tuple[int, ...]]:
-    # eta >= 0 with restricted first component and quadratic form <= cap
+    Depth first, carrying the integer numerator of the prefix form.  Cinv >= 0
+    (both Cartan families are nonsingular M-matrices; guarded below) makes a
+    prefix's form a lower bound on every completion's, growing with the last
+    value, so each loop stops at the first value past the cap (Fincke-Pohst).
+    """
     rank = cd.rank
+    off = Fraction(offset)
     if rank == 0:
-        if Fraction(offset).denominator == 1:
-            yield ()
+        if off.denominator == 1:
+            yield (), Fraction(0)
         return
-    side = math.isqrt(int(cap * cd.n)) + 1
+    num, den = cd.cinv_num, cd.cinv_den
+    if any(x < 0 for row in num for x in row) or any(num[i][i] <= 0 for i in range(rank)):
+        raise InvalidParams("eta-shell pruning needs Cinv >= 0 with a positive diagonal")
+    limit = math.floor(cap * den)
+    mod = off.denominator * den
     vec = [0] * rank
 
-    def rec(pos: int) -> Iterator[Tuple[int, ...]]:
+    def rec(pos: int, form: int) -> Iterator[Tuple[Tuple[int, ...], Fraction]]:
         if pos == rank:
-            if cd.qform(vec) <= cap and (offset + cd.cinv_component(vec, 0)).denominator == 1:
-                yield tuple(vec)
+            dot1 = sum(r * x for r, x in zip(num[0], vec))
+            if (off.numerator * den + off.denominator * dot1) % mod == 0:
+                yield tuple(vec), Fraction(form, den)
             return
-        for val in range(side + 1):
-            vec[pos] = val
-            yield from rec(pos + 1)
+        row = num[pos]
+        diag, cross = row[pos], 2 * sum(row[j] * vec[j] for j in range(pos))
+        x, grown = 0, form
+        while grown <= limit:
+            vec[pos] = x
+            yield from rec(pos + 1, grown)
+            x += 1
+            grown = form + x * (x * diag + cross)
         vec[pos] = 0
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def _restricted_inverse_sum(cd, offset: Fraction, trunc: Truncation) -> QPoly:
     # sum over the shell of q^(eta Cinv eta) / (q)_eta
     total = ZERO
-    for eta in _eta_shell(cd, offset, trunc.degree_cap):
-        term = ONE
-        for e in eta:
-            term = mul(term, _inv_qpoch(e, trunc), trunc)
-        total = total + term.times_monomial(1, cd.qform(eta))
+    for eta, form in _eta_shell(cd, offset, trunc.degree_cap):
+        term = prod((inv_qpoch(1, e, trunc) for e in eta), trunc)
+        total = total + term.times_monomial(1, form)
     return mul(total, ONE, trunc)
 
 
@@ -128,7 +133,7 @@ def durfee_sides(ell: int, trunc: Truncation) -> Tuple[QPoly, QPoly]:
     lhs = ZERO
     i = 0
     while i * (i + ell) <= d:
-        term = mul(_inv_qpoch(i, trunc), _inv_qpoch(i + ell, trunc), trunc)
+        term = mul(inv_qpoch(1, i, trunc), inv_qpoch(1, i + ell, trunc), trunc)
         lhs = lhs + term.times_monomial(1, i * (i + ell))
         i += 1
     return lhs, euler_inverse_truncated(trunc)
@@ -145,31 +150,27 @@ def _gamma_delta(bq: BaileyPairQuery) -> Tuple[Dict[int, QPoly], Dict[int, QPoly
     d = trunc.degree_cap
     gammas: Dict[int, QPoly] = {}
     deltas: Dict[int, QPoly] = {}
+    if bq.M is None:
+        # 1/(q)_inf and 1/(q^{ell+1})_inf: inv_qpoch drops the factors above the cap
+        euler = euler_inverse_truncated(trunc)
+        unbounded_base = mul(euler, inv_qpoch(bq.ell + 1, math.floor(d), trunc), trunc)
     L = 0
     while Fraction(L * (L + bq.ell), bq.N) <= d:
         pref = Fraction(L * (L + bq.ell), bq.N)
         offset = Fraction(2 * L + bq.ell + bq.sigma * bq.N, 2 * bq.N)
         inner_delta = system_sum(cd, axis_source(cd.rank, [(1, 2 * L + bq.ell)]), offset)
         if bq.M is None:
-            gamma_base = mul(
-                euler_inverse_truncated(trunc), _inv_shifted_euler(bq.ell, trunc), trunc
-            )
-            eta_sum = _restricted_inverse_sum(cd, offset, trunc)
-            gamma = mul(gamma_base, eta_sum, trunc)
-            delta = mul(euler_inverse_truncated(trunc), inner_delta, trunc)
+            gamma = mul(unbounded_base, _restricted_inverse_sum(cd, offset, trunc), trunc)
+            delta = mul(euler, inner_delta, trunc)
         elif L > bq.M:
             gamma = ZERO
             delta = ZERO
         else:
             v = axis_source(cd.rank, [(1, bq.M + L + bq.ell), (cd.rank, bq.M - L)])
-            eta_sum = system_sum(cd, v, offset)
-            gamma_base = mul(
-                _inv_qpoch(bq.M - L, trunc),
-                invert_truncated(qpoch(bq.ell + 1, bq.M + L), trunc),
-                trunc,
-            )
-            gamma = mul(gamma_base, eta_sum, trunc)
-            delta = mul(_inv_qpoch(bq.M - L, trunc), inner_delta, trunc)
+            inv_short = inv_qpoch(1, bq.M - L, trunc)
+            gamma_base = mul(inv_short, inv_qpoch(bq.ell + 1, bq.M + L, trunc), trunc)
+            gamma = mul(gamma_base, system_sum(cd, v, offset), trunc)
+            delta = mul(inv_short, inner_delta, trunc)
         gammas[L] = mul(gamma, ONE, trunc).times_monomial(1, pref)
         deltas[L] = mul(delta, ONE, trunc).times_monomial(1, pref)
         L += 1
@@ -190,8 +191,8 @@ def conjugate_pair_failure(bq: BaileyPairQuery) -> Optional[Tuple[int, QPoly, QP
         for r, delta in deltas.items():
             if r < L or (bq.M is not None and r > bq.M):
                 continue
-            term = mul(delta, _inv_qpoch(r - L, trunc), trunc)
-            term = mul(term, invert_truncated(qpoch(bq.ell + 1, r + L), trunc), trunc)
+            term = mul(delta, inv_qpoch(1, r - L, trunc), trunc)
+            term = mul(term, inv_qpoch(bq.ell + 1, r + L, trunc), trunc)
             rhs = rhs + term
         if not truncated_equal(gamma, rhs, trunc):
             return L, gamma, mul(rhs, ONE, trunc)
@@ -204,12 +205,7 @@ def conjugate_pair_check(bq: BaileyPairQuery) -> bool:
 
 def limlm_sides(N: int, ell: int, sigma: int, trunc: Truncation) -> Tuple[QPoly, QPoly]:
     """Unbounded double-sum form against its single restricted eta-sum."""
-    if N < 1:
-        raise InvalidParams("N must be >= 1")
-    if ell < 0:
-        raise InvalidParams("ell must be >= 0")
-    if sigma not in (0, 1):
-        raise InvalidParams("sigma must be 0 or 1")
+    BaileyPairQuery(N, ell, None, sigma, trunc).validate()
     if (ell + sigma * N) % 2:
         raise InvalidParams("ell + sigma*N must be even")
     cd = cartan(N)
@@ -223,7 +219,7 @@ def limlm_sides(N: int, ell: int, sigma: int, trunc: Truncation) -> Tuple[QPoly,
             Fraction(2 * i + ell + sigma * N, 2 * N),
         )
         if not inner.is_zero():
-            term = mul(_inv_qpoch(i, trunc), _inv_qpoch(i + ell, trunc), trunc)
+            term = mul(inv_qpoch(1, i, trunc), inv_qpoch(1, i + ell, trunc), trunc)
             term = mul(term, inner, trunc)
             lhs = lhs + term.times_monomial(1, Fraction(i * (i + ell), N))
         i += 1
@@ -243,18 +239,14 @@ def limlm_check(N: int, ell: int, sigma: int, trunc: Truncation) -> bool:
 
 def _series_budget(trunc: Truncation, pre_exp: Fraction) -> Optional[Truncation]:
     room = Fraction(trunc.degree_cap) - pre_exp
-    if room < 0:
-        return None
-    return Truncation(room)
+    return None if room < 0 else Truncation(room)
 
 
 def string_spinon(sq: StringFunctionQuery) -> QPoly:
     """Level-N string function via configuration sums of the ABF model."""
     sq.validate()
     N, m, ell = sq.N, sq.m, sq.ell
-    pre_exp = (
-        Fraction((ell + 1) ** 2, 4 * (N + 2)) - Fraction(m * m, 4 * N) - Fraction(1, 8)
-    )
+    pre_exp = Fraction((ell + 1) ** 2, 4 * (N + 2)) - Fraction(m * m, 4 * N) - Fraction(1, 8)
     inner_trunc = _series_budget(sq.trunc, pre_exp)
     if inner_trunc is None:
         return ZERO
@@ -264,10 +256,16 @@ def string_spinon(sq: StringFunctionQuery) -> QPoly:
     while Fraction(i * (i + m), N) + Fraction(ell * ell - m * m, 4 * N) <= d + 2:
         X = abf_config_sum(N + 2, ell + 1, 2 * i + m)
         if not X.is_zero():
-            term = mul(_inv_qpoch(i, inner_trunc), _inv_qpoch(i + m, inner_trunc), inner_trunc)
-            term = mul(term, X, inner_trunc)
-            total = total + term
+            term = mul(inv_qpoch(1, i, inner_trunc), inv_qpoch(1, i + m, inner_trunc), inner_trunc)
+            total = total + mul(term, X, inner_trunc)
         i += 1
+    # check three more i: the 1/(q)_i factors have nonnegative exponents only,
+    # so an i-term vanishes below the cap exactly when its configuration sum does
+    for i in range(i, i + 3):
+        X = abf_config_sum(N + 2, ell + 1, 2 * i + m)
+        if not X.is_zero() and X.min_exponent() <= d:
+            low = X.min_exponent()
+            raise StabilizationFailure(f"spinon cutoff too early: i={i} reaches q^{low} <= q^{d}")
     return mul(total, ONE, inner_trunc).times_monomial(1, pre_exp)
 
 
@@ -275,9 +273,7 @@ def string_fermionic(sq: StringFunctionQuery) -> QPoly:
     """Level-N string function as a restricted quadratic-form double sum."""
     sq.validate()
     N, m, ell = sq.N, sq.m, sq.ell
-    pre_exp = (
-        Fraction((ell + 1) ** 2, 4 * (N + 2)) - Fraction(ell * ell, 4 * N) - Fraction(1, 8)
-    )
+    pre_exp = Fraction((ell + 1) ** 2, 4 * (N + 2)) - Fraction(ell * ell, 4 * N) - Fraction(1, 8)
     inner_trunc = _series_budget(sq.trunc, pre_exp)
     if inner_trunc is None:
         return ZERO
@@ -290,7 +286,7 @@ def string_fermionic(sq: StringFunctionQuery) -> QPoly:
         v = axis_source(cd.rank, [(1, 2 * i + m), (ell, 1)])
         inner = system_sum(cd, v, Fraction(2 * i + m + ell, 2 * N), shift=shift)
         if not inner.is_zero():
-            term = mul(_inv_qpoch(i, inner_trunc), _inv_qpoch(i + m, inner_trunc), inner_trunc)
+            term = mul(inv_qpoch(1, i, inner_trunc), inv_qpoch(1, i + m, inner_trunc), inner_trunc)
             term = mul(term, inner, inner_trunc)
             total = total + term.times_monomial(1, Fraction(i * (i + m), N))
         i += 1
@@ -330,19 +326,17 @@ def product_side(which: str, trunc: Truncation) -> QPoly:
         raise InvalidParams(f"unknown product family: {which!r}")
     plus, minus_num, minus_den = _PRODUCTS[which]
     d = math.floor(trunc.degree_cap)
-    num = ONE
-    for mod, res, sign in plus + minus_num:
-        e = mod - res if res else mod
-        while e <= d:
-            num = mul(num, QPoly({0: 1, e: sign}), trunc)
-            e += mod
-    den = ONE
-    for mod, res, sign in minus_den:
-        e = mod - res if res else mod
-        while e <= d:
-            den = mul(den, QPoly({0: 1, e: sign}), trunc)
-            e += mod
-    return mul(num, invert_truncated(den, trunc), trunc)
+
+    def factors(triples) -> QPoly:
+        out = ONE
+        for mod, res, sign in triples:
+            e = mod - res if res else mod
+            while e <= d:
+                out = mul(out, QPoly({0: 1, e: sign}), trunc)
+                e += mod
+        return out
+
+    return mul(factors(plus + minus_num), invert_truncated(factors(minus_den), trunc), trunc)
 
 
 def sum_side(which: str, trunc: Truncation) -> QPoly:
@@ -352,12 +346,12 @@ def sum_side(which: str, trunc: Truncation) -> QPoly:
     if which == "ising":
         k = 0
         while 2 * k * k <= d:
-            total = total + _inv_qpoch(2 * k, trunc).times_monomial(1, 2 * k * k)
+            total = total + inv_qpoch(1, 2 * k, trunc).times_monomial(1, 2 * k * k)
             k += 1
     elif which == "rr":
         n = 0
         while n * n <= d:
-            total = total + _inv_qpoch(n, trunc).times_monomial(1, n * n)
+            total = total + inv_qpoch(1, n, trunc).times_monomial(1, n * n)
             n += 1
     elif which == "slater":
         n = 0

@@ -18,7 +18,6 @@ from qident.cli import main
 from qident.lattice import (
     cartan,
     enumerate_admissible,
-    restriction_holds,
     solve_system,
 )
 from qident.qpoly import ONE, Truncation, mul, truncated_equal
@@ -210,8 +209,11 @@ def test_criterion_8_partition_counts_and_lattice_enumeration(tmp_path):
         for n_vec in itertools.product(range(budget + 1), repeat=rank):
             if sum(n_vec) > budget:
                 continue
-            if offset is not None and not restriction_holds(cd, n_vec, offset):
-                continue
+            if offset is not None:
+                # offset + (Cinv n)_1 in Z, with (Cinv)_1j = (N - j)/N for the A family
+                first = sum(Fraction((n - j) * x, n) for j, x in enumerate(n_vec, 1))
+                if (Fraction(offset) + first).denominator != 1:
+                    continue
             sol = solve_system(cd, n_vec, v)
             if sol is not None and all(x >= 0 for x in sol.m_vec):
                 expected.append(n_vec)

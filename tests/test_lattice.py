@@ -8,7 +8,6 @@ from qident.lattice import (
     axis_source,
     cartan,
     enumerate_admissible,
-    restriction_holds,
     solve_system,
     system_sum,
 )
@@ -66,23 +65,22 @@ def box_oracle(cd, v, offset):
 def test_cartan_n3():
     cd = cartan(3)
     assert cd.cartan == ((2, -1), (-1, 2))
-    assert [[cd.cinv_entry(i, j) for j in range(2)] for i in range(2)] == [
-        [Fraction(2, 3), Fraction(1, 3)],
-        [Fraction(1, 3), Fraction(2, 3)],
-    ]
+    assert cd.cinv_num == ((2, 1), (1, 2))
+    assert cd.cinv_den == 3
 
 
 def test_cartan_rank0():
     cd = cartan(1)
     assert cd.rank == 0
     assert cd.qform(()) == 0
-    assert cd.first_component(()) == 0
+    assert cd.cinv_num == ()
 
 
 def test_cartan_n2():
     cd = cartan(2)
     assert cd.cartan == ((2,),)
-    assert cd.cinv_entry(0, 0) == Fraction(1, 2)
+    assert cd.cinv_num == ((1,),)
+    assert cd.cinv_den == 2
 
 
 def test_tadpole_matrices():
@@ -100,8 +98,8 @@ def test_cinv_is_exact_inverse():
             r = cd.rank
             for i in range(r):
                 for j in range(r):
-                    acc = sum(cd.cartan[i][k] * cd.cinv_entry(k, j) for k in range(r))
-                    assert acc == (1 if i == j else 0)
+                    acc = sum(cd.cartan[i][k] * cd.cinv_num[k][j] for k in range(r))
+                    assert acc == (cd.cinv_den if i == j else 0)
 
 
 def test_first_component_closed_form():
@@ -110,16 +108,17 @@ def test_first_component_closed_form():
         cd = cartan(n)
         x = tuple((-1) ** i * (i + 2) for i in range(cd.rank))
         expected = Fraction(sum((n - (i + 1)) * x[i] for i in range(cd.rank)), n)
-        assert cd.first_component(x) == expected
+        assert cd.cinv_component(x, 0) == expected
 
 
 # --- restriction and solving ---------------------------------------------------
 
 def test_restriction_examples():
-    assert restriction_holds(cartan(1), (), 3)
-    assert not restriction_holds(cartan(1), (), Fraction(1, 2))
-    assert not restriction_holds(cartan(2), (1,), Fraction(1, 4))
-    assert restriction_holds(cartan(3), (1, 1), 0)
+    # offset + (Cinv n)_1 in Z; rank 0 keeps its one solution only for an integral offset
+    assert len(enumerate_admissible(cartan(1), (), 3)) == 1
+    assert enumerate_admissible(cartan(1), (), Fraction(1, 2)) == ()
+    assert (Fraction(1, 4) + cartan(2).cinv_component((1,), 0)).denominator != 1
+    assert cartan(3).cinv_component((1, 1), 0).denominator == 1
 
 
 def test_solve_examples():

@@ -13,6 +13,7 @@ from qident.qpoly import (
     euler_inverse_truncated,
     eval_at_one,
     exact_div,
+    inv_qpoch,
     invert_truncated,
     mul,
     prod,
@@ -210,6 +211,21 @@ def test_invert_roundtrip(p):
     q = p + ONE - QPoly({0: p.coeff(0)})  # force constant term 1
     t = Truncation(8)
     assert truncated_equal(mul(q, invert_truncated(q, t), t), ONE, t)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 6, 11, Fraction(13, 2), Fraction(32, 3)])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_inv_qpoch_matches_inverted_product(s, cap):
+    t = Truncation(cap)
+    for k in range(0, int(cap) + 4):
+        assert inv_qpoch(s, k, t) == invert_truncated(qpoch(s, k), t), (s, k, cap)
+
+
+def test_inv_qpoch_edges():
+    assert inv_qpoch(1, -1, Truncation(5)) == ZERO
+    assert inv_qpoch(7, 3, Truncation(6)) == ONE
+    with pytest.raises(ValueError):
+        inv_qpoch(0, 2, Truncation(5))
 
 
 # --- partition generating function ------------------------------------------

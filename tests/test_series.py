@@ -6,13 +6,17 @@ pin the examples, the validation surface, and the refinement property:
 raising the cap never changes already-computed coefficients.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident.errors import InvalidParams
+from qident import series
+from qident.errors import InvalidParams, StabilizationFailure
+from qident.lattice import CartanData, cartan
 from qident.qpoly import (
     ONE,
     Truncation,
@@ -26,6 +30,7 @@ from qident.qpoly import (
 from qident.series import (
     BaileyPairQuery,
     StringFunctionQuery,
+    _eta_shell,
     conjugate_pair_check,
     durfee_check,
     limlm_check,
@@ -67,6 +72,35 @@ class TestDurfee:
         counts = oracle_partition_counts(d)
         poly = euler_inverse_truncated(Truncation(d))
         assert [poly.coeff(k) for k in range(d + 1)] == counts
+
+
+def box_shell_oracle(cd, offset, cap):
+    """The full-box scan: every eta in 0..isqrt(cap N)+1 per coordinate, then filtered."""
+    if cd.rank == 0:
+        return {(): Fraction(0)} if Fraction(offset).denominator == 1 else {}
+    side = math.isqrt(int(cap * cd.n)) + 1
+    found = {}
+    for eta in itertools.product(range(side + 1), repeat=cd.rank):
+        form = cd.qform(eta)
+        if form <= cap and (offset + cd.cinv_component(eta, 0)).denominator == 1:
+            found[eta] = form
+    return found
+
+
+class TestEtaShell:
+    @pytest.mark.parametrize("N", range(1, 7))
+    @pytest.mark.parametrize("cap", [0, 4, 7, Fraction(11, 2), Fraction(20, 3)])
+    def test_pruned_scan_matches_box(self, N, cap):
+        cd = cartan(N)
+        for a in range(4):  # offsets a/(2N): even and odd numerators
+            offset = Fraction(a, 2 * N)
+            got = dict(_eta_shell(cd, offset, cap))
+            assert got == box_shell_oracle(cd, offset, cap), (N, cap, offset)
+
+    def test_rejects_negative_inverse_entry(self):
+        cd = CartanData(3, "a", 2, ((2, -1), (-1, 2)), ((0, 1), (1, 0)), ((2, -1), (-1, 2)), 3)
+        with pytest.raises(InvalidParams):
+            list(_eta_shell(cd, Fraction(0), 5))
 
 
 class TestConjugatePairs:
@@ -127,6 +161,11 @@ class TestLimLM:
                         continue
                     assert limlm_check(N, ell, sigma, Truncation(12)), (N, ell, sigma)
 
+    def test_high_rank_points(self):
+        # N=7 at D=25 took about two minutes with the unpruned eta-shell scan
+        assert limlm_check(7, 0, 0, Truncation(25))
+        assert limlm_check(6, 2, 0, Truncation(30))
+
     def test_parity_precondition(self):
         with pytest.raises(InvalidParams):
             limlm_check(2, 1, 0, Truncation(10))
@@ -169,6 +208,18 @@ class TestStrings:
         sq = StringFunctionQuery(3, 0, 2, 0, Truncation(0))
         assert string_spinon(sq).is_zero()
         assert string_fermionic(sq).is_zero()
+
+    def test_spinon_cutoff_checks_itself(self, monkeypatch):
+        # N=1, m=ell=0, D=4: the i-sum stops after i=2 (L=4) and then checks
+        # i=3..5 (L=6..10); a configuration sum there inside the cap must raise
+        sq = StringFunctionQuery(1, 0, 0, 0, Truncation(4))
+        real = series.abf_config_sum
+        monkeypatch.setattr(series, "abf_config_sum", lambda p, s, L: ONE if L >= 6 else real(p, s, L))
+        with pytest.raises(StabilizationFailure):
+            string_spinon(sq)
+        # past the checked margin the same fake goes unseen
+        monkeypatch.setattr(series, "abf_config_sum", lambda p, s, L: ONE if L >= 12 else real(p, s, L))
+        assert string_spinon(sq) == string_fermionic(sq)
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
