@@ -28,9 +28,9 @@ from .qpoly import (
     ZERO,
     QPoly,
     Truncation,
-    as_int,
     eval_at_one,
     exact_div,
+    half_int,
     mul,
     norm_rat,
     qpoch,
@@ -152,8 +152,8 @@ def tnew_rhs(N: int, L: int, ell: int, sigma: int) -> QPoly:
 
         def weight(m):
             m1 = m[0] if m else 0
-            top1 = as_int(Fraction(L + ell + m1, 2), "binomial entry")
-            top2 = as_int(Fraction(L - ell + m1, 2), "binomial entry")
+            top1 = half_int(L + ell + m1, "binomial entry")
+            top2 = half_int(L - ell + m1, "binomial entry")
             return mul(qbin(top1, i + ell), qbin(top2, i))
 
         inner = system_sum(cd, v, offset, weight)
@@ -190,7 +190,7 @@ def difference_sides(N: int, L: int, ell: int, n_index: int) -> Tuple[QPoly, QPo
 
         def weight(m):
             m1 = m[0] if m else 0
-            t0, t1, t2, t3 = (as_int(Fraction(L + k + m1, 2), "binomial entry")
+            t0, t1, t2, t3 = (half_int(L + k + m1, "binomial entry")
                               for k in (ell, -ell, ell + 2, -ell - 2))
             return mul(qbin(t0, i + ell), qbin(t1, i)) - mul(qbin(t2, i + ell + 1), qbin(t3, i - 1))
 

@@ -1,16 +1,19 @@
 """Exact sparse arithmetic for Laurent polynomials in q with rational exponents.
 
-A polynomial is a finite sum  sum_e c_e * q^e  with nonzero integer
-coefficients c_e and exact rational exponents e.  The representation is a
-dict mapping exponent -> coefficient under two canonical rules: a zero
-coefficient is never stored, and an exponent whose denominator is one is
-stored as a plain int (Fraction otherwise).  Canonical form makes
-structural equality of the dicts identical to mathematical equality of the
-polynomials, which is what every identity check in this package relies on.
+A polynomial is a finite sum  sum_k c_k * q^(k/den)  with nonzero integer
+coefficients c_k, integer keys k and one positive integer denominator den.
+It is stored as the pair (den, {k: c_k}) under three canonical rules: a zero
+coefficient is never stored, den is minimal (gcd(den, every key) == 1), and
+the zero polynomial has den 1.  Canonical form makes structural equality of
+the pairs identical to mathematical equality of the polynomials, which is
+what every identity check in this package relies on.  Every operation works
+on the integer keys over a common denominator and reduces once at the end,
+so no rational number is ever a dict key.  The public interface speaks in
+exponents: an int when integral, a Fraction otherwise.
 
 Truncation is inclusive: Truncation(D) keeps exactly the terms with
-exponent <= D.  Every truncated operation equals the exact operation
-followed by a final truncation.
+exponent <= D, that is the keys k <= floor(D*den).  Every truncated
+operation equals the exact operation followed by a final truncation.
 """
 
 from __future__ import annotations
@@ -19,86 +22,96 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidParams, NonExactDivision, NonPolynomial, NonUnitConstantTerm
 
 Exponent = Union[int, Fraction]
 ExponentLike = Union[int, Fraction]
+Terms = Dict[int, int]
 
 
-def _norm_exp(e: ExponentLike) -> Exponent:
+def _split(e: ExponentLike) -> Tuple[int, int]:
+    """e as (numerator, denominator) in lowest terms."""
+    if type(e) is int:
+        return e, 1
     if isinstance(e, bool):
         raise TypeError("bool is not a valid exponent")
-    if isinstance(e, int):
-        return e
-    if isinstance(e, Fraction):
-        return e.numerator if e.denominator == 1 else e
+    if isinstance(e, (int, Fraction)):
+        return int(e.numerator), int(e.denominator)
     raise TypeError(f"exponent must be int or Fraction, got {type(e).__name__}")
+
+
+def _exp(k: int, den: int) -> Exponent:
+    """k/den as an int when integral, a Fraction otherwise."""
+    return k // den if k % den == 0 else Fraction(k, den)
+
+
+def _cap_key(cap: Exponent, den: int) -> int:
+    """floor(cap * den): the largest key at or below the cap."""
+    return cap * den if type(cap) is int else cap.numerator * den // cap.denominator
 
 
 def norm_rat(x) -> Exponent:
     """x as an exact rational: an int when integral, a Fraction otherwise."""
+    if type(x) is int:
+        return x
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
 
 def as_int(x, what: str) -> int:
     """x as an int; InvalidParams names `what` when x is not integral."""
-    f = Fraction(x)
-    if f.denominator != 1:
+    f = norm_rat(x)
+    if type(f) is not int:
         raise InvalidParams(f"{what} must be an integer, got {x}")
-    return f.numerator
+    return f
+
+
+def half_int(twice: int, what: str) -> int:
+    """twice/2 as an int; InvalidParams names `what` and the half when twice is odd."""
+    if twice & 1:
+        raise InvalidParams(f"{what} must be an integer, got {Fraction(twice, 2)}")
+    return twice >> 1
 
 
 class QPoly:
     """Sparse Laurent polynomial in q over the integers."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_terms")
 
     def __init__(self, terms: Union[Mapping[ExponentLike, int], Iterable[Tuple[ExponentLike, int]], None] = None):
-        data: Dict[Exponent, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for e, c in items:
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise TypeError("coefficients must be int")
-                if c == 0:
-                    continue
-                k = _norm_exp(e)
-                v = data.get(k, 0) + c
-                if v:
-                    data[k] = v
-                else:
-                    del data[k]
-        self._terms = data
-
-    @classmethod
-    def _from_raw(cls, data: Dict[Exponent, int]) -> "QPoly":
-        # trusted constructor: keys normalized, no zero values
-        p = object.__new__(cls)
-        p._terms = data
-        return p
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls._from_raw({})
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls._from_raw({0: 1})
+        parts = []
+        for e, c in (terms.items() if isinstance(terms, Mapping) else terms or ()):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError("coefficients must be int")
+            if c:
+                parts.append((*_split(e), c))
+        den = math.lcm(*(d for _, d, _ in parts))
+        data: Terms = {}
+        for n, d, c in parts:
+            k = n * (den // d)
+            data[k] = data.get(k, 0) + c
+        p = _make(den, {k: c for k, c in data.items() if c})
+        self._den, self._terms = p._den, p._terms
 
     @classmethod
     def monomial(cls, coeff: int, exp: ExponentLike = 0) -> "QPoly":
-        if coeff == 0:
-            return cls._from_raw({})
-        return cls._from_raw({_norm_exp(exp): coeff})
+        n, d = _split(exp)
+        return _make(d, {n: coeff} if coeff else {})
 
     def items(self) -> Iterator[Tuple[Exponent, int]]:
-        return iter(self._terms.items())
+        den = self._den
+        if den == 1:
+            return iter(self._terms.items())
+        return ((_exp(k, den), c) for k, c in self._terms.items())
 
     def coeff(self, exp: ExponentLike) -> int:
-        return self._terms.get(_norm_exp(exp), 0)
+        n, d = _split(exp)
+        if self._den % d:
+            return 0
+        return self._terms.get(n * (self._den // d), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -112,16 +125,16 @@ class QPoly:
     def min_exponent(self) -> Exponent:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._terms)
+        return _exp(min(self._terms), self._den)
 
     def max_exponent(self) -> Exponent:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
+        return _exp(max(self._terms), self._den)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         if isinstance(other, int) and not isinstance(other, bool):
             if other == 0:
                 return not self._terms
@@ -131,44 +144,27 @@ class QPoly:
     __hash__ = None  # type: ignore[assignment]
 
     def __neg__(self) -> "QPoly":
-        return QPoly._from_raw({e: -c for e, c in self._terms.items()})
+        return _make(self._den, {k: -c for k, c in self._terms.items()})
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a:
+        if not self._terms:
             return other
-        if not b:
+        if not other._terms:
             return self
-        out = dict(a)
-        for e, c in b.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-        return QPoly._from_raw(out)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e, 0) - c
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-        return QPoly._from_raw(out)
+        return _combine(self, other, -1)
 
     def __mul__(self, other: Union["QPoly", int]) -> "QPoly":
         if isinstance(other, QPoly):
             return mul(self, other)
         if isinstance(other, int) and not isinstance(other, bool):
-            if other == 0:
-                return QPoly.zero()
-            return QPoly._from_raw({e: c * other for e, c in self._terms.items()})
+            return _make(self._den, {k: c * other for k, c in self._terms.items()} if other else {})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -176,22 +172,61 @@ class QPoly:
     def times_monomial(self, coeff: int, exp: ExponentLike) -> "QPoly":
         """Multiply by coeff * q^exp without a general convolution."""
         if coeff == 0:
-            return QPoly.zero()
-        k = _norm_exp(exp)
-        if k == 0:
-            return self * coeff
-        # e + k can be integral even when both are proper fractions
-        return QPoly._from_raw({_norm_exp(e + k): c * coeff for e, c in self._terms.items()})
+            return ZERO
+        n, d = _split(exp)
+        den = math.lcm(self._den, d)
+        scale, shift = den // self._den, n * (den // d)
+        return _make(den, {k * scale + shift: c * coeff for k, c in self._terms.items()})
 
     def truncate(self, trunc: "Truncation") -> "QPoly":
-        cap = trunc.degree_cap
-        return QPoly._from_raw({e: c for e, c in self._terms.items() if e <= cap})
+        cap = _cap_key(trunc.degree_cap, self._den)
+        return _make(self._den, {k: c for k, c in self._terms.items() if k <= cap})
 
     def __str__(self) -> str:
         return render(self)
 
     def __repr__(self) -> str:
         return f"QPoly({render(self)})"
+
+
+def _make(den: int, data: Terms) -> QPoly:
+    """The polynomial with terms c q^(k/den) for k: c in data (no zero c), den made minimal."""
+    if den != 1:
+        g = den
+        for k in data:
+            g = math.gcd(g, k)
+            if g == 1:
+                break
+        else:
+            den, data = den // g, {k // g: c for k, c in data.items()}
+    p = object.__new__(QPoly)
+    p._den, p._terms = den, data
+    return p
+
+
+def _common(a: QPoly, b: QPoly) -> Tuple[int, Terms, Terms]:
+    """lcm(den_a, den_b) and both key dicts over it."""
+    da, db = a._den, b._den
+    if da == db:
+        return da, a._terms, b._terms
+    den = math.lcm(da, db)
+    ta = a._terms if da == den else {k * (den // da): c for k, c in a._terms.items()}
+    tb = b._terms if db == den else {k * (den // db): c for k, c in b._terms.items()}
+    return den, ta, tb
+
+
+def _combine(a: QPoly, b: QPoly, sign: int) -> QPoly:
+    """a + sign*b."""
+    den, ta, tb = _common(a, b)
+    out = dict(ta)
+    get = out.get
+    for k, c in tb.items():
+        v = get(k, 0) + sign * c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return _make(den, out)
 
 
 @dataclass(frozen=True)
@@ -201,82 +236,102 @@ class Truncation:
     degree_cap: Exponent
 
     def __post_init__(self) -> None:
-        cap = _norm_exp(self.degree_cap)
+        cap = _exp(*_split(self.degree_cap))
         if cap < 0:
             raise ValueError("degree cap must be >= 0")
         object.__setattr__(self, "degree_cap", cap)
 
 
-def _renorm_keys(out: Dict[Exponent, int]) -> Dict[Exponent, int]:
-    # two proper fractions can sum to an integer; the dict slot is already
-    # shared (Fraction(1,1) hashes like 1) but the stored key must be an int
-    bad = [e for e in out if type(e) is Fraction and e.denominator == 1]
-    for e in bad:
-        out[e.numerator] = out.pop(e)
-    return out
+# A product of two dense operands (key span under _DENSE_SPAN times the
+# length) whose term pairs outnumber _PAIRS_PER_TERM times its terms is one
+# big-integer multiply: that costs a few pair steps per term, where the
+# schoolbook convolution costs one per pair.
+_DENSE_SPAN = 2
+_PAIRS_PER_TERM = 5
 
 
 def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
     """Exact convolution product; with trunc, terms above the cap are dropped."""
-    ta, tb = a._terms, b._terms
-    if not ta or not tb:
-        return QPoly.zero()
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    if trunc is None:
-        if len(ta) == 1:
-            ((ea, ca),) = ta.items()
-            return QPoly._from_raw(_renorm_keys({ea + eb: ca * cb for eb, cb in tb.items()}))
-        out: Dict[Exponent, int] = {}
-        get = out.get
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
+    if not a._terms or not b._terms:
+        return ZERO
+    if len(a._terms) > len(b._terms):
+        a, b = b, a
+    if trunc is None and a == ONE:
+        return b
+    den, ta, tb = _common(a, b)
+    top = max(ta) + max(tb)
+    if trunc is not None:
+        top = min(top, _cap_key(trunc.degree_cap, den))
+    if len(ta) * len(tb) > _PAIRS_PER_TERM * (len(ta) + len(tb)):
+        out = _kronecker(ta, tb, top)
+        if out is not None:
+            return _make(den, out)
+    out = {}
+    get = out.get
+    for ea, ca in ta.items():
+        lim = top - ea
+        for eb, cb in tb.items():
+            if eb <= lim:
                 e = ea + eb
                 v = get(e, 0) + ca * cb
                 if v:
                     out[e] = v
                 else:
                     del out[e]
-        return QPoly._from_raw(_renorm_keys(out))
-    cap = trunc.degree_cap
-    if len(ta) == 1:
-        ((ea, ca),) = ta.items()
-        return QPoly._from_raw(
-            _renorm_keys({ea + eb: ca * cb for eb, cb in tb.items() if ea + eb <= cap})
-        )
-    out = {}
-    get = out.get
-    for ea, ca in ta.items():
-        for eb, cb in tb.items():
-            e = ea + eb
-            if e > cap:
-                continue
-            v = get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-    return QPoly._from_raw(_renorm_keys(out))
+    return _make(den, out)
+
+
+def _kronecker(ta: Terms, tb: Terms, top: int) -> Optional[Terms]:
+    """Product keys <= top of two dense key dicts; None when either is sparse.
+
+    Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
+    operand, clipped to the keys that can reach top, is packed into one
+    integer with a fixed-width slot per coefficient, and one integer multiply
+    gives every product coefficient.  The slot is wider than twice the bound
+    on any product coefficient, so adding half the slot range to each slot
+    makes it nonnegative and no borrow crosses a slot.
+    """
+    lo_a, lo_b, hi_a, hi_b = min(ta), min(tb), max(ta), max(tb)
+    if hi_a - lo_a >= _DENSE_SPAN * len(ta) or hi_b - lo_b >= _DENSE_SPAN * len(tb):
+        return None
+    base = lo_a + lo_b
+    if top < base:
+        return {}
+    ca = list(map(ta.get, range(lo_a, min(hi_a, top - lo_b) + 1), repeat(0)))
+    cb = list(map(tb.get, range(lo_b, min(hi_b, top - lo_a) + 1), repeat(0)))
+    bound = max(max(ca), -min(ca)) * max(max(cb), -min(cb)) * min(len(ca), len(cb))
+    width = (bound.bit_length() + 2 + 7) // 8  # bytes per slot
+    half = 1 << (8 * width - 1)
+    slot = bytes(width - 1) + b"\x80"  # one slot holding `half`
+
+    def pack(cs: List[int]) -> int:
+        raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        return int.from_bytes(raw, "little") - int.from_bytes(slot * len(cs), "little")
+
+    n = top - base + 1
+    biased = (pack(ca) * pack(cb) + int.from_bytes(slot * n, "little")) & ((1 << (8 * width * n)) - 1)
+    raw = biased.to_bytes(width * n, "little")
+    vals = (int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width))
+    return {base + i: v for i, v in enumerate(vals) if v}
 
 
 def prod(polys: Iterable[QPoly], trunc: Truncation | None = None) -> QPoly:
     """Product of several polynomials, smallest factors first."""
-    factors = sorted(polys, key=len)
-    result = QPoly.one()
-    for f in factors:
+    result = ONE
+    for f in sorted(polys, key=len):
         if not f:
-            return QPoly.zero()
+            return ZERO
         result = mul(result, f, trunc)
     return result
 
 
 def truncated_equal(a: QPoly, b: QPoly, trunc: Truncation) -> bool:
     """Compare exactly the terms with exponent <= degree cap."""
-    return a.truncate(trunc)._terms == b.truncate(trunc)._terms
+    return a.truncate(trunc) == b.truncate(trunc)
 
 
-ZERO = QPoly.zero()
-ONE = QPoly.one()
+ZERO = _make(1, {})
+ONE = _make(1, {0: 1})
 
 
 @lru_cache(maxsize=None)
@@ -306,17 +361,17 @@ def qpoch_signed_base2(n: int) -> QPoly:
 
 def exact_div(num: QPoly, den: QPoly) -> QPoly:
     """Exact quotient num/den in the Laurent ring; raises if not exact."""
-    dt = den._terms
-    if not dt:
+    if not den._terms:
         raise NonExactDivision("division by the zero polynomial")
     if not num._terms:
         return ZERO
-    den_min = min(dt)
-    den_min_coeff = dt[den_min]
-    # exact quotient exponents lie in [min(num)-min(den), max(num)-max(den)]
-    bound = num.max_exponent() - max(dt)
-    rem = dict(num._terms)
-    quot: Dict[Exponent, int] = {}
+    d, tn, td = _common(num, den)
+    den_min = min(td)
+    den_min_coeff = td[den_min]
+    # exact quotient keys lie in [min(num)-min(den), max(num)-max(den)]
+    bound = max(tn) - max(td)
+    rem = dict(tn)
+    quot: Terms = {}
     while rem:
         e = min(rem)
         qe = e - den_min
@@ -325,17 +380,15 @@ def exact_div(num: QPoly, den: QPoly) -> QPoly:
         qc, leftover = divmod(rem[e], den_min_coeff)
         if leftover:
             raise NonExactDivision("coefficient not divisible")
-        if isinstance(qe, Fraction) and qe.denominator == 1:
-            qe = qe.numerator
         quot[qe] = qc
-        for ed, cd in dt.items():
+        for ed, cd in td.items():
             k = qe + ed
             v = rem.get(k, 0) - qc * cd
             if v:
                 rem[k] = v
             else:
                 rem.pop(k, None)
-    return QPoly._from_raw(quot)
+    return _make(d, quot)
 
 
 def invert_truncated(p: QPoly, trunc: Truncation) -> QPoly:
@@ -348,26 +401,20 @@ def invert_truncated(p: QPoly, trunc: Truncation) -> QPoly:
     c0 = terms.get(0, 0)
     if c0 not in (1, -1):
         raise NonUnitConstantTerm("constant term must be +1 or -1")
-    cap = trunc.degree_cap
-    tail: Dict[Exponent, int] = {}
-    eps: Exponent | None = None
-    for e, c in terms.items():
-        if e == 0:
-            continue
-        if e < 0:
+    cap = _cap_key(trunc.degree_cap, p._den)
+    tail: Terms = {}
+    for k, c in terms.items():
+        if k < 0:
             raise NonPolynomial("inverse requires nonnegative exponents")
-        if e <= cap:
-            tail[e] = -c * c0  # t = 1 - p/c0
-            if eps is None or e < eps:
-                eps = e
+        if 0 < k <= cap:
+            tail[k] = -c * c0  # t = 1 - p/c0
     if not tail:
         return QPoly.monomial(c0)
-    t = QPoly._from_raw(tail)
-    # geometric series 1 + t + t^2 + ... via Horner; t^k vanishes below the
-    # cap once k*eps > cap
-    steps = int(Fraction(cap) / Fraction(eps)) + 1
+    t = _make(p._den, tail)
+    # geometric series 1 + t + ... + t^J via Horner; t^j vanishes below the
+    # cap once j*min(tail) > cap, so J = cap // min(tail)
     r = ONE
-    for _ in range(steps):
+    for _ in range(cap // min(tail)):
         r = mul(t, r, trunc) + ONE
     if c0 == -1:
         r = -r
@@ -399,7 +446,7 @@ def inv_qpoch(s: int, k: int, trunc: Truncation) -> QPoly:
         step = s + len(ladder) - 1
         for n in range(step, d + 1):
             c[n] += c[n - step]
-        ladder.append(QPoly._from_raw({n: v for n, v in enumerate(c) if v}))
+        ladder.append(_make(1, {n: v for n, v in enumerate(c) if v}))
     return ladder[k]
 
 
@@ -410,12 +457,9 @@ def euler_inverse_truncated(trunc: Truncation) -> QPoly:
 
 def eval_at_one(p: QPoly) -> int:
     """Coefficient sum; defined only for true polynomials in q."""
-    total = 0
-    for e, c in p._terms.items():
-        if not isinstance(e, int) or e < 0:
-            raise NonPolynomial("eval_at_one requires nonnegative integer exponents")
-        total += c
-    return total
+    if p._den != 1 or any(k < 0 for k in p._terms):
+        raise NonPolynomial("eval_at_one requires nonnegative integer exponents")
+    return sum(p._terms.values())
 
 
 def _render_term(e: Exponent, c: int) -> str:
@@ -436,9 +480,9 @@ def render(p: QPoly) -> str:
     if not p._terms:
         return "0"
     parts = []
-    for e in sorted(p._terms):
-        c = p._terms[e]
-        body = _render_term(e, c)
+    for k in sorted(p._terms):
+        c = p._terms[k]
+        body = _render_term(_exp(k, p._den), c)
         if not parts:
             parts.append(f"-{body}" if c < 0 else body)
         else:

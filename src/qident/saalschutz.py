@@ -21,7 +21,7 @@ from typing import Union
 from .errors import InvalidParams, UnbalancedParameters
 from .lattice import axis_source, cartan, system_sum
 from .qbinom import qbin, qbin_mod_tb
-from .qpoly import ONE, ZERO, QPoly, as_int, mul, norm_rat
+from .qpoly import ONE, ZERO, QPoly, as_int, half_int, mul, norm_rat
 
 Rational = Union[int, Fraction]
 
@@ -161,7 +161,8 @@ def sears_rhs(a: int, b: int, c: int, d: int, e: int, f: int, g: int) -> QPoly:
 def gensum_lhs(p: SaalschutzParams) -> QPoly:
     p.validate()
     cd = cartan(p.N)
-    l12 = as_int(Fraction(p.L1) + Fraction(p.L2), "binomial entry")
+    two_l1, two_l2 = as_int(2 * p.L1, "binomial entry"), as_int(2 * p.L2, "binomial entry")
+    l12 = half_int(two_l1 + two_l2, "binomial entry")
     total = ZERO
     for i in range(0, p.M + 1):
         outer = qbin(l12 + p.M - i, p.M - i)
@@ -170,10 +171,10 @@ def gensum_lhs(p: SaalschutzParams) -> QPoly:
 
         def weight(m):
             m1 = m[0] if m else 0
-            b1 = qbin(as_int(p.L1 + Fraction(m1, 2), "binomial entry"), i + p.ell)
+            b1 = qbin(half_int(two_l1 + m1, "binomial entry"), i + p.ell)
             if b1.is_zero():
                 return b1
-            return mul(b1, qbin(as_int(p.L2 + Fraction(m1, 2), "binomial entry"), i))
+            return mul(b1, qbin(half_int(two_l2 + m1, "binomial entry"), i))
 
         v = axis_source(cd.rank, [(1, 2 * i + p.ell)])
         offset = Fraction(2 * i + p.ell + p.sigma * p.N, 2 * p.N)
@@ -189,13 +190,14 @@ def gensum_rhs(p: SaalschutzParams) -> QPoly:
     cd = cartan(p.N)
     v = axis_source(cd.rank, [(1, p.M + p.ell), (cd.rank, p.M)])
     offset = Fraction(p.ell + p.sigma * p.N, 2 * p.N)
+    two_l1, two_l2 = as_int(2 * p.L1, "binomial entry"), as_int(2 * p.L2, "binomial entry")
 
     def weight(m):
         mu_first, mu_last = (m[0], m[-1]) if m else (p.M, p.M + p.ell)  # rank-0 convention
-        b1 = qbin(as_int(p.L1 + Fraction(p.M + mu_first, 2), "binomial entry"), p.M + p.ell)
+        b1 = qbin(half_int(two_l1 + p.M + mu_first, "binomial entry"), p.M + p.ell)
         if b1.is_zero():
             return b1
-        top2 = as_int(p.L2 + Fraction(p.M + p.ell + mu_last, 2), "binomial entry")
+        top2 = half_int(two_l2 + p.M + p.ell + mu_last, "binomial entry")
         return mul(b1, qbin(top2, p.M))
 
     return system_sum(cd, v, offset, weight)

@@ -4,18 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident.errors import NonExactDivision, NonPolynomial, NonUnitConstantTerm
+from qident import qbinom
+from qident.errors import InvalidParams, NonExactDivision, NonPolynomial, NonUnitConstantTerm
 from qident.qpoly import (
     ONE,
     ZERO,
     QPoly,
     Truncation,
+    as_int,
     euler_inverse_truncated,
     eval_at_one,
     exact_div,
+    half_int,
     inv_qpoch,
     invert_truncated,
     mul,
+    norm_rat,
     prod,
     qpoch,
     qpoch_signed_base2,
@@ -98,6 +102,156 @@ def test_ring_axioms(a, b, c):
 def test_truncated_mul_agrees_with_full(a, b):
     t = Truncation(6)
     assert mul(a, b, t) == mul(a, b).truncate(t)
+
+
+# --- dense products (the Kronecker path) ------------------------------------
+
+@st.composite
+def dense_polys(draw, den=None):
+    """8 to 300 consecutive exponents lo/den, (lo+1)/den, ... with signed coefficients."""
+    den = den if den is not None else draw(st.sampled_from([1, 2, 3]))
+    size = draw(st.integers(min_value=8, max_value=300))
+    lo = draw(st.integers(min_value=0, max_value=12))
+    mag = draw(st.sampled_from([9, 2 ** 20, 2 ** 70]))
+    nonzero = st.integers(min_value=-mag, max_value=mag).filter(lambda c: c != 0)
+    coeffs = draw(st.lists(nonzero, min_size=size, max_size=size))
+    return QPoly({Fraction(lo + i, den): c for i, c in enumerate(coeffs)})
+
+
+@st.composite
+def dense_pairs(draw):
+    den = draw(st.sampled_from([1, 2, 3, "mixed"]))
+    if den == "mixed":
+        return draw(dense_polys(den=2)), draw(dense_polys(den=3))
+    return draw(dense_polys(den=den)), draw(dense_polys(den=den))
+
+
+@st.composite
+def caps_for(draw, a, b):
+    """A cap below, at or past the exponent range of the product a*b."""
+    lo, hi = a.min_exponent() + b.min_exponent(), a.max_exponent() + b.max_exponent()
+    where = draw(st.sampled_from(["below", "lowest", "inside", "highest", "past"]))
+    if where == "below":
+        return max(Fraction(0), lo - Fraction(1, 2))
+    if where == "lowest":
+        return lo
+    if where == "inside":
+        return draw(st.fractions(min_value=lo, max_value=hi, max_denominator=6))
+    return hi if where == "highest" else hi + draw(st.integers(min_value=1, max_value=5))
+
+
+@given(dense_pairs())
+@settings(max_examples=15, deadline=None)
+def test_dense_mul_matches_convolution_oracle(pair):
+    a, b = pair
+    assert as_frac_dict(mul(a, b)) == conv_oracle(dict(a.items()), dict(b.items()))
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_dense_truncated_mul_matches_oracle(data):
+    a, b = data.draw(dense_pairs())
+    cap = data.draw(caps_for(a, b))
+    want = {e: c for e, c in conv_oracle(dict(a.items()), dict(b.items())).items() if e <= cap}
+    got = mul(a, b, Truncation(cap))
+    assert as_frac_dict(got) == want
+    assert got == mul(a, b).truncate(Truncation(cap))
+
+
+@pytest.mark.parametrize("den", [1, 3])
+def test_dense_mul_cancels_to_zero_coefficients(den):
+    # (1 + x + ... + x^19)(1 - x + ... - x^19) = (1 - x^20)(1 + x^2 + ... + x^18), x = q^(1/den)
+    x = Fraction(1, den)
+    a = QPoly({k * x: 1 for k in range(20)})
+    b = QPoly({k * x: (-1) ** k for k in range(20)})
+    want = QPoly({k * x: 1 for k in range(0, 20, 2)}) - QPoly({k * x: 1 for k in range(20, 40, 2)})
+    assert mul(a, b) == want
+    assert mul(a, b, Truncation(Fraction(25, den))) == want.truncate(Truncation(Fraction(25, den)))
+    assert mul(a, b, Truncation(Fraction(25, den))).coeff(Fraction(22, den)) == -1
+
+
+def _kernel_shapes():
+    # the three multiply shapes pinned by bench/kernels.py, built the same way
+    import random
+
+    rng = random.Random(1)
+    dense_a = QPoly({k: rng.randint(1, 9) for k in range(26)})
+    dense_b = QPoly({k: rng.randint(1, 9) for k in range(26)})
+    binom_a, binom_b = qbinom.qbin_standard(15, 15), qbinom.qbin_standard(12, 16)
+    thirds_a = QPoly({Fraction(k, 3): rng.randint(1, 9) for k in range(26)})
+    thirds_b = QPoly({Fraction(k, 3): rng.randint(1, 9) for k in range(21)})
+    return [
+        pytest.param(dense_a, dense_b, Truncation(25), id="dense_26x26_d25"),
+        pytest.param(binom_a, binom_b, None, id="binom_226x193"),
+        pytest.param(thirds_a, thirds_b, None, id="thirds_26x21"),
+    ]
+
+
+@pytest.mark.parametrize("a, b, trunc", _kernel_shapes())
+def test_kernel_shapes_match_oracle(a, b, trunc):
+    want = conv_oracle(dict(a.items()), dict(b.items()))
+    if trunc is not None:
+        want = {e: c for e, c in want.items() if e <= trunc.degree_cap}
+    assert as_frac_dict(mul(a, b, trunc)) == want
+
+
+def test_binom_kernel_shape_sizes():
+    assert (len(qbinom.qbin_standard(15, 15)), len(qbinom.qbin_standard(12, 16))) == (226, 193)
+
+
+# --- canonical form -------------------------------------------------------------
+
+def test_integral_results_have_int_exponents():
+    half = QPoly.monomial(1, Fraction(1, 2))
+    third = QPoly.monomial(1, Fraction(1, 3))
+    for p in (mul(half, half), third + QPoly({1: 1}) - third, half.times_monomial(1, Fraction(1, 2))):
+        assert list(p.items()) == [(1, 1)]
+        assert all(type(e) is int for e, _ in p.items())
+        assert p == QPoly({1: 1})
+        assert render(p) == "q"
+    assert mul(third, QPoly({0: 1, Fraction(2, 3): 1})).max_exponent() == 1
+    assert type(mul(third, QPoly({0: 1, Fraction(2, 3): 1})).max_exponent()) is int
+
+
+def test_equal_however_built():
+    terms = [(Fraction(1, 2), 3), (2, -1), (Fraction(5, 3), 4), (0, 7)]
+    p = QPoly(terms)
+    assert QPoly(list(reversed(terms))) == p
+    assert QPoly(dict(terms)) == p
+    # through other denominators: sixths that cancel, and shifted monomials
+    built = QPoly({Fraction(1, 6): 1, 0: 7}) - QPoly({Fraction(1, 6): 1})
+    built = built + QPoly.monomial(3, Fraction(1, 4)).times_monomial(1, Fraction(1, 4))
+    built = built + QPoly({Fraction(5, 6): 4}).times_monomial(1, Fraction(5, 6)) - QPoly({2: 1})
+    assert built == p
+    assert render(built) == render(p) == "7 + 3*q^(1/2) + 4*q^(5/3) - q^2"
+    assert sorted(built.items()) == sorted(p.items())
+    assert p.coeff(Fraction(5, 3)) == 4 and p.coeff(Fraction(5, 6)) == 0
+    assert (p.min_exponent(), p.max_exponent()) == (0, 2)
+
+
+def test_exact_div_and_inverse_with_denominators():
+    a = QPoly({Fraction(k, 3): k - 4 for k in range(9)})
+    b = QPoly({0: 1, Fraction(1, 2): -2, Fraction(3, 2): 5})
+    assert exact_div(mul(a, b), b) == a
+    assert exact_div(mul(a, b), a) == b
+    t = Truncation(Fraction(17, 6))
+    r = invert_truncated(b, t)
+    assert truncated_equal(mul(b, r, t), ONE, t)
+    assert all(Fraction(e).denominator in (1, 2) for e, _ in r.items())
+    with pytest.raises(NonExactDivision):
+        exact_div(a, QPoly({0: 1, Fraction(1, 2): 1}))
+
+
+def test_rational_helpers():
+    assert as_int(7, "x") == 7 and type(as_int(Fraction(6, 2), "x")) is int
+    assert norm_rat(5) == 5 and norm_rat(Fraction(4, 2)) == 2 and norm_rat(Fraction(1, 2)) == Fraction(1, 2)
+    assert half_int(-6, "binomial entry") == -3
+    with pytest.raises(InvalidParams, match=r"^binomial entry must be an integer, got 7/2$"):
+        half_int(7, "binomial entry")
+    with pytest.raises(InvalidParams, match=r"^binomial entry must be an integer, got -1/2$"):
+        half_int(-1, "binomial entry")
+    with pytest.raises(InvalidParams, match=r"got 3/2$"):
+        as_int(Fraction(3, 2), "binomial entry")
 
 
 # --- qpoch ----------------------------------------------------------------
