@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import InvalidParams, SufficiencyViolated, UnknownClosedForm
+from .errors import Checked, InvalidParams, SufficiencyViolated, UnknownClosedForm
 from .lattice import axis_source, cartan, system_sum
 from .qbinom import qbin
 from .qpoly import ONE, ZERO, QPoly, as_int, mul, norm_rat
@@ -43,7 +43,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 @dataclass(frozen=True)
-class BurgeParams:
+class BurgeParams(Checked):
     p: int
     pprime: int
     r: int
@@ -63,24 +63,25 @@ class BurgeParams:
     def M12(self) -> int:
         return self.M1 - self.M2
 
-    def validate(self) -> None:
+    def violation(self) -> Optional[str]:
         if self.p < 1 or self.pprime < 1:
-            raise InvalidParams("p and p' must be >= 1")
+            return "p and p' must be >= 1"
         if self.N < 1:
-            raise InvalidParams("N must be >= 1")
+            return "N must be >= 1"
         if self.sigma not in (0, 1):
-            raise InvalidParams("sigma must be 0 or 1")
+            return "sigma must be 0 or 1"
         diff = self.pprime - self.p
         if diff < 0 or diff % self.N:
-            raise InvalidParams("(p'-p)/N must be a nonnegative integer")
+            return "(p'-p)/N must be a nonnegative integer"
         if (self.r - self.s) % self.N:
-            raise InvalidParams("(r-s)/N must be an integer")
+            return "(r-s)/N must be an integer"
         if (self.M12 + self.sigma * self.N) % 2:
-            raise InvalidParams("M1-M2 + sigma*N must be even")
+            return "M1-M2 + sigma*N must be even"
         half = Fraction(self.M12 + self.sigma, 2)
         for name, L in (("L1", self.L1), ("L2", self.L2)):
             if (Fraction(L) + half).denominator != 1:
-                raise InvalidParams(f"{name} + (M1-M2+sigma)/2 must be an integer")
+                return f"{name} + (M1-M2+sigma)/2 must be an integer"
+        return None
 
 
 # --- classic polynomial -------------------------------------------------------
@@ -204,6 +205,22 @@ def _check_sufficiency(labels, which, n_lat, m12, l1, l2, enforce):
         )
 
 
+def _classic_kernel_sum(M1: int, L1: int, M2: int, L2: int,
+                        child_at: Callable[[int], QPoly]) -> QPoly:
+    """sum_i q^{i(i+M12)} [L1+L2+M2-i over M2-i] child_at(i), the classic kernel."""
+    M12 = M1 - M2
+    total = ZERO
+    for i in range(_ceil_div(-M12, 2), M2 + 1):
+        kernel = qbin(L1 + L2 + M2 - i, M2 - i)
+        if kernel.is_zero():
+            continue
+        val = child_at(i)
+        if val.is_zero():
+            continue
+        total = total + mul(kernel, val).times_monomial(1, i * (i + M12))
+    return total
+
+
 def transform_bt(
     M1: int, L1: int, M2: int, L2: int, child: Evaluator4,
     labels: Optional[Tuple[int, int, int, int]] = None, enforce: bool = True,
@@ -213,16 +230,7 @@ def transform_bt(
     if labels is not None and enforce:
         if not classic_bt_safe(*labels, M1, L1, M2, L2):
             raise SufficiencyViolated("classic transform safety scan failed")
-    total = ZERO
-    for i in range(_ceil_div(-M12, 2), M2 + 1):
-        kernel = qbin(L1 + L2 + M2 - i, M2 - i)
-        if kernel.is_zero():
-            continue
-        val = child(i + M12, L1 - i, i, L2 - M12 - i)
-        if val.is_zero():
-            continue
-        total = total + mul(kernel, val).times_monomial(1, i * (i + M12))
-    return total
+    return _classic_kernel_sum(M1, L1, M2, L2, lambda i: child(i + M12, L1 - i, i, L2 - M12 - i))
 
 
 def transform_bt2(
@@ -239,16 +247,7 @@ def transform_bt2(
     if labels is not None and enforce:
         if not classic_bt2_safe(*labels, M1, L1, M2, L2):
             raise SufficiencyViolated("classic transform safety scan failed")
-    total = ZERO
-    for i in range(_ceil_div(-M12, 2), M2 + 1):
-        kernel = qbin(L1 + L2 + M2 - i, M2 - i)
-        if kernel.is_zero():
-            continue
-        val = child(L1 - i, i + M12, L2 - M12 - i, i)
-        if val.is_zero():
-            continue
-        total = total + mul(kernel, val).times_monomial(1, i * (i + M12))
-    return total
+    return _classic_kernel_sum(M1, L1, M2, L2, lambda i: child(L1 - i, i + M12, L2 - M12 - i, i))
 
 
 def _level_kernel_sum(
@@ -315,11 +314,8 @@ def transform_traf1(
 ) -> QPoly:
     """Symmetric form: sum_{i=0}^M q^{i^2/N} [2L+M-i over 2L] ... child(i, L-i+m1/2)."""
     _check_sufficiency(labels, "sufsym", n_lat, 0, L, L, enforce)
-
-    def child4(m1: int, l1: int, m2: int, l2: int) -> QPoly:
-        return child(m2, l2)
-
-    return transform_burgetrafo_n(n_lat, sigma, M, L, M, L, child4, labels=None)
+    # the child sees the second pair of bounds, which equals the first here
+    return transform_burgetrafo_n(n_lat, sigma, M, L, M, L, lambda m1, l1, m2, l2: child(m2, l2))
 
 
 def transform_traf2(
@@ -328,11 +324,44 @@ def transform_traf2(
 ) -> QPoly:
     """Symmetric form with child(L-i+m1/2, i)."""
     _check_sufficiency(labels, "sufsym", n_lat, 0, L, L, enforce)
+    return transform_trafo(n_lat, sigma, M, L, M, L, lambda m1, l1, m2, l2: child(m2, l2))
 
-    def child4(m1: int, l1: int, m2: int, l2: int) -> QPoly:
-        return child(m2, l2)
 
-    return transform_trafo(n_lat, sigma, M, L, M, L, child4, labels=None)
+def child_labels(labels: Tuple[int, int, int, int], tag: str, n_lat: int = 1,
+                 m12: int = 0, l12: int = 0) -> Tuple[int, int, int, int]:
+    """Labels (p, p', r, s) of the node that transform `tag` grows from `labels`.
+
+    The bt2 child also moves with the bound differences M1-M2 and L1-L2,
+    which vanish at the symmetric points of the tree.
+    """
+    p, pp, r, s = labels
+    if tag == "bt":
+        return p, p + pp, r, r + s
+    if tag == "bt2":
+        return pp, p + pp, s - m12, r + s + l12
+    if tag == "traf1":
+        return p, p + n_lat * pp, r, r + n_lat * s
+    return pp, n_lat * p + pp, s, n_lat * r + s
+
+
+def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rational,
+               M2: int, L2: Rational, n_lat: int = 1, sigma: int = 0) -> Tuple[QPoly, QPoly]:
+    """The child of `labels` under `tag`, evaluated directly and through the transform.
+
+    The level transforms traf1 and traf2 take symmetric bounds only, so they
+    read M1 and L1.
+    """
+
+    def parent(m1, l1, m2, l2):
+        return burge_x(BurgeParams(*labels, m1, l1, m2, l2))
+
+    child = BurgeParams(*child_labels(labels, tag, n_lat, M1 - M2, L1 - L2),
+                        M1, L1, M2, L2, N=n_lat, sigma=sigma)
+    if tag in ("bt", "bt2"):
+        tf = transform_bt if tag == "bt" else transform_bt2
+        return burge_x(child), tf(M1, L1, M2, L2, parent)
+    tf = transform_traf1 if tag == "traf1" else transform_traf2
+    return burge_xn(child), tf(n_lat, sigma, M1, L1, lambda m, l: parent(m, l, m, l))
 
 
 # --- sufficiency predicates ---------------------------------------------------------
@@ -571,30 +600,36 @@ def _slater_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
     return total
 
 
-_CLASSIC_FORMS = {
-    (1, 2, 0, 1): "initial",
-    (1, 3, 0, 1): "nn",
-    (2, 3, 1, 1): "euler",
-    (3, 4, 1, 1): "ising",
-    (2, 5, 1, 2): "rr",
+# closed-form name -> its node labels (p, p', r, s) at level N
+FORM_LABELS: Dict[str, Callable[[int], Tuple[int, int, int, int]]] = {
+    "initial": lambda n: (1, 2, 0, 1),
+    "nn": lambda n: (1, 3, 0, 1),
+    "euler": lambda n: (2, 3, 1, 1),
+    "ising": lambda n: (3, 4, 1, 1),
+    "rr": lambda n: (2, 5, 1, 2),
+    "tadpole": lambda n: (1, 2 * n + 1, 0, n),
+    "euler_n": lambda n: (2, n + 2, 1, 1),
+    "a_n": lambda n: (3, n + 3, 1, 1),
+    "rr_n": lambda n: (2, 3 * n + 2, 1, n + 1),
+    "slater": lambda n: (2, 8, 1, 3),
 }
+CLASSIC_FORMS = ("initial", "nn", "euler", "ising", "rr")
+_LEVEL_FORMS = ("tadpole", "euler_n", "a_n", "rr_n")  # slater is not a tree node
 
 
 def closed_form_name(p: int, pprime: int, r: int, s: int, n_lat: int) -> Optional[str]:
-    if n_lat == 1:
-        return _CLASSIC_FORMS.get((p, pprime, r, s))
-    if (p, pprime, r, s) == (1, 2 * n_lat + 1, 0, n_lat):
-        return "tadpole"
-    if (p, pprime, r, s) == (2, n_lat + 2, 1, 1):
-        return "euler_n"
-    if (p, pprime, r, s) == (3, n_lat + 3, 1, 1):
-        return "a_n"
-    if (p, pprime, r, s) == (2, 3 * n_lat + 2, 1, n_lat + 1):
-        return "rr_n"
+    """The inverse of FORM_LABELS on the nodes the tree recognizes."""
+    for name in CLASSIC_FORMS if n_lat == 1 else _LEVEL_FORMS:
+        if FORM_LABELS[name](n_lat) == (p, pprime, r, s):
+            return name
     return None
 
 
 # --- tree -------------------------------------------------------------------------------
+
+# a failed check at one symmetric point: (M, L, direct value, closed form or route)
+Witness = Tuple[int, Rational, QPoly, QPoly]
+
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -609,57 +644,49 @@ class TreeNode:
     transform_tag: Optional[str]
     closed_form_name: Optional[str]
     verified: Optional[bool]
+    witness: Optional[Witness] = None  # the first failed check when verified is False
 
 
 def _verify_node(p: int, pp: int, r: int, s: int, n_lat: int, sigma: int,
-                 form: Optional[str], grid: int) -> Optional[bool]:
+                 form: Optional[str], grid: int) -> Union[None, bool, Witness]:
+    """True when the node equals its closed form on the grid, else the first failure."""
     if form is None or grid < 0:
         return None  # no point to check
     shift = Fraction(sigma, 2)
     for M in range(0, grid + 1):
         for twoL in range(0, 2 * grid + 1, 2):
             L = twoL // 2 + shift
-            bp = BurgeParams(p, pp, r, s, M, L, M, L, N=n_lat, sigma=sigma)
-            if burge_xn(bp) != closed_form(form, M, L, n_lat, sigma):
-                return False
+            direct = burge_xn(BurgeParams(p, pp, r, s, M, L, M, L, N=n_lat, sigma=sigma))
+            want = closed_form(form, M, L, n_lat, sigma)
+            if direct != want:
+                return M, L, direct, want
     return True
 
 
-def _verify_edge(parent: "TreeNode", child_labels: Tuple[int, int, int, int],
-                 tag: str, n_lat: int, sigma: int, grid: int) -> Optional[bool]:
+def _labels(nd: TreeNode) -> Tuple[int, int, int, int]:
+    return nd.p, nd.pprime, nd.r, nd.s
+
+
+def _verify_edge(parent: TreeNode, tag: str, n_lat: int, sigma: int,
+                 grid: int) -> Union[None, bool, Witness]:
     """Route through the parent equals the direct child at symmetric points.
 
     Level transforms skip grid points outside their sufficiency window;
-    None means no point was applicable.
+    None means no point was applicable, a tuple is the first failure.
     """
-    pl = (parent.p, parent.pprime, parent.r, parent.s)
-    cp, cpp, cr, cs = child_labels
-
-    def through_parent(m1, l1, m2, l2):
-        return burge_x(BurgeParams(*pl, m1, l1, m2, l2))
-
-    shift = Fraction(sigma, 2) if tag in ("traf1", "traf2") else Fraction(0)
+    level = tag in ("traf1", "traf2")
+    shift = Fraction(sigma, 2) if level else 0
     checked = False
     for M in range(0, grid + 1):
         for k in range(0, grid + 1):
             L = k + shift
-            if tag == "bt":
-                direct = burge_x(BurgeParams(cp, cpp, cr, cs, M, L, M, L))
-                route = transform_bt(M, int(L), M, int(L), through_parent)
-            elif tag == "bt2":
-                direct = burge_x(BurgeParams(cp, cpp, cr, cs, M, L, M, L))
-                route = transform_bt2(M, int(L), M, int(L), through_parent)
-            else:
-                probe = BurgeParams(*pl, M, L, M, L, N=n_lat, sigma=sigma)
+            if level:
+                probe = BurgeParams(*_labels(parent), M, L, M, L, N=n_lat, sigma=sigma)
                 if not sufficiency(probe, "sufsym"):
                     continue
-                direct = burge_xn(
-                    BurgeParams(cp, cpp, cr, cs, M, L, M, L, N=n_lat, sigma=sigma)
-                )
-                tf = transform_traf1 if tag == "traf1" else transform_traf2
-                route = tf(n_lat, sigma, M, L, lambda m, l: through_parent(m, l, m, l))
+            direct, route = edge_sides(_labels(parent), tag, M, L, M, L, n_lat, sigma)
             if direct != route:
-                return False
+                return M, L, direct, route
             checked = True
     return True if checked else None
 
@@ -671,7 +698,8 @@ def build_tree(depth: int, n_lat: int = 1, sigma: int = 0, verify_grid: int = 2)
     `depth`.  For n_lat > 1 the classic tree forms a backbone of depth
     depth-1 and every backbone node sprouts one leaf per symmetric
     level-N transform.  Nodes with recognized labels carry a closed-form
-    verdict checked on a small (M, L) grid.
+    verdict checked on a small (M, L) grid; a node that fails it or its
+    edge check keeps the first failure as its witness.
     """
     if depth < 0:
         raise InvalidParams("depth must be >= 0")
@@ -686,12 +714,13 @@ def build_tree(depth: int, n_lat: int = 1, sigma: int = 0, verify_grid: int = 2)
         form_ok = _verify_node(p, pp, r, s, nl, sg, form, verify_grid)
         edge_ok = None
         if parent is not None:
-            edge_ok = _verify_edge(nodes[parent], (p, pp, r, s), tag, nl, sg, verify_grid)
+            edge_ok = _verify_edge(nodes[parent], tag, nl, sg, verify_grid)
+        witness = next((w for w in (form_ok, edge_ok) if isinstance(w, tuple)), None)
         if form_ok is None and edge_ok is None:
             verified: Optional[bool] = None
         else:
-            verified = form_ok is not False and edge_ok is not False
-        nodes.append(TreeNode(p, pp, r, s, nl, sg, d, parent, tag, form, verified))
+            verified = witness is None
+        nodes.append(TreeNode(p, pp, r, s, nl, sg, d, parent, tag, form, verified, witness))
         return len(nodes) - 1
 
     backbone_depth = depth if n_lat == 1 else depth - 1
@@ -699,31 +728,13 @@ def build_tree(depth: int, n_lat: int = 1, sigma: int = 0, verify_grid: int = 2)
     for d in range(1, backbone_depth + 1):
         next_frontier = []
         for idx in frontier:
-            nd = nodes[idx]
-            next_frontier.append(
-                add(nd.p, nd.p + nd.pprime, nd.r, nd.r + nd.s, 1, 0, d, idx, "bt")
-            )
-            next_frontier.append(
-                add(nd.pprime, nd.p + nd.pprime, nd.s, nd.r + nd.s, 1, 0, d, idx, "bt2")
-            )
+            for tag in ("bt", "bt2"):
+                labels = child_labels(_labels(nodes[idx]), tag)
+                next_frontier.append(add(*labels, 1, 0, d, idx, tag))
         frontier = next_frontier
     if n_lat > 1 and depth >= 1:
         for idx in range(len(nodes)):
-            nd = nodes[idx]
-            add(nd.p, nd.p + n_lat * nd.pprime, nd.r, nd.r + n_lat * nd.s,
-                n_lat, sigma, nd.depth + 1, idx, "traf1")
-            add(nd.pprime, n_lat * nd.p + nd.pprime, nd.s, n_lat * nd.r + nd.s,
-                n_lat, sigma, nd.depth + 1, idx, "traf2")
+            for tag in ("traf1", "traf2"):
+                labels = child_labels(_labels(nodes[idx]), tag, n_lat)
+                add(*labels, n_lat, sigma, nodes[idx].depth + 1, idx, tag)
     return nodes
-
-
-def tree_to_json(nodes: Sequence[TreeNode]) -> List[dict]:
-    return [
-        {
-            "labels": [nd.p, nd.pprime, nd.r, nd.s, nd.N, nd.sigma],
-            "parent_index": nd.parent_index,
-            "transform_tag": nd.transform_tag,
-            "verified": nd.verified,
-        }
-        for nd in nodes
-    ]

@@ -1,16 +1,25 @@
 """Command line front end: sweep-verify identity families, expand transform
 trees, and evaluate single objects to canonical text.
 
-Each verify family owns a parameter schema and a default grid; the defaults
-are the acceptance grids and are versioned via GRID_VERSION.  Reports are
-emitted one JSON object per line with a summary object last, and the stream
+Each verify family is one declarative Family record.  Its axes, listed in
+grid order, are value sequences, rules over the values chosen before them
+(L = k + sigma/2, a parity filter on ell), or joint axes of label tuples.
+precondition(params) is the only source of skipped_precondition; once a
+point exists, anything raised makes it an error row.  sides(params, D)
+gives (lhs, rhs[, witness]), compared exactly or truncated at D as trunc
+says.  An override sweep crosses the named axes first, in parameter order,
+and fills each unnamed axis by its grid rule; naming nothing gives the
+default grid, versioned via GRID_VERSION.
+
+Reports are one JSON object per line with a summary object last.  A stream
 is byte-identical across runs for a fixed configuration: grids iterate in a
 fixed order, workers hand results back through an order-restoring map, and
 elapsed_ms stays 0 unless timing is requested explicitly.
 
-Exit codes: 0 when every verdict is equal or skipped_precondition, 1 when
-any point mismatches or errors, 2 for configuration problems (unknown
-family, malformed or empty ranges, oversized sweeps, out-of-range flags).
+Exit codes: 0 when no point mismatches or errors and at least one point was
+checked, 1 otherwise (a suite takes the worst of its families), 2 for
+configuration problems (unknown family, malformed or empty ranges,
+oversized sweeps, out-of-range flags).
 """
 
 from __future__ import annotations
@@ -23,79 +32,22 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .burge import (
-    BurgeParams,
-    build_tree,
-    burge_x,
-    burge_xn,
-    classic_bt2_safe,
-    classic_bt_safe,
-    closed_form,
-    sufficiency,
-    transform_bt,
-    transform_bt2,
-    transform_traf1,
-    transform_traf2,
-)
-from .errors import InvalidParams, QIdentError, UnbalancedParameters
-from .multinom import (
-    MultinomialQuery,
-    abf_config_sum,
-    classical_limit,
-    classical_multinomial,
-    difference_sides,
-    t_multinomial,
-    tnew_rhs,
-)
+from . import burge, multinom, qpoly, saalschutz, series
+from .errors import InvalidParams, QIdentError
 from .qbinom import qbin_standard
-from .qpoly import (
-    ONE,
-    QPoly,
-    Truncation,
-    euler_inverse_truncated,
-    mul,
-    qpoch,
-    render,
-    truncated_equal,
-)
-from .saalschutz import (
-    ClassicParams,
-    SaalschutzParams,
-    gensum_lhs,
-    gensum_rhs,
-    qcv_exceptional,
-    qcv_lhs,
-    qcv_rhs,
-    qs2_exceptional,
-    qs2_lhs,
-    qs2_rhs,
-    sears_lhs,
-    sears_rhs,
-)
-from .series import (
-    BaileyPairQuery,
-    StringFunctionQuery,
-    conjugate_pair_failure,
-    durfee_sides,
-    limlm_sides,
-    product_side,
-    string_fermionic,
-    string_lp,
-    string_spinon,
-    sum_side,
-)
+from .qpoly import ONE, QPoly, Truncation, render, truncated_equal
 
 GRID_VERSION = "1"
 TREE_DEPTH_CAP = 6
 MAX_SWEEP_POINTS = 200_000
 
-# (verdict, lhs, rhs, diff, truncation); a mismatch may append a witness dict
-Verdict = Tuple[str, Optional[str], Optional[str], Optional[str], Optional[int]]
+_VERDICTS = ("equal", "mismatch", "skipped_precondition", "error")
 
 
 class ConfigError(Exception):
@@ -112,12 +64,16 @@ class ParamSpec:
     choices: Optional[Tuple[str, ...]] = None
 
 
+def _ps(*names: str, **choices) -> Tuple[ParamSpec, ...]:
+    """Specs from "name" (an integer) or "name:kind"; word choices by keyword."""
+    fields = (item.partition(":") for item in names)
+    return tuple(ParamSpec(name, kind or "int", choices.get(name)) for name, _, kind in fields)
+
+
 def _parse_one(text: str, ps: ParamSpec):
     if ps.kind == "word":
         if ps.choices and text not in ps.choices:
-            raise ConfigError(
-                f"--{ps.name}: {text!r} is not one of {', '.join(ps.choices)}"
-            )
+            raise ConfigError(f"--{ps.name}: {text!r} is not one of {', '.join(ps.choices)}")
         return text
     if ps.kind == "intinf" and text == "inf":
         return None
@@ -162,329 +118,54 @@ def _encode_value(v):
     return v
 
 
-# --- per-point checkers -------------------------------------------------------------
-
-_EQUAL: Verdict = ("equal", None, None, None, None)
-_SKIP: Verdict = ("skipped_precondition", None, None, None, None)
-
-
-def _exact_verdict(lhs: QPoly, rhs: QPoly) -> Verdict:
-    if lhs == rhs:
-        return _EQUAL
-    return ("mismatch", render(lhs), render(rhs), render(lhs - rhs), None)
-
-
-def _trunc_verdict(lhs: QPoly, rhs: QPoly, d: int) -> Verdict:
-    t = Truncation(d)
-    if truncated_equal(lhs, rhs, t):
-        return ("equal", None, None, None, d)
-    lt, rt = lhs.truncate(t), rhs.truncate(t)
-    return ("mismatch", render(lt), render(rt), render(lt - rt), d)
-
-
-def _chk_qs2(p, d, opts) -> Verdict:
-    cp = ClassicParams(p["L1"], p["L2"], p["M"], p["ell"])
-    if qs2_exceptional(cp):
-        if opts.get("include_exceptional"):
-            return ("skipped_precondition", render(qs2_lhs(cp)), render(qs2_rhs(cp)), None, None)
-        return _SKIP
-    return _exact_verdict(qs2_lhs(cp), qs2_rhs(cp))
-
-
-def _chk_qcv(p, d, opts) -> Verdict:
-    cp = ClassicParams(p["L1"], p["L2"], 0, p["ell"])
-    if qcv_exceptional(cp):
-        if opts.get("include_exceptional"):
-            return ("skipped_precondition", render(qcv_lhs(cp)), render(qcv_rhs(cp)), None, None)
-        return _SKIP
-    return _exact_verdict(qcv_lhs(cp), qcv_rhs(cp))
-
-
-def _chk_sears(p, d, opts) -> Verdict:
-    args = tuple(p[k] for k in "abcdefg")
-    try:
-        return _exact_verdict(sears_lhs(*args), sears_rhs(*args))
-    except UnbalancedParameters:
-        return _SKIP
-
-
-def _chk_gensum(p, d, opts) -> Verdict:
-    sp = SaalschutzParams(p["N"], p["sigma"], p["ell"], p["M"], p["L1"], p["L2"])
-    try:
-        sp.validate()
-    except InvalidParams:
-        return _SKIP
-    if sp.M < 0:
-        return _SKIP
-    return _exact_verdict(gensum_lhs(sp), gensum_rhs(sp))
-
-
-def _chk_burge_bt(p, d, opts) -> Verdict:
-    labels = (p["p"], p["pprime"], p["r"], p["s"])
-    m1, l1, m2, l2 = p["M1"], p["L1"], p["M2"], p["L2"]
-    if min(m1, l1, m2, l2) < 0 or not classic_bt_safe(*labels, m1, l1, m2, l2):
-        return _SKIP
-    pl, pp, r, s = labels
-    direct = burge_x(BurgeParams(pl, pl + pp, r, r + s, m1, l1, m2, l2))
-    route = transform_bt(
-        m1, l1, m2, l2, lambda a, b, c, e: burge_x(BurgeParams(pl, pp, r, s, a, b, c, e))
-    )
-    return _exact_verdict(direct, route)
-
-
-def _chk_burge_bt2(p, d, opts) -> Verdict:
-    labels = (p["p"], p["pprime"], p["r"], p["s"])
-    m1, l1, m2, l2 = p["M1"], p["L1"], p["M2"], p["L2"]
-    if min(m1, l1, m2, l2) < 0 or not classic_bt2_safe(*labels, m1, l1, m2, l2):
-        return _SKIP
-    pl, pp, r, s = labels
-    direct = burge_x(
-        BurgeParams(pp, pl + pp, s - (m1 - m2), r + s + (l1 - l2), m1, l1, m2, l2)
-    )
-    route = transform_bt2(
-        m1, l1, m2, l2, lambda a, b, c, e: burge_x(BurgeParams(pl, pp, r, s, a, b, c, e))
-    )
-    return _exact_verdict(direct, route)
-
-
-def _chk_burge_traf(p, opts, which: str) -> Verdict:
-    labels = (p["p"], p["pprime"], p["r"], p["s"])
-    n, sg, m, l = p["N"], p["sigma"], p["M"], p["L"]
-    pl, pp, r, s = labels
-    if which == "traf1":
-        child_labels = (pl, pl + n * pp, r, r + n * s)
-    else:
-        child_labels = (pp, n * pl + pp, s, n * r + s)
-    try:
-        # the probe only feeds the sufficiency scan; label validity applies
-        # to the transformed side
-        probe = BurgeParams(*labels, m, l, m, l, N=n, sigma=sg)
-        direct_bp = BurgeParams(*child_labels, m, l, m, l, N=n, sigma=sg)
-        direct_bp.validate()
-        if not sufficiency(probe, "sufsym"):
-            return _SKIP
-    except InvalidParams:
-        return _SKIP
-
-    def child(a, b):
-        return burge_x(BurgeParams(pl, pp, r, s, a, b, a, b))
-
-    direct = burge_xn(direct_bp)
-    if which == "traf1":
-        route = transform_traf1(n, sg, m, l, child)
-    else:
-        route = transform_traf2(n, sg, m, l, child)
-    return _exact_verdict(direct, route)
-
-
-def _chk_traf1(p, d, opts) -> Verdict:
-    return _chk_burge_traf(p, opts, "traf1")
-
-
-def _chk_traf2(p, d, opts) -> Verdict:
-    return _chk_burge_traf(p, opts, "traf2")
-
-
-_FORM_LABELS: Dict[str, Callable[[int], Tuple[int, int, int, int]]] = {
-    "initial": lambda n: (1, 2, 0, 1),
-    "nn": lambda n: (1, 3, 0, 1),
-    "euler": lambda n: (2, 3, 1, 1),
-    "ising": lambda n: (3, 4, 1, 1),
-    "rr": lambda n: (2, 5, 1, 2),
-    "tadpole": lambda n: (1, 2 * n + 1, 0, n),
-    "euler_n": lambda n: (2, n + 2, 1, 1),
-    "a_n": lambda n: (3, n + 3, 1, 1),
-    "rr_n": lambda n: (2, 3 * n + 2, 1, n + 1),
-    "slater": lambda n: (2, 8, 1, 3),
-}
-
-_CLASSIC_NAMES = ("initial", "nn", "euler", "ising", "rr")
-
-
-def _chk_forms(p, d, opts) -> Verdict:
-    name, n, sg, m, l = p["name"], p["N"], p["sigma"], p["M"], p["L"]
-    if name in _CLASSIC_NAMES and n != 1:
-        return _SKIP
-    if name == "slater" and n != 2:
-        return _SKIP
-    labels = _FORM_LABELS[name](n)
-    try:
-        bp = BurgeParams(*labels, m, l, m, l, N=n, sigma=sg)
-        bp.validate()
-        want = closed_form(name, m, l, n, sg)
-    except InvalidParams:
-        return _SKIP
-    return _exact_verdict(burge_xn(bp), want)
-
-
-def _chk_tree(p, d, opts) -> Verdict:
-    try:
-        nodes = build_tree(p["depth"], p["N"], p["sigma"], verify_grid=2)
-    except InvalidParams:
-        return _SKIP
-    bad = [nd for nd in nodes if nd.verified is False]
-    if not bad:
-        return _EQUAL
-    nd = bad[0]
-    # recover a concrete diff: closed form first, then the edge to the parent
-    shift = Fraction(nd.sigma, 2)
-    for m in range(0, 3):
-        for k in range(0, 3):
-            l = k + shift
-            direct = burge_xn(
-                BurgeParams(nd.p, nd.pprime, nd.r, nd.s, m, l, m, l, N=nd.N, sigma=nd.sigma)
-            )
-            if nd.closed_form_name is not None:
-                want = closed_form(nd.closed_form_name, m, l, nd.N, nd.sigma)
-                if direct != want:
-                    return ("mismatch", render(direct), render(want),
-                            render(direct - want), None)
-            route = _tree_edge_route(nodes, nd, m, l)
-            if route is not None and direct != route:
-                return ("mismatch", render(direct), render(route),
-                        render(direct - route), None)
-    return ("mismatch", None, None, render(ONE), None)
-
-
-def _tree_edge_route(nodes, nd, m: int, l) -> Optional[QPoly]:
-    if nd.parent_index is None:
-        return None
-    pa = nodes[nd.parent_index]
-
-    def through_parent(a, b, c, e):
-        return burge_x(BurgeParams(pa.p, pa.pprime, pa.r, pa.s, a, b, c, e))
-
-    if nd.transform_tag == "bt":
-        return transform_bt(m, int(l), m, int(l), through_parent)
-    if nd.transform_tag == "bt2":
-        return transform_bt2(m, int(l), m, int(l), through_parent)
-    probe = BurgeParams(pa.p, pa.pprime, pa.r, pa.s, m, l, m, l, N=nd.N, sigma=nd.sigma)
-    if not sufficiency(probe, "sufsym"):
-        return None
-    tf = transform_traf1 if nd.transform_tag == "traf1" else transform_traf2
-    return tf(nd.N, nd.sigma, m, l, lambda a, b: through_parent(a, b, a, b))
-
-
-def _chk_tnew(p, d, opts) -> Verdict:
-    n, l, ell = p["N"], p["L"], p["ell"]
-    try:
-        q = MultinomialQuery(n, l, Fraction(ell, 2))
-        q.validate()
-    except InvalidParams:
-        return _SKIP
-    return _exact_verdict(tnew_rhs(n, l, ell, l % 2), t_multinomial(q))
-
-
-def _chk_classical(p, d, opts) -> Verdict:
-    n, l, a = p["N"], p["L"], p["a"]
-    try:
-        q = MultinomialQuery(n, l, a)
-        q.validate()
-    except InvalidParams:
-        return _SKIP
-    got = classical_limit(t_multinomial(q))
-    want = classical_multinomial(n, l, a)
-    if got == want:
-        return _EQUAL
-    return ("mismatch", str(got), str(want), str(got - want), None)
-
-
-def _chk_diff(p, d, opts) -> Verdict:
-    try:
-        lhs, rhs = difference_sides(p["N"], p["L"], p["ell"], p["n"])
-    except InvalidParams:
-        return _SKIP
-    return _exact_verdict(lhs, rhs)
-
-
-def _chk_durfee(p, d, opts) -> Verdict:
-    try:
-        lhs, rhs = durfee_sides(p["ell"], Truncation(d))
-    except InvalidParams:
-        return _SKIP
-    return _trunc_verdict(lhs, rhs, d)
-
-
-def _chk_limlm(p, d, opts) -> Verdict:
-    try:
-        lhs, rhs = limlm_sides(p["N"], p["ell"], p["sigma"], Truncation(d))
-    except InvalidParams:
-        return _SKIP
-    return _trunc_verdict(lhs, rhs, d)
-
-
-def _chk_cbp(p, d, opts) -> Verdict:
-    try:
-        bq = BaileyPairQuery(p["N"], p["ell"], p["M"], p["sigma"], Truncation(d))
-        fail = conjugate_pair_failure(bq)
-    except InvalidParams:
-        return _SKIP
-    if fail is None:
-        return ("equal", None, None, None, d)
-    L, gamma, want = fail
-    t = Truncation(d)
-    gt, wt = gamma.truncate(t), want.truncate(t)
-    return ("mismatch", render(gt), render(wt), render(gt - wt), d, {"L": L})
-
-
-def _chk_strings(p, d, opts) -> Verdict:
-    n, m, ell = p["N"], p["m"], p["ell"]
-    sigma = 1 if ell == n else 0
-    try:
-        sq = StringFunctionQuery(n, m, ell, sigma, Truncation(d))
-        sq.validate()
-    except InvalidParams:
-        return _SKIP
-    spin = string_spinon(sq)
-    ferm = string_fermionic(sq)
-    t = Truncation(d)
-    if not truncated_equal(spin, ferm, t):
-        st, ft = spin.truncate(t), ferm.truncate(t)
-        return ("mismatch", render(st), render(ft), render(st - ft), d)
-    if ell in (0, n):
-        lp = string_lp(sq)
-        if not truncated_equal(ferm, lp, t):
-            ft, lt = ferm.truncate(t), lp.truncate(t)
-            return ("mismatch", render(ft), render(lt), render(ft - lt), d)
-    return ("equal", None, None, None, d)
-
-
-def _chk_products(p, d, opts) -> Verdict:
-    t = Truncation(d)
-    return _trunc_verdict(product_side(p["family"], t), sum_side(p["family"], t), d)
-
-
-def _partition_counts(limit: int) -> List[int]:
-    ways = [1] + [0] * limit
-    for part in range(1, limit + 1):
-        for n in range(part, limit + 1):
-            ways[n] += ways[n - part]
-    return ways
-
-
-def _chk_partitions(p, d, opts) -> Verdict:
-    limit = p["limit"]
-    if limit < 0:
-        return _SKIP
-    lhs = euler_inverse_truncated(Truncation(limit))
-    rhs = QPoly({n: c for n, c in enumerate(_partition_counts(limit))})
-    return _trunc_verdict(lhs, rhs, limit)
-
-
-# --- default grids ------------------------------------------------------------------
-
-
-def _grid_qs2() -> Iterable[Dict]:
-    for l1, l2, m, ell in iproduct(range(-6, 7), repeat=4):
-        yield {"L1": l1, "L2": l2, "M": m, "ell": ell}
-
-
-def _grid_qcv() -> Iterable[Dict]:
-    for l1, l2, ell in iproduct(range(-5, 6), repeat=3):
-        yield {"L1": l1, "L2": l2, "ell": ell}
-
-
-def _grid_sears() -> Iterable[Dict]:
+# --- families -----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """One verify family; see the module docstring."""
+
+    identity_id: str
+    params: Tuple[ParamSpec, ...]
+    axes: Tuple[Tuple[Union[str, Tuple[str, ...]], object], ...]
+    sides: Callable
+    precondition: Optional[Callable[[Dict], bool]] = None  # None: every point applies
+    trunc: Union[None, int, str] = None
+    # a default grid drawn instead of crossing the axes; overrides still cross them
+    sample: Optional[Callable[[], Iterable[Tuple]]] = None
+    # under --include-exceptional a skipped point still shows both sides
+    exceptional_sides: bool = False
+
+    @cached_property  # read for every point
+    def names(self) -> Tuple[str, ...]:
+        return tuple(ps.name for ps in self.params)
+
+
+_LABELS = ("p", "pprime", "r", "s")
+_BOUNDS = ("M1", "L1", "M2", "L2")
+_SYMMETRIC = ("M", "L", "M", "L")  # the bounds M1 = M2 = M, L1 = L2 = L
+_PRODUCTS = ("ising", "rr", "slater")
+_AGREED = (ONE, ONE)  # the sides when a family's own search found no failing pair
+
+
+def _get(p: Dict, names: Sequence[str]) -> Tuple:
+    return tuple(p[k] for k in names)
+
+
+def _sigmas(p: Dict) -> Tuple[int, ...]:
+    return (0, 1) if p["N"] % 2 == 0 else (0,)
+
+
+def _shifted(count: int) -> Callable[[Dict], List[Fraction]]:
+    """The rule L = k + sigma/2 for k in 0..count-1."""
+    return lambda p: [k + Fraction(p["sigma"], 2) for k in range(count)]
+
+
+def _classic(p: Dict) -> saalschutz.ClassicParams:
+    return saalschutz.ClassicParams(p["L1"], p["L2"], p.get("M", 0), p["ell"])
+
+
+def _sears_sample() -> Iterable[Tuple[int, ...]]:
     # deterministic draw of balanced tuples a+b = c+d+f from the [-6,8]^7 box
     rng = random.Random(97231)
     seen = set()
@@ -497,388 +178,321 @@ def _grid_sears() -> Iterable[Dict]:
         if t in seen:
             continue
         seen.add(t)
-        yield dict(zip("abcdefg", t))
+        yield t
 
 
-def _grid_gensum() -> Iterable[Dict]:
-    halves = [Fraction(t, 2) for t in range(0, 11)]
-    for n in range(1, 5):
-        for sigma in (0, 1):
-            for ell in range(-4, 5):
-                if (ell + sigma * n) % 2:
-                    continue
-                half = Fraction(ell + sigma, 2)
-                good = [x for x in halves if (x + half).denominator == 1]
-                for m in range(0, 7):
-                    for l1 in good:
-                        for l2 in good:
-                            yield {"N": n, "sigma": sigma, "ell": ell, "M": m,
-                                   "L1": l1, "L2": l2}
+def _gensum_point(p: Dict) -> saalschutz.SaalschutzParams:
+    return saalschutz.SaalschutzParams(p["N"], p["sigma"], p["ell"], p["M"], p["L1"], p["L2"])
 
 
-_BT_LABELS = ((1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1))
+def _gensum_halves(p: Dict) -> List[Fraction]:
+    """L in 0, 1/2, ..., 5 with L + (ell+sigma)/2 an integer."""
+    return [Fraction(t, 2) for t in range(0, 11) if (t + p["ell"] + p["sigma"]) % 2 == 0]
 
 
-def _grid_bt() -> Iterable[Dict]:
-    for labels in _BT_LABELS:
-        for m1, l1, m2, l2 in iproduct(range(0, 4), repeat=4):
-            p, pp, r, s = labels
-            yield {"p": p, "pprime": pp, "r": r, "s": s,
-                   "M1": m1, "L1": l1, "M2": m2, "L2": l2}
+def _symmetric(p: Dict, labels: Sequence[int]) -> burge.BurgeParams:
+    """The level-N point of `labels` at the symmetric bounds M1 = M2, L1 = L2."""
+    return burge.BurgeParams(*labels, *_get(p, _SYMMETRIC), N=p["N"], sigma=p["sigma"])
 
 
-def _grid_traf(parents: Sequence[Tuple[int, int, int, int]]) -> Iterable[Dict]:
-    for p, pp, r, s in parents:
-        for n in (2, 3):
-            for sigma in (0, 1) if n % 2 == 0 else (0,):
-                for m in range(0, 6):
-                    for k in range(0, 6):
-                        yield {"p": p, "pprime": pp, "r": r, "s": s, "N": n,
-                               "sigma": sigma, "M": m, "L": k + Fraction(sigma, 2)}
+def _bt_family(identity_id: str, tag: str, safe: Callable) -> Family:
+    """A classic transform edge, where its safety scan allows it."""
+    axes = ((_LABELS, ((1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1))),)
+    return Family(identity_id, _ps(*_LABELS, *_BOUNDS),
+                  axes + tuple((b, range(0, 4)) for b in _BOUNDS),
+                  lambda p, d: burge.edge_sides(_get(p, _LABELS), tag, *_get(p, _BOUNDS)),
+                  lambda p: min(_get(p, _BOUNDS)) >= 0 and safe(*_get(p, _LABELS + _BOUNDS)))
 
 
-def _grid_traf1() -> Iterable[Dict]:
-    return _grid_traf(((1, 2, 0, 1), (2, 3, 1, 1)))
+def _traf_family(identity_id: str, tag: str, parents: Tuple) -> Family:
+    """A symmetric level-N transform edge, on its sufficiency window."""
+
+    def applies(p):
+        # the parent point only feeds the sufficiency scan; label validity
+        # applies to the child
+        child = _symmetric(p, burge.child_labels(_get(p, _LABELS), tag, p["N"]))
+        parent = _symmetric(p, _get(p, _LABELS))
+        return child.violation() is None and burge.sufficiency(parent, "sufsym")
+
+    axes = ((_LABELS, parents), ("N", (2, 3)), ("sigma", _sigmas),
+            ("M", range(0, 6)), ("L", _shifted(6)))
+    return Family(identity_id, _ps(*_LABELS, "N", "sigma", "M", "L:rat"), axes,
+                  lambda p, d: burge.edge_sides(_get(p, _LABELS), tag, *_get(p, _SYMMETRIC),
+                                                p["N"], p["sigma"]),
+                  applies)
 
 
-def _grid_traf2() -> Iterable[Dict]:
-    return _grid_traf(((1, 2, 0, 1), (1, 3, 0, 1)))
+def _form_point(p: Dict) -> burge.BurgeParams:
+    return _symmetric(p, burge.FORM_LABELS[p["name"]](p["N"]))
 
 
-def _grid_forms() -> Iterable[Dict]:
-    for name in _CLASSIC_NAMES:
-        for m in range(0, 9):
-            for l in range(0, 9):
-                yield {"name": name, "N": 1, "sigma": 0, "M": m, "L": l}
-    for name in ("tadpole", "euler_n", "a_n", "rr_n", "slater"):
-        for n in (2,) if name == "slater" else (2, 3):
-            for sigma in (0, 1) if n % 2 == 0 else (0,):
-                for m in range(0, 6):
-                    for k in range(0, 6):
-                        yield {"name": name, "N": n, "sigma": sigma, "M": m,
-                               "L": k + Fraction(sigma, 2)}
+def _form_levels(p: Dict) -> Tuple[int, ...]:
+    if p["name"] in burge.CLASSIC_FORMS:
+        return (1,)
+    return (2,) if p["name"] == "slater" else (2, 3)
 
 
-def _grid_tree() -> Iterable[Dict]:
-    yield {"depth": 3, "N": 1, "sigma": 0}
+def _form_span(p: Dict) -> int:
+    """The classic forms run over a wider (M, L) box."""
+    return 9 if p["name"] in burge.CLASSIC_FORMS else 6
 
 
-def _grid_tnew() -> Iterable[Dict]:
-    for n in (2, 3, 4):
-        for l in range(0, 9):
-            for ell in range(-n * l, n * l + 1, 2):
-                yield {"N": n, "L": l, "ell": ell}
+def _form_applies(p: Dict) -> bool:
+    name, n = p["name"], p["N"]
+    level_ok = (name not in burge.CLASSIC_FORMS or n == 1) and (name != "slater" or n == 2)
+    return level_ok and _form_point(p).violation() is None
 
 
-def _grid_classical() -> Iterable[Dict]:
-    for n in range(1, 5):
-        for l in range(0, 7):
-            for two_a in range(-n * l, n * l + 1, 2):
-                yield {"N": n, "L": l, "a": Fraction(two_a, 2)}
+def _tree_sides(p: Dict, d):
+    nodes = burge.build_tree(p["depth"], p["N"], p["sigma"], verify_grid=2)
+    for index, nd in enumerate(nodes):
+        if nd.witness is not None:
+            m, l, direct, other = nd.witness
+            return direct, other, {"node": index, "M": m, "L": _encode_value(l)}
+    return _AGREED
 
 
-def _grid_diff() -> Iterable[Dict]:
-    for n in (3, 4):
-        for l in range(0, 7):
-            for idx in range(1, n - 1):
-                for ell in range(0, n * l + 3):
-                    if (idx - ell - n * l) % 2:
-                        continue
-                    yield {"N": n, "L": l, "ell": ell, "n": idx}
+def _tnew_query(p: Dict) -> multinom.MultinomialQuery:
+    return multinom.MultinomialQuery(p["N"], p["L"], Fraction(p["ell"], 2))
 
 
-def _grid_durfee() -> Iterable[Dict]:
-    for ell in range(0, 4):
-        yield {"ell": ell}
+def _classical_sides(p: Dict, d):
+    """The q -> 1 limit of T_0 against the ordinary multinomial coefficient."""
+    n, l, a = _get(p, ("N", "L", "a"))
+    got = multinom.classical_limit(multinom.t_multinomial(multinom.MultinomialQuery(n, l, a)))
+    return QPoly.monomial(got), QPoly.monomial(multinom.classical_multinomial(n, l, a))
 
 
-def _grid_limlm() -> Iterable[Dict]:
-    for n in (1, 2, 3):
-        for sigma in (0, 1):
-            for ell in range(0, 5):
-                yield {"N": n, "ell": ell, "sigma": sigma}
+def _bailey(p: Dict, trunc: Optional[Truncation]) -> series.BaileyPairQuery:
+    return series.BaileyPairQuery(p["N"], p["ell"], p.get("M"), p["sigma"], trunc)
 
 
-def _grid_cbp() -> Iterable[Dict]:
-    for n in (1, 2, 3):
-        for ell in (0, 1, 2):
-            for sigma in (0, 1):
-                for m in (3, 5, None):
-                    yield {"N": n, "ell": ell, "sigma": sigma, "M": m}
+def _cbp_sides(p: Dict, d):
+    fail = series.conjugate_pair_failure(_bailey(p, Truncation(d)))
+    if fail is None:
+        return _AGREED
+    L, gamma, want = fail
+    return gamma, want, {"L": L}
 
 
-def _grid_strings() -> Iterable[Dict]:
-    for n in (1, 2, 3):
-        for ell in range(0, n + 1):
-            for m in range(ell % 2, 7, 2):
-                yield {"N": n, "m": m, "ell": ell}
+def _string_query(p: Dict, trunc: Optional[Truncation]) -> series.StringFunctionQuery:
+    sigma = 1 if p["ell"] == p["N"] else 0  # the boundary ell = N carries sigma = 1
+    return series.StringFunctionQuery(p["N"], p["m"], p["ell"], sigma, trunc)
 
 
-def _grid_products() -> Iterable[Dict]:
-    for family in ("ising", "rr", "slater"):
-        yield {"family": family}
+def _string_sides(p: Dict, d):
+    """Spinon against fermionic form; on the boundary ell in {0, N} the
+    fermionic form then meets the Lepowsky-Primc form."""
+    sq = _string_query(p, Truncation(d))
+    spin, ferm = series.string_spinon(sq), series.string_fermionic(sq)
+    if p["ell"] in (0, p["N"]) and truncated_equal(spin, ferm, sq.trunc):
+        return ferm, series.string_lp(sq)
+    return spin, ferm
 
 
-def _grid_partitions() -> Iterable[Dict]:
-    yield {"limit": 50}
+def _partition_counts(limit: int) -> List[int]:
+    ways = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for n in range(part, limit + 1):
+            ways[n] += ways[n - part]
+    return ways
 
 
-# --- registry -----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IdentitySpec:
-    identity_id: str
-    params: Tuple[ParamSpec, ...]
-    check: Callable
-    grid: Callable[[], Iterable[Dict]]
-    defaults: Dict[str, Tuple]
-    default_trunc: Optional[int] = None
-
-
-def _ps(*pairs, **choices) -> Tuple[ParamSpec, ...]:
-    out = []
-    for name, kind in pairs:
-        out.append(ParamSpec(name, kind, choices.get(name)))
-    return tuple(out)
-
-
-def _mk(identity_id, pairs, check, grid, defaults, default_trunc=None, **choices):
-    return IdentitySpec(
-        identity_id, _ps(*pairs, **choices), check, grid,
-        {k: tuple(v) for k, v in defaults.items()}, default_trunc,
-    )
-
-
-_I6 = tuple(range(-6, 7))
-_HALVES5 = tuple(Fraction(t, 2) for t in range(0, 11))
-
-REGISTRY: Dict[str, IdentitySpec] = {
-    spec.identity_id: spec
-    for spec in [
-        _mk("qs2",
-            [("L1", "int"), ("L2", "int"), ("M", "int"), ("ell", "int")],
-            _chk_qs2, _grid_qs2,
-            {"L1": _I6, "L2": _I6, "M": _I6, "ell": _I6}),
-        _mk("qcv",
-            [("L1", "int"), ("L2", "int"), ("ell", "int")],
-            _chk_qcv, _grid_qcv,
-            {"L1": tuple(range(-5, 6)), "L2": tuple(range(-5, 6)),
-             "ell": tuple(range(-5, 6))}),
-        _mk("sears",
-            [(k, "int") for k in "abcdefg"],
-            _chk_sears, _grid_sears,
-            {k: tuple(range(-6, 9)) for k in "abcdefg"}),
-        _mk("gensum",
-            [("N", "int"), ("sigma", "int"), ("ell", "int"), ("M", "int"),
-             ("L1", "rat"), ("L2", "rat")],
-            _chk_gensum, _grid_gensum,
-            {"N": (1, 2, 3, 4), "sigma": (0, 1), "ell": tuple(range(-4, 5)),
-             "M": tuple(range(0, 7)), "L1": _HALVES5, "L2": _HALVES5}),
-        _mk("burge.bt",
-            [("p", "int"), ("pprime", "int"), ("r", "int"), ("s", "int"),
-             ("M1", "int"), ("L1", "int"), ("M2", "int"), ("L2", "int")],
-            _chk_burge_bt, _grid_bt,
-            {"p": (1, 2), "pprime": (2, 3), "r": (0, 1), "s": (1,),
-             "M1": tuple(range(0, 4)), "L1": tuple(range(0, 4)),
-             "M2": tuple(range(0, 4)), "L2": tuple(range(0, 4))}),
-        _mk("burge.bt2",
-            [("p", "int"), ("pprime", "int"), ("r", "int"), ("s", "int"),
-             ("M1", "int"), ("L1", "int"), ("M2", "int"), ("L2", "int")],
-            _chk_burge_bt2, _grid_bt,
-            {"p": (1, 2), "pprime": (2, 3), "r": (0, 1), "s": (1,),
-             "M1": tuple(range(0, 4)), "L1": tuple(range(0, 4)),
-             "M2": tuple(range(0, 4)), "L2": tuple(range(0, 4))}),
-        _mk("burge.traf1",
-            [("p", "int"), ("pprime", "int"), ("r", "int"), ("s", "int"),
-             ("N", "int"), ("sigma", "int"), ("M", "int"), ("L", "rat")],
-            _chk_traf1, _grid_traf1,
-            {"p": (1, 2), "pprime": (2, 3), "r": (0, 1), "s": (1,),
-             "N": (2, 3), "sigma": (0, 1), "M": tuple(range(0, 6)),
-             "L": tuple(range(0, 6))}),
-        _mk("burge.traf2",
-            [("p", "int"), ("pprime", "int"), ("r", "int"), ("s", "int"),
-             ("N", "int"), ("sigma", "int"), ("M", "int"), ("L", "rat")],
-            _chk_traf2, _grid_traf2,
-            {"p": (1, 2), "pprime": (2, 3), "r": (0, 1), "s": (1,),
-             "N": (2, 3), "sigma": (0, 1), "M": tuple(range(0, 6)),
-             "L": tuple(range(0, 6))}),
-        _mk("burge.forms",
-            [("name", "word"), ("N", "int"), ("sigma", "int"),
-             ("M", "int"), ("L", "rat")],
-            _chk_forms, _grid_forms,
-            {"name": tuple(_FORM_LABELS), "N": (1, 2, 3), "sigma": (0, 1),
-             "M": tuple(range(0, 6)), "L": tuple(range(0, 6))},
-            name=tuple(_FORM_LABELS)),
-        _mk("burge.tree",
-            [("depth", "int"), ("N", "int"), ("sigma", "int")],
-            _chk_tree, _grid_tree,
-            {"depth": (3,), "N": (1,), "sigma": (0,)}),
-        _mk("multinom.tnew",
-            [("N", "int"), ("L", "int"), ("ell", "int")],
-            _chk_tnew, _grid_tnew,
-            {"N": (2, 3, 4), "L": tuple(range(0, 9)),
-             "ell": tuple(range(-8, 9))}),
-        _mk("multinom.classical",
-            [("N", "int"), ("L", "int"), ("a", "rat")],
-            _chk_classical, _grid_classical,
-            {"N": (1, 2, 3, 4), "L": tuple(range(0, 7)),
-             "a": tuple(Fraction(t, 2) for t in range(-12, 13))}),
-        _mk("multinom.diff",
-            [("N", "int"), ("L", "int"), ("ell", "int"), ("n", "int")],
-            _chk_diff, _grid_diff,
-            {"N": (3, 4), "L": tuple(range(0, 7)),
-             "ell": tuple(range(0, 13)), "n": (1, 2)}),
-        _mk("series.durfee",
-            [("ell", "int")], _chk_durfee, _grid_durfee,
-            {"ell": (0, 1, 2, 3)}, default_trunc=25),
-        _mk("series.limlm",
-            [("N", "int"), ("ell", "int"), ("sigma", "int")],
-            _chk_limlm, _grid_limlm,
-            {"N": (1, 2, 3), "ell": (0, 1, 2, 3, 4), "sigma": (0, 1)},
-            default_trunc=25),
-        _mk("series.cbp",
-            [("N", "int"), ("ell", "int"), ("sigma", "int"), ("M", "intinf")],
-            _chk_cbp, _grid_cbp,
-            {"N": (1, 2, 3), "ell": (0, 1, 2), "sigma": (0, 1),
-             "M": (3, 5, None)},
-            default_trunc=25),
-        _mk("series.strings",
-            [("N", "int"), ("m", "int"), ("ell", "int")],
-            _chk_strings, _grid_strings,
-            {"N": (1, 2, 3), "m": tuple(range(0, 7)),
-             "ell": (0, 1, 2, 3)},
-            default_trunc=20),
-        _mk("series.products",
-            [("family", "word")], _chk_products, _grid_products,
-            {"family": ("ising", "rr", "slater")},
-            default_trunc=30, family=("ising", "rr", "slater")),
-        _mk("qpoly.partitions",
-            [("limit", "int")], _chk_partitions, _grid_partitions,
-            {"limit": (50,)}),
+REGISTRY: Dict[str, Family] = {
+    fam.identity_id: fam
+    for fam in [
+        Family("qs2", _ps("L1", "L2", "M", "ell"),
+               tuple((k, range(-6, 7)) for k in ("L1", "L2", "M", "ell")),
+               lambda p, d: (saalschutz.qs2_lhs(_classic(p)), saalschutz.qs2_rhs(_classic(p))),
+               lambda p: not saalschutz.qs2_exceptional(_classic(p)), exceptional_sides=True),
+        Family("qcv", _ps("L1", "L2", "ell"),
+               tuple((k, range(-5, 6)) for k in ("L1", "L2", "ell")),
+               lambda p, d: (saalschutz.qcv_lhs(_classic(p)), saalschutz.qcv_rhs(_classic(p))),
+               lambda p: not saalschutz.qcv_exceptional(_classic(p)), exceptional_sides=True),
+        Family("sears", _ps(*"abcdefg"),
+               tuple((k, range(-6, 9)) for k in "abcdefg"),
+               lambda p, d: (saalschutz.sears_lhs(*p.values()), saalschutz.sears_rhs(*p.values())),
+               lambda p: p["a"] + p["b"] == p["c"] + p["d"] + p["f"],
+               sample=_sears_sample),
+        Family("gensum", _ps("N", "sigma", "ell", "M", "L1:rat", "L2:rat"),
+               (("N", range(1, 5)), ("sigma", (0, 1)),
+                ("ell", lambda p: [e for e in range(-4, 5) if (e + p["sigma"] * p["N"]) % 2 == 0]),
+                ("M", range(0, 7)), ("L1", _gensum_halves), ("L2", _gensum_halves)),
+               lambda p, d: (saalschutz.gensum_lhs(_gensum_point(p)),
+                             saalschutz.gensum_rhs(_gensum_point(p))),
+               lambda p: p["M"] >= 0 and _gensum_point(p).violation() is None),
+        _bt_family("burge.bt", "bt", burge.classic_bt_safe),
+        _bt_family("burge.bt2", "bt2", burge.classic_bt2_safe),
+        _traf_family("burge.traf1", "traf1", ((1, 2, 0, 1), (2, 3, 1, 1))),
+        _traf_family("burge.traf2", "traf2", ((1, 2, 0, 1), (1, 3, 0, 1))),
+        Family("burge.forms",
+               _ps("name:word", "N", "sigma", "M", "L:rat", name=tuple(burge.FORM_LABELS)),
+               (("name", tuple(burge.FORM_LABELS)), ("N", _form_levels), ("sigma", _sigmas),
+                ("M", lambda p: range(0, _form_span(p))),
+                ("L", lambda p: _shifted(_form_span(p))(p))),
+               lambda p, d: (burge.burge_xn(_form_point(p)),
+                             burge.closed_form(p["name"], p["M"], p["L"], p["N"], p["sigma"])),
+               _form_applies),
+        Family("burge.tree", _ps("depth", "N", "sigma"),
+               (("depth", (3,)), ("N", (1,)), ("sigma", (0,))), _tree_sides,
+               lambda p: (p["depth"] >= 0 and p["N"] >= 1 and p["sigma"] in (0, 1)
+                          and (p["N"] % 2 == 0 or p["sigma"] == 0))),
+        Family("multinom.tnew", _ps("N", "L", "ell"),
+               (("N", (2, 3, 4)), ("L", range(0, 9)),
+                ("ell", lambda p: range(-p["N"] * p["L"], p["N"] * p["L"] + 1, 2))),
+               lambda p, d: (multinom.tnew_rhs(p["N"], p["L"], p["ell"], p["L"] % 2),
+                             multinom.t_multinomial(_tnew_query(p))),
+               lambda p: _tnew_query(p).violation() is None),
+        Family("multinom.classical", _ps("N", "L", "a:rat"),
+               (("N", range(1, 5)), ("L", range(0, 7)),
+                ("a", lambda p: [Fraction(t, 2) for t in range(-p["N"] * p["L"],
+                                                              p["N"] * p["L"] + 1, 2)])),
+               _classical_sides,
+               lambda p: multinom.MultinomialQuery(*_get(p, ("N", "L", "a"))).violation() is None),
+        Family("multinom.diff", _ps("N", "L", "ell", "n"),
+               (("N", (3, 4)), ("L", range(0, 7)), ("n", lambda p: range(1, p["N"] - 1)),
+                ("ell", lambda p: [e for e in range(0, p["N"] * p["L"] + 3)
+                                   if (p["n"] - e - p["N"] * p["L"]) % 2 == 0])),
+               lambda p, d: multinom.difference_sides(p["N"], p["L"], p["ell"], p["n"]),
+               lambda p: (1 <= p["n"] < p["N"] - 1 and p["L"] >= 0
+                          and (p["n"] - p["ell"] - p["N"] * p["L"]) % 2 == 0)),
+        Family("series.durfee", _ps("ell"), (("ell", range(0, 4)),),
+               lambda p, d: series.durfee_sides(p["ell"], Truncation(d)),
+               lambda p: p["ell"] >= 0, trunc=25),
+        Family("series.limlm", _ps("N", "ell", "sigma"),
+               (("N", (1, 2, 3)), ("sigma", (0, 1)), ("ell", range(0, 5))),
+               lambda p, d: series.limlm_sides(p["N"], p["ell"], p["sigma"], Truncation(d)),
+               lambda p: (_bailey(p, None).violation() is None
+                          and (p["ell"] + p["sigma"] * p["N"]) % 2 == 0),
+               trunc=25),
+        Family("series.cbp", _ps("N", "ell", "sigma", "M:intinf"),
+               (("N", (1, 2, 3)), ("ell", (0, 1, 2)), ("sigma", (0, 1)), ("M", (3, 5, None))),
+               _cbp_sides, lambda p: _bailey(p, None).violation() is None, trunc=25),
+        Family("series.strings", _ps("N", "m", "ell"),
+               (("N", (1, 2, 3)), ("ell", lambda p: range(0, p["N"] + 1)),
+                ("m", lambda p: range(p["ell"] % 2, 7, 2))),
+               _string_sides, lambda p: _string_query(p, None).violation() is None, trunc=20),
+        Family("series.products", _ps("family:word", family=_PRODUCTS),
+               (("family", _PRODUCTS),),
+               lambda p, d: (series.product_side(p["family"], Truncation(d)),
+                             series.sum_side(p["family"], Truncation(d))),
+               trunc=30),
+        Family("qpoly.partitions", _ps("limit"), (("limit", (50,)),),
+               lambda p, d: (qpoly.euler_inverse_truncated(Truncation(d)),
+                             QPoly(dict(enumerate(_partition_counts(d))))),
+               lambda p: p["limit"] >= 0, trunc="limit"),
     ]
 }
 
 
-# --- evaluation registry ------------------------------------------------------------
+# --- evaluation table ---------------------------------------------------------------
 
 
-def _eval_tmultinomial(p, d):
-    q = MultinomialQuery(p["N"], p["L"], p["a"], p["n"])
-    q.validate()
-    return t_multinomial(q)
+def _string_of(fn: Callable) -> Callable:
+    return lambda *args: fn(series.StringFunctionQuery(*args))
 
 
-def _eval_string(fn):
-    def run(p, d):
-        sq = StringFunctionQuery(p["N"], p["m"], p["ell"], p["sigma"], Truncation(d))
-        return fn(sq)
+_STRING = (_ps("N", "m", "ell", "sigma"), {"sigma": 0})
 
-    return run
-
-
-def _eval_x(p, d):
-    bp = BurgeParams(p["p"], p["pprime"], p["r"], p["s"],
-                     p["M1"], p["L1"], p["M2"], p["L2"],
-                     N=p["N"], sigma=p["sigma"])
-    bp.validate()
-    return burge_xn(bp)
-
-
+# name -> (parameter specs, defaults, evaluator, default D).  The evaluator
+# takes the values in spec order, then Truncation(D) if the entry has a D.
 EVAL_REGISTRY: Dict[str, Tuple[Tuple[ParamSpec, ...], Dict, Callable, Optional[int]]] = {
-    "qbin": (_ps(("m", "int"), ("n", "int")), {},
-             lambda p, d: qbin_standard(p["m"], p["n"]), None),
-    "qpoch": (_ps(("s", "int"), ("m", "int")), {},
-              lambda p, d: qpoch(p["s"], p["m"]), None),
-    "euler": (_ps(("limit", "int")), {},
-              lambda p, d: euler_inverse_truncated(Truncation(p["limit"])), None),
-    "tmultinomial": (_ps(("N", "int"), ("L", "int"), ("a", "rat"), ("n", "int")),
-                     {"n": 0}, _eval_tmultinomial, None),
-    "tnew": (_ps(("N", "int"), ("L", "int"), ("ell", "int")), {},
-             lambda p, d: tnew_rhs(p["N"], p["L"], p["ell"], p["L"] % 2), None),
-    "abf": (_ps(("p", "int"), ("s", "int"), ("L", "int")), {},
-            lambda p, d: abf_config_sum(p["p"], p["s"], p["L"]), None),
-    "x": (_ps(("p", "int"), ("pprime", "int"), ("r", "int"), ("s", "int"),
-              ("M1", "int"), ("L1", "rat"), ("M2", "int"), ("L2", "rat"),
-              ("N", "int"), ("sigma", "int")),
-          {"N": 1, "sigma": 0}, _eval_x, None),
-    "closed": (_ps(("name", "word"), ("M", "int"), ("L", "rat"),
-                   ("N", "int"), ("sigma", "int"), name=tuple(_FORM_LABELS)),
-               {"N": 1, "sigma": 0},
-               lambda p, d: closed_form(p["name"], p["M"], p["L"], p["N"], p["sigma"]),
-               None),
-    "product": (_ps(("family", "word"), family=("ising", "rr", "slater")), {},
-                lambda p, d: product_side(p["family"], Truncation(d)), 30),
-    "sumside": (_ps(("family", "word"), family=("ising", "rr", "slater")), {},
-                lambda p, d: sum_side(p["family"], Truncation(d)), 30),
-    "string.spinon": (_ps(("N", "int"), ("m", "int"), ("ell", "int"), ("sigma", "int")),
-                      {"sigma": 0}, _eval_string(string_spinon), 20),
-    "string.fermionic": (_ps(("N", "int"), ("m", "int"), ("ell", "int"), ("sigma", "int")),
-                         {"sigma": 0}, _eval_string(string_fermionic), 20),
-    "string.lp": (_ps(("N", "int"), ("m", "int"), ("ell", "int"), ("sigma", "int")),
-                  {"sigma": 0}, _eval_string(string_lp), 20),
+    "qbin": (_ps("m", "n"), {}, qbin_standard, None),
+    "qpoch": (_ps("s", "m"), {}, qpoly.qpoch, None),
+    "euler": (_ps("limit"), {}, lambda n: qpoly.euler_inverse_truncated(Truncation(n)), None),
+    "tmultinomial": (_ps("N", "L", "a:rat", "n"), {"n": 0},
+                     lambda *args: multinom.t_multinomial(multinom.MultinomialQuery(*args)), None),
+    "tnew": (REGISTRY["multinom.tnew"].params, {},
+             lambda n, l, ell: multinom.tnew_rhs(n, l, ell, l % 2), None),
+    "abf": (_ps("p", "s", "L"), {}, multinom.abf_config_sum, None),
+    "x": (_ps(*_LABELS, "M1", "L1:rat", "M2", "L2:rat", "N", "sigma"), {"N": 1, "sigma": 0},
+          lambda *args: burge.burge_xn(burge.BurgeParams(*args)), None),
+    "closed": (_ps("name:word", "M", "L:rat", "N", "sigma", name=tuple(burge.FORM_LABELS)),
+               {"N": 1, "sigma": 0}, burge.closed_form, None),
+    "product": (REGISTRY["series.products"].params, {}, series.product_side, 30),
+    "sumside": (REGISTRY["series.products"].params, {}, series.sum_side, 30),
+    "string.spinon": (*_STRING, _string_of(series.string_spinon), 20),
+    "string.fermionic": (*_STRING, _string_of(series.string_fermionic), 20),
+    "string.lp": (*_STRING, _string_of(series.string_lp), 20),
 }
 
 
 # --- sweep execution ----------------------------------------------------------------
 
 
-@dataclass
-class SweepConfig:
-    identity_id: str
-    ranges: Dict[str, List]  # empty dict means the embedded default grid
-    trunc: Optional[int] = None
-    jobs: int = 1
-    out: Optional[str] = None
-    fmt: str = "json"
-    include_exceptional: bool = False
-    timing: bool = False
+def _points_for(fam: Family, ranges: Dict[str, List]) -> List[Tuple]:
+    """Point values in parameter order: the named axes crossed first, in
+    parameter order, then every unnamed axis by its grid rule, in grid order."""
+    if not ranges and fam.sample is not None:
+        return list(fam.sample())
+    axes: List[Tuple] = [((n,), ranges[n]) for n in fam.names if n in ranges]
+    for key, values in fam.axes:
+        names = (key,) if isinstance(key, str) else key
+        free = [i for i, n in enumerate(names) if n not in ranges]
+        if len(free) == len(names):
+            axes.append((names, values))
+        else:  # a joint axis named in part: each unnamed column sweeps its own values
+            axes.extend(((names[i],), tuple(dict.fromkeys(t[i] for t in values))) for i in free)
+    points: List[Tuple] = []
+    point: Dict[str, object] = {}
+
+    def walk(depth: int) -> None:
+        if depth == len(axes):
+            if len(points) == MAX_SWEEP_POINTS:
+                raise ConfigError(f"sweep would exceed {MAX_SWEEP_POINTS} points; "
+                                  "narrow the ranges")
+            points.append(tuple(point[n] for n in fam.names))
+            return
+        names, values = axes[depth]
+        for v in values(point) if callable(values) else values:
+            point.update(zip(names, v) if len(names) > 1 else ((names[0], v),))
+            walk(depth + 1)
+
+    walk(0)
+    return points
 
 
-def _points_for(spec: IdentitySpec, ranges: Dict[str, List]) -> List[Dict]:
-    if not ranges:
-        return list(spec.grid())
-    axes = []
-    for ps in spec.params:
-        axes.append([(ps.name, v) for v in ranges.get(ps.name, spec.defaults[ps.name])])
-    total = 1
-    for ax in axes:
-        total *= len(ax)
-        if total > MAX_SWEEP_POINTS:
-            raise ConfigError(
-                f"sweep would exceed {MAX_SWEEP_POINTS} points; narrow the ranges"
-            )
-    return [dict(combo) for combo in iproduct(*axes)]
+def _verdict(fam: Family, params: Dict, d: Optional[int], opts: Dict) -> Dict[str, object]:
+    """The verdict fields of one report row; None values are left out."""
+    if fam.precondition is not None and not fam.precondition(params):
+        if opts["include_exceptional"] and fam.exceptional_sides:
+            lhs, rhs = fam.sides(params, d)[:2]
+            return {"verdict": "skipped_precondition", "lhs_repr": render(lhs),
+                    "rhs_repr": render(rhs)}
+        return {"verdict": "skipped_precondition"}
+    lhs, rhs, *witness = fam.sides(params, d)
+    if d is not None:
+        t = Truncation(d)
+        if truncated_equal(lhs, rhs, t):
+            return {"verdict": "equal", "truncation": d}
+        lhs, rhs = lhs.truncate(t), rhs.truncate(t)
+    elif lhs == rhs:
+        return {"verdict": "equal"}
+    return {"verdict": "mismatch", "lhs_repr": render(lhs), "rhs_repr": render(rhs),
+            "diff_repr": render(lhs - rhs), "truncation": d,
+            "witness": witness[0] if witness else None}
 
 
 def _eval_point(task):
-    ident, items, d, opts = task
-    spec = REGISTRY[ident]
-    params = dict(items)
+    ident, values, d, opts = task
+    fam = REGISTRY[ident]
+    params = dict(zip(fam.names, values))
+    if isinstance(d, str):
+        d = params[d]
     t0 = time.perf_counter()
     note = None
     try:
-        verdict, lhs, rhs, diff, used, *witness = spec.check(params, d, opts)
+        fields = _verdict(fam, params, d, opts)
     except Exception as ex:  # one failing point is an error row, never an aborted sweep
-        verdict, lhs, rhs, diff, used, witness = "error", None, None, None, None, None
+        fields = {"verdict": "error"}
         note = f"{type(ex).__name__}: {ex}"
         if not isinstance(ex, QIdentError):
             note += "\n" + traceback.format_exc().rstrip()
     row: Dict[str, object] = {
         "identity_id": ident,
-        "params": {k: _encode_value(v) for k, v in items},
-        "verdict": verdict,
+        "params": {k: _encode_value(v) for k, v in params.items()},
+        **{k: v for k, v in fields.items() if v is not None},
     }
-    if lhs is not None:
-        row["lhs_repr"] = lhs
-    if rhs is not None:
-        row["rhs_repr"] = rhs
-    if diff is not None:
-        row["diff_repr"] = diff
-    if used is not None:
-        row["truncation"] = used
-    if witness:
-        row["witness"] = witness[0]
     row["elapsed_ms"] = int((time.perf_counter() - t0) * 1000) if opts.get("timing") else 0
     return row, note
 
@@ -888,21 +502,20 @@ _COLORS = {"equal": "\x1b[32m", "mismatch": "\x1b[31m", "error": "\x1b[31m",
 
 
 class _Sink:
-    def __init__(self, stream, fmt: str, color: bool):
+    def __init__(self, stream, fmt: str):
         self.stream = stream
         self.fmt = fmt
-        self.color = color
-
-    def _paint(self, verdict: str) -> str:
-        if self.color and verdict in _COLORS:
-            return f"{_COLORS[verdict]}{verdict}\x1b[0m"
-        return verdict
+        self.color = (fmt == "text" and os.environ.get("NO_COLOR") is None
+                      and hasattr(stream, "isatty") and stream.isatty())
 
     def row(self, row: Dict) -> None:
         if self.fmt == "json":
             self.stream.write(json.dumps(row) + "\n")
             return
-        parts = [self._paint(row["verdict"]), row["identity_id"]]
+        verdict = row["verdict"]
+        if self.color and verdict in _COLORS:
+            verdict = f"{_COLORS[verdict]}{verdict}\x1b[0m"
+        parts = [verdict, row["identity_id"]]
         parts.extend(f"{k}={v}" for k, v in row["params"].items())
         if "truncation" in row:
             parts.append(f"D={row['truncation']}")
@@ -912,68 +525,69 @@ class _Sink:
             parts.append(f"lhs[{row['lhs_repr']}] rhs[{row['rhs_repr']}]")
         self.stream.write(" ".join(parts) + "\n")
 
-    def summary(self, ident: str, counts: Dict[str, int], exit_code: int,
-                elapsed_ms: int) -> None:
+    def summary(self, ident: str, counts: Dict[str, int], exit_code: int, elapsed_ms: int):
+        total = sum(counts.values())
         if self.fmt == "json":
-            obj = {
-                "summary": True,
-                "identity_id": ident,
-                "grid_version": GRID_VERSION,
-                "total": sum(counts.values()),
-                "equal": counts["equal"],
-                "mismatch": counts["mismatch"],
-                "skipped_precondition": counts["skipped_precondition"],
-                "error": counts["error"],
-                "exit_code": exit_code,
-                "elapsed_ms": elapsed_ms,
-            }
+            obj = {"summary": True, "identity_id": ident, "grid_version": GRID_VERSION,
+                   "total": total, **counts, "exit_code": exit_code, "elapsed_ms": elapsed_ms}
             self.stream.write(json.dumps(obj) + "\n")
             return
-        self.stream.write(
-            f"# {ident}: total={sum(counts.values())} equal={counts['equal']}"
-            f" mismatch={counts['mismatch']}"
-            f" skipped_precondition={counts['skipped_precondition']}"
-            f" error={counts['error']} exit={exit_code}\n"
-        )
+        tally = " ".join(f"{k}={v}" for k, v in counts.items())
+        self.stream.write(f"# {ident}: total={total} {tally} exit={exit_code}\n")
 
 
-def _run_family(spec: IdentitySpec, cfg: SweepConfig, sink: _Sink,
+def _sweep_exit(counts: Dict[str, int]) -> int:
+    """0 only when nothing failed and the verdict rests on a checked point."""
+    clean = counts["mismatch"] == 0 and counts["error"] == 0
+    return 0 if clean and counts["equal"] > 0 else 1
+
+
+def _run_family(fam: Family, ranges: Dict[str, List], opts: Dict, sink: _Sink,
                 pool: Optional[ProcessPoolExecutor]) -> Dict[str, int]:
-    points = _points_for(spec, cfg.ranges)
-    d = cfg.trunc if cfg.trunc is not None else spec.default_trunc
-    opts = {"include_exceptional": cfg.include_exceptional, "timing": cfg.timing}
-    tasks = [(spec.identity_id, tuple(pt.items()), d, opts) for pt in points]
-    counts = {"equal": 0, "mismatch": 0, "skipped_precondition": 0, "error": 0}
+    """Sweep one family; empty ranges mean its default grid."""
+    points = _points_for(fam, ranges)
+    d = opts["trunc"] if opts["trunc"] is not None and isinstance(fam.trunc, int) else fam.trunc
+    tasks = ((fam.identity_id, values, d, opts) for values in points)
+    counts = dict.fromkeys(_VERDICTS, 0)
     t0 = time.perf_counter()
-    if pool is None:
-        results = map(_eval_point, tasks)
-    else:
-        results = pool.map(_eval_point, tasks, chunksize=max(1, len(tasks) // 256))
+    results = (map(_eval_point, tasks) if pool is None
+               else pool.map(_eval_point, tasks, chunksize=max(1, len(points) // 256)))
     for row, note in results:
         counts[row["verdict"]] += 1
         sink.row(row)
         if note:
-            print(f"{spec.identity_id} {row['params']}: {note}", file=sys.stderr)
-    exit_code = 0 if counts["mismatch"] == 0 and counts["error"] == 0 else 1
-    elapsed = int((time.perf_counter() - t0) * 1000) if cfg.timing else 0
-    sink.summary(spec.identity_id, counts, exit_code, elapsed)
+            print(f"{fam.identity_id} {row['params']}: {note}", file=sys.stderr)
+    if counts["equal"] + counts["mismatch"] == 0:
+        print(f"{fam.identity_id}: no point was checked, so nothing was verified", file=sys.stderr)
+    elapsed = int((time.perf_counter() - t0) * 1000) if opts["timing"] else 0
+    sink.summary(fam.identity_id, counts, _sweep_exit(counts), elapsed)
     return counts
 
 
-def _open_out(path: Optional[str]):
+@contextmanager
+def _output(path: Optional[str]):
     if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as stream:
+            yield stream
 
 
-def _want_color(fmt: str, stream) -> bool:
-    if fmt != "text" or os.environ.get("NO_COLOR") is not None:
-        return False
-    return hasattr(stream, "isatty") and stream.isatty()
-
-
-def _sweep_exit(counts: Dict[str, int]) -> int:
-    return 0 if counts["mismatch"] == 0 and counts["error"] == 0 else 1
+def _sweep(args, runs: Sequence[Tuple[Family, Dict]], opts: Dict, suite: bool) -> int:
+    """Run families into one stream; the exit code is the worst of theirs."""
+    total = dict.fromkeys(_VERDICTS, 0)
+    exit_code = 0
+    with _output(args.out) as stream:
+        sink = _Sink(stream, args.format)
+        with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+            for fam, ranges in runs:
+                counts = _run_family(fam, ranges, opts, sink, pool)
+                exit_code = max(exit_code, _sweep_exit(counts))
+                for k, v in counts.items():
+                    total[k] += v
+        if suite:
+            sink.summary("suite", total, exit_code, 0)
+    return exit_code
 
 
 # --- subcommands --------------------------------------------------------------------
@@ -988,16 +602,13 @@ def _parse_overrides(spec_params: Sequence[ParamSpec], extras: List[str],
         tok = extras[i]
         if not tok.startswith("--"):
             raise ConfigError(f"unexpected argument {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            name, text = body.split("=", 1)
-            i += 1
-        else:
-            name = body
+        name, eq, text = tok[2:].partition("=")
+        if not eq:
             if i + 1 >= len(extras):
                 raise ConfigError(f"--{name}: missing value")
-            text = extras[i + 1]
-            i += 2
+            i += 1
+            text = extras[i]
+        i += 1
         ps = by_name.get(name)
         if ps is None:
             raise ConfigError(f"unknown parameter --{name}")
@@ -1008,85 +619,36 @@ def _parse_overrides(spec_params: Sequence[ParamSpec], extras: List[str],
     return out
 
 
+def _lookup(table: Dict, name: str):
+    if name not in table:
+        raise ConfigError(f"unknown identity {name!r}; known: {', '.join(table)}")
+    return table[name]
+
+
 def cmd_verify(args, extras) -> int:
-    spec = REGISTRY.get(args.identity)
-    if spec is None:
-        known = ", ".join(REGISTRY)
-        raise ConfigError(f"unknown identity {args.identity!r}; known: {known}")
-    ranges = _parse_overrides(spec.params, extras, multi=True)
-    cfg = SweepConfig(
-        identity_id=spec.identity_id,
-        ranges=ranges,
-        trunc=args.trunc,
-        jobs=args.jobs,
-        out=args.out,
-        fmt=args.format,
-        include_exceptional=args.include_exceptional,
-        timing=args.timing,
-    )
-    stream, owned = _open_out(cfg.out)
-    try:
-        sink = _Sink(stream, cfg.fmt, _want_color(cfg.fmt, stream))
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                counts = _run_family(spec, cfg, sink, pool)
-        else:
-            counts = _run_family(spec, cfg, sink, None)
-    finally:
-        if owned:
-            stream.close()
-    return _sweep_exit(counts)
+    fam = _lookup(REGISTRY, args.identity)
+    ranges = _parse_overrides(fam.params, extras, multi=True)
+    opts = {"trunc": args.trunc, "include_exceptional": args.include_exceptional,
+            "timing": args.timing}
+    return _sweep(args, [(fam, ranges)], opts, suite=False)
 
 
 def cmd_suite(args) -> int:
-    stream, owned = _open_out(args.out)
-    total = {"equal": 0, "mismatch": 0, "skipped_precondition": 0, "error": 0}
-    try:
-        sink = _Sink(stream, args.format, _want_color(args.format, stream))
-        pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
-        try:
-            for spec in REGISTRY.values():
-                cfg = SweepConfig(
-                    identity_id=spec.identity_id,
-                    ranges={},
-                    jobs=args.jobs,
-                    fmt=args.format,
-                    include_exceptional=True,
-                    timing=args.timing,
-                )
-                counts = _run_family(spec, cfg, sink, pool)
-                for k, v in counts.items():
-                    total[k] += v
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        sink.summary("suite", total, _sweep_exit(total), 0)
-    finally:
-        if owned:
-            stream.close()
-    return _sweep_exit(total)
+    opts = {"trunc": None, "include_exceptional": True, "timing": args.timing}
+    return _sweep(args, [(fam, {}) for fam in REGISTRY.values()], opts, suite=True)
+
+
+_TREE_FIELDS = ("N", "sigma", "depth", "parent_index", "transform_tag", "closed_form_name",
+                "verified")
 
 
 def cmd_tree(args) -> int:
     if args.depth < 0 or args.depth > TREE_DEPTH_CAP:
         raise ConfigError(f"depth must lie in 0..{TREE_DEPTH_CAP}")
     try:
-        nodes = build_tree(args.depth, args.N, args.sigma, verify_grid=args.grid)
+        nodes = burge.build_tree(args.depth, args.N, args.sigma, verify_grid=args.grid)
     except InvalidParams as ex:
         raise ConfigError(str(ex))
-    rows = [
-        {
-            "labels": [nd.p, nd.pprime, nd.r, nd.s],
-            "N": nd.N,
-            "sigma": nd.sigma,
-            "depth": nd.depth,
-            "parent_index": nd.parent_index,
-            "transform_tag": nd.transform_tag,
-            "closed_form_name": nd.closed_form_name,
-            "verified": nd.verified,
-        }
-        for nd in nodes
-    ]
     doc = {
         "grid_version": GRID_VERSION,
         "depth": args.depth,
@@ -1094,112 +656,75 @@ def cmd_tree(args) -> int:
         "sigma": args.sigma,
         "verify_grid": args.grid,
         "all_verified": all(nd.verified is not False for nd in nodes),
-        "nodes": rows,
+        "nodes": [{"labels": [nd.p, nd.pprime, nd.r, nd.s],
+                   **{k: getattr(nd, k) for k in _TREE_FIELDS}} for nd in nodes],
     }
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         if args.format == "json":
             stream.write(json.dumps(doc, indent=1) + "\n")
         else:
             for nd in nodes:
-                tag = nd.transform_tag or "seed"
-                name = nd.closed_form_name or "-"
-                stream.write(
-                    f"depth={nd.depth} ({nd.p},{nd.pprime},{nd.r},{nd.s})"
-                    f" N={nd.N} sigma={nd.sigma} via={tag} form={name}"
-                    f" verified={nd.verified}\n"
-                )
-    finally:
-        if owned:
-            stream.close()
+                stream.write(f"depth={nd.depth} ({nd.p},{nd.pprime},{nd.r},{nd.s})"
+                             f" N={nd.N} sigma={nd.sigma} via={nd.transform_tag or 'seed'}"
+                             f" form={nd.closed_form_name or '-'} verified={nd.verified}\n")
     return 0 if doc["all_verified"] else 1
 
 
 def cmd_eval(args, extras) -> int:
-    entry = EVAL_REGISTRY.get(args.identity)
-    if entry is None:
-        known = ", ".join(EVAL_REGISTRY)
-        raise ConfigError(f"unknown identity {args.identity!r}; known: {known}")
-    spec_params, defaults, fn, default_trunc = entry
+    spec_params, defaults, fn, default_trunc = _lookup(EVAL_REGISTRY, args.identity)
     given = _parse_overrides(spec_params, extras, multi=False)
-    params: Dict[str, object] = {}
+    params: Dict[str, object] = {}  # in parameter order
     for ps in spec_params:
-        if ps.name in given:
-            params[ps.name] = given[ps.name][0]
-        elif ps.name in defaults:
-            params[ps.name] = defaults[ps.name]
-        else:
+        if ps.name not in given and ps.name not in defaults:
             raise ConfigError(f"missing required parameter --{ps.name}")
+        params[ps.name] = given[ps.name][0] if ps.name in given else defaults[ps.name]
     d = args.trunc if args.trunc is not None else default_trunc
     try:
-        value = fn(params, d)
+        value = fn(*params.values(), *(() if default_trunc is None else (Truncation(d),)))
     except QIdentError as ex:
         raise ConfigError(f"{type(ex).__name__}: {ex}")
     except ValueError as ex:
         raise ConfigError(str(ex))
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write(render(value) + "\n")
-    finally:
-        if owned:
-            stream.close()
     return 0
-
-
-# --- argument parsing ---------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
-        prog="qident",
-        description="verify q-series identity families on parameter sweeps",
-    )
+        prog="qident", description="verify q-series identity families on parameter sweeps")
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
+    # parameters share the options' namespace: --f is sears's f, never --format
+    pv = sub.add_parser("verify", help="sweep one identity family", allow_abbrev=False)
+    pt = sub.add_parser("tree", help="expand and verify a transform tree")
+    pe = sub.add_parser("eval", help="evaluate one object to canonical text")
+    ps_ = sub.add_parser("suite", help="run every family on its default grid")
+    for p in (pv, pe):
+        p.add_argument("identity")
         p.add_argument("--trunc", type=int, default=None, metavar="D",
                        help="truncation degree for series families")
-        p.add_argument("--jobs", type=int, default=1, metavar="W",
-                       help="evaluate points with W worker processes")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the report stream to PATH instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--timing", action="store_true",
-                       help="record real elapsed_ms (breaks byte determinism)")
-
-    pv = sub.add_parser("verify", help="sweep one identity family")
-    pv.add_argument("identity")
     pv.add_argument("--include-exceptional", action="store_true",
                     help="record both sides on skipped exceptional points")
-    common(pv)
-
-    pt = sub.add_parser("tree", help="expand and verify a transform tree")
+    for p in (pv, ps_):
+        p.add_argument("--jobs", type=int, default=1, metavar="W",
+                       help="evaluate points with W worker processes")
+        p.add_argument("--timing", action="store_true",
+                       help="record real elapsed_ms (breaks byte determinism)")
+    for p in (pv, pt, pe, ps_):
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write the output to PATH instead of stdout")
+    for p in (pv, pt, ps_):
+        p.add_argument("--format", choices=("json", "text"), default="json")
     pt.add_argument("--depth", type=int, default=2)
     pt.add_argument("--N", type=int, default=1)
     pt.add_argument("--sigma", type=int, default=0)
-    pt.add_argument("--grid", type=int, default=2,
-                    help="verification grid bound per node")
-    pt.add_argument("--out", default=None, metavar="PATH")
-    pt.add_argument("--format", choices=("json", "text"), default="json")
-
-    pe = sub.add_parser("eval", help="evaluate one object to canonical text")
-    pe.add_argument("identity")
-    pe.add_argument("--trunc", type=int, default=None, metavar="D")
-    pe.add_argument("--out", default=None, metavar="PATH")
-
-    ps_ = sub.add_parser("suite", help="run every family on its default grid")
-    ps_.add_argument("--jobs", type=int, default=1, metavar="W")
-    ps_.add_argument("--out", default=None, metavar="PATH")
-    ps_.add_argument("--format", choices=("json", "text"), default="json")
-    ps_.add_argument("--timing", action="store_true")
-
+    pt.add_argument("--grid", type=int, default=2, help="verification grid bound per node")
     return top
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args, extras = parser.parse_known_args(argv)
+        args, extras = _build_parser().parse_known_args(argv)
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:

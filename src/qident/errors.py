@@ -6,6 +6,8 @@ for flow control on valid inputs.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class QIdentError(Exception):
     """Base class for all package-specific errors."""
@@ -25,6 +27,23 @@ class NonPolynomial(QIdentError):
 
 class InvalidParams(QIdentError):
     """Parameter set violates the stated integrality or range constraints."""
+
+
+class Checked:
+    """A parameter record whose constraints are listed once, in violation().
+
+    violation() returns the first violated constraint as a message, or None;
+    validate() raises it.  A caller that only asks whether a point lies in the
+    domain reads violation() and never catches an exception.
+    """
+
+    def violation(self) -> Optional[str]:
+        raise NotImplementedError
+
+    def validate(self) -> None:
+        problem = self.violation()
+        if problem is not None:
+            raise InvalidParams(problem)
 
 
 class UnbalancedParameters(QIdentError):

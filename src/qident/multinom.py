@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
-from .errors import InvalidParams, NonPolynomial, StabilizationFailure
+from .errors import Checked, InvalidParams, NonPolynomial, StabilizationFailure
 from .lattice import CartanData, _vectors_summing_at_most, axis_source, cartan, system_sum
 from .qbinom import qbin
 from .qpoly import (
@@ -41,7 +41,7 @@ Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
-class MultinomialQuery:
+class MultinomialQuery(Checked):
     N: int
     L: int
     a: Rational
@@ -50,20 +50,21 @@ class MultinomialQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", norm_rat(self.a))
 
-    def validate(self) -> None:
+    def violation(self) -> Optional[str]:
         if self.N < 1:
-            raise InvalidParams("N must be >= 1")
+            return "N must be >= 1"
         if self.L < 0:
-            raise InvalidParams("L must be >= 0")
+            return "L must be >= 0"
         two_a = 2 * Fraction(self.a)
         if two_a.denominator != 1:
-            raise InvalidParams("a must be a half-integer")
+            return "a must be a half-integer"
         if abs(two_a.numerator) > self.N * self.L:
-            raise InvalidParams("2a must lie in [-NL, NL]")
+            return "2a must lie in [-NL, NL]"
         if (two_a.numerator - self.N * self.L) % 2:
-            raise InvalidParams("2a must have the parity of NL")
+            return "2a must have the parity of NL"
         if not 0 <= self.n_index < self.N:
-            raise InvalidParams("n_index must lie in [0, N-1]")
+            return "n_index must lie in [0, N-1]"
+        return None
 
 
 def _t_sum(cd: CartanData, L: int, a: Fraction, n_index: int) -> QPoly:

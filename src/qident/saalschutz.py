@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
-from .errors import InvalidParams, UnbalancedParameters
+from .errors import Checked, UnbalancedParameters
 from .lattice import axis_source, cartan, system_sum
 from .qbinom import qbin, qbin_mod_tb
 from .qpoly import ONE, ZERO, QPoly, as_int, half_int, mul, norm_rat
@@ -26,8 +26,7 @@ from .qpoly import ONE, ZERO, QPoly, as_int, half_int, mul, norm_rat
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class ClassicParams:
+class ClassicParams(NamedTuple):  # a tuple: cheap to build once per sweep point
     L1: int
     L2: int
     M: int
@@ -35,7 +34,7 @@ class ClassicParams:
 
 
 @dataclass(frozen=True)
-class SaalschutzParams:
+class SaalschutzParams(Checked):
     N: int
     sigma: int
     ell: int
@@ -47,19 +46,20 @@ class SaalschutzParams:
         object.__setattr__(self, "L1", norm_rat(self.L1))
         object.__setattr__(self, "L2", norm_rat(self.L2))
 
-    def validate(self) -> None:
+    def violation(self) -> Optional[str]:
         if self.N < 1:
-            raise InvalidParams("N must be >= 1")
+            return "N must be >= 1"
         if self.sigma not in (0, 1):
-            raise InvalidParams("sigma must be 0 or 1")
+            return "sigma must be 0 or 1"
         if (self.ell + self.sigma * self.N) % 2:
-            raise InvalidParams("ell + sigma*N must be even")
+            return "ell + sigma*N must be even"
         half = Fraction(self.ell + self.sigma, 2)
         for name, L in (("L1", self.L1), ("L2", self.L2)):
             if L < 0:
-                raise InvalidParams(f"{name} must be >= 0")
+                return f"{name} must be >= 0"
             if (Fraction(L) + half).denominator != 1:
-                raise InvalidParams(f"{name} + (ell+sigma)/2 must be an integer")
+                return f"{name} + (ell+sigma)/2 must be an integer"
+        return None
 
 
 # --- classical summation ----------------------------------------------------

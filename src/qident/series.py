@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
-from .errors import InvalidParams, StabilizationFailure
+from .errors import Checked, InvalidParams, StabilizationFailure
 from .lattice import axis_source, cartan, system_sum
 from .multinom import abf_config_sum
 from .qpoly import (
@@ -39,41 +39,43 @@ from .qpoly import (
 
 
 @dataclass(frozen=True)
-class BaileyPairQuery:
+class BaileyPairQuery(Checked):
     N: int
     ell: int
     M: Optional[int]
     sigma: int
     trunc: Truncation
 
-    def validate(self) -> None:
+    def violation(self) -> Optional[str]:
         if self.N < 1:
-            raise InvalidParams("N must be >= 1")
+            return "N must be >= 1"
         if self.ell < 0:
-            raise InvalidParams("ell must be >= 0")
+            return "ell must be >= 0"
         if self.M is not None and self.M < 0:
-            raise InvalidParams("M must be >= 0 or None for unbounded")
+            return "M must be >= 0 or None for unbounded"
         if self.sigma not in (0, 1):
-            raise InvalidParams("sigma must be 0 or 1")
+            return "sigma must be 0 or 1"
+        return None
 
 
 @dataclass(frozen=True)
-class StringFunctionQuery:
+class StringFunctionQuery(Checked):
     N: int
     m: int
     ell: int
     sigma: int
     trunc: Truncation
 
-    def validate(self) -> None:
+    def violation(self) -> Optional[str]:
         if self.N < 1:
-            raise InvalidParams("N must be >= 1")
+            return "N must be >= 1"
         if not 0 <= self.ell <= self.N:
-            raise InvalidParams("ell must lie in [0, N]")
+            return "ell must lie in [0, N]"
         if (self.m - self.ell) % 2:
-            raise InvalidParams("m must have the parity of ell")
+            return "m must have the parity of ell"
         if self.sigma not in (0, 1):
-            raise InvalidParams("sigma must be 0 or 1")
+            return "sigma must be 0 or 1"
+        return None
 
 
 def _eta_shell(cd, offset: Fraction, cap) -> Iterator[Tuple[Tuple[int, ...], Fraction]]:

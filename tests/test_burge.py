@@ -33,9 +33,9 @@ from qident.burge import (
     transform_traf1,
     transform_traf2,
     transform_trafo,
-    tree_to_json,
     xn_nonintegral_skips,
 )
+from qident.cli import main
 from qident.errors import InvalidParams, SufficiencyViolated, UnknownClosedForm
 from qident.lattice import axis_source, cartan, enumerate_admissible
 from qident.qbinom import qbin
@@ -381,14 +381,16 @@ def test_tree_level_n_leaves():
             assert (nd.r, nd.s) == (parent.s, 2 * parent.r + parent.s)
 
 
-def test_tree_json_export_schema():
-    nodes = build_tree(2)
-    js = tree_to_json(nodes)
-    text = json.dumps(js)
-    back = json.loads(text)
+def test_tree_json_export_schema(tmp_path):
+    # the node rows of `qident tree` are the one JSON form of a tree
+    nodes = build_tree(2, n_lat=2)
+    out = tmp_path / "tree.json"
+    assert main(["tree", "--depth", "2", "--N", "2", "--out", str(out)]) == 0
+    back = json.loads(out.read_text())["nodes"]
     assert len(back) == len(nodes)
     for entry, nd in zip(back, nodes):
-        assert entry["labels"] == [nd.p, nd.pprime, nd.r, nd.s, nd.N, nd.sigma]
+        assert entry["labels"] + [entry["N"], entry["sigma"]] == [
+            nd.p, nd.pprime, nd.r, nd.s, nd.N, nd.sigma]
         assert entry["parent_index"] == nd.parent_index
         assert entry["transform_tag"] == nd.transform_tag
         assert entry["verified"] == nd.verified

@@ -10,12 +10,12 @@ from qident.cli import (
     EVAL_REGISTRY,
     REGISTRY,
     GRID_VERSION,
-    IdentitySpec,
+    Family,
     ParamSpec,
     main,
 )
-from qident.errors import QIdentError
-from qident.qpoly import ONE, ZERO
+from qident.errors import InvalidParams, QIdentError
+from qident.qpoly import ONE, ZERO, QPoly
 
 
 def run(argv, capsys):
@@ -80,11 +80,14 @@ def test_verify_qs2_include_exceptional(capsys):
 
 
 def test_qs2_exceptional_hidden_without_flag(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         ["verify", "qs2", "--L1", "-1", "--L2", "1", "--M", "1", "--ell", "-1"], capsys
     )
-    assert code == 0
-    rows, _ = rows_of(out)
+    # the one point is skipped, so nothing was checked: a vacuous run fails
+    assert code == 1
+    assert err == "qs2: no point was checked, so nothing was verified\n"
+    rows, summary = rows_of(out)
+    assert summary["exit_code"] == 1
     assert rows[0]["verdict"] == "skipped_precondition"
     assert "lhs_repr" not in rows[0] and "rhs_repr" not in rows[0]
 
@@ -132,14 +135,14 @@ def test_nonpositive_jobs_is_config_error(capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_checker_exception_is_one_error_row(capsys, monkeypatch, jobs):
-    spec = REGISTRY["qs2"]
+    fam = REGISTRY["qs2"]
 
-    def check(p, d, opts):
+    def sides(p, d):
         if p["M"] == 1:
             raise ZeroDivisionError("injected")
-        return spec.check(p, d, opts)
+        return fam.sides(p, d)
 
-    monkeypatch.setitem(REGISTRY, "qs2", dataclasses.replace(spec, check=check))
+    monkeypatch.setitem(REGISTRY, "qs2", dataclasses.replace(fam, sides=sides))
     code, out, err = run(["verify", "qs2", "--L1", "1", "--L2", "1", "--M", "0..2",
                           "--ell", "0", "--jobs", jobs], capsys)
     assert code == 1
@@ -150,7 +153,7 @@ def test_checker_exception_is_one_error_row(capsys, monkeypatch, jobs):
 
 
 def test_cbp_mismatch_reports_failing_L(capsys, monkeypatch):
-    monkeypatch.setattr("qident.cli.conjugate_pair_failure", lambda bq: (2, ONE, ZERO))
+    monkeypatch.setattr("qident.series.conjugate_pair_failure", lambda bq: (2, ONE, ZERO))
     code, out, _ = run(["verify", "series.cbp", "--N", "1", "--ell", "0",
                         "--sigma", "0", "--M", "3"], capsys)
     assert code == 1
@@ -258,22 +261,18 @@ def test_text_format_has_no_ansi_when_piped(capsys, monkeypatch):
 # --- exit-code contract with injected verdicts ---------------------------------------
 
 def _install_fake(outcomes):
-    def check(params, d, opts):
+    def sides(params, d):
         v = outcomes[params["i"]]
         if v == "equal":
-            return ("equal", None, None, None, None)
-        if v == "skipped_precondition":
-            return ("skipped_precondition", None, None, None, None)
+            return ONE, ONE
         if v == "mismatch":
-            return ("mismatch", "q", "0", "q", None)
+            return QPoly({1: 1}), ZERO
         raise QIdentError("synthetic failure")
 
-    spec = IdentitySpec(
-        "__fake", (ParamSpec("i", "int"),), check,
-        lambda: ({"i": i} for i in range(len(outcomes))),
-        {"i": tuple(range(len(outcomes)))},
+    REGISTRY["__fake"] = Family(
+        "__fake", (ParamSpec("i", "int"),), (("i", range(len(outcomes))),), sides,
+        lambda params: outcomes[params["i"]] != "skipped_precondition",
     )
-    REGISTRY["__fake"] = spec
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,7 +290,9 @@ def test_exit_code_contract(tmp_path_factory, outcomes):
     lines = [json.loads(ln) for ln in out_path.read_text().splitlines()]
     rows, summary = lines[:-1], lines[-1]
     bad = any(v in ("mismatch", "error") for v in outcomes)
-    assert code == (1 if bad else 0)
+    # a run with no equal or mismatch point checked nothing, so it fails too
+    checked = any(v in ("equal", "mismatch") for v in outcomes)
+    assert code == (1 if bad or not checked else 0)
     assert summary["exit_code"] == code
     for row, want in zip(rows, outcomes):
         assert row["verdict"] == want
@@ -310,3 +311,106 @@ def test_registry_ids_are_stable():
         "qpoly.partitions",
     ]
     assert set(EVAL_REGISTRY) >= {"qbin", "tmultinomial", "tnew", "x", "closed"}
+
+
+# --- one precondition stage, one grid rule -------------------------------------------
+
+@pytest.mark.parametrize("target,family,errors,skips", [
+    ("qident.multinom.half_int", "multinom.diff", 145, 0),
+    ("qident.series.inv_qpoch", "series.limlm", 16, 14),
+    ("qident.series.inv_qpoch", "series.cbp", 54, 0),
+])
+def test_internal_fault_is_an_error_not_a_skip(capsys, monkeypatch, target, family,
+                                                errors, skips):
+    def broken(*args, **kwargs):
+        raise InvalidParams("injected fault")
+
+    monkeypatch.setattr(target, broken)
+    code, out, err = run(["verify", family], capsys)
+    assert code == 1
+    rows, summary = rows_of(out)
+    # only the declared precondition skips (limlm's parity rule); every
+    # point past it reaches the broken helper and becomes an error row
+    assert (summary["error"], summary["skipped_precondition"]) == (errors, skips)
+    assert summary["equal"] == 0 and summary["exit_code"] == 1
+    assert "InvalidParams: injected fault" in err
+
+
+def test_override_fills_unnamed_axes_from_the_grid(capsys):
+    code, out, _ = run(["verify", "burge.traf1", "--M", "2"], capsys)
+    _, summary = rows_of(out)
+    assert code == 0 and summary["total"] == summary["equal"] == 36
+
+    code, out, _ = run(["verify", "burge.bt", "--M1", "1", "--L1", "1",
+                        "--M2", "1", "--L2", "1"], capsys)
+    rows, _ = rows_of(out)
+    assert code == 0
+    assert [tuple(r["params"][k] for k in ("p", "pprime", "r", "s")) for r in rows] == [
+        (1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1)]
+
+    # the parity rule on ell and the half-integer rule on L1, L2 follow N
+    code, out, _ = run(["verify", "gensum", "--N", "5"], capsys)
+    _, summary = rows_of(out)
+    assert code == 0
+    assert summary["total"] == summary["equal"] == 2268
+
+
+def test_override_names_part_of_a_joint_axis(capsys):
+    # naming p splits the label tuples: the unnamed labels sweep their own values
+    code, out, _ = run(["verify", "burge.bt", "--p", "1", "--M1", "0", "--L1", "0",
+                        "--M2", "0", "--L2", "0"], capsys)
+    rows, _ = rows_of(out)
+    assert code == 0
+    assert [tuple(r["params"][k] for k in ("p", "pprime", "r", "s")) for r in rows] == [
+        (1, 2, 0, 1), (1, 2, 1, 1), (1, 3, 0, 1), (1, 3, 1, 1)]
+
+
+def test_full_override_crosses_in_parameter_order(capsys):
+    # the default grid of series.strings runs ell-major; naming every axis
+    # gives the plain cross product in parameter order (N, m, ell)
+    code, out, _ = run(["verify", "series.strings", "--N", "2", "--m", "0,1",
+                        "--ell", "0..2", "--trunc", "4"], capsys)
+    rows, _ = rows_of(out)
+    assert [(r["params"]["m"], r["params"]["ell"]) for r in rows] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert {r["verdict"] for r in rows if (r["params"]["m"] - r["params"]["ell"]) % 2} == {
+        "skipped_precondition"}
+
+
+def test_parameter_named_like_an_option_prefix(capsys):
+    # sears has a parameter f, which must not be read as an abbreviated --format
+    code, out, _ = run(["verify", "sears", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
+                        "--e", "0", "--f", "0", "--g", "0"], capsys)
+    assert code == 0
+    rows, summary = rows_of(out)
+    assert rows[0]["params"]["f"] == 0 and summary["equal"] == 1
+
+
+def test_suite_fails_a_family_that_checked_nothing(capsys, monkeypatch):
+    fake = Family("__fake", (ParamSpec("i", "int"),), (("i", range(3)),),
+                  lambda params, d: (ONE, ONE), lambda params: False)
+    monkeypatch.setattr("qident.cli.REGISTRY", {"__fake": fake})
+    code, out, err = run(["suite"], capsys)
+    assert code == 1
+    assert err == "__fake: no point was checked, so nothing was verified\n"
+    summaries = [json.loads(ln) for ln in out.splitlines() if '"summary"' in ln]
+    assert [(s["identity_id"], s["exit_code"]) for s in summaries] == [("__fake", 1), ("suite", 1)]
+
+
+def test_tree_mismatch_carries_the_failing_node(capsys, monkeypatch):
+    from qident import burge
+
+    real = burge.closed_form
+
+    def wrong(name, M, L, n_lat=1, sigma=0):
+        value = real(name, M, L, n_lat, sigma)
+        return value + ONE if name == "euler" and M == 1 else value
+
+    monkeypatch.setattr("qident.burge.closed_form", wrong)
+    code, out, _ = run(["verify", "burge.tree"], capsys)
+    assert code == 1
+    rows, _ = rows_of(out)
+    # node 2 is (2,3,1,1), the euler node; its first failing point is (M, L) = (1, 0)
+    assert rows[0]["verdict"] == "mismatch"
+    assert rows[0]["witness"] == {"node": 2, "M": 1, "L": 0}
+    assert (rows[0]["lhs_repr"], rows[0]["rhs_repr"], rows[0]["diff_repr"]) == ("1", "2", "-1")

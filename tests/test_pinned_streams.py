@@ -1,0 +1,60 @@
+"""The report streams that the default grids and the benchmark's override
+sweeps produce, pinned byte for byte.
+
+Each pin belongs to one GRID_VERSION: a deliberate grid change bumps the
+version and records its new streams here, and any other change must leave
+these bytes alone.
+"""
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from qident.cli import GRID_VERSION, main
+
+# grid version -> stream -> (sha256, line count)
+PINNED = {
+    "1": {
+        "suite": ("d62c9d54b6e61f3c125c2e48fb2012a6c0db18bdb33cc8235e5102ad97ecf9ef", 43654),
+        "series-deep": ("3e7b3feb245a15746260018ad65e63d0f598a9e8563084649bcf0dbbf179b024", 65),
+    },
+}
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stream(commands, tmp_path) -> bytes:
+    out = b""
+    for i, cmd in enumerate(commands):
+        path = tmp_path / f"part{i}.jsonl"
+        assert main(list(cmd) + ["--out", str(path)]) == 0
+        out += path.read_bytes()
+    return out
+
+
+def _assert_pinned(name: str, data: bytes) -> None:
+    assert GRID_VERSION in PINNED, "a GRID_VERSION bump must pin its streams here"
+    sha, lines = PINNED[GRID_VERSION][name]
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == sha
+
+
+def test_suite_stream_is_pinned(tmp_path):
+    _assert_pinned("suite", _stream([("suite", "--jobs", "1")], tmp_path))
+
+
+def test_series_deep_override_streams_are_pinned(tmp_path):
+    # every axis named: the override path, including the m-major order of
+    # series.strings against its ell-major default grid
+    workloads = _load_workloads()
+    commands = workloads.build("series-deep", workloads.DEFAULT_SEED).commands
+    assert len(commands) == 3
+    _assert_pinned("series-deep", _stream(commands, tmp_path))
