@@ -11,32 +11,39 @@ says.  An override sweep crosses the named axes first, in parameter order,
 and fills each unnamed axis by its grid rule; naming nothing gives the
 default grid, versioned via GRID_VERSION.
 
-Reports are one JSON object per line with a summary object last.  A stream
-is byte-identical across runs for a fixed configuration: grids iterate in a
-fixed order, workers hand results back through an order-restoring map, and
-elapsed_ms stays 0 unless timing is requested explicitly.
+Reports are one JSON object per line with a summary object last.  Workers
+(the parent, at one job) render chunks of rows, at most 2 x jobs in flight,
+and the parent writes them in submission order: a stream is byte-identical
+across runs for a fixed configuration, and elapsed_ms stays 0 unless timing
+is requested explicitly.  A summary's elapsed_ms then runs from the queueing
+of the family's first chunk to the reading of its last: at one job that is
+the family's own sweep, in a pool it overlaps the families next to it.
 
 Exit codes: 0 when no point mismatches or errors and at least one point was
-checked, 1 otherwise (a suite takes the worst of its families), 2 for
-configuration problems (unknown family, malformed or empty ranges,
-oversized sweeps, out-of-range flags).
+checked, 1 otherwise (a suite takes the worst of its families) or when the
+reader of stdout goes away, 2 for configuration problems (unknown family,
+malformed or empty ranges, oversized sweeps, out-of-range flags, --trunc
+where nothing is truncated).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 import time
 import traceback
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import burge, multinom, qpoly, saalschutz, series
 from .errors import InvalidParams, QIdentError
@@ -113,7 +120,7 @@ def _parse_values(text: str, ps: ParamSpec) -> List:
 def _encode_value(v):
     if v is None:
         return "inf"
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:  # not isinstance: the numbers ABCs make that slow per value
         return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     return v
 
@@ -420,11 +427,13 @@ EVAL_REGISTRY: Dict[str, Tuple[Tuple[ParamSpec, ...], Dict, Callable, Optional[i
 # --- sweep execution ----------------------------------------------------------------
 
 
-def _points_for(fam: Family, ranges: Dict[str, List]) -> List[Tuple]:
-    """Point values in parameter order: the named axes crossed first, in
+def _points_for(fam: Family, ranges: Dict[str, List]) -> Tuple[int, Iterator[Tuple]]:
+    """The point count, taken before any point is built, and a lazy walk over
+    the point values in parameter order: the named axes crossed first, in
     parameter order, then every unnamed axis by its grid rule, in grid order."""
     if not ranges and fam.sample is not None:
-        return list(fam.sample())
+        points = list(fam.sample())
+        return len(points), iter(points)
     axes: List[Tuple] = [((n,), ranges[n]) for n in fam.names if n in ranges]
     for key, values in fam.axes:
         names = (key,) if isinstance(key, str) else key
@@ -433,23 +442,26 @@ def _points_for(fam: Family, ranges: Dict[str, List]) -> List[Tuple]:
             axes.append((names, values))
         else:  # a joint axis named in part: each unnamed column sweeps its own values
             axes.extend(((names[i],), tuple(dict.fromkeys(t[i] for t in values))) for i in free)
-    points: List[Tuple] = []
+    split = len(axes)  # the trailing plain axes (one name, fixed values) count by product
+    while split and len(axes[split - 1][0]) == 1 and not callable(axes[split - 1][1]):
+        split -= 1
     point: Dict[str, object] = {}
 
-    def walk(depth: int) -> None:
+    def leaves(axes: List[Tuple], depth: int = 0) -> Iterator[None]:
+        """Set `point` to each choice of the axes in turn."""
         if depth == len(axes):
-            if len(points) == MAX_SWEEP_POINTS:
-                raise ConfigError(f"sweep would exceed {MAX_SWEEP_POINTS} points; "
-                                  "narrow the ranges")
-            points.append(tuple(point[n] for n in fam.names))
+            yield None
             return
         names, values = axes[depth]
         for v in values(point) if callable(values) else values:
             point.update(zip(names, v) if len(names) > 1 else ((names[0], v),))
-            walk(depth + 1)
+            yield from leaves(axes, depth + 1)
 
-    walk(0)
-    return points
+    head_choices = sum(1 for _ in islice(leaves(axes[:split]), MAX_SWEEP_POINTS + 1))
+    count = math.prod(len(values) for _, values in axes[split:]) * head_choices
+    if count > MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep would exceed {MAX_SWEEP_POINTS} points; narrow the ranges")
+    return count, (tuple([point[n] for n in fam.names]) for _ in leaves(axes))
 
 
 def _verdict(fam: Family, params: Dict, d: Optional[int], opts: Dict) -> Dict[str, object]:
@@ -473,14 +485,12 @@ def _verdict(fam: Family, params: Dict, d: Optional[int], opts: Dict) -> Dict[st
             "witness": witness[0] if witness else None}
 
 
-def _eval_point(task):
-    ident, values, d, opts = task
-    fam = REGISTRY[ident]
+def _eval_point(fam: Family, values: Tuple, d, opts: Dict):
+    """One report row and its stderr note (None unless the point raised)."""
     params = dict(zip(fam.names, values))
     if isinstance(d, str):
         d = params[d]
-    t0 = time.perf_counter()
-    note = None
+    t0, note = time.perf_counter(), None
     try:
         fields = _verdict(fam, params, d, opts)
     except Exception as ex:  # one failing point is an error row, never an aborted sweep
@@ -488,86 +498,104 @@ def _eval_point(task):
         note = f"{type(ex).__name__}: {ex}"
         if not isinstance(ex, QIdentError):
             note += "\n" + traceback.format_exc().rstrip()
-    row: Dict[str, object] = {
-        "identity_id": ident,
-        "params": {k: _encode_value(v) for k, v in params.items()},
-        **{k: v for k, v in fields.items() if v is not None},
-    }
-    row["elapsed_ms"] = int((time.perf_counter() - t0) * 1000) if opts.get("timing") else 0
-    return row, note
+    elapsed = int((time.perf_counter() - t0) * 1000) if opts["timing"] else 0
+    encoded = {k: _encode_value(v) for k, v in params.items()}
+    return {"identity_id": fam.identity_id, "params": encoded,
+            **{k: v for k, v in fields.items() if v is not None}, "elapsed_ms": elapsed}, note
 
 
 _COLORS = {"equal": "\x1b[32m", "mismatch": "\x1b[31m", "error": "\x1b[31m",
            "skipped_precondition": "\x1b[33m"}
 
 
-class _Sink:
-    def __init__(self, stream, fmt: str):
-        self.stream = stream
-        self.fmt = fmt
-        self.color = (fmt == "text" and os.environ.get("NO_COLOR") is None
-                      and hasattr(stream, "isatty") and stream.isatty())
-
-    def row(self, row: Dict) -> None:
-        if self.fmt == "json":
-            self.stream.write(json.dumps(row) + "\n")
-            return
-        verdict = row["verdict"]
-        if self.color and verdict in _COLORS:
-            verdict = f"{_COLORS[verdict]}{verdict}\x1b[0m"
-        parts = [verdict, row["identity_id"]]
-        parts.extend(f"{k}={v}" for k, v in row["params"].items())
-        if "truncation" in row:
-            parts.append(f"D={row['truncation']}")
-        if "diff_repr" in row:
-            parts.append(f"diff[{row['diff_repr']}]")
-        elif "lhs_repr" in row:
-            parts.append(f"lhs[{row['lhs_repr']}] rhs[{row['rhs_repr']}]")
-        self.stream.write(" ".join(parts) + "\n")
-
-    def summary(self, ident: str, counts: Dict[str, int], exit_code: int, elapsed_ms: int):
-        total = sum(counts.values())
-        if self.fmt == "json":
-            obj = {"summary": True, "identity_id": ident, "grid_version": GRID_VERSION,
-                   "total": total, **counts, "exit_code": exit_code, "elapsed_ms": elapsed_ms}
-            self.stream.write(json.dumps(obj) + "\n")
-            return
-        tally = " ".join(f"{k}={v}" for k, v in counts.items())
-        self.stream.write(f"# {ident}: total={total} {tally} exit={exit_code}\n")
+def _row_line(row: Dict, opts: Dict) -> str:
+    if opts["format"] == "json":
+        return json.dumps(row) + "\n"
+    verdict = row["verdict"]
+    if opts["color"] and verdict in _COLORS:
+        verdict = f"{_COLORS[verdict]}{verdict}\x1b[0m"
+    parts = [verdict, row["identity_id"], *(f"{k}={v}" for k, v in row["params"].items())]
+    if "truncation" in row:
+        parts.append(f"D={row['truncation']}")
+    if "diff_repr" in row:
+        parts.append(f"diff[{row['diff_repr']}]")
+    elif "lhs_repr" in row:
+        parts.append(f"lhs[{row['lhs_repr']}] rhs[{row['rhs_repr']}]")
+    return " ".join(parts) + "\n"
 
 
-def _sweep_exit(counts: Dict[str, int]) -> int:
-    """0 only when nothing failed and the verdict rests on a checked point."""
-    clean = counts["mismatch"] == 0 and counts["error"] == 0
-    return 0 if clean and counts["equal"] > 0 else 1
+def _summary_line(ident: str, counts: Counter, code: int, elapsed_ms: int, fmt: str) -> str:
+    counts = {k: counts[k] for k in _VERDICTS}
+    total = sum(counts.values())
+    if fmt == "json":
+        return json.dumps({"summary": True, "identity_id": ident, "grid_version": GRID_VERSION,
+                           "total": total, **counts, "exit_code": code,
+                           "elapsed_ms": elapsed_ms}) + "\n"
+    tally = " ".join(f"{k}={v}" for k, v in counts.items())
+    return f"# {ident}: total={total} {tally} exit={code}\n"
 
 
-def _run_family(fam: Family, ranges: Dict[str, List], opts: Dict, sink: _Sink,
-                pool: Optional[ProcessPoolExecutor]) -> Dict[str, int]:
-    """Sweep one family; empty ranges mean its default grid."""
-    points = _points_for(fam, ranges)
-    d = opts["trunc"] if opts["trunc"] is not None and isinstance(fam.trunc, int) else fam.trunc
-    tasks = ((fam.identity_id, values, d, opts) for values in points)
-    counts = dict.fromkeys(_VERDICTS, 0)
+def _eval_chunk(ident: str, chunk: List[Tuple], d, opts: Dict):
+    """A chunk's rows rendered as one string, its verdict counts and its notes."""
+    fam = REGISTRY[ident]
+    rows = [_eval_point(fam, values, d, opts) for values in chunk]
+    return ("".join(_row_line(row, opts) for row, _ in rows),
+            Counter(row["verdict"] for row, _ in rows),
+            [f"{ident} {row['params']}: {note}" for row, note in rows if note])
+
+
+class _Pipeline:
+    """The parent side of a sweep: chunks run in the pool (at one job, in-process
+    when drained), at most 2 x jobs in flight across families; their strings are
+    written in submission order, and a family's summary after its last chunk."""
+
+    def __init__(self, stream, opts: Dict, pool: Optional[ProcessPoolExecutor], jobs: int):
+        self.stream, self.opts, self.limit = stream, opts, 2 * jobs
+        self.submit = partial if pool is None else lambda *task: pool.submit(*task).result
+        self.window: deque = deque()  # a result getter per chunk, (ident, t0) per family end
+        self.counts, self.total, self.exit_code = Counter(), Counter(), 0
+
+    def drain(self, keep: int) -> None:
+        """Write finished work from the front until at most `keep` entries remain;
+        a family end that reaches the front writes that family's summary."""
+        while len(self.window) > keep or self.window and isinstance(self.window[0], tuple):
+            item = self.window.popleft()
+            if not isinstance(item, tuple):
+                text, counts, notes = item()
+                self.stream.write(text)
+                self.counts.update(counts)
+                for note in notes:
+                    print(note, file=sys.stderr)
+                continue
+            (ident, t0), counts, self.counts = item, self.counts, Counter()
+            if counts["equal"] + counts["mismatch"] == 0:
+                print(f"{ident}: no point was checked, so nothing was verified", file=sys.stderr)
+            # 0 only when nothing failed and the verdict rests on a checked point
+            code = 0 if counts["mismatch"] == counts["error"] == 0 < counts["equal"] else 1
+            elapsed = int((time.perf_counter() - t0) * 1000) if self.opts["timing"] else 0
+            self.stream.write(_summary_line(ident, counts, code, elapsed, self.opts["format"]))
+            self.exit_code = max(self.exit_code, code)
+            self.total.update(counts)
+
+
+def _run_family(fam: Family, ranges: Dict[str, List], opts: Dict, pipe: _Pipeline) -> None:
+    """Queue one family's chunks, then its end; empty ranges mean its default grid."""
+    count, points = _points_for(fam, ranges)
+    d = fam.trunc if opts["trunc"] is None else opts["trunc"]
     t0 = time.perf_counter()
-    results = (map(_eval_point, tasks) if pool is None
-               else pool.map(_eval_point, tasks, chunksize=max(1, len(points) // 256)))
-    for row, note in results:
-        counts[row["verdict"]] += 1
-        sink.row(row)
-        if note:
-            print(f"{fam.identity_id} {row['params']}: {note}", file=sys.stderr)
-    if counts["equal"] + counts["mismatch"] == 0:
-        print(f"{fam.identity_id}: no point was checked, so nothing was verified", file=sys.stderr)
-    elapsed = int((time.perf_counter() - t0) * 1000) if opts["timing"] else 0
-    sink.summary(fam.identity_id, counts, _sweep_exit(counts), elapsed)
-    return counts
+    # 64 points at least amortize a chunk's round trip; a big sweep gets 256 chunks
+    while chunk := list(islice(points, max(64, count // 256))):
+        pipe.drain(pipe.limit - 1)
+        pipe.window.append(pipe.submit(_eval_chunk, fam.identity_id, chunk, d, opts))
+    pipe.window.append((fam.identity_id, t0))
+    pipe.drain(pipe.limit - 1)  # at one job, the summary before the next family is counted
 
 
 @contextmanager
 def _output(path: Optional[str]):
     if path is None:
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe shows here, inside main, not at exit
     else:
         with open(path, "w") as stream:
             yield stream
@@ -575,19 +603,22 @@ def _output(path: Optional[str]):
 
 def _sweep(args, runs: Sequence[Tuple[Family, Dict]], opts: Dict, suite: bool) -> int:
     """Run families into one stream; the exit code is the worst of theirs."""
-    total = dict.fromkeys(_VERDICTS, 0)
-    exit_code = 0
-    with _output(args.out) as stream:
-        sink = _Sink(stream, args.format)
-        with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    try:
+        with _output(args.out) as stream:
+            color = (args.format == "text" and os.environ.get("NO_COLOR") is None
+                     and hasattr(stream, "isatty") and stream.isatty())
+            opts = {**opts, "format": args.format, "color": color}
+            pipe = _Pipeline(stream, opts, pool, args.jobs)
             for fam, ranges in runs:
-                counts = _run_family(fam, ranges, opts, sink, pool)
-                exit_code = max(exit_code, _sweep_exit(counts))
-                for k, v in counts.items():
-                    total[k] += v
-        if suite:
-            sink.summary("suite", total, exit_code, 0)
-    return exit_code
+                _run_family(fam, ranges, opts, pipe)
+            pipe.drain(0)
+            if suite:
+                stream.write(_summary_line("suite", pipe.total, pipe.exit_code, 0, args.format))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # leaving early drops the queued chunks
+    return pipe.exit_code
 
 
 # --- subcommands --------------------------------------------------------------------
@@ -627,6 +658,8 @@ def _lookup(table: Dict, name: str):
 
 def cmd_verify(args, extras) -> int:
     fam = _lookup(REGISTRY, args.identity)
+    if args.trunc is not None and not isinstance(fam.trunc, int):
+        raise ConfigError(f"--trunc does not apply to {fam.identity_id}, which has no degree D")
     ranges = _parse_overrides(fam.params, extras, multi=True)
     opts = {"trunc": args.trunc, "include_exceptional": args.include_exceptional,
             "timing": args.timing}
@@ -672,6 +705,8 @@ def cmd_tree(args) -> int:
 
 def cmd_eval(args, extras) -> int:
     spec_params, defaults, fn, default_trunc = _lookup(EVAL_REGISTRY, args.identity)
+    if args.trunc is not None and default_trunc is None:
+        raise ConfigError(f"--trunc does not apply to {args.identity}, which has no degree D")
     given = _parse_overrides(spec_params, extras, multi=False)
     params: Dict[str, object] = {}  # in parameter order
     for ps in spec_params:
@@ -744,6 +779,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left: stdout to devnull, the signal docs' recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from qident.cli import (
     GRID_VERSION,
     Family,
     ParamSpec,
+    _points_for,
     main,
 )
 from qident.errors import InvalidParams, QIdentError
@@ -106,9 +111,24 @@ def test_unknown_family_and_param(capsys):
 
 
 def test_oversized_sweep_rejected(capsys):
-    code, _, err = run(["verify", "sears", "--a", "0"], capsys)
-    assert code == 2
-    assert "narrow the ranges" in err
+    code, out, err = run(["verify", "sears", "--a", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: sweep would exceed 200000 points; narrow the ranges\n"
+
+
+@pytest.mark.parametrize("ident,ranges", [
+    *((ident, {}) for ident in REGISTRY),
+    ("gensum", {"N": [5]}),
+    ("burge.bt", {"p": [1], "M1": [0, 1]}),
+    ("series.strings", {"N": [2], "m": [0, 1], "ell": [0, 1, 2]}),
+    ("qs2", {"L1": [0, 1], "L2": [2], "M": [0, 1, 2], "ell": [-1, 1]}),
+])
+def test_point_count_matches_the_walk(ident, ranges):
+    # the count is taken before any point is built; it must be the walk's length
+    count, points = _points_for(REGISTRY[ident], ranges)
+    points = list(points)
+    assert count == len(points) > 0
+    assert all(len(values) == len(REGISTRY[ident].params) for values in points)
 
 
 def test_eval_unknown_and_missing(capsys):
@@ -124,6 +144,18 @@ def test_negative_trunc_is_config_error(capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == "error: --trunc must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["verify", "qs2", "--trunc", "4"],
+     "error: --trunc does not apply to qs2, which has no degree D\n"),
+    (["verify", "qpoly.partitions", "--trunc", "5"],
+     "error: --trunc does not apply to qpoly.partitions, which has no degree D\n"),
+    (["eval", "euler", "--limit", "10", "--trunc", "3"],
+     "error: --trunc does not apply to euler, which has no degree D\n"),
+])
+def test_trunc_where_nothing_is_truncated_is_config_error(capsys, argv, err):
+    assert run(argv, capsys) == (2, "", err)
 
 
 def test_nonpositive_jobs_is_config_error(capsys):
@@ -248,6 +280,90 @@ def test_parallel_matches_sequential(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parallel_text_matches_sequential(tmp_path):
+    a, b = tmp_path / "seq.txt", tmp_path / "par.txt"
+    args = ["verify", "burge.forms", "--format", "text"]
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_parallel_error_notes_keep_point_order(capsys, monkeypatch):
+    fam = REGISTRY["qs2"]
+
+    def sides(p, d):
+        if (p["L1"] + p["M"]) % 2 == 0:  # runs of ten errors, so chunks hold several
+            raise InvalidParams("injected")
+        return fam.sides(p, d)
+
+    monkeypatch.setitem(REGISTRY, "qs2", dataclasses.replace(fam, sides=sides))
+    argv = ["verify", "qs2", "--L1", "0..9", "--L2", "1", "--M", "0..5", "--ell", "0..9"]
+    notes = {}
+    for jobs in ("1", "2"):
+        code, out, err = run(argv + ["--jobs", jobs], capsys)
+        assert code == 1
+        notes[jobs] = err.splitlines()
+        errors = [r["params"] for r in rows_of(out)[0] if r["verdict"] == "error"]
+        assert notes[jobs] == [f"qs2 {p}: InvalidParams: injected" for p in errors]
+    assert notes["1"] == notes["2"] and len(notes["2"]) == 300
+
+
+def test_pool_keeps_at_most_two_chunks_per_worker(capsys, monkeypatch):
+    live, seen = set(), {"submitted": 0, "peak": 0}
+
+    class Counting(ProcessPoolExecutor):
+        # a chunk is outstanding from its submission until its result is read
+        def submit(self, fn, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            live.add(future)
+            seen["submitted"] += 1
+            seen["peak"] = max(seen["peak"], len(live))
+            read = future.result
+
+            def result(*a, **kw):
+                live.discard(future)
+                return read(*a, **kw)
+
+            future.result = result
+            return future
+
+    monkeypatch.setattr("qident.cli.ProcessPoolExecutor", Counting)
+    code, out, _ = run(["verify", "qs2", "--jobs", "2", "--L1", "-6..6", "--L2", "-6..6",
+                        "--M", "0..2", "--ell", "-6..6"], capsys)
+    assert code == 0 and rows_of(out)[1]["total"] == 6591
+    assert seen["submitted"] == 103 and seen["peak"] == 4 and not live
+
+
+@pytest.mark.parametrize("jobs,box,lines", [
+    # about 600 kB of rows, far more than a pipe holds: the reader leaves mid-sweep,
+    # like `| head -1`
+    ("1", "-6..6", 1), ("2", "-6..6", 1),
+    # one short row, held in the stdout buffer until the final flush; the reader
+    # is gone before the child starts
+    ("1", "1", 0),
+])
+def test_closed_pipe_exits_1_without_a_traceback(jobs, box, lines):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout buffered
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["verify", "qs2", "--jobs", jobs, "--L1", box, "--L2", box, "--M", "0..2",
+            "--ell", box]
+    read, write = os.pipe()
+    reader = os.fdopen(read, "rb")
+    if not lines:
+        reader.close()
+    proc = subprocess.Popen([sys.executable, "-c",
+                             "import sys; from qident.cli import main; sys.exit(main())", *argv],
+                            stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    for _ in range(lines):
+        assert reader.readline().startswith(b'{"identity_id": "qs2"')
+    reader.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_text_format_has_no_ansi_when_piped(capsys, monkeypatch):

@@ -51,6 +51,10 @@ def test_suite_stream_is_pinned(tmp_path):
     _assert_pinned("suite", _stream([("suite", "--jobs", "1")], tmp_path))
 
 
+def test_suite_stream_is_pinned_with_a_pool(tmp_path):
+    _assert_pinned("suite", _stream([("suite", "--jobs", "2")], tmp_path))
+
+
 def test_series_deep_override_streams_are_pinned(tmp_path):
     # every axis named: the override path, including the m-major order of
     # series.strings against its ell-major default grid
