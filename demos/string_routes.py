@@ -36,12 +36,12 @@ print(
 n, ell, m = 2, 0, 4
 sq = StringFunctionQuery(n, m, ell, 0, t)
 chi = Fraction((ell + 1) ** 2, 4 * (n + 2)) - Fraction(1, 8)
-bare_sp = string_spinon(sq).times_monomial(1, Fraction(m * m, 4 * n) - chi)
-bare_fe = string_fermionic(sq).times_monomial(1, Fraction(ell * ell, 4 * n) - chi)
+sp_exp, fe_exp = Fraction(m * m, 4 * n) - chi, Fraction(ell * ell, 4 * n) - chi
+bare_sp = string_spinon(sq).times_monomial(1, sp_exp.numerator, sp_exp.denominator)
+bare_fe = string_fermionic(sq).times_monomial(1, fe_exp.numerator, fe_exp.denominator)
 ratio = Fraction(ell * ell - m * m, 4 * n)
 cap = Truncation(D - 2 - abs(ratio))
-same = truncated_equal(
-    mul(bare_fe, ONE, cap), mul(bare_sp.times_monomial(1, ratio), ONE, cap), cap
-)
+shifted_sp = bare_sp.times_monomial(1, ratio.numerator, ratio.denominator)
+same = truncated_equal(mul(bare_fe, ONE, cap), mul(shifted_sp, ONE, cap), cap)
 print()
 print(f"bare sums at N={n} ell={ell} m={m}: fermionic = q^({ratio}) * spinon: {same}")

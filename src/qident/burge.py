@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .errors import Checked, InvalidParams, SufficiencyViolated, UnknownClosedForm
 from .lattice import axis_source, cartan, system_sum
 from .qbinom import qbin
-from .qpoly import ONE, ZERO, QPoly, as_int, mul, norm_rat
+from .qpoly import ONE, ZERO, QPoly, as_int, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 Evaluator4 = Callable[[int, int, int, int], QPoly]
@@ -77,9 +77,8 @@ class BurgeParams(Checked):
             return "(r-s)/N must be an integer"
         if (self.M12 + self.sigma * self.N) % 2:
             return "M1-M2 + sigma*N must be even"
-        half = Fraction(self.M12 + self.sigma, 2)
         for name, L in (("L1", self.L1), ("L2", self.L2)):
-            if (Fraction(L) + half).denominator != 1:
+            if 2 % L.denominator or (2 * L.numerator // L.denominator + self.M12 + self.sigma) % 2:
                 return f"{name} + (M1-M2+sigma)/2 must be an integer"
         return None
 
@@ -143,29 +142,34 @@ def xn_nonintegral_skips() -> int:
 
 
 def _xn_term(
-    cd, M1: int, M2: int, L1, L2, p: int, pp: int, n_lat: int, sigma: int,
-    j: int, shift: int, s_shift: Fraction,
+    cd, M1: int, M2: int, two_l1: int, two_l2: int, p: int, pp: int, n_lat: int, sigma: int,
+    j: int, shift: int, skew: int,
 ) -> QPoly:
-    """Inner eta-sum of one j-term; shift = 0 or r, s_shift = 0 or (r-s)/N."""
+    """Inner eta-sum of one j-term; shift = 0 or r, skew = 0 or r-s.
+
+    The binomial tops M1 + L1 - ((p'-p)j - skew)/N - (b2_bot - mu1)/2 and its
+    mirror are integer numerators over 2N; a fractional top counts a skip.
+    """
     b1_bot = M1 + p * j + shift
     b2_bot = M2 - p * j - shift
     v = axis_source(cd.rank, [(1, b1_bot), (cd.rank, b2_bot)])
-    offset = Fraction(M1 - M2 + 2 * p * j + 2 * shift + sigma * n_lat, 2 * n_lat)
-    base1 = Fraction(M1) + Fraction(L1) - Fraction((pp - p) * j, n_lat) + s_shift
-    base2 = Fraction(M2) + Fraction(L2) + Fraction((pp - p) * j, n_lat) - s_shift
+    offset = M1 - M2 + 2 * p * j + 2 * shift + sigma * n_lat
+    two_n, tilt = 2 * n_lat, 2 * ((pp - p) * j - skew)
+    base1 = n_lat * (2 * M1 + two_l1 - b2_bot) - tilt
+    base2 = n_lat * (2 * M2 + two_l2 - b1_bot) + tilt
 
     def weight(m):
         global _xn_nonintegral_skips
         mu1, mu_last = (m[0], m[-1]) if m else (b2_bot, b1_bot)
-        top1 = base1 - Fraction(b2_bot - mu1, 2)
-        top2 = base2 - Fraction(b1_bot - mu_last, 2)
-        if top1.denominator != 1 or top2.denominator != 1:
+        top1, rem1 = divmod(base1 + n_lat * mu1, two_n)
+        top2, rem2 = divmod(base2 + n_lat * mu_last, two_n)
+        if rem1 or rem2:
             _xn_nonintegral_skips += 1
             return ZERO
-        t = qbin(top1.numerator, b1_bot)
+        t = qbin(top1, b1_bot)
         if t.is_zero():
             return t
-        return mul(t, qbin(top2.numerator, b2_bot))
+        return mul(t, qbin(top2, b2_bot))
 
     return system_sum(cd, v, offset, weight)
 
@@ -173,23 +177,20 @@ def _xn_term(
 def burge_xn(bp: BurgeParams) -> QPoly:
     bp.validate()
     p, pp, r, s = bp.p, bp.pprime, bp.r, bp.s
-    M1, M2, L1, L2 = bp.M1, bp.M2, bp.L1, bp.L2
-    M12, N = bp.M12, bp.N
+    M1, M2, M12, N = bp.M1, bp.M2, bp.M12, bp.N
+    two_l1, two_l2 = twice(bp.L1, "L1"), twice(bp.L2, "L2")
     cd = cartan(N)
     total = ZERO
     for j in range(_ceil_div(-M1, p), M2 // p + 1):
-        inner = _xn_term(cd, M1, M2, L1, L2, p, pp, N, bp.sigma, j, 0, Fraction(0))
+        inner = _xn_term(cd, M1, M2, two_l1, two_l2, p, pp, N, bp.sigma, j, 0, 0)
         if inner.is_zero():
             continue
-        exp = Fraction(j * (p * pp * j + pp * (M12 + r) - p * s), N)
-        total = total + inner.times_monomial(1, exp)
-    s_shift = Fraction(r - s, N)
+        total = total + inner.times_monomial(1, j * (p * pp * j + pp * (M12 + r) - p * s), N)
     for j in range(_ceil_div(-M1 - r, p), (M2 - r) // p + 1):
-        inner = _xn_term(cd, M1, M2, L1, L2, p, pp, N, bp.sigma, j, r, s_shift)
+        inner = _xn_term(cd, M1, M2, two_l1, two_l2, p, pp, N, bp.sigma, j, r, r - s)
         if inner.is_zero():
             continue
-        exp = Fraction((p * j + M12 + r) * (pp * j + s), N)
-        total = total - inner.times_monomial(1, exp)
+        total = total - inner.times_monomial(1, (p * j + M12 + r) * (pp * j + s), N)
     return total
 
 
@@ -251,26 +252,25 @@ def transform_bt2(
 
 
 def _level_kernel_sum(
-    n_lat: int, sigma: int, M1: int, L1: Rational, M2: int, L2: Rational,
-    child_args, i_low: int,
+    n_lat: int, sigma: int, M1: int, M2: int, two_l12: int, child_args, i_low: int,
 ) -> QPoly:
-    """Shared body of the level-N transforms; child_args builds the four bounds."""
+    """Shared body of the level-N transforms; two_l12 = 2(L1+L2), child_args builds the bounds."""
     cd = cartan(n_lat)
     M12 = M1 - M2
     if (M12 + sigma * n_lat) % 2:
         raise InvalidParams("M1-M2 + sigma*N must be even")
-    l1l2 = as_int(Fraction(L1) + Fraction(L2), "L1+L2")
+    l1l2 = half_int(two_l12, "L1+L2")
     total = ZERO
     for i in range(i_low, M2 + 1):
         kernel = qbin(l1l2 + M2 - i, M2 - i)
         if kernel.is_zero():
             continue
         v = axis_source(cd.rank, [(1, 2 * i + M12)])
-        offset = Fraction(2 * i + M12 + sigma * n_lat, 2 * n_lat)
-        inner = system_sum(cd, v, offset, lambda m: child_args(i, m[0] if m else 0))
+        inner = system_sum(cd, v, 2 * i + M12 + sigma * n_lat,
+                           lambda m: child_args(i, m[0] if m else 0))
         if inner.is_zero():
             continue
-        total = total + mul(kernel, inner).times_monomial(1, Fraction(i * (i + M12), n_lat))
+        total = total + mul(kernel, inner).times_monomial(1, i * (i + M12), n_lat)
     return total
 
 
@@ -282,13 +282,14 @@ def transform_burgetrafo_n(
     """Level-N kernel over child(i+M12, L1-i+m1/2, i, L2-M12-i+m1/2)."""
     M12 = M1 - M2
     _check_sufficiency(labels, "suf", n_lat, M12, L1, L2, enforce)
+    two_l1, two_l2 = twice(L1, "L1"), twice(L2, "L2")
 
     def child_args(i: int, m1: int) -> QPoly:
-        a = as_int(Fraction(L1) - i + Fraction(m1, 2), "child L1")
-        b = as_int(Fraction(L2) - M12 - i + Fraction(m1, 2), "child L2")
+        a = half_int(two_l1 - 2 * i + m1, "child L1")
+        b = half_int(two_l2 - 2 * (M12 + i) + m1, "child L2")
         return child(i + M12, a, i, b)
 
-    return _level_kernel_sum(n_lat, sigma, M1, L1, M2, L2, child_args, _ceil_div(-M12, 2))
+    return _level_kernel_sum(n_lat, sigma, M1, M2, two_l1 + two_l2, child_args, _ceil_div(-M12, 2))
 
 
 def transform_trafo(
@@ -299,13 +300,14 @@ def transform_trafo(
     """Level-N kernel over child(L1-i+m1/2, i+M12, L2-M12-i+m1/2, i)."""
     M12 = M1 - M2
     _check_sufficiency(labels, "suf2", n_lat, M12, L1, L2, enforce)
+    two_l1, two_l2 = twice(L1, "L1"), twice(L2, "L2")
 
     def child_args(i: int, m1: int) -> QPoly:
-        a = as_int(Fraction(L1) - i + Fraction(m1, 2), "child M1")
-        b = as_int(Fraction(L2) - M12 - i + Fraction(m1, 2), "child M2")
+        a = half_int(two_l1 - 2 * i + m1, "child M1")
+        b = half_int(two_l2 - 2 * (M12 + i) + m1, "child M2")
         return child(a, i + M12, b, i)
 
-    return _level_kernel_sum(n_lat, sigma, M1, L1, M2, L2, child_args, _ceil_div(-M12, 2))
+    return _level_kernel_sum(n_lat, sigma, M1, M2, two_l1 + two_l2, child_args, _ceil_div(-M12, 2))
 
 
 def transform_traf1(
@@ -366,10 +368,6 @@ def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rationa
 
 # --- sufficiency predicates ---------------------------------------------------------
 
-def _floor_le(num_l: Fraction, den_l: Fraction, num_r: Fraction, den_r: Fraction) -> bool:
-    return math.floor(num_l / den_l) <= math.floor(num_r / den_r)
-
-
 def _suff(
     p: int, pprime: int, r: int, s: int, n_lat: int,
     m12: int, l1: Rational, l2: Rational, which: str,
@@ -382,7 +380,7 @@ def _suff(
     skew = Fraction(m12 * (n_lat - 1), 2 * n_lat)
 
     def line(a_num, b_num) -> bool:
-        return _floor_le(a_num, den_l, b_num, den_r)
+        return math.floor(a_num / den_l) <= math.floor(b_num / den_r)
 
     if which == "sufsym":
         if m12 != 0 or L1 != L2:
@@ -529,7 +527,7 @@ def closed_form(name: str, M: int, L: Rational, n_lat: int = 1, sigma: int = 0) 
 
 
 def _tadpole_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
-    two_l = as_int(2 * Fraction(L), "2L")
+    two_l = twice(L, "L")
     if n_lat % 2 and sigma != 0:
         raise InvalidParams("odd N forces sigma = 0 here")
     cd = cartan(n_lat, "tadpole")
@@ -539,15 +537,16 @@ def _tadpole_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
         if not _parity_ok(m, n_lat, sigma, flip=False):
             return ZERO
         m1 = m[0] if m else 0
-        return qbin(as_int(Fraction(L) + M - Fraction(m1, 2), "binomial top"), two_l)
+        return qbin(half_int(two_l + 2 * M - m1, "binomial top"), two_l)
 
-    # m C m / 4 = n Cinv n - v Cinv n + v Cinv v / 4 for m = Cinv (v - 2n), C symmetric
+    # m C m / 4 = n Cinv n - v Cinv n + v Cinv v / 4 for m = Cinv (v - 2n), C symmetric;
+    # the prefactor v Cinv v / 4 + L^2 is (qform(v) + cinv_den (2L)^2) / (4 cinv_den)
     total = system_sum(cd, v, None, weight, shift=v)
-    return total.times_monomial(1, cd.qform(v) / 4 + Fraction(L) * Fraction(L))
+    return total.times_monomial(1, cd.qform(v) + cd.cinv_den * two_l * two_l, 4 * cd.cinv_den)
 
 
 def _a_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
-    two_l = as_int(2 * Fraction(L), "2L")
+    two_l = twice(L, "L")
     if n_lat % 2 and sigma != 0:
         raise InvalidParams("odd N forces sigma = 0 here")
     cd = cartan(n_lat + 1, "a")  # rank N system
@@ -557,14 +556,14 @@ def _a_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
         if not _parity_ok(m, n_lat, sigma, flip=True):
             return ZERO
         m1 = m[0] if m else 0
-        return qbin(as_int(2 * Fraction(L) + M - Fraction(m1, 2), "binomial top"), two_l)
+        return qbin(half_int(2 * two_l + 2 * M - m1, "binomial top"), two_l)
 
     # exponent m C m / 4, rewritten as in _tadpole_form
-    return system_sum(cd, v, None, weight, shift=v).times_monomial(1, cd.qform(v) / 4)
+    return system_sum(cd, v, None, weight, shift=v).times_monomial(1, cd.qform(v), 4 * cd.cinv_den)
 
 
 def _rr_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
-    two_l = as_int(2 * Fraction(L), "2L")
+    two_l = twice(L, "L")
     cd = cartan(n_lat)
     total = ZERO
     for i in range(0, M + 1):
@@ -572,18 +571,18 @@ def _rr_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
         if outer.is_zero():
             continue
         v = axis_source(cd.rank, [(1, 2 * i)])
-        offset = Fraction(2 * i + sigma * n_lat, 2 * n_lat)
-        inner = system_sum(cd, v, offset, lambda m: qbin(two_l - i + (m[0] if m else 0), i))
+        inner = system_sum(cd, v, 2 * i + sigma * n_lat,
+                           lambda m: qbin(two_l - i + (m[0] if m else 0), i))
         if inner.is_zero():
             continue
-        total = total + mul(outer, inner).times_monomial(1, Fraction(i * i, n_lat))
+        total = total + mul(outer, inner).times_monomial(1, i * i, n_lat)
     return total
 
 
 def _slater_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
     if n_lat != 2:
         raise InvalidParams("this double sum is the N=2 display")
-    two_l = as_int(2 * Fraction(L), "2L")
+    two_l = twice(L, "L")
     total = ZERO
     for i in range(0, M + 1):
         outer = qbin(two_l + M - i, two_l)
@@ -596,7 +595,7 @@ def _slater_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
             if t.is_zero():
                 continue
             t = mul(outer, t)
-            total = total + t.times_monomial(1, Fraction(i * i + k * k, 2))
+            total = total + t.times_monomial(1, i * i + k * k, 2)
     return total
 
 

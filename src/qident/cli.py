@@ -4,8 +4,10 @@ trees, and evaluate single objects to canonical text.
 Each verify family is one declarative Family record.  Its axes, listed in
 grid order, are value sequences, rules over the values chosen before them
 (L = k + sigma/2, a parity filter on ell), or joint axes of label tuples.
-precondition(params) is the only source of skipped_precondition; once a
-point exists, anything raised makes it an error row.  sides(params, D)
+A family with a point function turns each point's values into its parameter
+record once; precondition and sides then take that record, otherwise the
+values by name.  precondition is the only source of skipped_precondition;
+once a point exists, anything raised makes it an error row.  sides(point, D)
 gives (lhs, rhs[, witness]), compared exactly or truncated at D as trunc
 says.  An override sweep crosses the named axes first, in parameter order,
 and fills each unnamed axis by its grid rule; naming nothing gives the
@@ -23,7 +25,7 @@ Exit codes: 0 when no point mismatches or errors and at least one point was
 checked, 1 otherwise (a suite takes the worst of its families) or when the
 reader of stdout goes away, 2 for configuration problems (unknown family,
 malformed or empty ranges, oversized sweeps, out-of-range flags, --trunc
-where nothing is truncated).
+where nothing is truncated, an --out path that cannot be opened).
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ class Family:
     params: Tuple[ParamSpec, ...]
     axes: Tuple[Tuple[Union[str, Tuple[str, ...]], object], ...]
     sides: Callable
-    precondition: Optional[Callable[[Dict], bool]] = None  # None: every point applies
+    precondition: Optional[Callable] = None  # None: every point applies
+    point: Optional[Callable[[Dict], object]] = None  # the record both take, built once per row
     trunc: Union[None, int, str] = None
     # a default grid drawn instead of crossing the axes; overrides still cross them
     sample: Optional[Callable[[], Iterable[Tuple]]] = None
@@ -325,9 +328,9 @@ REGISTRY: Dict[str, Family] = {
                (("N", range(1, 5)), ("sigma", (0, 1)),
                 ("ell", lambda p: [e for e in range(-4, 5) if (e + p["sigma"] * p["N"]) % 2 == 0]),
                 ("M", range(0, 7)), ("L1", _gensum_halves), ("L2", _gensum_halves)),
-               lambda p, d: (saalschutz.gensum_lhs(_gensum_point(p)),
-                             saalschutz.gensum_rhs(_gensum_point(p))),
-               lambda p: p["M"] >= 0 and _gensum_point(p).violation() is None),
+               lambda g, d: (saalschutz.gensum_lhs(g, checked=True),
+                             saalschutz.gensum_rhs(g, checked=True)),
+               lambda g: g.M >= 0 and g.violation() is None, _gensum_point),
         _bt_family("burge.bt", "bt", burge.classic_bt_safe),
         _bt_family("burge.bt2", "bt2", burge.classic_bt2_safe),
         _traf_family("burge.traf1", "traf1", ((1, 2, 0, 1), (2, 3, 1, 1))),
@@ -466,13 +469,14 @@ def _points_for(fam: Family, ranges: Dict[str, List]) -> Tuple[int, Iterator[Tup
 
 def _verdict(fam: Family, params: Dict, d: Optional[int], opts: Dict) -> Dict[str, object]:
     """The verdict fields of one report row; None values are left out."""
-    if fam.precondition is not None and not fam.precondition(params):
+    point = params if fam.point is None else fam.point(params)
+    if fam.precondition is not None and not fam.precondition(point):
         if opts["include_exceptional"] and fam.exceptional_sides:
-            lhs, rhs = fam.sides(params, d)[:2]
+            lhs, rhs = fam.sides(point, d)[:2]
             return {"verdict": "skipped_precondition", "lhs_repr": render(lhs),
                     "rhs_repr": render(rhs)}
         return {"verdict": "skipped_precondition"}
-    lhs, rhs, *witness = fam.sides(params, d)
+    lhs, rhs, *witness = fam.sides(point, d)
     if d is not None:
         t = Truncation(d)
         if truncated_equal(lhs, rhs, t):
@@ -597,7 +601,11 @@ def _output(path: Optional[str]):
         yield sys.stdout
         sys.stdout.flush()  # a closed pipe shows here, inside main, not at exit
     else:
-        with open(path, "w") as stream:
+        try:
+            stream = open(path, "w")
+        except OSError as ex:
+            raise ConfigError(f"--out {path}: {ex.strerror or ex}")
+        with stream:
             yield stream
 
 

@@ -5,11 +5,17 @@ with Cartan matrix C_ij = 2 d_ij - d_|i-j|,1 and the "tadpole" family whose
 incidence matrix carries an extra self-link at the first node.  For N = 1
 the rank is zero and every bilinear form is identically zero.
 
+Cinv is held as integer numerators cinv_num over one denominator cinv_den,
+and qform (n Cinv n) and cinv_component (one entry of Cinv n) return integer
+numerators over cinv_den too: no rational number is formed on the way.
+
 A system solution pairs a nonnegative integer vector n with the derived
 vector m = Cinv (v - 2n), which rewrites the defining constraint
 m + n = (incidence*m + v)/2.  A solution is admissible when m is integral
 and nonnegative (the support of the standard q-binomial products) and n
-satisfies the caller's congruence restriction offset + (Cinv n)_1 in Z.
+satisfies the caller's congruence restriction t/(2N) + (Cinv n)_1 in Z.
+The integer t is the offset; every restriction in the package has this
+form, with N the level of the Cartan data.
 
 Enumeration is exhaustive over a proven region: summing the constraint over
 all components gives 2*sum(n) + (column-sum weights of m) = sum(v) with
@@ -17,7 +23,8 @@ nonnegative weights, hence sum(n) <= floor(sum(v)/2).
 
 Every fermionic sum in the package has the same inner sum over these
 solutions, sum of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - s Cinv n);
-system_sum is that sum, and the only loop over admissible solutions.
+system_sum is that sum, and the only loop over admissible solutions.  Each
+exponent is one integer over cinv_den.
 """
 
 from __future__ import annotations
@@ -26,12 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .qbinom import qbin_vector
 from .qpoly import ZERO, QPoly, mul
 
-Offset = Union[int, Fraction, None]
+Offset = Optional[int]  # t in the restriction t/(2N) + (Cinv n)_1 in Z; None: unrestricted
 IntVec = Tuple[int, ...]
 
 
@@ -47,19 +54,18 @@ class CartanData:
     cinv_num: Tuple[Tuple[int, ...], ...]  # cinv = cinv_num / cinv_den, exact
     cinv_den: int
 
-    def cinv_component(self, vec: Sequence[int], idx: int) -> Fraction:
-        """(Cinv vec)_{idx+1} in 1-based math notation; idx is 0-based."""
-        row = self.cinv_num[idx]
-        return Fraction(sum(r * x for r, x in zip(row, vec)), self.cinv_den)
+    def cinv_component(self, vec: Sequence[int], idx: int) -> int:
+        """(Cinv vec)_{idx+1} * cinv_den in 1-based math notation; idx is 0-based."""
+        return sum(r * x for r, x in zip(self.cinv_num[idx], vec))
 
-    def qform(self, vec: Sequence[int]) -> Fraction:
-        """vec . Cinv . vec as an exact rational."""
+    def qform(self, vec: Sequence[int]) -> int:
+        """vec . Cinv . vec * cinv_den, an integer."""
         total = 0
         for i, row in enumerate(self.cinv_num):
             xi = vec[i]
             if xi:
                 total += xi * sum(r * x for r, x in zip(row, vec))
-        return Fraction(total, self.cinv_den)
+        return total
 
 
 @dataclass(frozen=True)
@@ -151,23 +157,20 @@ def _vectors_summing_at_most(rank: int, budget: int) -> Iterator[IntVec]:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(cd: CartanData, v: IntVec, offset: Offset) -> Tuple[SystemSolution, ...]:
+    if offset is not None and type(offset) is not int:
+        raise TypeError(f"offset must be an int numerator over 2N, got {offset!r}")
+    two_n, den = 2 * cd.n, cd.cinv_den
     if cd.rank == 0:
-        ok = offset is None or Fraction(offset).denominator == 1
-        return (SystemSolution((), ()),) if ok else ()
+        return (SystemSolution((), ()),) if offset is None or offset % two_n == 0 else ()
     budget = sum(v)
     if budget < 0:
         return ()
     out = []
-    den = cd.cinv_den
-    row1 = cd.cinv_num[0]
-    if offset is not None:
-        off = Fraction(offset)
-        off_num, off_den = off.numerator, off.denominator
-        mod = off_den * den
+    row1, mod = cd.cinv_num[0], two_n * den
     for n_vec in _vectors_summing_at_most(cd.rank, budget // 2):
         if offset is not None:
             dot1 = sum(r * x for r, x in zip(row1, n_vec))
-            if (off_num * den + off_den * dot1) % mod:
+            if (offset * den + two_n * dot1) % mod:  # t/(2N) + dot1/den is not an integer
                 continue
         sol = solve_system(cd, n_vec, v)
         if sol is not None and all(x >= 0 for x in sol.m_vec):
@@ -190,9 +193,9 @@ def system_sum(
     """Sum over admissible (m, n) of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - shift Cinv n).
 
     weight defaults to 1 and shift to the zero vector.  A solution whose
-    weight is zero is dropped before its binomials are built.
+    weight is zero is dropped before its binomials are built.  offset is t
+    in the restriction t/(2N) + (Cinv n)_1 in Z, or None.
     """
-    den = cd.cinv_den
     shift_row = None
     if shift is not None and any(shift):
         # shift . Cinv as numerators over cinv_den
@@ -210,8 +213,8 @@ def system_sum(
             term = mul(w, term)
         exp = cd.qform(sol.n_vec)
         if shift_row is not None:
-            exp -= Fraction(sum(a * b for a, b in zip(shift_row, sol.n_vec)), den)
-        total = total + term.times_monomial(1, exp)
+            exp -= sum(a * b for a, b in zip(shift_row, sol.n_vec))
+        total = total + term.times_monomial(1, exp, cd.cinv_den)
     return total
 
 

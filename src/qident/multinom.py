@@ -1,11 +1,14 @@
 """Generalized q-multinomial coefficients and their decompositions.
 
 T_n^{(N)}(L, a) is a finite sum over lattice vectors eta >= 0 subject to
-a congruence restriction; each term is (q)_L divided by three factorial
-blocks.  The two outer block lengths always sum with |eta| to L, so each
-term is a genuine q-multinomial coefficient and the division is exact; a
-division failure here means a bug, not bad input, and is allowed to
-propagate.
+a congruence restriction; each term is the q-multinomial coefficient
+(q)_L / ((q)_k1 (q)_k2 prod_j (q)_eta_j) times q^(eta Cinv eta), shifted by
+q^(-(Cinv eta)_n) for n > 0.  With k1 = L/2 - a/N - (Cinv eta)_1 and Cinv
+of the A family, whose first and last rows sum to all ones, the blocks obey
+k1 + k2 + |eta| = L.  So k1 is one integer numerator over 2 N cinv_den, the
+restriction is its integrality, k2 follows by subtraction, and the term is
+the product of memoized binomials [L over k1] [L-k1 over k2] ... with no
+division.  a enters as the integer 2a throughout.
 
 The decomposition rewrites the n = 0 coefficient as a quadratic-exponent
 double sum over restricted (m, n)-systems, and a companion difference
@@ -23,18 +26,9 @@ from typing import Optional, Tuple, Union
 
 from .errors import Checked, InvalidParams, NonPolynomial, StabilizationFailure
 from .lattice import CartanData, _vectors_summing_at_most, axis_source, cartan, system_sum
-from .qbinom import qbin
+from .qbinom import qbin, qbin_vector
 from .qpoly import (
-    ZERO,
-    QPoly,
-    Truncation,
-    eval_at_one,
-    exact_div,
-    half_int,
-    mul,
-    norm_rat,
-    qpoch,
-    truncated_equal,
+    ZERO, QPoly, Truncation, eval_at_one, half_int, mul, norm_rat, qpoch, truncated_equal, twice,
 )
 
 Rational = Union[int, Fraction]
@@ -55,52 +49,45 @@ class MultinomialQuery(Checked):
             return "N must be >= 1"
         if self.L < 0:
             return "L must be >= 0"
-        two_a = 2 * Fraction(self.a)
-        if two_a.denominator != 1:
+        if 2 % self.a.denominator:
             return "a must be a half-integer"
-        if abs(two_a.numerator) > self.N * self.L:
+        two_a = 2 * self.a.numerator // self.a.denominator
+        if abs(two_a) > self.N * self.L:
             return "2a must lie in [-NL, NL]"
-        if (two_a.numerator - self.N * self.L) % 2:
+        if (two_a - self.N * self.L) % 2:
             return "2a must have the parity of NL"
         if not 0 <= self.n_index < self.N:
             return "n_index must lie in [0, N-1]"
         return None
 
 
-def _t_sum(cd: CartanData, L: int, a: Fraction, n_index: int) -> QPoly:
-    """Defining eta-sum; out-of-range a simply yields the zero polynomial."""
-    rank = cd.rank
-    half_l = Fraction(L, 2)
-    shift = a / cd.n
-    num = qpoch(1, L)
-    total = ZERO
-    bound = (cd.n * L - 2 * abs(a)) / 2
-    if bound < 0:
+def _t_sum(cd: CartanData, L: int, two_a: int, n_index: int) -> QPoly:
+    """Defining eta-sum at a = two_a/2 for A-family data cd; out-of-range a yields zero."""
+    n, den = cd.n, cd.cinv_den
+    if n * L < abs(two_a):
         return ZERO
-    for eta in _vectors_summing_at_most(rank, int(bound)):
-        first = cd.cinv_component(eta, 0) if rank else Fraction(0)
-        if (half_l + shift + first).denominator != 1:
+    base = (n * L - two_a) * den  # (L/2 - a/N) over 2 N cinv_den
+    total = ZERO
+    for eta in _vectors_summing_at_most(cd.rank, (n * L - abs(two_a)) // 2):
+        first = cd.cinv_component(eta, 0) if eta else 0
+        k1, rem = divmod(base - 2 * n * first, 2 * n * den)
+        k2 = L - sum(eta) - k1
+        if rem or k1 < 0 or k2 < 0:
             continue
-        last = cd.cinv_component(eta, rank - 1) if rank else Fraction(0)
-        k1 = half_l - shift - first
-        k2 = half_l + shift - last
-        if k1 < 0 or k2 < 0:
-            continue
-        den = mul(qpoch(1, int(k1)), qpoch(1, int(k2)))
-        for e in eta:
-            den = mul(den, qpoch(1, e))
-        term = exact_div(num, den)
+        pairs, rest = [], L
+        for part in (k1, k2, *eta):
+            pairs.append((part, rest - part))
+            rest -= part
         exp = cd.qform(eta)
         if n_index:
             exp -= cd.cinv_component(eta, n_index - 1)
-        total = total + term.times_monomial(1, exp)
+        total = total + qbin_vector(pairs).times_monomial(1, exp, den)
     return total
 
 
 def t_multinomial(query: MultinomialQuery) -> QPoly:
     query.validate()
-    cd = cartan(query.N)
-    return _t_sum(cd, query.L, Fraction(query.a), query.n_index)
+    return _t_sum(cartan(query.N), query.L, twice(query.a, "a"), query.n_index)
 
 
 def classical_multinomial(N: int, L: int, a: Rational) -> int:
@@ -113,8 +100,7 @@ def classical_multinomial(N: int, L: int, a: Rational) -> int:
             for k in range(N + 1):
                 nxt[i + k] += c
         coeffs = nxt
-    idx = int(Fraction(a) + Fraction(N * L, 2))
-    return coeffs[idx]
+    return coeffs[(twice(norm_rat(a), "a") + N * L) // 2]
 
 
 def classical_limit(poly: QPoly) -> int:
@@ -131,13 +117,8 @@ def classical_limit(poly: QPoly) -> int:
         raise NonPolynomial("exponents do not share one fractional part")
     shift = shifts.pop()
     if shift:
-        poly = poly.times_monomial(1, -shift)
+        poly = poly.times_monomial(1, -shift.numerator, shift.denominator)
     return eval_at_one(poly)
-
-
-def _tnew_i_bound(N: int, L: int, ell: int) -> int:
-    # a nonzero term needs 2i <= L - ell + m1 and m1 <= ((2i+ell)(N-1)+n)/N
-    return max(0, (N * L - ell) // 2)
 
 
 def tnew_rhs(N: int, L: int, ell: int, sigma: int) -> QPoly:
@@ -147,9 +128,10 @@ def tnew_rhs(N: int, L: int, ell: int, sigma: int) -> QPoly:
     MultinomialQuery(N, L, Fraction(ell, 2)).validate()
     cd = cartan(N)
     total = ZERO
-    for i in range(0, _tnew_i_bound(N, L, ell) + 1):
+    # a nonzero term needs 2i <= L - ell + m1 and m1 <= ((2i+ell)(N-1)+n)/N
+    for i in range(0, max(0, (N * L - ell) // 2) + 1):
         v = axis_source(cd.rank, [(1, 2 * i + ell)])
-        offset = Fraction(L, 2) + Fraction(2 * i + ell, 2 * N)
+        offset = N * L + 2 * i + ell  # L/2 + (2i+ell)/(2N), over 2N
 
         def weight(m):
             m1 = m[0] if m else 0
@@ -160,7 +142,7 @@ def tnew_rhs(N: int, L: int, ell: int, sigma: int) -> QPoly:
         inner = system_sum(cd, v, offset, weight)
         if inner.is_zero():
             continue
-        total = total + inner.times_monomial(1, Fraction(i * (i + ell), N))
+        total = total + inner.times_monomial(1, i * (i + ell), N)
     return total
 
 
@@ -175,19 +157,16 @@ def difference_sides(N: int, L: int, ell: int, n_index: int) -> Tuple[QPoly, QPo
     if L < 0:
         raise InvalidParams("L must be >= 0")
     cd = cartan(N)
-    a1 = Fraction(n_index - ell, 2)
-    a2 = Fraction(n_index + ell + 2, 2)
-    if (2 * a1 - N * L) % 2:
+    if (n_index - ell - N * L) % 2:
         raise InvalidParams("n_index - ell must have the parity of NL")
-    lhs = _t_sum(cd, L, a1, n_index) - _t_sum(cd, L, a2, n_index).times_monomial(
-        1, Fraction(ell + 1, N)
-    )
+    lhs = _t_sum(cd, L, n_index - ell, n_index)
+    lhs = lhs - _t_sum(cd, L, n_index + ell + 2, n_index).times_monomial(1, ell + 1, N)
     source_idx = N - n_index
     shift = axis_source(cd.rank, [(source_idx, 1)])
     rhs = ZERO
     for i in range(0, max(0, (N * L - ell + n_index) // 2) + 1):
         v = axis_source(cd.rank, [(1, 2 * i + ell), (source_idx, 1)])
-        offset = Fraction(L, 2) + Fraction(2 * i + ell - n_index, 2 * N)
+        offset = N * L + 2 * i + ell - n_index  # L/2 + (2i+ell-n)/(2N), over 2N
 
         def weight(m):
             m1 = m[0] if m else 0
@@ -198,7 +177,7 @@ def difference_sides(N: int, L: int, ell: int, n_index: int) -> Tuple[QPoly, QPo
         inner = system_sum(cd, v, offset, weight, shift=shift)
         if inner.is_zero():
             continue
-        rhs = rhs + inner.times_monomial(1, Fraction(i * (i + ell), N))
+        rhs = rhs + inner.times_monomial(1, i * (i + ell), N)
     return lhs, rhs
 
 
@@ -287,18 +266,15 @@ def config_limit_check(bp, trunc, m_cap: int = 60) -> bool:
         raise StabilizationFailure(f"no stabilization within {m_cap} steps at degree {D}")
 
     target = ZERO
-    half_rms = Fraction(r + M12 - s, 2)
-    half_rps = Fraction(r + M12 + s, 2)
-    j_span = (N * L + abs(2 * half_rms) + abs(2 * half_rps)) // (2 * pp) + 2
+    two_rms, two_rps = r + M12 - s, r + M12 + s  # twice the a of each column at j = 0
+    j_span = (N * L + abs(two_rms) + abs(two_rps)) // (2 * pp) + 2
     for j in range(-j_span, j_span + 1):
-        a1 = half_rms + pp * j
-        if abs(2 * a1) <= N * L:
-            t = _t_sum(cd, L, a1, 0)
-            exp = Fraction(j * (p * pp * j + pp * (M12 + r) - p * s), N)
-            target = target + t.times_monomial(1, exp)
-        a2 = half_rps + pp * j
-        if abs(2 * a2) <= N * L:
-            t = _t_sum(cd, L, a2, 0)
-            exp = Fraction((p * j + M12 + r) * (pp * j + s), N)
-            target = target - t.times_monomial(1, exp)
+        two_a1 = two_rms + 2 * pp * j
+        if abs(two_a1) <= N * L:
+            t = _t_sum(cd, L, two_a1, 0)
+            target = target + t.times_monomial(1, j * (p * pp * j + pp * (M12 + r) - p * s), N)
+        two_a2 = two_rps + 2 * pp * j
+        if abs(two_a2) <= N * L:
+            t = _t_sum(cd, L, two_a2, 0)
+            target = target - t.times_monomial(1, (p * j + M12 + r) * (pp * j + s), N)
     return truncated_equal(stable, target, trunc)

@@ -8,8 +8,9 @@ the zero polynomial has den 1.  Canonical form makes structural equality of
 the pairs identical to mathematical equality of the polynomials, which is
 what every identity check in this package relies on.  Every operation works
 on the integer keys over a common denominator and reduces once at the end,
-so no rational number is ever a dict key.  The public interface speaks in
-exponents: an int when integral, a Fraction otherwise.
+so no rational number is ever a dict key.  Exponents are read and written
+as an int when integral, a Fraction otherwise; times_monomial alone takes
+an integer numerator and denominator, the form its callers already hold.
 
 Truncation is inclusive: Truncation(D) keeps exactly the terms with
 exponent <= D, that is the keys k <= floor(D*den).  Every truncated
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from operator import index
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidParams, NonExactDivision, NonPolynomial, NonUnitConstantTerm
@@ -57,7 +59,7 @@ def norm_rat(x) -> Exponent:
     """x as an exact rational: an int when integral, a Fraction otherwise."""
     if type(x) is int:
         return x
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
 
@@ -69,11 +71,18 @@ def as_int(x, what: str) -> int:
     return f
 
 
-def half_int(twice: int, what: str) -> int:
-    """twice/2 as an int; InvalidParams names `what` and the half when twice is odd."""
-    if twice & 1:
-        raise InvalidParams(f"{what} must be an integer, got {Fraction(twice, 2)}")
-    return twice >> 1
+def half_int(double: int, what: str) -> int:
+    """double/2 as an int; InvalidParams names `what` and the half when double is odd."""
+    if double & 1:
+        raise InvalidParams(f"{what} must be an integer, got {Fraction(double, 2)}")
+    return double >> 1
+
+
+def twice(x, what: str) -> int:
+    """2x as an int for an int or Fraction x; InvalidParams names `what` unless 2x is integral."""
+    if 2 % x.denominator:
+        raise InvalidParams(f"{what} must be a multiple of 1/2, got {x}")
+    return 2 * x.numerator // x.denominator
 
 
 class QPoly:
@@ -169,14 +178,22 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def times_monomial(self, coeff: int, exp: ExponentLike) -> "QPoly":
-        """Multiply by coeff * q^exp without a general convolution."""
+    def times_monomial(self, coeff: int, num: int, den: int = 1) -> "QPoly":
+        """Multiply by coeff * q^(num/den) without a general convolution.
+
+        The exponent is an int numerator (TypeError otherwise) over a positive
+        int denominator, reduced or not; an integer exponent shifts every key
+        by num * self._den without forming a common denominator.
+        """
         if coeff == 0:
             return ZERO
-        n, d = _split(exp)
-        den = math.lcm(self._den, d)
-        scale, shift = den // self._den, n * (den // d)
-        return _make(den, {k * scale + shift: c * coeff for k, c in self._terms.items()})
+        own = self._den
+        if den == 1 and num.__class__ is int:
+            shift = num * own
+            return _make(own, {k + shift: c * coeff for k, c in self._terms.items()})
+        new = math.lcm(own, den)
+        scale, shift = new // own, index(num) * (new // den)
+        return _make(new, {k * scale + shift: c * coeff for k, c in self._terms.items()})
 
     def truncate(self, trunc: "Truncation") -> "QPoly":
         cap = _cap_key(trunc.degree_cap, self._den)

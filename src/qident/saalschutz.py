@@ -7,9 +7,10 @@ exactly derived bilateral windows, and gensum the lattice generalization
 whose inner sums run over admissible (m,n)- and (mu,eta)-systems.
 
 All gensum binomials are standard.  Binomial top entries of the form
-L + m1/2 are checked for integrality: the parameter constraints make a
-fractional top impossible, so hitting one raises InvalidParams rather
-than silently dropping a term.
+L + m1/2 are built as integers over 2 and checked for integrality: the
+parameter constraints make a fractional top impossible, so hitting one
+raises InvalidParams rather than silently dropping a term.  Exponents are
+integer numerators over N, lattice offsets numerators over 2N.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional, Union
 from .errors import Checked, UnbalancedParameters
 from .lattice import axis_source, cartan, system_sum
 from .qbinom import qbin, qbin_mod_tb
-from .qpoly import ONE, ZERO, QPoly, as_int, half_int, mul, norm_rat
+from .qpoly import ONE, ZERO, QPoly, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 
@@ -53,11 +54,10 @@ class SaalschutzParams(Checked):
             return "sigma must be 0 or 1"
         if (self.ell + self.sigma * self.N) % 2:
             return "ell + sigma*N must be even"
-        half = Fraction(self.ell + self.sigma, 2)
         for name, L in (("L1", self.L1), ("L2", self.L2)):
-            if L < 0:
+            if L.numerator < 0:
                 return f"{name} must be >= 0"
-            if (Fraction(L) + half).denominator != 1:
+            if 2 % L.denominator or (2 * L.numerator // L.denominator + self.ell + self.sigma) % 2:
                 return f"{name} + (ell+sigma)/2 must be an integer"
         return None
 
@@ -158,10 +158,12 @@ def sears_rhs(a: int, b: int, c: int, d: int, e: int, f: int, g: int) -> QPoly:
 
 # --- lattice generalization ----------------------------------------------------
 
-def gensum_lhs(p: SaalschutzParams) -> QPoly:
-    p.validate()
+def gensum_lhs(p: SaalschutzParams, checked: bool = False) -> QPoly:
+    """The lattice sum; checked=True skips the validation of a point already validated."""
+    if not checked:
+        p.validate()
     cd = cartan(p.N)
-    two_l1, two_l2 = as_int(2 * p.L1, "binomial entry"), as_int(2 * p.L2, "binomial entry")
+    two_l1, two_l2 = twice(p.L1, "L1"), twice(p.L2, "L2")
     l12 = half_int(two_l1 + two_l2, "binomial entry")
     total = ZERO
     for i in range(0, p.M + 1):
@@ -177,20 +179,20 @@ def gensum_lhs(p: SaalschutzParams) -> QPoly:
             return mul(b1, qbin(half_int(two_l2 + m1, "binomial entry"), i))
 
         v = axis_source(cd.rank, [(1, 2 * i + p.ell)])
-        offset = Fraction(2 * i + p.ell + p.sigma * p.N, 2 * p.N)
-        inner = system_sum(cd, v, offset, weight)
+        inner = system_sum(cd, v, 2 * i + p.ell + p.sigma * p.N, weight)
         if inner.is_zero():
             continue
-        total = total + mul(outer, inner).times_monomial(1, Fraction(i * (i + p.ell), p.N))
+        total = total + mul(outer, inner).times_monomial(1, i * (i + p.ell), p.N)
     return total
 
 
-def gensum_rhs(p: SaalschutzParams) -> QPoly:
-    p.validate()
+def gensum_rhs(p: SaalschutzParams, checked: bool = False) -> QPoly:
+    """The (mu,eta)-system side; checked=True skips the validation of a point already validated."""
+    if not checked:
+        p.validate()
     cd = cartan(p.N)
     v = axis_source(cd.rank, [(1, p.M + p.ell), (cd.rank, p.M)])
-    offset = Fraction(p.ell + p.sigma * p.N, 2 * p.N)
-    two_l1, two_l2 = as_int(2 * p.L1, "binomial entry"), as_int(2 * p.L2, "binomial entry")
+    two_l1, two_l2 = twice(p.L1, "L1"), twice(p.L2, "L2")
 
     def weight(m):
         mu_first, mu_last = (m[0], m[-1]) if m else (p.M, p.M + p.ell)  # rank-0 convention
@@ -200,7 +202,7 @@ def gensum_rhs(p: SaalschutzParams) -> QPoly:
         top2 = half_int(two_l2 + p.M + p.ell + mu_last, "binomial entry")
         return mul(b1, qbin(top2, p.M))
 
-    return system_sum(cd, v, offset, weight)
+    return system_sum(cd, v, p.ell + p.sigma * p.N, weight)
 
 
 # --- Bailey-type limit check -----------------------------------------------------

@@ -78,32 +78,32 @@ class StringFunctionQuery(Checked):
         return None
 
 
-def _eta_shell(cd, offset: Fraction, cap) -> Iterator[Tuple[Tuple[int, ...], Fraction]]:
-    """(eta, eta Cinv eta) for eta >= 0 with restricted first component and form <= cap.
+def _eta_shell(cd, offset: int, cap) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """(eta, eta Cinv eta * cinv_den) for eta >= 0 with form <= cap and
+    offset/(2N) + (Cinv eta)_1 in Z.
 
     Depth first, carrying the integer numerator of the prefix form.  Cinv >= 0
     (both Cartan families are nonsingular M-matrices; guarded below) makes a
     prefix's form a lower bound on every completion's, growing with the last
     value, so each loop stops at the first value past the cap (Fincke-Pohst).
     """
-    rank = cd.rank
-    off = Fraction(offset)
+    rank, two_n = cd.rank, 2 * cd.n
     if rank == 0:
-        if off.denominator == 1:
-            yield (), Fraction(0)
+        if offset % two_n == 0:
+            yield (), 0
         return
     num, den = cd.cinv_num, cd.cinv_den
     if any(x < 0 for row in num for x in row) or any(num[i][i] <= 0 for i in range(rank)):
         raise InvalidParams("eta-shell pruning needs Cinv >= 0 with a positive diagonal")
     limit = math.floor(cap * den)
-    mod = off.denominator * den
+    mod = two_n * den
     vec = [0] * rank
 
-    def rec(pos: int, form: int) -> Iterator[Tuple[Tuple[int, ...], Fraction]]:
+    def rec(pos: int, form: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
         if pos == rank:
             dot1 = sum(r * x for r, x in zip(num[0], vec))
-            if (off.numerator * den + off.denominator * dot1) % mod == 0:
-                yield tuple(vec), Fraction(form, den)
+            if (offset * den + two_n * dot1) % mod == 0:
+                yield tuple(vec), form
             return
         row = num[pos]
         diag, cross = row[pos], 2 * sum(row[j] * vec[j] for j in range(pos))
@@ -118,12 +118,12 @@ def _eta_shell(cd, offset: Fraction, cap) -> Iterator[Tuple[Tuple[int, ...], Fra
     yield from rec(0, 0)
 
 
-def _restricted_inverse_sum(cd, offset: Fraction, trunc: Truncation) -> QPoly:
+def _restricted_inverse_sum(cd, offset: int, trunc: Truncation) -> QPoly:
     # sum over the shell of q^(eta Cinv eta) / (q)_eta
     total = ZERO
     for eta, form in _eta_shell(cd, offset, trunc.degree_cap):
         term = prod((inv_qpoch(1, e, trunc) for e in eta), trunc)
-        total = total + term.times_monomial(1, form)
+        total = total + term.times_monomial(1, form, cd.cinv_den)
     return mul(total, ONE, trunc)
 
 
@@ -158,8 +158,7 @@ def _gamma_delta(bq: BaileyPairQuery) -> Tuple[Dict[int, QPoly], Dict[int, QPoly
         unbounded_base = mul(euler, inv_qpoch(bq.ell + 1, math.floor(d), trunc), trunc)
     L = 0
     while Fraction(L * (L + bq.ell), bq.N) <= d:
-        pref = Fraction(L * (L + bq.ell), bq.N)
-        offset = Fraction(2 * L + bq.ell + bq.sigma * bq.N, 2 * bq.N)
+        offset = 2 * L + bq.ell + bq.sigma * bq.N
         inner_delta = system_sum(cd, axis_source(cd.rank, [(1, 2 * L + bq.ell)]), offset)
         if bq.M is None:
             gamma = mul(unbounded_base, _restricted_inverse_sum(cd, offset, trunc), trunc)
@@ -173,8 +172,8 @@ def _gamma_delta(bq: BaileyPairQuery) -> Tuple[Dict[int, QPoly], Dict[int, QPoly
             gamma_base = mul(inv_short, inv_qpoch(bq.ell + 1, bq.M + L, trunc), trunc)
             gamma = mul(gamma_base, system_sum(cd, v, offset), trunc)
             delta = mul(inv_short, inner_delta, trunc)
-        gammas[L] = mul(gamma, ONE, trunc).times_monomial(1, pref)
-        deltas[L] = mul(delta, ONE, trunc).times_monomial(1, pref)
+        gammas[L] = mul(gamma, ONE, trunc).times_monomial(1, L * (L + bq.ell), bq.N)
+        deltas[L] = mul(delta, ONE, trunc).times_monomial(1, L * (L + bq.ell), bq.N)
         L += 1
     return gammas, deltas
 
@@ -215,20 +214,16 @@ def limlm_sides(N: int, ell: int, sigma: int, trunc: Truncation) -> Tuple[QPoly,
     lhs = ZERO
     i = 0
     while Fraction(i * (i + ell), N) <= d:
-        inner = system_sum(
-            cd,
-            axis_source(cd.rank, [(1, 2 * i + ell)]),
-            Fraction(2 * i + ell + sigma * N, 2 * N),
-        )
+        inner = system_sum(cd, axis_source(cd.rank, [(1, 2 * i + ell)]), 2 * i + ell + sigma * N)
         if not inner.is_zero():
             term = mul(inv_qpoch(1, i, trunc), inv_qpoch(1, i + ell, trunc), trunc)
             term = mul(term, inner, trunc)
-            lhs = lhs + term.times_monomial(1, Fraction(i * (i + ell), N))
+            lhs = lhs + term.times_monomial(1, i * (i + ell), N)
         i += 1
     lhs = mul(lhs, ONE, trunc)
     rhs = mul(
         euler_inverse_truncated(trunc),
-        _restricted_inverse_sum(cd, Fraction(ell + sigma * N, 2 * N), trunc),
+        _restricted_inverse_sum(cd, ell + sigma * N, trunc),
         trunc,
     )
     return lhs, rhs
@@ -268,7 +263,7 @@ def string_spinon(sq: StringFunctionQuery) -> QPoly:
         if not X.is_zero() and X.min_exponent() <= d:
             low = X.min_exponent()
             raise StabilizationFailure(f"spinon cutoff too early: i={i} reaches q^{low} <= q^{d}")
-    return mul(total, ONE, inner_trunc).times_monomial(1, pre_exp)
+    return mul(total, ONE, inner_trunc).times_monomial(1, pre_exp.numerator, pre_exp.denominator)
 
 
 def string_fermionic(sq: StringFunctionQuery) -> QPoly:
@@ -286,13 +281,13 @@ def string_fermionic(sq: StringFunctionQuery) -> QPoly:
     i = 0
     while Fraction(i * (i + m), N) <= d or i <= abs(m):
         v = axis_source(cd.rank, [(1, 2 * i + m), (ell, 1)])
-        inner = system_sum(cd, v, Fraction(2 * i + m + ell, 2 * N), shift=shift)
+        inner = system_sum(cd, v, 2 * i + m + ell, shift=shift)
         if not inner.is_zero():
             term = mul(inv_qpoch(1, i, inner_trunc), inv_qpoch(1, i + m, inner_trunc), inner_trunc)
             term = mul(term, inner, inner_trunc)
-            total = total + term.times_monomial(1, Fraction(i * (i + m), N))
+            total = total + term.times_monomial(1, i * (i + m), N)
         i += 1
-    return mul(total, ONE, inner_trunc).times_monomial(1, pre_exp)
+    return mul(total, ONE, inner_trunc).times_monomial(1, pre_exp.numerator, pre_exp.denominator)
 
 
 def string_lp(sq: StringFunctionQuery) -> QPoly:
@@ -308,10 +303,10 @@ def string_lp(sq: StringFunctionQuery) -> QPoly:
     cd = cartan(N)
     body = mul(
         euler_inverse_truncated(inner_trunc),
-        _restricted_inverse_sum(cd, Fraction(m + sq.sigma * N, 2 * N), inner_trunc),
+        _restricted_inverse_sum(cd, m + sq.sigma * N, inner_trunc),
         inner_trunc,
     )
-    return body.times_monomial(1, pre_exp)
+    return body.times_monomial(1, pre_exp.numerator, pre_exp.denominator)
 
 
 _PRODUCTS = {

@@ -166,15 +166,15 @@ def test_criterion_7_series_families_and_string_ratio(tmp_path):
             for m in range(ell % 2, 7, 2):
                 sq = StringFunctionQuery(n, m, ell, 1 if ell == n else 0, Truncation(d))
                 chi = Fraction((ell + 1) ** 2, 4 * (n + 2)) - Fraction(1, 8)
-                bare_sp = string_spinon(sq).times_monomial(
-                    1, Fraction(m * m, 4 * n) - chi)
-                bare_fe = string_fermionic(sq).times_monomial(
-                    1, Fraction(ell * ell, 4 * n) - chi)
+                sp_exp = Fraction(m * m, 4 * n) - chi
+                fe_exp = Fraction(ell * ell, 4 * n) - chi
+                bare_sp = string_spinon(sq).times_monomial(1, sp_exp.numerator, sp_exp.denominator)
+                bare_fe = string_fermionic(sq).times_monomial(1, fe_exp.numerator, fe_exp.denominator)
                 ratio = Fraction(ell * ell - m * m, 4 * n)
                 cap = Truncation(d - 2 - abs(ratio))
                 assert truncated_equal(
                     mul(bare_fe, ONE, cap),
-                    mul(bare_sp.times_monomial(1, ratio), ONE, cap),
+                    mul(bare_sp.times_monomial(1, ratio.numerator, ratio.denominator), ONE, cap),
                     cap,
                 ), (n, ell, m)
                 print(f"criterion 7 ratio: N={n} ell={ell} m={m} -> q^({ratio})")
@@ -193,12 +193,12 @@ def test_criterion_8_partition_counts_and_lattice_enumeration(tmp_path):
 
     cases = [
         (2, (4,), 0),
-        (2, (5,), Fraction(1, 2)),
+        (2, (5,), 2),  # offsets t stand for t/(2N): here 1/2
         (3, (2, 3), 0),
-        (3, (4, 0), Fraction(1, 3)),
+        (3, (4, 0), 2),  # 1/3
         (3, (3, 3), None),
         (4, (2, 1, 2), 0),
-        (4, (3, 0, 1), Fraction(1, 2)),
+        (4, (3, 0, 1), 4),  # 1/2
         (4, (0, 4, 0), None),
     ]
     for n, v, offset in cases:
@@ -210,9 +210,9 @@ def test_criterion_8_partition_counts_and_lattice_enumeration(tmp_path):
             if sum(n_vec) > budget:
                 continue
             if offset is not None:
-                # offset + (Cinv n)_1 in Z, with (Cinv)_1j = (N - j)/N for the A family
+                # offset/(2N) + (Cinv n)_1 in Z, with (Cinv)_1j = (N - j)/N for the A family
                 first = sum(Fraction((n - j) * x, n) for j, x in enumerate(n_vec, 1))
-                if (Fraction(offset) + first).denominator != 1:
+                if (Fraction(offset, 2 * n) + first).denominator != 1:
                     continue
             sol = solve_system(cd, n_vec, v)
             if sol is not None and all(x >= 0 for x in sol.m_vec):

@@ -530,3 +530,32 @@ def test_tree_mismatch_carries_the_failing_node(capsys, monkeypatch):
     assert rows[0]["verdict"] == "mismatch"
     assert rows[0]["witness"] == {"node": 2, "M": 1, "L": 0}
     assert (rows[0]["lhs_repr"], rows[0]["rhs_repr"], rows[0]["diff_repr"]) == ("1", "2", "-1")
+
+
+# --- output path and per-point validation ---------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "qpoly.partitions"],
+    ["suite"],
+    ["tree", "--depth", "0"],
+    ["eval", "qbin", "--m", "1", "--n", "1"],
+], ids=["verify", "suite", "tree", "eval"])
+def test_out_into_missing_directory_is_config_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run(argv + ["--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: --out {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
+def test_verify_gensum_validates_each_point_once(capsys, monkeypatch):
+    from qident.saalschutz import SaalschutzParams
+
+    calls = []
+    real = SaalschutzParams.violation
+    monkeypatch.setattr(SaalschutzParams, "violation", lambda self: calls.append(self) or real(self))
+    code, out, _ = run(["verify", "gensum", "--N", "1..3", "--M", "1", "--L1", "1/2,1,3/2"], capsys)
+    rows, summary = rows_of(out)
+    assert code == 0 and summary["equal"] > 0 and summary["skipped_precondition"] > 0
+    # skipped and checked rows alike build and validate their point once
+    assert len(calls) == len(rows) == summary["total"]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident.lattice import (
+    _invert_fraction_matrix,
     axis_source,
     cartan,
     enumerate_admissible,
@@ -33,10 +34,15 @@ def invert_oracle(rows):
 
 
 def box_oracle(cd, v, offset):
-    """Exhaustive scan of 0 <= n_k <= N(|v|_1 + 1) with Fraction arithmetic."""
+    """Exhaustive scan of 0 <= n_k <= N(|v|_1 + 1) with Fraction arithmetic.
+
+    offset is the integer t of the restriction t/(2N) + (Cinv n)_1 in Z.
+    """
     rank = cd.rank
+    if offset is not None:
+        offset = Fraction(offset, 2 * cd.n)
     if rank == 0:
-        ok = offset is None or Fraction(offset).denominator == 1
+        ok = offset is None or offset.denominator == 1
         return [((), ())] if ok else []
     cinv = invert_oracle(cd.cartan)
     hi = cd.n * (sum(abs(x) for x in v) + 1)
@@ -46,7 +52,7 @@ def box_oracle(cd, v, offset):
         if len(prefix) == rank:
             if offset is not None:
                 first = sum(cinv[0][j] * prefix[j] for j in range(rank))
-                if (Fraction(offset) + first).denominator != 1:
+                if (offset + first).denominator != 1:
                     return
             w = [v[j] - 2 * prefix[j] for j in range(rank)]
             m = [sum(cinv[i][j] * w[j] for j in range(rank)) for i in range(rank)]
@@ -108,17 +114,37 @@ def test_first_component_closed_form():
         cd = cartan(n)
         x = tuple((-1) ** i * (i + 2) for i in range(cd.rank))
         expected = Fraction(sum((n - (i + 1)) * x[i] for i in range(cd.rank)), n)
-        assert cd.cinv_component(x, 0) == expected
+        assert Fraction(cd.cinv_component(x, 0), cd.cinv_den) == expected
+
+
+@pytest.mark.parametrize("kind", ["a", "tadpole"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_integer_forms_match_fraction_inverse(kind, n):
+    # qform and cinv_component are numerators over cinv_den of the Fraction inverse's values
+    cd = cartan(n, kind)
+    r = cd.rank
+    inv = _invert_fraction_matrix(cd.cartan)
+    vecs = [tuple((k * (i + 3) + i * i) % 5 - (k % 3) for i in range(r)) for k in range(12)]
+    for vec in vecs:
+        form = sum(vec[i] * inv[i][j] * vec[j] for i in range(r) for j in range(r))
+        assert type(cd.qform(vec)) is int
+        assert Fraction(cd.qform(vec), cd.cinv_den) == form
+        for idx in range(r):
+            comp = cd.cinv_component(vec, idx)
+            assert type(comp) is int
+            assert Fraction(comp, cd.cinv_den) == sum(inv[idx][j] * vec[j] for j in range(r))
 
 
 # --- restriction and solving ---------------------------------------------------
 
 def test_restriction_examples():
-    # offset + (Cinv n)_1 in Z; rank 0 keeps its one solution only for an integral offset
-    assert len(enumerate_admissible(cartan(1), (), 3)) == 1
-    assert enumerate_admissible(cartan(1), (), Fraction(1, 2)) == ()
-    assert (Fraction(1, 4) + cartan(2).cinv_component((1,), 0)).denominator != 1
-    assert cartan(3).cinv_component((1, 1), 0).denominator == 1
+    # offset/(2N) + (Cinv n)_1 in Z; rank 0 keeps its one solution only for an integral offset/2
+    assert len(enumerate_admissible(cartan(1), (), 6)) == 1
+    assert enumerate_admissible(cartan(1), (), 1) == ()
+    assert (Fraction(1, 4) + Fraction(cartan(2).cinv_component((1,), 0), 2)).denominator != 1
+    assert cartan(3).cinv_component((1, 1), 0) % cartan(3).cinv_den == 0
+    with pytest.raises(TypeError):
+        enumerate_admissible(cartan(2), (2,), Fraction(1, 2))
 
 
 def test_solve_examples():
@@ -144,20 +170,20 @@ def test_resubstitution_identity():
 # --- enumeration -----------------------------------------------------------------
 
 def test_enumeration_fixed_example():
-    sols = enumerate_admissible(cartan(2), (2,), Fraction(1, 2))
+    sols = enumerate_admissible(cartan(2), (2,), 2)  # 2/(2N) = 1/2
     assert [(s.n_vec, s.m_vec) for s in sols] == [((1,), (0,))]
 
 
 def test_enumeration_rank0():
     assert len(enumerate_admissible(cartan(1), (), 0)) == 1
-    assert len(enumerate_admissible(cartan(1), (), Fraction(1, 2))) == 0
+    assert len(enumerate_admissible(cartan(1), (), 1)) == 0
     assert len(enumerate_admissible(cartan(1), (), None)) == 1
 
 
 def test_enumeration_empty_when_offset_unreachable():
-    # offset 1/2 needs (Cinv n)_1 = n/2 half-integral, i.e. n odd; v=0 then
-    # forces m = -n < 0
-    assert enumerate_admissible(cartan(2), (0,), Fraction(1, 2)) == ()
+    # offset 2/(2N) = 1/2 needs (Cinv n)_1 = n/2 half-integral, i.e. n odd;
+    # v=0 then forces m = -n < 0
+    assert enumerate_admissible(cartan(2), (0,), 2) == ()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -165,10 +191,10 @@ def test_enumeration_matches_box_oracle(n):
     cd = cartan(n)
     cases = [
         ((0,) * cd.rank, 0),
-        (axis_source(cd.rank, [(1, 3)]), Fraction(3, 2 * n)),
-        (axis_source(cd.rank, [(1, 4)]), Fraction(4 + n, 2 * n)),
+        (axis_source(cd.rank, [(1, 3)]), 3),
+        (axis_source(cd.rank, [(1, 4)]), 4 + n),
         (axis_source(cd.rank, [(1, 2), (cd.rank, 3)]), None),
-        (axis_source(cd.rank, [(1, 5), (cd.rank, 5)]), Fraction(1, 2)),
+        (axis_source(cd.rank, [(1, 5), (cd.rank, 5)]), n),
     ]
     for v, offset in cases:
         got = sorted((s.n_vec, s.m_vec) for s in enumerate_admissible(cd, v, offset))
@@ -192,7 +218,7 @@ def test_tadpole_enumeration_matches_box_oracle():
 def test_enumeration_oracle_randomized(n, i, ell):
     cd = cartan(n)
     v = axis_source(cd.rank, [(1, 2 * i + ell)])
-    offset = Fraction(2 * i + ell, 2 * n)
+    offset = 2 * i + ell
     got = sorted((s.n_vec, s.m_vec) for s in enumerate_admissible(cd, v, offset))
     assert got == box_oracle(cd, v, offset)
 
@@ -214,7 +240,7 @@ def test_parity_pattern(n, i, ell, sigma):
         return
     cd = cartan(n)
     v = axis_source(cd.rank, [(1, 2 * i + ell)])
-    offset = Fraction(2 * i + ell + sigma * n, 2 * n)
+    offset = 2 * i + ell + sigma * n
     for sol in enumerate_admissible(cd, v, offset):
         m = sol.m_vec
         if n % 2 == 1:
@@ -250,7 +276,7 @@ def system_sum_oracle(cd, solutions, weight, shift):
         for mj, nj in zip(m_vec, n_vec):
             term = mul(term, qbin(mj + nj, nj))
         exp = sum(n_vec[i] * cinv[i][j] * (n_vec[j] - shift[j]) for i in range(r) for j in range(r))
-        total = total + term.times_monomial(1, exp)
+        total = total + term.times_monomial(1, exp.numerator, exp.denominator)
     return total
 
 
@@ -269,7 +295,7 @@ def test_system_sum_matches_oracle(kind, n):
     v = axis_source(r, [(1, 2), (r, 2)])
     units = [axis_source(r, [(k, 1)]) for k in range(1, r + 1)]
     nonzero = dropped = 0
-    for offset in (None, Fraction(1, max(n, 2))):
+    for offset in (None, 2 * n // max(n, 2)):  # 1/max(N, 2) over 2N
         solutions = box_oracle(cd, v, offset)
         dropped += sum(1 for _, m in solutions if m and m[0] == 0)
         for shift in [None] + units + [v]:

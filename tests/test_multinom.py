@@ -7,6 +7,7 @@ three independent routes: the defining eta-sum, the quadratic decomposition,
 and the q -> 1 specialization.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from qident.errors import InvalidParams, NonPolynomial, StabilizationFailure
 from qident.lattice import axis_source, cartan, enumerate_admissible
 from qident.multinom import (
     MultinomialQuery,
+    _t_sum,
     abf_config_sum,
     classical_limit,
     classical_multinomial,
@@ -28,7 +30,7 @@ from qident.multinom import (
     tnew_rhs,
 )
 from qident.qbinom import qbin
-from qident.qpoly import ONE, ZERO, QPoly, Truncation, eval_at_one, mul, render
+from qident.qpoly import ONE, ZERO, QPoly, Truncation, eval_at_one, exact_div, mul, qpoch, render
 from qident.saalschutz import ClassicParams, qcv_lhs
 
 
@@ -175,6 +177,54 @@ class TestDefiningSum:
             eval_at_one(t_multinomial(MultinomialQuery(2, 1, 0)))
 
 
+def t_sum_by_division(cd, L, a, n_index):
+    """The defining eta-sum with Fraction bookkeeping: (q)_L over the product of
+    (q)_k1, (q)_k2 and every (q)_eta_j, divided exactly, for a rational a."""
+    rank, den = cd.rank, cd.cinv_den
+
+    def comp(eta, idx):  # (Cinv eta)_{idx+1}
+        return Fraction(sum(r * x for r, x in zip(cd.cinv_num[idx], eta)), den)
+
+    half_l, shift = Fraction(L, 2), Fraction(a) / cd.n
+    bound = (cd.n * L - 2 * abs(Fraction(a))) / 2
+    total = ZERO
+    if bound < 0:
+        return total
+    for eta in itertools.product(range(math.floor(bound) + 1), repeat=rank):
+        if sum(eta) > bound:
+            continue
+        first = comp(eta, 0) if rank else Fraction(0)
+        if (half_l + shift + first).denominator != 1:
+            continue
+        last = comp(eta, rank - 1) if rank else Fraction(0)
+        k1, k2 = half_l - shift - first, half_l + shift - last
+        if k1 < 0 or k2 < 0:
+            continue
+        assert k1.denominator == k2.denominator == 1
+        blocks = mul(qpoch(1, k1.numerator), qpoch(1, k2.numerator))
+        for e in eta:
+            blocks = mul(blocks, qpoch(1, e))
+        exp = sum((eta[i] * comp(eta, i) for i in range(rank)), Fraction(0))
+        if n_index:
+            exp -= comp(eta, n_index - 1)
+        term = exact_div(qpoch(1, L), blocks)
+        total = total + term.times_monomial(1, exp.numerator, exp.denominator)
+    return total
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_integer_t_sum_matches_division_definition(N):
+    cd = cartan(N)
+    checked = 0
+    for L in range(0, 7):
+        for two_a in range(-N * L, N * L + 1, 2):
+            for n_index in range(N):
+                want = t_sum_by_division(cd, L, Fraction(two_a, 2), n_index)
+                assert _t_sum(cd, L, two_a, n_index) == want, (N, L, two_a, n_index)
+                checked += not want.is_zero()
+    assert checked
+
+
 class TestDecomposition:
     def test_matches_defining_sum(self):
         for N in (1, 2, 3, 4):
@@ -233,12 +283,12 @@ class TestDifferenceIdentity:
                 if (n_idx - ell - N * L) % 2:
                     continue
                 cd = cartan(N)
-                f = _t_sum(cd, L, Fraction(n_idx - ell, 2), n_idx)
+                f = _t_sum(cd, L, n_idx - ell, n_idx)  # a = (n - ell)/2, passed as 2a
                 g = ZERO
                 src = N - n_idx
                 for i in range(0, max(0, (N * L - ell + n_idx) // 2) + 1):
                     v = axis_source(cd.rank, [(1, 2 * i + ell), (src, 1)])
-                    offset = Fraction(L, 2) + Fraction(2 * i + ell - n_idx, 2 * N)
+                    offset = N * L + 2 * i + ell - n_idx  # L/2 + (2i+ell-n)/(2N), over 2N
                     inner = ZERO
                     for sol in enumerate_admissible(cd, v, offset):
                         m1 = sol.m_vec[0]
@@ -252,8 +302,8 @@ class TestDifferenceIdentity:
                         for mj, nj in zip(sol.m_vec, sol.n_vec):
                             vec = mul(vec, qbin(mj + nj, nj))
                         exp = cd.qform(sol.n_vec) - cd.cinv_component(sol.n_vec, src - 1)
-                        inner = inner + mul(t, vec).times_monomial(1, exp)
-                    g = g + inner.times_monomial(1, Fraction(i * (i + ell), N))
+                        inner = inner + mul(t, vec).times_monomial(1, exp, cd.cinv_den)
+                    g = g + inner.times_monomial(1, i * (i + ell), N)
                 if f != g:
                     found = True
         assert found

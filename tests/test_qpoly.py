@@ -20,6 +20,7 @@ from qident.qpoly import (
     invert_truncated,
     mul,
     norm_rat,
+    twice,
     prod,
     qpoch,
     qpoch_signed_base2,
@@ -102,6 +103,24 @@ def test_ring_axioms(a, b, c):
 def test_truncated_mul_agrees_with_full(a, b):
     t = Truncation(6)
     assert mul(a, b, t) == mul(a, b).truncate(t)
+
+
+@given(polys, coeffs, st.integers(min_value=-15, max_value=15), st.integers(min_value=1, max_value=12))
+@settings(max_examples=120, deadline=None)
+def test_times_monomial_matches_mul(p, coeff, num, den):
+    # the denominators of p and den mix; num may be negative and num/den unreduced
+    assert p.times_monomial(coeff, num, den) == mul(p, QPoly.monomial(coeff, Fraction(num, den)))
+
+
+def test_times_monomial_examples():
+    third = QPoly({Fraction(1, 3): 2, 1: -1})
+    assert third.times_monomial(1, 2, 4) == QPoly({Fraction(5, 6): 2, Fraction(3, 2): -1})
+    assert third.times_monomial(-1, -3) == QPoly({Fraction(-8, 3): -2, -2: 1})
+    assert third.times_monomial(1, 4, 6) == QPoly({1: 2, Fraction(5, 3): -1})
+    assert third.times_monomial(0, 1, 2) == ZERO and ZERO.times_monomial(3, 1, 2) == ZERO
+    for bad in ((Fraction(1, 2),), (Fraction(1, 2), 3), (1, Fraction(3, 2))):
+        with pytest.raises(TypeError):  # a rational exponent goes in as num, den
+            QPoly({0: 1}).times_monomial(1, *bad)
 
 
 # --- dense products (the Kronecker path) ------------------------------------
@@ -204,7 +223,7 @@ def test_binom_kernel_shape_sizes():
 def test_integral_results_have_int_exponents():
     half = QPoly.monomial(1, Fraction(1, 2))
     third = QPoly.monomial(1, Fraction(1, 3))
-    for p in (mul(half, half), third + QPoly({1: 1}) - third, half.times_monomial(1, Fraction(1, 2))):
+    for p in (mul(half, half), third + QPoly({1: 1}) - third, half.times_monomial(1, 1, 2)):
         assert list(p.items()) == [(1, 1)]
         assert all(type(e) is int for e, _ in p.items())
         assert p == QPoly({1: 1})
@@ -220,8 +239,8 @@ def test_equal_however_built():
     assert QPoly(dict(terms)) == p
     # through other denominators: sixths that cancel, and shifted monomials
     built = QPoly({Fraction(1, 6): 1, 0: 7}) - QPoly({Fraction(1, 6): 1})
-    built = built + QPoly.monomial(3, Fraction(1, 4)).times_monomial(1, Fraction(1, 4))
-    built = built + QPoly({Fraction(5, 6): 4}).times_monomial(1, Fraction(5, 6)) - QPoly({2: 1})
+    built = built + QPoly.monomial(3, Fraction(1, 4)).times_monomial(1, 1, 4)
+    built = built + QPoly({Fraction(5, 6): 4}).times_monomial(1, 5, 6) - QPoly({2: 1})
     assert built == p
     assert render(built) == render(p) == "7 + 3*q^(1/2) + 4*q^(5/3) - q^2"
     assert sorted(built.items()) == sorted(p.items())
@@ -252,6 +271,10 @@ def test_rational_helpers():
         half_int(-1, "binomial entry")
     with pytest.raises(InvalidParams, match=r"got 3/2$"):
         as_int(Fraction(3, 2), "binomial entry")
+    assert twice(3, "L") == 6 and twice(Fraction(-5, 2), "L") == -5
+    assert type(twice(Fraction(4, 2), "L")) is int
+    with pytest.raises(InvalidParams, match=r"^L must be a multiple of 1/2, got 1/3$"):
+        twice(Fraction(1, 3), "L")
 
 
 # --- qpoch ----------------------------------------------------------------

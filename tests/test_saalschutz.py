@@ -100,7 +100,8 @@ def oracle_gensum_sides(n, sigma, ell, m_cap, l1, l2):
             t = mul(t, oracle_qbin(int(l1 + Fraction(m1, 2)), i + ell))
             t = mul(t, oracle_qbin(int(l2 + Fraction(m1, 2)), i))
             t = mul(t, oracle_qbin(int(l1 + l2) + m_cap - i, m_cap - i))
-            lhs = lhs + t.times_monomial(1, Fraction(i * (i + ell), n) + qform(nv))
+            e = Fraction(i * (i + ell), n) + qform(nv)
+            lhs = lhs + t.times_monomial(1, e.numerator, e.denominator)
     rhs = ZERO
     v = [0] * rank
     if rank:
@@ -112,7 +113,8 @@ def oracle_gensum_sides(n, sigma, ell, m_cap, l1, l2):
         t = vec_binom(mv, nv)
         t = mul(t, oracle_qbin(int(l1 + Fraction(m_cap + mu1, 2)), m_cap + ell))
         t = mul(t, oracle_qbin(int(l2 + Fraction(m_cap + ell + mu_last, 2)), m_cap))
-        rhs = rhs + t.times_monomial(1, qform(nv))
+        e = qform(nv)
+        rhs = rhs + t.times_monomial(1, e.numerator, e.denominator)
     return lhs, rhs
 
 
