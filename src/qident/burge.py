@@ -174,8 +174,10 @@ def _xn_term(
     return system_sum(cd, v, offset, weight)
 
 
-def burge_xn(bp: BurgeParams) -> QPoly:
-    bp.validate()
+def burge_xn(bp: BurgeParams, checked: bool = False) -> QPoly:
+    """The level-N polynomial; checked=True skips the validation of a point already validated."""
+    if not checked:
+        bp.validate()
     p, pp, r, s = bp.p, bp.pprime, bp.r, bp.s
     M1, M2, M12, N = bp.M1, bp.M2, bp.M12, bp.N
     two_l1, two_l2 = twice(bp.L1, "L1"), twice(bp.L2, "L2")

@@ -50,7 +50,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from . import burge, multinom, qpoly, saalschutz, series
 from .errors import InvalidParams, QIdentError
 from .qbinom import qbin_standard
-from .qpoly import ONE, QPoly, Truncation, render, truncated_equal
+from .qpoly import ONE, QPoly, Truncation, render, truncated_equal, twice
 
 GRID_VERSION = "1"
 TREE_DEPTH_CAP = 6
@@ -232,8 +232,9 @@ def _traf_family(identity_id: str, tag: str, parents: Tuple) -> Family:
                   applies)
 
 
-def _form_point(p: Dict) -> burge.BurgeParams:
-    return _symmetric(p, burge.FORM_LABELS[p["name"]](p["N"]))
+def _form_point(p: Dict) -> Tuple[str, burge.BurgeParams]:
+    """The form's name and its node at the symmetric bounds M1 = M2 = M, L1 = L2 = L."""
+    return p["name"], _symmetric(p, burge.FORM_LABELS[p["name"]](p["N"]))
 
 
 def _form_levels(p: Dict) -> Tuple[int, ...]:
@@ -247,10 +248,16 @@ def _form_span(p: Dict) -> int:
     return 9 if p["name"] in burge.CLASSIC_FORMS else 6
 
 
-def _form_applies(p: Dict) -> bool:
-    name, n = p["name"], p["N"]
-    level_ok = (name not in burge.CLASSIC_FORMS or n == 1) and (name != "slater" or n == 2)
-    return level_ok and _form_point(p).violation() is None
+def _form_applies(form: Tuple[str, burge.BurgeParams]) -> bool:
+    name, bp = form
+    level_ok = (name not in burge.CLASSIC_FORMS or bp.N == 1) and (name != "slater" or bp.N == 2)
+    return level_ok and bp.violation() is None
+
+
+def _form_sides(form: Tuple[str, burge.BurgeParams], d):
+    name, bp = form
+    return (burge.burge_xn(bp, checked=True),
+            burge.closed_form(name, bp.M1, bp.L1, bp.N, bp.sigma))
 
 
 def _tree_sides(p: Dict, d):
@@ -266,11 +273,10 @@ def _tnew_query(p: Dict) -> multinom.MultinomialQuery:
     return multinom.MultinomialQuery(p["N"], p["L"], Fraction(p["ell"], 2))
 
 
-def _classical_sides(p: Dict, d):
+def _classical_sides(q: multinom.MultinomialQuery, d):
     """The q -> 1 limit of T_0 against the ordinary multinomial coefficient."""
-    n, l, a = _get(p, ("N", "L", "a"))
-    got = multinom.classical_limit(multinom.t_multinomial(multinom.MultinomialQuery(n, l, a)))
-    return QPoly.monomial(got), QPoly.monomial(multinom.classical_multinomial(n, l, a))
+    got = multinom.classical_limit(multinom.t_multinomial(q, checked=True))
+    return QPoly.monomial(got), QPoly.monomial(multinom.classical_multinomial(q.N, q.L, q.a))
 
 
 def _bailey(p: Dict, trunc: Optional[Truncation]) -> series.BaileyPairQuery:
@@ -313,12 +319,12 @@ REGISTRY: Dict[str, Family] = {
     for fam in [
         Family("qs2", _ps("L1", "L2", "M", "ell"),
                tuple((k, range(-6, 7)) for k in ("L1", "L2", "M", "ell")),
-               lambda p, d: (saalschutz.qs2_lhs(_classic(p)), saalschutz.qs2_rhs(_classic(p))),
-               lambda p: not saalschutz.qs2_exceptional(_classic(p)), exceptional_sides=True),
+               lambda c, d: (saalschutz.qs2_lhs(c), saalschutz.qs2_rhs(c)),
+               lambda c: not saalschutz.qs2_exceptional(c), _classic, exceptional_sides=True),
         Family("qcv", _ps("L1", "L2", "ell"),
                tuple((k, range(-5, 6)) for k in ("L1", "L2", "ell")),
-               lambda p, d: (saalschutz.qcv_lhs(_classic(p)), saalschutz.qcv_rhs(_classic(p))),
-               lambda p: not saalschutz.qcv_exceptional(_classic(p)), exceptional_sides=True),
+               lambda c, d: (saalschutz.qcv_lhs(c), saalschutz.qcv_rhs(c)),
+               lambda c: not saalschutz.qcv_exceptional(c), _classic, exceptional_sides=True),
         Family("sears", _ps(*"abcdefg"),
                tuple((k, range(-6, 9)) for k in "abcdefg"),
                lambda p, d: (saalschutz.sears_lhs(*p.values()), saalschutz.sears_rhs(*p.values())),
@@ -340,9 +346,7 @@ REGISTRY: Dict[str, Family] = {
                (("name", tuple(burge.FORM_LABELS)), ("N", _form_levels), ("sigma", _sigmas),
                 ("M", lambda p: range(0, _form_span(p))),
                 ("L", lambda p: _shifted(_form_span(p))(p))),
-               lambda p, d: (burge.burge_xn(_form_point(p)),
-                             burge.closed_form(p["name"], p["M"], p["L"], p["N"], p["sigma"])),
-               _form_applies),
+               _form_sides, _form_applies, _form_point),
         Family("burge.tree", _ps("depth", "N", "sigma"),
                (("depth", (3,)), ("N", (1,)), ("sigma", (0,))), _tree_sides,
                lambda p: (p["depth"] >= 0 and p["N"] >= 1 and p["sigma"] in (0, 1)
@@ -350,15 +354,15 @@ REGISTRY: Dict[str, Family] = {
         Family("multinom.tnew", _ps("N", "L", "ell"),
                (("N", (2, 3, 4)), ("L", range(0, 9)),
                 ("ell", lambda p: range(-p["N"] * p["L"], p["N"] * p["L"] + 1, 2))),
-               lambda p, d: (multinom.tnew_rhs(p["N"], p["L"], p["ell"], p["L"] % 2),
-                             multinom.t_multinomial(_tnew_query(p))),
-               lambda p: _tnew_query(p).violation() is None),
+               lambda q, d: (multinom.tnew_rhs(q.N, q.L, twice(q.a, "a"), q.L % 2, checked=True),
+                             multinom.t_multinomial(q, checked=True)),
+               lambda q: q.violation() is None, _tnew_query),
         Family("multinom.classical", _ps("N", "L", "a:rat"),
                (("N", range(1, 5)), ("L", range(0, 7)),
                 ("a", lambda p: [Fraction(t, 2) for t in range(-p["N"] * p["L"],
                                                               p["N"] * p["L"] + 1, 2)])),
-               _classical_sides,
-               lambda p: multinom.MultinomialQuery(*_get(p, ("N", "L", "a"))).violation() is None),
+               _classical_sides, lambda q: q.violation() is None,
+               lambda p: multinom.MultinomialQuery(*_get(p, ("N", "L", "a")))),
         Family("multinom.diff", _ps("N", "L", "ell", "n"),
                (("N", (3, 4)), ("L", range(0, 7)), ("n", lambda p: range(1, p["N"] - 1)),
                 ("ell", lambda p: [e for e in range(0, p["N"] * p["L"] + 3)

@@ -85,8 +85,10 @@ def _t_sum(cd: CartanData, L: int, two_a: int, n_index: int) -> QPoly:
     return total
 
 
-def t_multinomial(query: MultinomialQuery) -> QPoly:
-    query.validate()
+def t_multinomial(query: MultinomialQuery, checked: bool = False) -> QPoly:
+    """T_n^{(N)}(L, a); checked=True skips the validation of a query already validated."""
+    if not checked:
+        query.validate()
     return _t_sum(cartan(query.N), query.L, twice(query.a, "a"), query.n_index)
 
 
@@ -121,11 +123,13 @@ def classical_limit(poly: QPoly) -> int:
     return eval_at_one(poly)
 
 
-def tnew_rhs(N: int, L: int, ell: int, sigma: int) -> QPoly:
-    """Quadratic-exponent rewriting of T_0^{(N)}(L, ell/2)."""
+def tnew_rhs(N: int, L: int, ell: int, sigma: int, checked: bool = False) -> QPoly:
+    """Quadratic-exponent rewriting of T_0^{(N)}(L, ell/2); checked=True skips the
+    validation of MultinomialQuery(N, L, ell/2), already validated by the caller."""
     if sigma not in (0, 1) or (sigma - L) % 2:
         raise InvalidParams("sigma must be 0 or 1 with sigma = L mod 2")
-    MultinomialQuery(N, L, Fraction(ell, 2)).validate()
+    if not checked:
+        MultinomialQuery(N, L, Fraction(ell, 2)).validate()
     cd = cartan(N)
     total = ZERO
     # a nonzero term needs 2i <= L - ell + m1 and m1 <= ((2i+ell)(N-1)+n)/N

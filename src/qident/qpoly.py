@@ -20,6 +20,8 @@ operation equals the exact operation followed by a final truncation.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -266,6 +268,9 @@ class Truncation:
 _DENSE_SPAN = 2
 _PAIRS_PER_TERM = 5
 
+# the array typecode of an unsigned machine word, by its size in bytes
+_WORD = {size: next(c for c in "BHILQ" if array(c).itemsize == size) for size in (1, 2, 4, 8)}
+
 
 def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
     """Exact convolution product; with trunc, terms above the cap are dropped."""
@@ -273,7 +278,7 @@ def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
         return ZERO
     if len(a._terms) > len(b._terms):
         a, b = b, a
-    if trunc is None and a == ONE:
+    if trunc is None and a._terms == ONE._terms:  # {0: 1} forces den 1
         return b
     den, ta, tb = _common(a, b)
     top = max(ta) + max(tb)
@@ -304,9 +309,13 @@ def _kronecker(ta: Terms, tb: Terms, top: int) -> Optional[Terms]:
     Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
     operand, clipped to the keys that can reach top, is packed into one
     integer with a fixed-width slot per coefficient, and one integer multiply
-    gives every product coefficient.  The slot is wider than twice the bound
-    on any product coefficient, so adding half the slot range to each slot
-    makes it nonnegative and no borrow crosses a slot.
+    gives every product coefficient.  No product coefficient exceeds
+    bound = max|a| * max|b| * min(len a, len b) in magnitude.  When both
+    operands are nonnegative and bound < 2**64, the slot is the smallest of
+    1, 2, 4 or 8 bytes that holds bound: no slot can carry into the next, so
+    the operands pack and the product unpacks as machine words in C.
+    Otherwise the slot is wider than twice bound, and adding half the slot
+    range to each slot makes it nonnegative, so no borrow crosses a slot.
     """
     lo_a, lo_b, hi_a, hi_b = min(ta), min(tb), max(ta), max(tb)
     if hi_a - lo_a >= _DENSE_SPAN * len(ta) or hi_b - lo_b >= _DENSE_SPAN * len(tb):
@@ -316,20 +325,32 @@ def _kronecker(ta: Terms, tb: Terms, top: int) -> Optional[Terms]:
         return {}
     ca = list(map(ta.get, range(lo_a, min(hi_a, top - lo_b) + 1), repeat(0)))
     cb = list(map(tb.get, range(lo_b, min(hi_b, top - lo_a) + 1), repeat(0)))
-    bound = max(max(ca), -min(ca)) * max(max(cb), -min(cb)) * min(len(ca), len(cb))
-    width = (bound.bit_length() + 2 + 7) // 8  # bytes per slot
-    half = 1 << (8 * width - 1)
-    slot = bytes(width - 1) + b"\x80"  # one slot holding `half`
-
-    def pack(cs: List[int]) -> int:
-        raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
-        return int.from_bytes(raw, "little") - int.from_bytes(slot * len(cs), "little")
-
     n = top - base + 1
-    biased = (pack(ca) * pack(cb) + int.from_bytes(slot * n, "little")) & ((1 << (8 * width * n)) - 1)
-    raw = biased.to_bytes(width * n, "little")
-    vals = (int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width))
-    return {base + i: v for i, v in enumerate(vals) if v}
+    min_a, max_a, min_b, max_b = min(ca), max(ca), min(cb), max(cb)
+    bound = max(max_a, -min_a) * max(max_b, -min_b) * min(len(ca), len(cb))
+    if min_a >= 0 and min_b >= 0 and bound >> 64 == 0:
+        width = next(w for w in _WORD if bound >> (8 * w) == 0)
+        code, order = _WORD[width], sys.byteorder
+        product = (int.from_bytes(array(code, ca).tobytes(), order)
+                   * int.from_bytes(array(code, cb).tobytes(), order))
+        # the full product, slot for slot, so it casts back in either byte order
+        raw = product.to_bytes(width * (len(ca) + len(cb) - 1), order)
+        vals = memoryview(raw).cast(code)[:n].tolist()
+    else:
+        width = (bound.bit_length() + 2 + 7) // 8  # bytes per slot
+        half = 1 << (8 * width - 1)
+        slot = bytes(width - 1) + b"\x80"  # one slot holding `half`
+
+        def pack(cs: List[int]) -> int:
+            raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
+            return int.from_bytes(raw, "little") - int.from_bytes(slot * len(cs), "little")
+
+        biased = (pack(ca) * pack(cb) + int.from_bytes(slot * n, "little")) & ((1 << (8 * width * n)) - 1)
+        raw = biased.to_bytes(width * n, "little")
+        vals = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
+    if 0 in vals:
+        return {base + i: v for i, v in enumerate(vals) if v}
+    return dict(zip(range(base, top + 1), vals))
 
 
 def prod(polys: Iterable[QPoly], trunc: Truncation | None = None) -> QPoly:

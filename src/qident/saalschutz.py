@@ -11,13 +11,20 @@ L + m1/2 are built as integers over 2 and checked for integrality: the
 parameter constraints make a fractional top impossible, so hitting one
 raises InvalidParams rather than silently dropping a term.  Exponents are
 integer numerators over N, lattice offsets numerators over 2N.
+
+qs2 and gensum are sums over i of outer(M, i) * inner(i), with inner(i) free
+of M.  Their sweeps walk M and the later axes inside a prefix of the earlier
+ones, (L1, L2) for qs2 and (N, sigma, ell) for gensum, so each keeps its inner
+sums for the current prefix only: on the default grids three in four are
+reused, and none is needed again once the prefix moves on, so the memo is
+bounded by the grid's own reuse window with no size to tune.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import Checked, UnbalancedParameters
 from .lattice import axis_source, cartan, system_sum
@@ -62,22 +69,46 @@ class SaalschutzParams(Checked):
         return None
 
 
+# --- inner-sum memos -----------------------------------------------------------
+
+# prefix -> {rest of the key: inner sum}, one prefix at a time; an inner sum
+# that raises is never stored, so its point raises again
+_QS2_INNER: Dict[Tuple, Dict[Tuple, QPoly]] = {}  # (L1, L2) -> {(ell, i): ...}
+_GENSUM_INNER: Dict[Tuple, Dict[Tuple, QPoly]] = {}  # (N, sigma, ell) -> {(i, 2 L1, 2 L2): ...}
+
+
+def _scope(memo: Dict[Tuple, Dict[Tuple, QPoly]], prefix: Tuple) -> Dict[Tuple, QPoly]:
+    """The memo's values under prefix; any other prefix's values are dropped first."""
+    values = memo.get(prefix)
+    if values is None:
+        memo.clear()
+        values = memo[prefix] = {}
+    return values
+
+
 # --- classical summation ----------------------------------------------------
 
 def qs2_lhs(p: ClassicParams) -> QPoly:
+    inner = _scope(_QS2_INNER, (p.L1, p.L2))
     total = ZERO
     for i in range(0, p.M + 1):
-        term = qbin(p.L1 + p.L2 + p.M - i, p.M - i)
-        if term.is_zero():
+        outer = qbin(p.L1 + p.L2 + p.M - i, p.M - i)
+        if outer.is_zero():
             continue
-        term = mul(term, qbin(p.L1, i + p.ell))
-        if term.is_zero():
-            continue
-        term = mul(term, qbin(p.L2, i))
-        if term.is_zero():
-            continue
-        total = total + term.times_monomial(1, i * (i + p.ell))
+        term = inner.get((p.ell, i))
+        if term is None:
+            term = inner[p.ell, i] = _qs2_inner(p.L1, p.L2, p.ell, i)
+        if not term.is_zero():
+            total = total + mul(outer, term)
     return total
+
+
+def _qs2_inner(L1: int, L2: int, ell: int, i: int) -> QPoly:
+    """The M-free part q^{i(i+ell)} [L1 over i+ell] [L2 over i] of the i-th qs2 term."""
+    term = qbin(L1, i + ell)
+    if term.is_zero():
+        return term
+    return mul(term, qbin(L2, i)).times_monomial(1, i * (i + ell))
 
 
 def qs2_rhs(p: ClassicParams) -> QPoly:
@@ -93,9 +124,7 @@ def qs2_exceptional(p: ClassicParams) -> bool:
 def qcv_lhs(p: ClassicParams) -> QPoly:
     total = ZERO
     for i in range(0, p.L2 + 1):
-        term = mul(qbin(p.L1, i + p.ell), qbin(p.L2, i))
-        if not term.is_zero():
-            total = total + term.times_monomial(1, i * (i + p.ell))
+        total = total + _qs2_inner(p.L1, p.L2, p.ell, i)
     return total
 
 
@@ -162,28 +191,35 @@ def gensum_lhs(p: SaalschutzParams, checked: bool = False) -> QPoly:
     """The lattice sum; checked=True skips the validation of a point already validated."""
     if not checked:
         p.validate()
-    cd = cartan(p.N)
     two_l1, two_l2 = twice(p.L1, "L1"), twice(p.L2, "L2")
     l12 = half_int(two_l1 + two_l2, "binomial entry")
+    inner = _scope(_GENSUM_INNER, (p.N, p.sigma, p.ell))
     total = ZERO
     for i in range(0, p.M + 1):
         outer = qbin(l12 + p.M - i, p.M - i)
         if outer.is_zero():
             continue
-
-        def weight(m):
-            m1 = m[0] if m else 0
-            b1 = qbin(half_int(two_l1 + m1, "binomial entry"), i + p.ell)
-            if b1.is_zero():
-                return b1
-            return mul(b1, qbin(half_int(two_l2 + m1, "binomial entry"), i))
-
-        v = axis_source(cd.rank, [(1, 2 * i + p.ell)])
-        inner = system_sum(cd, v, 2 * i + p.ell + p.sigma * p.N, weight)
-        if inner.is_zero():
-            continue
-        total = total + mul(outer, inner).times_monomial(1, i * (i + p.ell), p.N)
+        term = inner.get((i, two_l1, two_l2))
+        if term is None:
+            term = inner[i, two_l1, two_l2] = _gensum_inner(p.N, p.sigma, p.ell, i, two_l1, two_l2)
+        if not term.is_zero():
+            total = total + mul(outer, term).times_monomial(1, i * (i + p.ell), p.N)
     return total
+
+
+def _gensum_inner(N: int, sigma: int, ell: int, i: int, two_l1: int, two_l2: int) -> QPoly:
+    """The M-free (m,n)-system sum of the i-th gensum term, at L1 = two_l1/2, L2 = two_l2/2."""
+    cd = cartan(N)
+
+    def weight(m):
+        m1 = m[0] if m else 0
+        b1 = qbin(half_int(two_l1 + m1, "binomial entry"), i + ell)
+        if b1.is_zero():
+            return b1
+        return mul(b1, qbin(half_int(two_l2 + m1, "binomial entry"), i))
+
+    v = axis_source(cd.rank, [(1, 2 * i + ell)])
+    return system_sum(cd, v, 2 * i + ell + sigma * N, weight)
 
 
 def gensum_rhs(p: SaalschutzParams, checked: bool = False) -> QPoly:

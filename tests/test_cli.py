@@ -170,7 +170,7 @@ def test_checker_exception_is_one_error_row(capsys, monkeypatch, jobs):
     fam = REGISTRY["qs2"]
 
     def sides(p, d):
-        if p["M"] == 1:
+        if p.M == 1:  # p is the row's ClassicParams record
             raise ZeroDivisionError("injected")
         return fam.sides(p, d)
 
@@ -294,7 +294,7 @@ def test_parallel_error_notes_keep_point_order(capsys, monkeypatch):
     fam = REGISTRY["qs2"]
 
     def sides(p, d):
-        if (p["L1"] + p["M"]) % 2 == 0:  # runs of ten errors, so chunks hold several
+        if (p.L1 + p.M) % 2 == 0:  # runs of ten errors, so chunks hold several
             raise InvalidParams("injected")
         return fam.sides(p, d)
 
@@ -558,4 +558,22 @@ def test_verify_gensum_validates_each_point_once(capsys, monkeypatch):
     rows, summary = rows_of(out)
     assert code == 0 and summary["equal"] > 0 and summary["skipped_precondition"] > 0
     # skipped and checked rows alike build and validate their point once
+    assert len(calls) == len(rows) == summary["total"]
+
+
+@pytest.mark.parametrize("module, record, argv", [
+    ("multinom", "MultinomialQuery", ["verify", "multinom.tnew", "--N", "2,3", "--L", "0..3"]),
+    ("burge", "BurgeParams", ["verify", "burge.forms", "--name", "nn,tadpole,slater", "--M", "0..2"]),
+])
+def test_sides_reuse_the_validated_row_record(capsys, monkeypatch, module, record, argv):
+    import importlib
+
+    cls = getattr(importlib.import_module(f"qident.{module}"), record)
+    calls = []
+    real = cls.violation
+    monkeypatch.setattr(cls, "violation", lambda self: calls.append(self) or real(self))
+    code, out, _ = run(argv, capsys)
+    rows, summary = rows_of(out)
+    assert code == 0 and summary["equal"] == summary["total"] > 0
+    # the precondition validates the row's record; the sides take it as checked
     assert len(calls) == len(rows) == summary["total"]

@@ -17,6 +17,7 @@ from qident.cli import GRID_VERSION, main
 PINNED = {
     "1": {
         "suite": ("d62c9d54b6e61f3c125c2e48fb2012a6c0db18bdb33cc8235e5102ad97ecf9ef", 43654),
+        "sweep-wide": ("7e9f63c950fc9e425c3fb5b6f01b6d0643256f7e4e7fcf71cdc817cf91841491", 194482),
         "series-deep": ("3e7b3feb245a15746260018ad65e63d0f598a9e8563084649bcf0dbbf179b024", 65),
     },
 }
@@ -53,6 +54,15 @@ def test_suite_stream_is_pinned(tmp_path):
 
 def test_suite_stream_is_pinned_with_a_pool(tmp_path):
     _assert_pinned("suite", _stream([("suite", "--jobs", "2")], tmp_path))
+
+
+def test_sweep_wide_override_stream_is_pinned(tmp_path):
+    # one qs2 override sweep over 194,481 points in a pool: the path where
+    # the memoized qs2 inner sums see the most reuse
+    workloads = _load_workloads()
+    commands = workloads.build("sweep-wide", workloads.DEFAULT_SEED).commands
+    assert len(commands) == 1
+    _assert_pinned("sweep-wide", _stream(commands, tmp_path))
 
 
 def test_series_deep_override_streams_are_pinned(tmp_path):

@@ -126,23 +126,25 @@ def test_times_monomial_examples():
 # --- dense products (the Kronecker path) ------------------------------------
 
 @st.composite
-def dense_polys(draw, den=None):
-    """8 to 300 consecutive exponents lo/den, (lo+1)/den, ... with signed coefficients."""
+def dense_polys(draw, den=None, nonnegative=False):
+    """8 to 300 consecutive exponents lo/den, (lo+1)/den, ... with signed
+    coefficients, or positive ones when nonnegative."""
     den = den if den is not None else draw(st.sampled_from([1, 2, 3]))
     size = draw(st.integers(min_value=8, max_value=300))
     lo = draw(st.integers(min_value=0, max_value=12))
     mag = draw(st.sampled_from([9, 2 ** 20, 2 ** 70]))
-    nonzero = st.integers(min_value=-mag, max_value=mag).filter(lambda c: c != 0)
+    nonzero = st.integers(min_value=0 if nonnegative else -mag, max_value=mag).filter(lambda c: c != 0)
     coeffs = draw(st.lists(nonzero, min_size=size, max_size=size))
     return QPoly({Fraction(lo + i, den): c for i, c in enumerate(coeffs)})
 
 
 @st.composite
 def dense_pairs(draw):
+    """Two dense operands, both nonnegative (the unsigned slot path) or both signed."""
     den = draw(st.sampled_from([1, 2, 3, "mixed"]))
-    if den == "mixed":
-        return draw(dense_polys(den=2)), draw(dense_polys(den=3))
-    return draw(dense_polys(den=den)), draw(dense_polys(den=den))
+    nonnegative = draw(st.booleans())
+    dens = (2, 3) if den == "mixed" else (den, den)
+    return tuple(draw(dense_polys(den=d, nonnegative=nonnegative)) for d in dens)
 
 
 @st.composite
@@ -187,6 +189,41 @@ def test_dense_mul_cancels_to_zero_coefficients(den):
     assert mul(a, b) == want
     assert mul(a, b, Truncation(Fraction(25, den))) == want.truncate(Truncation(Fraction(25, den)))
     assert mul(a, b, Truncation(Fraction(25, den))).coeff(Fraction(22, den)) == -1
+
+
+def _slot_cases():
+    # 17 constant coefficients times 17 reach max|a| * max|b| * 17 at the
+    # middle key, so each product's largest coefficient is exactly the bound
+    # that picks its slot: 2**(8w) - 1 fills a w-byte slot, 2**(8w) needs the
+    # next one, and from 2**64 on the signed path takes over
+    fill = {1: (3, 5), 2: (257, 15), 4: (257 * 65537, 15), 8: (257 * 641 * 65537 * 6700417, 15)}
+    for width, (ca, cb) in fill.items():
+        assert ca * cb * 17 == 2 ** (8 * width) - 1
+        yield pytest.param(ca, cb, 17, id=f"fills_{width}_bytes")
+        yield pytest.param(2 ** (8 * width - 8), 16, 16, id=f"overflows_{width}_bytes")
+    yield pytest.param(2 ** 64 + 1, 1, 16, id="coefficient_above_2_64")
+
+
+@pytest.mark.parametrize("ca, cb, size", _slot_cases())
+@pytest.mark.parametrize("cap", [None, 8, 20])
+@pytest.mark.parametrize("signs", ["nonnegative", "mixed"])
+def test_dense_mul_at_slot_boundaries(ca, cb, size, cap, signs):
+    a = QPoly({k: ca for k in range(size)})
+    b = QPoly({k: cb if signs == "nonnegative" or k % 5 else -cb for k in range(size)})
+    want = conv_oracle(dict(a.items()), dict(b.items()))
+    if signs == "nonnegative":
+        assert max(want.values()) == ca * cb * size
+    trunc = None if cap is None else Truncation(cap)
+    if trunc is not None:
+        want = {e: c for e, c in want.items() if e <= cap}
+    assert as_frac_dict(mul(a, b, trunc)) == want
+    assert as_frac_dict(mul(b, a, trunc)) == want
+
+
+def test_mul_by_a_unit_equal_to_one_returns_the_other_operand():
+    b = QPoly({0: 3, 2: -1, Fraction(1, 2): 5})
+    assert mul(QPoly({0: 1}), b) is b and mul(b, ONE) is b
+    assert mul(QPoly({0: 1}), b, Truncation(1)) == b.truncate(Truncation(1))
 
 
 def _kernel_shapes():

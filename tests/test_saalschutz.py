@@ -1,10 +1,17 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qident
+from qident import saalschutz
 from qident.errors import InvalidParams, UnbalancedParameters
 from qident.qpoly import ONE, ZERO, QPoly, exact_div, mul, qpoch, render
 from qident.saalschutz import (
@@ -313,6 +320,75 @@ def test_gensum_symmetry():
         b = SaalschutzParams(n, sigma, -ell, M + ell, L2, L1)
         assert gensum_lhs(a) == gensum_lhs(b)
         assert gensum_rhs(a) == gensum_rhs(b)
+
+
+# --- inner-sum memos ---------------------------------------------------------------------
+
+_QS2_GRID = [(l1, l2, m, ell) for l1 in range(-2, 5) for l2 in range(-2, 5)
+             for m in range(0, 5) for ell in range(-2, 4)]
+_GENSUM_GRID = [(n, sigma, ell, m, Fraction(t1, 2), Fraction(t2, 2))
+                for n in (1, 2, 3) for sigma in (0, 1) for ell in range(-2, 3)
+                if (ell + sigma * n) % 2 == 0
+                for m in range(0, 4) for t1 in range(0, 5) for t2 in range(0, 5)
+                if (t1 + ell + sigma) % 2 == 0 and (t2 + ell + sigma) % 2 == 0]
+
+_FRESH = """
+import json, sys
+from fractions import Fraction
+from qident.qpoly import render
+from qident.saalschutz import ClassicParams, SaalschutzParams, gensum_lhs, qs2_lhs
+qs2, gensum = json.load(sys.stdin)
+print(json.dumps([[render(qs2_lhs(ClassicParams(*p))) for p in qs2],
+                  [render(gensum_lhs(SaalschutzParams(*p[:4], Fraction(p[4]), Fraction(p[5]))))
+                   for p in gensum]]))
+"""
+
+
+def test_memoized_lhs_over_a_shuffled_grid_equals_a_fresh_process():
+    # the fresh process walks each grid in grid order, one call per point;
+    # here the points come in random order, so the memos change prefix
+    # almost every call, and twice over, so the second pass can hit
+    grids = [_QS2_GRID, [(*p[:4], str(p[4]), str(p[5])) for p in _GENSUM_GRID]]
+    env = dict(os.environ, PYTHONPATH=str(Path(qident.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-c", _FRESH], input=json.dumps(grids), env=env,
+                           capture_output=True, text=True, check=True)
+    want_qs2, want_gensum = json.loads(fresh.stdout)
+    rng = random.Random(5)
+    for _ in range(2):
+        for i in rng.sample(range(len(_QS2_GRID)), len(_QS2_GRID)):
+            assert render(qs2_lhs(ClassicParams(*_QS2_GRID[i]))) == want_qs2[i], _QS2_GRID[i]
+        for i in rng.sample(range(len(_GENSUM_GRID)), len(_GENSUM_GRID)):
+            sp = SaalschutzParams(*_GENSUM_GRID[i])
+            assert render(gensum_lhs(sp)) == want_gensum[i], sp
+
+
+def test_memos_hold_only_the_current_prefix():
+    qs2_lhs(ClassicParams(3, 2, 4, 0))
+    assert saalschutz._QS2_INNER.keys() == {(3, 2)}
+    assert saalschutz._QS2_INNER[3, 2].keys() == {(0, i) for i in range(5)}
+    qs2_lhs(ClassicParams(2, 3, 1, 1))
+    assert saalschutz._QS2_INNER.keys() == {(2, 3)}
+    assert saalschutz._QS2_INNER[2, 3].keys() == {(1, 0), (1, 1)}
+
+    gensum_lhs(SaalschutzParams(2, 0, 0, 2, 1, 2))
+    assert saalschutz._GENSUM_INNER.keys() == {(2, 0, 0)}
+    assert saalschutz._GENSUM_INNER[2, 0, 0].keys() == {(i, 2, 4) for i in range(3)}
+    gensum_lhs(SaalschutzParams(2, 0, 0, 1, 2, 2))  # same prefix: the values pile up
+    assert saalschutz._GENSUM_INNER[2, 0, 0].keys() == {(i, 2, 4) for i in range(3)} | {(0, 4, 4), (1, 4, 4)}
+    gensum_lhs(SaalschutzParams(3, 1, 1, 1, 1, 1))
+    assert saalschutz._GENSUM_INNER.keys() == {(3, 1, 1)}
+    assert saalschutz._GENSUM_INNER[3, 1, 1].keys() == {(0, 2, 2), (1, 2, 2)}
+
+
+def test_an_inner_sum_that_raises_is_not_stored():
+    # L1 = L2 = 1/2 at ell = sigma = 0 breaks the parity rule, so the
+    # (m,n)-system weight meets the half-integral top 1/2 at i = 0; checked=True
+    # lets the point past validation, as a precondition bug would
+    bad = SaalschutzParams(1, 0, 0, 1, Fraction(1, 2), Fraction(1, 2))
+    for _ in range(2):
+        with pytest.raises(InvalidParams, match="binomial entry"):
+            gensum_lhs(bad, checked=True)
+        assert saalschutz._GENSUM_INNER == {(1, 0, 0): {}}
 
 
 # --- cleared-denominator limit ------------------------------------------------------------
