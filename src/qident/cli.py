@@ -4,22 +4,24 @@ trees, and evaluate single objects to canonical text.
 Each verify family is one declarative Family record.  Its axes, listed in
 grid order, are value sequences, rules over the values chosen before them
 (L = k + sigma/2, a parity filter on ell), or joint axes of label tuples.
-A family with a point function turns each point's values into its parameter
-record once; precondition and sides then take that record, otherwise the
-values by name.  precondition is the only source of skipped_precondition;
-once a point exists, anything raised makes it an error row.  sides(point, D)
-gives (lhs, rhs[, witness]), compared exactly or truncated at D as trunc
-says.  An override sweep crosses the named axes first, in parameter order,
-and fills each unnamed axis by its grid rule; naming nothing gives the
-default grid, versioned via GRID_VERSION.
+A family with a point function builds each point's parameter record once, as
+point(*values) in parameter order; precondition and sides then take that
+record, otherwise the values by name.  precondition is the only source of
+skipped_precondition; once a point exists, anything raised makes it an error
+row.  sides(point, D) gives (lhs, rhs[, witness]), compared exactly or
+truncated at D as trunc says.  An override sweep crosses the named axes
+first, in parameter order, and fills each unnamed axis by its grid rule;
+naming nothing gives the default grid, versioned via GRID_VERSION.
 
-Reports are one JSON object per line with a summary object last.  Workers
-(the parent, at one job) render chunks of rows, at most 2 x jobs in flight,
-and the parent writes them in submission order: a stream is byte-identical
-across runs for a fixed configuration, and elapsed_ms stays 0 unless timing
-is requested explicitly.  A summary's elapsed_ms then runs from the queueing
-of the family's first chunk to the reading of its last: at one job that is
-the family's own sweep, in a pool it overlaps the families next to it.
+Reports are one JSON object per line with a summary object last.  A row is
+its family's head, built once, filled with the point's values, then the
+verdict fields.  Workers (the parent, at one job) render chunks of rows, at
+most 2 x jobs in flight, and the parent writes them in submission order: a
+stream is byte-identical across runs for a fixed configuration, and
+elapsed_ms stays 0 unless timing is requested explicitly.  A summary's
+elapsed_ms then runs from the queueing of the family's first chunk to the
+reading of its last: at one job that is the family's own sweep, in a pool it
+overlaps the families next to it.
 
 Exit codes: 0 when no point mismatches or errors and at least one point was
 checked, 1 otherwise (a suite takes the worst of its families) or when the
@@ -44,7 +46,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, product
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import burge, multinom, qpoly, saalschutz, series
@@ -127,6 +131,14 @@ def _encode_value(v):
     return v
 
 
+def _json_value(v) -> str:
+    """_encode_value(v) as json.dumps writes it; only a witness dict needs the encoder."""
+    v = _encode_value(v)
+    if type(v) is int:  # not bool, which json writes as true/false
+        return int.__repr__(v)
+    return encode_basestring_ascii(v) if type(v) is str else json.dumps(v)
+
+
 # --- families -----------------------------------------------------------------------
 
 
@@ -139,7 +151,7 @@ class Family:
     axes: Tuple[Tuple[Union[str, Tuple[str, ...]], object], ...]
     sides: Callable
     precondition: Optional[Callable] = None  # None: every point applies
-    point: Optional[Callable[[Dict], object]] = None  # the record both take, built once per row
+    point: Optional[Callable[..., object]] = None  # the record both take, built once per row
     trunc: Union[None, int, str] = None
     # a default grid drawn instead of crossing the axes; overrides still cross them
     sample: Optional[Callable[[], Iterable[Tuple]]] = None
@@ -149,6 +161,14 @@ class Family:
     @cached_property  # read for every point
     def names(self) -> Tuple[str, ...]:
         return tuple(ps.name for ps in self.params)
+
+    @cached_property
+    def heads(self) -> Tuple[str, str]:
+        """A JSON row to the end of its params, a text row after its verdict: %s per value."""
+        ident, *names = (text.replace("%", "%%") for text in (self.identity_id, *self.names))
+        params = ", ".join(f"{encode_basestring_ascii(n)}: %s" for n in names)
+        return (f'{{"identity_id": {encode_basestring_ascii(ident)}, "params": {{{params}}}',
+                " ".join([ident, *(f"{n}=%s" for n in names)]))
 
 
 _LABELS = ("p", "pprime", "r", "s")
@@ -171,10 +191,6 @@ def _shifted(count: int) -> Callable[[Dict], List[Fraction]]:
     return lambda p: [k + Fraction(p["sigma"], 2) for k in range(count)]
 
 
-def _classic(p: Dict) -> saalschutz.ClassicParams:
-    return saalschutz.ClassicParams(p["L1"], p["L2"], p.get("M", 0), p["ell"])
-
-
 def _sears_sample() -> Iterable[Tuple[int, ...]]:
     # deterministic draw of balanced tuples a+b = c+d+f from the [-6,8]^7 box
     rng = random.Random(97231)
@@ -191,18 +207,14 @@ def _sears_sample() -> Iterable[Tuple[int, ...]]:
         yield t
 
 
-def _gensum_point(p: Dict) -> saalschutz.SaalschutzParams:
-    return saalschutz.SaalschutzParams(p["N"], p["sigma"], p["ell"], p["M"], p["L1"], p["L2"])
-
-
 def _gensum_halves(p: Dict) -> List[Fraction]:
     """L in 0, 1/2, ..., 5 with L + (ell+sigma)/2 an integer."""
     return [Fraction(t, 2) for t in range(0, 11) if (t + p["ell"] + p["sigma"]) % 2 == 0]
 
 
-def _symmetric(p: Dict, labels: Sequence[int]) -> burge.BurgeParams:
-    """The level-N point of `labels` at the symmetric bounds M1 = M2, L1 = L2."""
-    return burge.BurgeParams(*labels, *_get(p, _SYMMETRIC), N=p["N"], sigma=p["sigma"])
+def _symmetric(labels: Sequence[int], N: int, sigma: int, M: int, L) -> burge.BurgeParams:
+    """The level-N point of `labels` at the symmetric bounds M1 = M2 = M, L1 = L2 = L."""
+    return burge.BurgeParams(*labels, M, L, M, L, N=N, sigma=sigma)
 
 
 def _bt_family(identity_id: str, tag: str, safe: Callable) -> Family:
@@ -220,8 +232,9 @@ def _traf_family(identity_id: str, tag: str, parents: Tuple) -> Family:
     def applies(p):
         # the parent point only feeds the sufficiency scan; label validity
         # applies to the child
-        child = _symmetric(p, burge.child_labels(_get(p, _LABELS), tag, p["N"]))
-        parent = _symmetric(p, _get(p, _LABELS))
+        rest = _get(p, ("N", "sigma", "M", "L"))
+        child = _symmetric(burge.child_labels(_get(p, _LABELS), tag, p["N"]), *rest)
+        parent = _symmetric(_get(p, _LABELS), *rest)
         return child.violation() is None and burge.sufficiency(parent, "sufsym")
 
     axes = ((_LABELS, parents), ("N", (2, 3)), ("sigma", _sigmas),
@@ -232,9 +245,9 @@ def _traf_family(identity_id: str, tag: str, parents: Tuple) -> Family:
                   applies)
 
 
-def _form_point(p: Dict) -> Tuple[str, burge.BurgeParams]:
-    """The form's name and its node at the symmetric bounds M1 = M2 = M, L1 = L2 = L."""
-    return p["name"], _symmetric(p, burge.FORM_LABELS[p["name"]](p["N"]))
+def _form_point(name: str, N: int, sigma: int, M: int, L) -> Tuple[str, burge.BurgeParams]:
+    """The form's name and its node at the symmetric bounds."""
+    return name, _symmetric(burge.FORM_LABELS[name](N), N, sigma, M, L)
 
 
 def _form_levels(p: Dict) -> Tuple[int, ...]:
@@ -269,14 +282,11 @@ def _tree_sides(p: Dict, d):
     return _AGREED
 
 
-def _tnew_query(p: Dict) -> multinom.MultinomialQuery:
-    return multinom.MultinomialQuery(p["N"], p["L"], Fraction(p["ell"], 2))
-
-
 def _classical_sides(q: multinom.MultinomialQuery, d):
     """The q -> 1 limit of T_0 against the ordinary multinomial coefficient."""
     got = multinom.classical_limit(multinom.t_multinomial(q, checked=True))
-    return QPoly.monomial(got), QPoly.monomial(multinom.classical_multinomial(q.N, q.L, q.a))
+    want = multinom.classical_multinomial(q.N, q.L, q.a, checked=True)
+    return QPoly.monomial(got), QPoly.monomial(want)
 
 
 def _bailey(p: Dict, trunc: Optional[Truncation]) -> series.BaileyPairQuery:
@@ -320,11 +330,13 @@ REGISTRY: Dict[str, Family] = {
         Family("qs2", _ps("L1", "L2", "M", "ell"),
                tuple((k, range(-6, 7)) for k in ("L1", "L2", "M", "ell")),
                lambda c, d: (saalschutz.qs2_lhs(c), saalschutz.qs2_rhs(c)),
-               lambda c: not saalschutz.qs2_exceptional(c), _classic, exceptional_sides=True),
+               lambda c: not saalschutz.qs2_exceptional(c), saalschutz.ClassicParams,
+               exceptional_sides=True),
         Family("qcv", _ps("L1", "L2", "ell"),
                tuple((k, range(-5, 6)) for k in ("L1", "L2", "ell")),
                lambda c, d: (saalschutz.qcv_lhs(c), saalschutz.qcv_rhs(c)),
-               lambda c: not saalschutz.qcv_exceptional(c), _classic, exceptional_sides=True),
+               lambda c: not saalschutz.qcv_exceptional(c),
+               lambda L1, L2, ell: saalschutz.ClassicParams(L1, L2, 0, ell), exceptional_sides=True),
         Family("sears", _ps(*"abcdefg"),
                tuple((k, range(-6, 9)) for k in "abcdefg"),
                lambda p, d: (saalschutz.sears_lhs(*p.values()), saalschutz.sears_rhs(*p.values())),
@@ -336,7 +348,7 @@ REGISTRY: Dict[str, Family] = {
                 ("M", range(0, 7)), ("L1", _gensum_halves), ("L2", _gensum_halves)),
                lambda g, d: (saalschutz.gensum_lhs(g, checked=True),
                              saalschutz.gensum_rhs(g, checked=True)),
-               lambda g: g.M >= 0 and g.violation() is None, _gensum_point),
+               lambda g: g.M >= 0 and g.violation() is None, saalschutz.SaalschutzParams),
         _bt_family("burge.bt", "bt", burge.classic_bt_safe),
         _bt_family("burge.bt2", "bt2", burge.classic_bt2_safe),
         _traf_family("burge.traf1", "traf1", ((1, 2, 0, 1), (2, 3, 1, 1))),
@@ -356,13 +368,13 @@ REGISTRY: Dict[str, Family] = {
                 ("ell", lambda p: range(-p["N"] * p["L"], p["N"] * p["L"] + 1, 2))),
                lambda q, d: (multinom.tnew_rhs(q.N, q.L, twice(q.a, "a"), q.L % 2, checked=True),
                              multinom.t_multinomial(q, checked=True)),
-               lambda q: q.violation() is None, _tnew_query),
+               lambda q: q.violation() is None,
+               lambda N, L, ell: multinom.MultinomialQuery(N, L, Fraction(ell, 2))),
         Family("multinom.classical", _ps("N", "L", "a:rat"),
                (("N", range(1, 5)), ("L", range(0, 7)),
                 ("a", lambda p: [Fraction(t, 2) for t in range(-p["N"] * p["L"],
                                                               p["N"] * p["L"] + 1, 2)])),
-               _classical_sides, lambda q: q.violation() is None,
-               lambda p: multinom.MultinomialQuery(*_get(p, ("N", "L", "a")))),
+               _classical_sides, lambda q: q.violation() is None, multinom.MultinomialQuery),
         Family("multinom.diff", _ps("N", "L", "ell", "n"),
                (("N", (3, 4)), ("L", range(0, 7)), ("n", lambda p: range(1, p["N"] - 1)),
                 ("ell", lambda p: [e for e in range(0, p["N"] * p["L"] + 3)
@@ -449,86 +461,93 @@ def _points_for(fam: Family, ranges: Dict[str, List]) -> Tuple[int, Iterator[Tup
             axes.append((names, values))
         else:  # a joint axis named in part: each unnamed column sweeps its own values
             axes.extend(((names[i],), tuple(dict.fromkeys(t[i] for t in values))) for i in free)
-    split = len(axes)  # the trailing plain axes (one name, fixed values) count by product
+    split = len(axes)  # the trailing plain axes (one name, fixed values) cross by product
     while split and len(axes[split - 1][0]) == 1 and not callable(axes[split - 1][1]):
         split -= 1
+    head, tail = axes[:split], [values for _, values in axes[split:]]
+    order = [n for names, _ in axes for n in names]
+    fixed = order[:len(order) - len(tail)]  # the names the head axes set
+    # a walk tuple into parameter order; one index alone would give a bare value
+    pick = itemgetter(*map(order.index, fam.names)) if len(order) > 1 else itemgetter(slice(None))
     point: Dict[str, object] = {}
 
-    def leaves(axes: List[Tuple], depth: int = 0) -> Iterator[None]:
-        """Set `point` to each choice of the axes in turn."""
-        if depth == len(axes):
+    def leaves(depth: int = 0) -> Iterator[None]:
+        """Set `point` to each choice of the head axes in turn."""
+        if depth == len(head):
             yield None
             return
-        names, values = axes[depth]
+        names, values = head[depth]
         for v in values(point) if callable(values) else values:
             point.update(zip(names, v) if len(names) > 1 else ((names[0], v),))
-            yield from leaves(axes, depth + 1)
+            yield from leaves(depth + 1)
 
-    head_choices = sum(1 for _ in islice(leaves(axes[:split]), MAX_SWEEP_POINTS + 1))
-    count = math.prod(len(values) for _, values in axes[split:]) * head_choices
+    head_choices = sum(1 for _ in islice(leaves(), MAX_SWEEP_POINTS + 1))
+    count = math.prod(map(len, tail)) * head_choices
     if count > MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep would exceed {MAX_SWEEP_POINTS} points; narrow the ranges")
-    return count, (tuple([point[n] for n in fam.names]) for _ in leaves(axes))
+    # each head choice crossed with the tail, the head's values read as it is set
+    return count, chain.from_iterable(map(pick, product(*([point[n]] for n in fixed), *tail))
+                                      for _ in leaves())
 
 
-def _verdict(fam: Family, params: Dict, d: Optional[int], opts: Dict) -> Dict[str, object]:
-    """The verdict fields of one report row; None values are left out."""
-    point = params if fam.point is None else fam.point(params)
+def _verdict(fam: Family, values: Tuple, d: Optional[int], opts: Dict) -> Tuple[str, Dict]:
+    """The verdict of one report row and its other fields; None values are left out."""
+    point = dict(zip(fam.names, values)) if fam.point is None else fam.point(*values)
     if fam.precondition is not None and not fam.precondition(point):
         if opts["include_exceptional"] and fam.exceptional_sides:
             lhs, rhs = fam.sides(point, d)[:2]
-            return {"verdict": "skipped_precondition", "lhs_repr": render(lhs),
-                    "rhs_repr": render(rhs)}
-        return {"verdict": "skipped_precondition"}
+            return "skipped_precondition", {"lhs_repr": render(lhs), "rhs_repr": render(rhs)}
+        return "skipped_precondition", {}
     lhs, rhs, *witness = fam.sides(point, d)
     if d is not None:
         t = Truncation(d)
         if truncated_equal(lhs, rhs, t):
-            return {"verdict": "equal", "truncation": d}
+            return "equal", {"truncation": d}
         lhs, rhs = lhs.truncate(t), rhs.truncate(t)
     elif lhs == rhs:
-        return {"verdict": "equal"}
-    return {"verdict": "mismatch", "lhs_repr": render(lhs), "rhs_repr": render(rhs),
-            "diff_repr": render(lhs - rhs), "truncation": d,
-            "witness": witness[0] if witness else None}
+        return "equal", {}
+    return "mismatch", {"lhs_repr": render(lhs), "rhs_repr": render(rhs),
+                        "diff_repr": render(lhs - rhs), "truncation": d,
+                        "witness": witness[0] if witness else None}
 
 
 def _eval_point(fam: Family, values: Tuple, d, opts: Dict):
-    """One report row and its stderr note (None unless the point raised)."""
-    params = dict(zip(fam.names, values))
+    """One row's verdict, other fields, elapsed_ms and stderr note (None unless it raised)."""
     if isinstance(d, str):
-        d = params[d]
+        d = values[fam.names.index(d)]
     t0, note = time.perf_counter(), None
     try:
-        fields = _verdict(fam, params, d, opts)
+        verdict, fields = _verdict(fam, values, d, opts)
     except Exception as ex:  # one failing point is an error row, never an aborted sweep
-        fields = {"verdict": "error"}
+        verdict, fields = "error", {}
         note = f"{type(ex).__name__}: {ex}"
         if not isinstance(ex, QIdentError):
             note += "\n" + traceback.format_exc().rstrip()
     elapsed = int((time.perf_counter() - t0) * 1000) if opts["timing"] else 0
-    encoded = {k: _encode_value(v) for k, v in params.items()}
-    return {"identity_id": fam.identity_id, "params": encoded,
-            **{k: v for k, v in fields.items() if v is not None}, "elapsed_ms": elapsed}, note
+    return verdict, fields, elapsed, note
 
 
 _COLORS = {"equal": "\x1b[32m", "mismatch": "\x1b[31m", "error": "\x1b[31m",
            "skipped_precondition": "\x1b[33m"}
 
 
-def _row_line(row: Dict, opts: Dict) -> str:
+def _row_line(fam: Family, values: Tuple, verdict: str, fields: Dict, elapsed: int,
+              opts: Dict) -> str:
+    """One report row: the family's head filled with the values, the verdict, then
+    the fields that are not None, in order; as JSON, elapsed_ms last."""
     if opts["format"] == "json":
-        return json.dumps(row) + "\n"
-    verdict = row["verdict"]
+        head = fam.heads[0] % tuple(map(_json_value, values))
+        rest = "".join([f', "{k}": {_json_value(v)}' for k, v in fields.items() if v is not None])
+        return f'{head}, "verdict": "{verdict}"{rest}, "elapsed_ms": {elapsed}}}\n'
     if opts["color"] and verdict in _COLORS:
         verdict = f"{_COLORS[verdict]}{verdict}\x1b[0m"
-    parts = [verdict, row["identity_id"], *(f"{k}={v}" for k, v in row["params"].items())]
-    if "truncation" in row:
-        parts.append(f"D={row['truncation']}")
-    if "diff_repr" in row:
-        parts.append(f"diff[{row['diff_repr']}]")
-    elif "lhs_repr" in row:
-        parts.append(f"lhs[{row['lhs_repr']}] rhs[{row['rhs_repr']}]")
+    parts = [verdict, fam.heads[1] % tuple(map(_encode_value, values))]
+    if fields.get("truncation") is not None:
+        parts.append(f"D={fields['truncation']}")
+    if "diff_repr" in fields:
+        parts.append(f"diff[{fields['diff_repr']}]")
+    elif "lhs_repr" in fields:
+        parts.append(f"lhs[{fields['lhs_repr']}] rhs[{fields['rhs_repr']}]")
     return " ".join(parts) + "\n"
 
 
@@ -546,10 +565,11 @@ def _summary_line(ident: str, counts: Counter, code: int, elapsed_ms: int, fmt: 
 def _eval_chunk(ident: str, chunk: List[Tuple], d, opts: Dict):
     """A chunk's rows rendered as one string, its verdict counts and its notes."""
     fam = REGISTRY[ident]
-    rows = [_eval_point(fam, values, d, opts) for values in chunk]
-    return ("".join(_row_line(row, opts) for row, _ in rows),
-            Counter(row["verdict"] for row, _ in rows),
-            [f"{ident} {row['params']}: {note}" for row, note in rows if note])
+    rows = [(values, *_eval_point(fam, values, d, opts)) for values in chunk]
+    return ("".join([_row_line(fam, *row[:4], opts) for row in rows]),
+            Counter(row[1] for row in rows),
+            [f"{ident} {dict(zip(fam.names, map(_encode_value, values)))}: {note}"
+             for values, _, _, _, note in rows if note])
 
 
 class _Pipeline:

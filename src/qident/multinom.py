@@ -92,9 +92,11 @@ def t_multinomial(query: MultinomialQuery, checked: bool = False) -> QPoly:
     return _t_sum(cartan(query.N), query.L, twice(query.a, "a"), query.n_index)
 
 
-def classical_multinomial(N: int, L: int, a: Rational) -> int:
-    """Coefficient of x^(a + NL/2) in (1 + x + ... + x^N)^L."""
-    MultinomialQuery(N, L, a).validate()
+def classical_multinomial(N: int, L: int, a: Rational, checked: bool = False) -> int:
+    """Coefficient of x^(a + NL/2) in (1 + x + ... + x^N)^L; checked=True skips the
+    validation of MultinomialQuery(N, L, a), already validated by the caller."""
+    if not checked:
+        MultinomialQuery(N, L, a).validate()
     coeffs = [1]
     for _ in range(L):
         nxt = [0] * (len(coeffs) + N)

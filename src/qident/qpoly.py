@@ -15,6 +15,8 @@ an integer numerator and denominator, the form its callers already hold.
 Truncation is inclusive: Truncation(D) keeps exactly the terms with
 exponent <= D, that is the keys k <= floor(D*den).  Every truncated
 operation equals the exact operation followed by a final truncation.
+No operation changes a polynomial, so the first dense multiply it meets
+keeps a view of it (see _operand), which cannot go stale and dies with it.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def twice(x, what: str) -> int:
 class QPoly:
     """Sparse Laurent polynomial in q over the integers."""
 
-    __slots__ = ("_den", "_terms")
+    __slots__ = ("_den", "_terms", "_view")  # _view: see _operand
 
     def __init__(self, terms: Union[Mapping[ExponentLike, int], Iterable[Tuple[ExponentLike, int]], None] = None):
         parts = []
@@ -105,7 +107,7 @@ class QPoly:
             k = n * (den // d)
             data[k] = data.get(k, 0) + c
         p = _make(den, {k: c for k, c in data.items() if c})
-        self._den, self._terms = p._den, p._terms
+        self._den, self._terms, self._view = p._den, p._terms, None
 
     @classmethod
     def monomial(cls, coeff: int, exp: ExponentLike = 0) -> "QPoly":
@@ -219,7 +221,7 @@ def _make(den: int, data: Terms) -> QPoly:
         else:
             den, data = den // g, {k // g: c for k, c in data.items()}
     p = object.__new__(QPoly)
-    p._den, p._terms = den, data
+    p._den, p._terms, p._view = den, data, None
     return p
 
 
@@ -280,14 +282,16 @@ def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
         a, b = b, a
     if trunc is None and a._terms == ONE._terms:  # {0: 1} forces den 1
         return b
+    if len(a._terms) * len(b._terms) > _PAIRS_PER_TERM * (len(a._terms) + len(b._terms)):
+        den = math.lcm(a._den, b._den)
+        va, vb = _operand(a, den), _operand(b, den)
+        if va and vb:
+            cap = None if trunc is None else _cap_key(trunc.degree_cap, den)
+            return _make(den, _kronecker(va, vb, cap))
     den, ta, tb = _common(a, b)
     top = max(ta) + max(tb)
     if trunc is not None:
         top = min(top, _cap_key(trunc.degree_cap, den))
-    if len(ta) * len(tb) > _PAIRS_PER_TERM * (len(ta) + len(tb)):
-        out = _kronecker(ta, tb, top)
-        if out is not None:
-            return _make(den, out)
     out = {}
     get = out.get
     for ea, ca in ta.items():
@@ -303,49 +307,83 @@ def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
     return _make(den, out)
 
 
-def _kronecker(ta: Terms, tb: Terms, top: int) -> Optional[Terms]:
-    """Product keys <= top of two dense key dicts; None when either is sparse.
+def _operand(p: QPoly, den: int) -> Tuple:
+    """p as a dense operand over den, a multiple of its own denominator: (lowest
+    key, the coefficients from it on, least and greatest coefficient, {slot
+    width: packed coefficients}), or () for sparse keys.  Over its own den the
+    view is built once and kept in p._view; over a finer one, for one product."""
+    own = den == p._den
+    if own and p._view is not None:
+        return p._view
+    terms = p._terms if own else {k * (den // p._den): c for k, c in p._terms.items()}
+    lo, hi = min(terms), max(terms)
+    view = ()
+    if hi - lo < _DENSE_SPAN * len(terms):
+        cs = list(map(terms.get, range(lo, hi + 1), repeat(0)))
+        view = lo, cs, min(cs), max(cs), {}
+    if own:
+        p._view = view
+    return view
+
+
+def _packed(view: Tuple, width: int, count: int) -> int:
+    """sum c_i * 2**(8*width*i) over the first `count` coefficients; the view
+    keeps the value of its whole list per width, never that of a clipped one."""
+    cs, packs = view[1], view[4]
+    if count == len(cs) and width in packs:
+        return packs[width]
+    clipped = cs[:count]
+    if view[2] >= 0 and width in _WORD:  # machine words, packed in C
+        value = int.from_bytes(array(_WORD[width], clipped).tobytes(), sys.byteorder)
+    else:  # each slot biased by half to be nonnegative, the biases taken off at once
+        half, slot = 1 << (8 * width - 1), bytes(width - 1) + b"\x80"  # `half` in one slot
+        raw = b"".join((c + half).to_bytes(width, "little") for c in clipped)
+        value = int.from_bytes(raw, "little") - int.from_bytes(slot * count, "little")
+    if count == len(cs):
+        packs[width] = value
+    return value
+
+
+def _kronecker(va: Tuple, vb: Tuple, cap: Optional[int]) -> Terms:
+    """Product keys of two dense operands, up to the cap key if there is one.
 
     Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
-    operand, clipped to the keys that can reach top, is packed into one
-    integer with a fixed-width slot per coefficient, and one integer multiply
-    gives every product coefficient.  No product coefficient exceeds
+    operand, clipped to the coefficients that can reach the cap, is packed into
+    one integer with a fixed-width slot per coefficient, and one integer
+    multiply gives every product coefficient.  No product coefficient exceeds
     bound = max|a| * max|b| * min(len a, len b) in magnitude.  When both
     operands are nonnegative and bound < 2**64, the slot is the smallest of
     1, 2, 4 or 8 bytes that holds bound: no slot can carry into the next, so
     the operands pack and the product unpacks as machine words in C.
     Otherwise the slot is wider than twice bound, and adding half the slot
-    range to each slot makes it nonnegative, so no borrow crosses a slot.
+    range to each slot of the product makes it nonnegative, so no borrow
+    crosses a slot.  Either way an operand packs to the same value per width.
+    The sign test and max|.| come from the whole operand's view, not from its
+    clipped part: a clipped pack may take the biased path or a wider slot than
+    its own coefficients need, which costs time but never changes a product.
     """
-    lo_a, lo_b, hi_a, hi_b = min(ta), min(tb), max(ta), max(tb)
-    if hi_a - lo_a >= _DENSE_SPAN * len(ta) or hi_b - lo_b >= _DENSE_SPAN * len(tb):
-        return None
-    base = lo_a + lo_b
+    lo_a, ca, min_a, max_a, _ = va
+    lo_b, cb, min_b, max_b, _ = vb
+    base, top = lo_a + lo_b, lo_a + len(ca) + lo_b + len(cb) - 2
+    if cap is not None:
+        top = min(top, cap)
     if top < base:
         return {}
-    ca = list(map(ta.get, range(lo_a, min(hi_a, top - lo_b) + 1), repeat(0)))
-    cb = list(map(tb.get, range(lo_b, min(hi_b, top - lo_a) + 1), repeat(0)))
     n = top - base + 1
-    min_a, max_a, min_b, max_b = min(ca), max(ca), min(cb), max(cb)
-    bound = max(max_a, -min_a) * max(max_b, -min_b) * min(len(ca), len(cb))
+    len_a, len_b = min(len(ca), n), min(len(cb), n)  # the coefficients that reach top
+    bound = max(max_a, -min_a) * max(max_b, -min_b) * min(len_a, len_b)
     if min_a >= 0 and min_b >= 0 and bound >> 64 == 0:
         width = next(w for w in _WORD if bound >> (8 * w) == 0)
-        code, order = _WORD[width], sys.byteorder
-        product = (int.from_bytes(array(code, ca).tobytes(), order)
-                   * int.from_bytes(array(code, cb).tobytes(), order))
+        product = _packed(va, width, len_a) * _packed(vb, width, len_b)
         # the full product, slot for slot, so it casts back in either byte order
-        raw = product.to_bytes(width * (len(ca) + len(cb) - 1), order)
-        vals = memoryview(raw).cast(code)[:n].tolist()
+        raw = product.to_bytes(width * (len_a + len_b - 1), sys.byteorder)
+        vals = memoryview(raw).cast(_WORD[width])[:n].tolist()
     else:
         width = (bound.bit_length() + 2 + 7) // 8  # bytes per slot
         half = 1 << (8 * width - 1)
-        slot = bytes(width - 1) + b"\x80"  # one slot holding `half`
-
-        def pack(cs: List[int]) -> int:
-            raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
-            return int.from_bytes(raw, "little") - int.from_bytes(slot * len(cs), "little")
-
-        biased = (pack(ca) * pack(cb) + int.from_bytes(slot * n, "little")) & ((1 << (8 * width * n)) - 1)
+        product = _packed(va, width, len_a) * _packed(vb, width, len_b)
+        slots = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # `half` in each slot
+        biased = (product + slots) & ((1 << (8 * width * n)) - 1)
         raw = biased.to_bytes(width * n, "little")
         vals = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
     if 0 in vals:

@@ -11,6 +11,8 @@ L + m1/2 are built as integers over 2 and checked for integrality: the
 parameter constraints make a fractional top impossible, so hitting one
 raises InvalidParams rather than silently dropping a term.  Exponents are
 integer numerators over N, lattice offsets numerators over 2N.
+qs2 and qcv sum only their live terms, i from max(0, -ell) to min(L2, L1 - ell)
+(and to M for qs2, zero outright when L1 + L2 < 0): any other has a zero binomial.
 
 qs2 and gensum are sums over i of outer(M, i) * inner(i), with inner(i) free
 of M.  Their sweeps walk M and the later axes inside a prefix of the earlier
@@ -89,26 +91,22 @@ def _scope(memo: Dict[Tuple, Dict[Tuple, QPoly]], prefix: Tuple) -> Dict[Tuple, 
 # --- classical summation ----------------------------------------------------
 
 def qs2_lhs(p: ClassicParams) -> QPoly:
+    if p.L1 + p.L2 < 0:  # every outer [L1+L2+M-i over M-i] vanishes
+        return ZERO
     inner = _scope(_QS2_INNER, (p.L1, p.L2))
     total = ZERO
-    for i in range(0, p.M + 1):
-        outer = qbin(p.L1 + p.L2 + p.M - i, p.M - i)
-        if outer.is_zero():
-            continue
+    # outside i+ell in 0..L1 and i in 0..L2 an inner binomial vanishes; to M no outer one does
+    for i in range(max(0, -p.ell), min(p.M, p.L2, p.L1 - p.ell) + 1):
         term = inner.get((p.ell, i))
         if term is None:
             term = inner[p.ell, i] = _qs2_inner(p.L1, p.L2, p.ell, i)
-        if not term.is_zero():
-            total = total + mul(outer, term)
+        total = total + mul(qbin(p.L1 + p.L2 + p.M - i, p.M - i), term)
     return total
 
 
 def _qs2_inner(L1: int, L2: int, ell: int, i: int) -> QPoly:
     """The M-free part q^{i(i+ell)} [L1 over i+ell] [L2 over i] of the i-th qs2 term."""
-    term = qbin(L1, i + ell)
-    if term.is_zero():
-        return term
-    return mul(term, qbin(L2, i)).times_monomial(1, i * (i + ell))
+    return mul(qbin(L1, i + ell), qbin(L2, i)).times_monomial(1, i * (i + ell))
 
 
 def qs2_rhs(p: ClassicParams) -> QPoly:
@@ -123,7 +121,8 @@ def qs2_exceptional(p: ClassicParams) -> bool:
 
 def qcv_lhs(p: ClassicParams) -> QPoly:
     total = ZERO
-    for i in range(0, p.L2 + 1):
+    # outside i+ell in 0..L1 and i in 0..L2 a binomial of the term vanishes
+    for i in range(max(0, -p.ell), min(p.L2, p.L1 - p.ell) + 1):
         total = total + _qs2_inner(p.L1, p.L2, p.ell, i)
     return total
 

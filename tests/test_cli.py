@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from qident.cli import (
     Family,
     ParamSpec,
     _points_for,
+    _row_line,
     main,
 )
 from qident.errors import InvalidParams, QIdentError
@@ -125,10 +128,39 @@ def test_oversized_sweep_rejected(capsys):
 ])
 def test_point_count_matches_the_walk(ident, ranges):
     # the count is taken before any point is built; it must be the walk's length
-    count, points = _points_for(REGISTRY[ident], ranges)
+    fam = REGISTRY[ident]
+    count, points = _points_for(fam, ranges)
     points = list(points)
     assert count == len(points) > 0
-    assert all(len(values) == len(REGISTRY[ident].params) for values in points)
+    assert points == walk_oracle(fam, ranges)
+
+
+def walk_oracle(fam, ranges):
+    """The documented sweep order, one axis per recursion level: the named axes
+    first, in parameter order, then each unnamed axis by its grid rule, a joint
+    axis named in part giving each unnamed column its own values."""
+    if not ranges and fam.sample is not None:
+        return list(fam.sample())
+    axes = [((n,), ranges[n]) for n in fam.names if n in ranges]
+    for key, values in fam.axes:
+        names = (key,) if isinstance(key, str) else key
+        free = [n for n in names if n not in ranges]
+        if len(free) == len(names):
+            axes.append((names, values))
+        else:
+            axes.extend(((n,), list(dict.fromkeys(t[names.index(n)] for t in values))) for n in free)
+    out = []
+
+    def visit(depth, point):
+        if depth == len(axes):
+            out.append(tuple(point[n] for n in fam.names))
+            return
+        names, values = axes[depth]
+        for v in values(point) if callable(values) else values:
+            visit(depth + 1, {**point, **dict(zip(names, v if len(names) > 1 else (v,)))})
+
+    visit(0, {})
+    return out
 
 
 def test_eval_unknown_and_missing(capsys):
@@ -252,6 +284,80 @@ def test_row_schema_and_summary_counts(capsys):
     for k, v in tally.items():
         assert summary[k] == v
     assert summary["total"] == len(rows)
+
+
+# --- row rendering -----------------------------------------------------------------
+
+def row_oracle(fam, values, verdict, fields, elapsed):
+    """A row as the row record renders it: json.dumps of identity, encoded params,
+    the verdict and its fields that are not None and elapsed_ms, and the text
+    line of the same record."""
+    def encode(v):
+        if v is None:
+            return "inf"
+        if isinstance(v, Fraction):
+            return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return v
+
+    row = {"identity_id": fam.identity_id,
+           "params": {n: encode(v) for n, v in zip(fam.names, values)},
+           "verdict": verdict, **{k: v for k, v in fields.items() if v is not None},
+           "elapsed_ms": elapsed}
+    parts = [verdict, row["identity_id"], *(f"{k}={v}" for k, v in row["params"].items())]
+    if "truncation" in row:
+        parts.append(f"D={row['truncation']}")
+    if "diff_repr" in row:
+        parts.append(f"diff[{row['diff_repr']}]")
+    elif "lhs_repr" in row:
+        parts.append(f"lhs[{row['lhs_repr']}] rhs[{row['rhs_repr']}]")
+    return json.dumps(row) + "\n", " ".join(parts) + "\n"
+
+
+_MIXED = Family("mixed", (ParamSpec("n", "int"), ParamSpec("r", "rat"), ParamSpec("m", "intinf"),
+                          ParamSpec("w", "word", ("nn", "rr"))), (), lambda p, d: (ONE, ONE))
+
+_ROW_FIELDS = [
+    pytest.param("equal", {}, 0, id="equal"),
+    pytest.param("equal", {"truncation": 25}, 3, id="equal_truncated"),
+    pytest.param("skipped_precondition", {}, 0, id="skipped"),
+    pytest.param("skipped_precondition", {"lhs_repr": "1 + q", "rhs_repr": "0"}, 0,
+                 id="skipped_with_sides"),
+    pytest.param("mismatch", {"lhs_repr": "1", "rhs_repr": "2", "diff_repr": "-1", "truncation": None,
+                              "witness": {"node": 2, "M": 1, "L": "1/2"}}, 0, id="mismatch_witness"),
+    pytest.param("mismatch", {"lhs_repr": "q", "rhs_repr": "q^(1/2)", "diff_repr": "-q^(1/2) + q",
+                              "truncation": 4, "witness": None}, 0, id="mismatch_truncated"),
+    pytest.param("error", {}, 0, id="error"),
+]
+
+
+@pytest.mark.parametrize("verdict, fields, elapsed", _ROW_FIELDS)
+@pytest.mark.parametrize("fam, values", [
+    (REGISTRY["qs2"], (-3, 0, 12, -1)),
+    (_MIXED, (-4, Fraction(3), None, "nn")),
+    (_MIXED, (0, Fraction(-5, 2), 7, "rr")),
+], ids=["ints", "rat_int_inf", "rat_half"])
+def test_row_line_matches_the_row_record(fam, values, verdict, fields, elapsed):
+    want_json, want_text = row_oracle(fam, values, verdict, fields, elapsed)
+    line = _row_line(fam, values, verdict, fields, elapsed, {"format": "json", "color": False})
+    assert line == want_json
+    assert json.loads(line)["params"]["n" if fam is _MIXED else "L1"] == values[0]
+    assert _row_line(fam, values, verdict, fields, elapsed, {"format": "text", "color": False}) == want_text
+
+
+@pytest.mark.parametrize("argv, sha, lines", [
+    (["verify", "qs2", "--include-exceptional", "--format", "text", "--L1", "-2..3",
+      "--L2", "-2..3", "--M", "-1..3", "--ell", "-3..3"],
+     "179ed42331d58de21a4f8e5cc1f2959a17fcc08067dd608a974c183bad4d91be", 1261),
+    (["verify", "burge.forms", "--format", "text"],
+     "9e37e364796a53fb7b68159c40ad9dcbbaa3d5b99e24ec7abba841dc04bc2db8", 910),
+], ids=["qs2_exceptional", "burge_forms"])
+def test_text_stream_is_pinned(tmp_path, argv, sha, lines):
+    # skipped rows with both sides, negative ints, rational L and word names
+    path = tmp_path / "rows.txt"
+    assert main(argv + ["--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == sha
 
 
 def test_rational_parameters_roundtrip(capsys):
@@ -564,6 +670,7 @@ def test_verify_gensum_validates_each_point_once(capsys, monkeypatch):
 @pytest.mark.parametrize("module, record, argv", [
     ("multinom", "MultinomialQuery", ["verify", "multinom.tnew", "--N", "2,3", "--L", "0..3"]),
     ("burge", "BurgeParams", ["verify", "burge.forms", "--name", "nn,tadpole,slater", "--M", "0..2"]),
+    ("multinom", "MultinomialQuery", ["verify", "multinom.classical"]),
 ])
 def test_sides_reuse_the_validated_row_record(capsys, monkeypatch, module, record, argv):
     import importlib

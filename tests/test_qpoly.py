@@ -251,6 +251,73 @@ def test_kernel_shapes_match_oracle(a, b, trunc):
     assert as_frac_dict(mul(a, b, trunc)) == want
 
 
+# --- operand views: one operand in several products --------------------------------
+
+def oracle_mul(a, b, cap=None):
+    want = conv_oracle(dict(a.items()), dict(b.items()))
+    return want if cap is None else {e: c for e, c in want.items() if e <= cap}
+
+
+def test_operand_reused_at_two_slot_widths():
+    a = QPoly({k: 3 for k in range(20)})
+    narrow = QPoly({k: 1 for k in range(20)})  # bound 3 * 1 * 20 fits one byte
+    wide = QPoly({k: 5000 + k for k in range(20)})  # bound about 2**21 needs four
+    for b in (narrow, wide, narrow, wide):
+        assert as_frac_dict(mul(a, b)) == oracle_mul(a, b)
+    assert sorted(a._view[4]) == [1, 4]  # a kept one packed value per width
+
+
+@pytest.mark.parametrize("first", ["whole", "clipped"])
+@pytest.mark.parametrize("signs", ["nonnegative", "mixed"])
+def test_operand_clipped_before_or_after_a_whole_product(first, signs):
+    a = QPoly({k: k % 7 + 1 for k in range(30)})
+    b = QPoly({k: (k % 5 + 1) * (-1 if signs == "mixed" and k % 3 == 0 else 1) for k in range(25)})
+    cap = Truncation(12)  # clips both operands
+    order = [None, cap] if first == "whole" else [cap, None]
+    for trunc in order * 2:
+        want = oracle_mul(a, b, None if trunc is None else trunc.degree_cap)
+        assert as_frac_dict(mul(a, b, trunc)) == want
+        assert as_frac_dict(mul(b, a, trunc)) == want
+    # a clipped operand's packed value is never kept: each kept value is the whole list's
+    for p in (a, b):
+        cs, packs = p._view[1], p._view[4]
+        assert packs and all(v == sum(c << (8 * w * i) for i, c in enumerate(cs))
+                             for w, v in packs.items())
+
+
+def test_operands_built_by_constructor_and_by_arithmetic():
+    built = QPoly({k: k + 1 for k in range(15)})
+    made = QPoly({0: 1}) + sum((QPoly({k: k + 1}) for k in range(1, 15)), ZERO)
+    grown = mul(QPoly({k: 1 for k in range(8)}), QPoly({k: 1 for k in range(8)}))  # a product
+    assert built == made
+    for a, b in ((built, made), (made, grown), (grown, built), (built, made)):
+        assert as_frac_dict(mul(a, b)) == oracle_mul(a, b)
+        assert as_frac_dict(mul(a, b, Truncation(9))) == oracle_mul(a, b, 9)
+
+
+def test_operand_scaled_to_a_finer_denominator():
+    # a's keys double against halves: its dense run spreads with a zero between
+    # each pair of slots for that product, and its own view stays as it was
+    a = QPoly({k: k % 4 + 1 for k in range(20)})
+    halves = QPoly({Fraction(k, 2): 2 - k % 3 for k in range(30)})
+    for b in (a, halves, a, halves):
+        assert as_frac_dict(mul(a, b)) == oracle_mul(a, b)
+        assert as_frac_dict(mul(b, a, Truncation(Fraction(21, 2)))) == oracle_mul(a, b, Fraction(21, 2))
+    assert a._view[0] == 0 and len(a._view[1]) == 20
+
+
+def test_mixed_sign_pair_reuses_both_operands():
+    # bound 3 * 1 * 20 = 60 takes one-byte slots on both paths, so the signed
+    # product reads the nonnegative operand's packed value from its view
+    a = QPoly({k: 3 for k in range(20)})
+    ones = QPoly({k: 1 for k in range(20)})
+    signed = QPoly({k: (-1) ** k for k in range(20)})
+    for b in (ones, signed, signed, ones):
+        assert as_frac_dict(mul(a, b)) == oracle_mul(a, b)
+        assert as_frac_dict(mul(b, a, Truncation(15))) == oracle_mul(a, b, 15)
+    assert sorted(a._view[4]) == sorted(signed._view[4]) == [1]
+
+
 def test_binom_kernel_shape_sizes():
     assert (len(qbinom.qbin_standard(15, 15)), len(qbinom.qbin_standard(12, 16))) == (226, 193)
 

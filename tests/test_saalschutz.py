@@ -365,7 +365,8 @@ def test_memoized_lhs_over_a_shuffled_grid_equals_a_fresh_process():
 def test_memos_hold_only_the_current_prefix():
     qs2_lhs(ClassicParams(3, 2, 4, 0))
     assert saalschutz._QS2_INNER.keys() == {(3, 2)}
-    assert saalschutz._QS2_INNER[3, 2].keys() == {(0, i) for i in range(5)}
+    # only the live terms i in 0..min(M, L2, L1 - ell) = 0..2 are computed
+    assert saalschutz._QS2_INNER[3, 2].keys() == {(0, i) for i in range(3)}
     qs2_lhs(ClassicParams(2, 3, 1, 1))
     assert saalschutz._QS2_INNER.keys() == {(2, 3)}
     assert saalschutz._QS2_INNER[2, 3].keys() == {(1, 0), (1, 1)}
