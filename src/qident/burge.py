@@ -704,6 +704,8 @@ def build_tree(depth: int, n_lat: int = 1, sigma: int = 0, verify_grid: int = 2)
     """
     if depth < 0:
         raise InvalidParams("depth must be >= 0")
+    if n_lat < 1:
+        raise InvalidParams("N must be >= 1")
     if verify_grid < 0:
         raise InvalidParams("verify_grid must be >= 0")
     if n_lat % 2 and sigma != 0:

@@ -23,11 +23,18 @@ elapsed_ms then runs from the queueing of the family's first chunk to the
 reading of its last: at one job that is the family's own sweep, in a pool it
 overlaps the families next to it.
 
+A command loads only the modules it runs: the tables below reach every
+layer through the package's lazily loaded modules, read when a family's
+point is evaluated or a word value parsed, never while the tables are built.
+The pool machinery is imported only for --jobs > 1, and the parent then runs
+the modules of the families in the run before its workers fork from it.
+
 Exit codes: 0 when no point mismatches or errors and at least one point was
 checked, 1 otherwise (a suite takes the worst of its families) or when the
 reader of stdout goes away, 2 for configuration problems (unknown family,
-malformed or empty ranges, oversized sweeps, out-of-range flags, --trunc
-where nothing is truncated, an --out path that cannot be opened).
+malformed or empty ranges, a parameter given twice, oversized sweeps,
+out-of-range flags, --trunc where nothing is truncated, an --out path that
+cannot be opened).
 """
 
 from __future__ import annotations
@@ -36,12 +43,9 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import time
-import traceback
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -51,9 +55,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from . import burge, multinom, qpoly, saalschutz, series
+from . import burge, multinom, qbinom, qpoly, saalschutz, series
 from .errors import InvalidParams, QIdentError
-from .qbinom import qbin_standard
 from .qpoly import ONE, QPoly, Truncation, render, truncated_equal, twice
 
 GRID_VERSION = "1"
@@ -74,7 +77,7 @@ class ConfigError(Exception):
 class ParamSpec:
     name: str
     kind: str  # int | rat | word | intinf
-    choices: Optional[Tuple[str, ...]] = None
+    choices: Optional[Callable[[], Sequence[str]]] = None  # a word's values, read when one is parsed
 
 
 def _ps(*names: str, **choices) -> Tuple[ParamSpec, ...]:
@@ -85,8 +88,9 @@ def _ps(*names: str, **choices) -> Tuple[ParamSpec, ...]:
 
 def _parse_one(text: str, ps: ParamSpec):
     if ps.kind == "word":
-        if ps.choices and text not in ps.choices:
-            raise ConfigError(f"--{ps.name}: {text!r} is not one of {', '.join(ps.choices)}")
+        choices = ps.choices() if ps.choices else None
+        if choices and text not in choices:
+            raise ConfigError(f"--{ps.name}: {text!r} is not one of {', '.join(choices)}")
         return text
     if ps.kind == "intinf" and text == "inf":
         return None
@@ -157,6 +161,7 @@ class Family:
     sample: Optional[Callable[[], Iterable[Tuple]]] = None
     # under --include-exceptional a skipped point still shows both sides
     exceptional_sides: bool = False
+    modules: Tuple = ()  # the lazily loaded modules its points run
 
     @cached_property  # read for every point
     def names(self) -> Tuple[str, ...]:
@@ -193,6 +198,8 @@ def _shifted(count: int) -> Callable[[Dict], List[Fraction]]:
 
 def _sears_sample() -> Iterable[Tuple[int, ...]]:
     # deterministic draw of balanced tuples a+b = c+d+f from the [-6,8]^7 box
+    import random  # only this grid draws
+
     rng = random.Random(97231)
     seen = set()
     while len(seen) < 1200:
@@ -217,13 +224,15 @@ def _symmetric(labels: Sequence[int], N: int, sigma: int, M: int, L) -> burge.Bu
     return burge.BurgeParams(*labels, M, L, M, L, N=N, sigma=sigma)
 
 
-def _bt_family(identity_id: str, tag: str, safe: Callable) -> Family:
-    """A classic transform edge, where its safety scan allows it."""
+def _bt_family(identity_id: str, tag: str) -> Family:
+    """A classic transform edge, where its safety scan burge.classic_<tag>_safe allows it."""
     axes = ((_LABELS, ((1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1))),)
     return Family(identity_id, _ps(*_LABELS, *_BOUNDS),
                   axes + tuple((b, range(0, 4)) for b in _BOUNDS),
                   lambda p, d: burge.edge_sides(_get(p, _LABELS), tag, *_get(p, _BOUNDS)),
-                  lambda p: min(_get(p, _BOUNDS)) >= 0 and safe(*_get(p, _LABELS + _BOUNDS)))
+                  lambda p: (min(_get(p, _BOUNDS)) >= 0
+                             and getattr(burge, f"classic_{tag}_safe")(*_get(p, _LABELS + _BOUNDS))),
+                  modules=(burge,))
 
 
 def _traf_family(identity_id: str, tag: str, parents: Tuple) -> Family:
@@ -242,7 +251,11 @@ def _traf_family(identity_id: str, tag: str, parents: Tuple) -> Family:
     return Family(identity_id, _ps(*_LABELS, "N", "sigma", "M", "L:rat"), axes,
                   lambda p, d: burge.edge_sides(_get(p, _LABELS), tag, *_get(p, _SYMMETRIC),
                                                 p["N"], p["sigma"]),
-                  applies)
+                  applies, modules=(burge,))
+
+
+def _form_names() -> Tuple[str, ...]:
+    return tuple(burge.FORM_LABELS)
 
 
 def _form_point(name: str, N: int, sigma: int, M: int, L) -> Tuple[str, burge.BurgeParams]:
@@ -330,79 +343,87 @@ REGISTRY: Dict[str, Family] = {
         Family("qs2", _ps("L1", "L2", "M", "ell"),
                tuple((k, range(-6, 7)) for k in ("L1", "L2", "M", "ell")),
                lambda c, d: (saalschutz.qs2_lhs(c), saalschutz.qs2_rhs(c)),
-               lambda c: not saalschutz.qs2_exceptional(c), saalschutz.ClassicParams,
-               exceptional_sides=True),
+               lambda c: not saalschutz.qs2_exceptional(c),
+               lambda *values: saalschutz.ClassicParams(*values), exceptional_sides=True,
+               modules=(saalschutz,)),
         Family("qcv", _ps("L1", "L2", "ell"),
                tuple((k, range(-5, 6)) for k in ("L1", "L2", "ell")),
                lambda c, d: (saalschutz.qcv_lhs(c), saalschutz.qcv_rhs(c)),
                lambda c: not saalschutz.qcv_exceptional(c),
-               lambda L1, L2, ell: saalschutz.ClassicParams(L1, L2, 0, ell), exceptional_sides=True),
+               lambda L1, L2, ell: saalschutz.ClassicParams(L1, L2, 0, ell), exceptional_sides=True,
+               modules=(saalschutz,)),
         Family("sears", _ps(*"abcdefg"),
                tuple((k, range(-6, 9)) for k in "abcdefg"),
                lambda p, d: (saalschutz.sears_lhs(*p.values()), saalschutz.sears_rhs(*p.values())),
                lambda p: p["a"] + p["b"] == p["c"] + p["d"] + p["f"],
-               sample=_sears_sample),
+               sample=_sears_sample, modules=(saalschutz,)),
         Family("gensum", _ps("N", "sigma", "ell", "M", "L1:rat", "L2:rat"),
                (("N", range(1, 5)), ("sigma", (0, 1)),
                 ("ell", lambda p: [e for e in range(-4, 5) if (e + p["sigma"] * p["N"]) % 2 == 0]),
                 ("M", range(0, 7)), ("L1", _gensum_halves), ("L2", _gensum_halves)),
                lambda g, d: (saalschutz.gensum_lhs(g, checked=True),
                              saalschutz.gensum_rhs(g, checked=True)),
-               lambda g: g.M >= 0 and g.violation() is None, saalschutz.SaalschutzParams),
-        _bt_family("burge.bt", "bt", burge.classic_bt_safe),
-        _bt_family("burge.bt2", "bt2", burge.classic_bt2_safe),
+               lambda g: g.M >= 0 and g.violation() is None,
+               lambda *values: saalschutz.SaalschutzParams(*values), modules=(saalschutz,)),
+        _bt_family("burge.bt", "bt"),
+        _bt_family("burge.bt2", "bt2"),
         _traf_family("burge.traf1", "traf1", ((1, 2, 0, 1), (2, 3, 1, 1))),
         _traf_family("burge.traf2", "traf2", ((1, 2, 0, 1), (1, 3, 0, 1))),
         Family("burge.forms",
-               _ps("name:word", "N", "sigma", "M", "L:rat", name=tuple(burge.FORM_LABELS)),
-               (("name", tuple(burge.FORM_LABELS)), ("N", _form_levels), ("sigma", _sigmas),
+               _ps("name:word", "N", "sigma", "M", "L:rat", name=_form_names),
+               (("name", lambda p: _form_names()), ("N", _form_levels), ("sigma", _sigmas),
                 ("M", lambda p: range(0, _form_span(p))),
                 ("L", lambda p: _shifted(_form_span(p))(p))),
-               _form_sides, _form_applies, _form_point),
+               _form_sides, _form_applies, _form_point, modules=(burge,)),
         Family("burge.tree", _ps("depth", "N", "sigma"),
                (("depth", (3,)), ("N", (1,)), ("sigma", (0,))), _tree_sides,
                lambda p: (p["depth"] >= 0 and p["N"] >= 1 and p["sigma"] in (0, 1)
-                          and (p["N"] % 2 == 0 or p["sigma"] == 0))),
+                          and (p["N"] % 2 == 0 or p["sigma"] == 0)), modules=(burge,)),
         Family("multinom.tnew", _ps("N", "L", "ell"),
                (("N", (2, 3, 4)), ("L", range(0, 9)),
                 ("ell", lambda p: range(-p["N"] * p["L"], p["N"] * p["L"] + 1, 2))),
                lambda q, d: (multinom.tnew_rhs(q.N, q.L, twice(q.a, "a"), q.L % 2, checked=True),
                              multinom.t_multinomial(q, checked=True)),
                lambda q: q.violation() is None,
-               lambda N, L, ell: multinom.MultinomialQuery(N, L, Fraction(ell, 2))),
+               lambda N, L, ell: multinom.MultinomialQuery(N, L, Fraction(ell, 2)),
+               modules=(multinom,)),
         Family("multinom.classical", _ps("N", "L", "a:rat"),
                (("N", range(1, 5)), ("L", range(0, 7)),
                 ("a", lambda p: [Fraction(t, 2) for t in range(-p["N"] * p["L"],
                                                               p["N"] * p["L"] + 1, 2)])),
-               _classical_sides, lambda q: q.violation() is None, multinom.MultinomialQuery),
+               _classical_sides, lambda q: q.violation() is None,
+               lambda *values: multinom.MultinomialQuery(*values), modules=(multinom,)),
         Family("multinom.diff", _ps("N", "L", "ell", "n"),
                (("N", (3, 4)), ("L", range(0, 7)), ("n", lambda p: range(1, p["N"] - 1)),
                 ("ell", lambda p: [e for e in range(0, p["N"] * p["L"] + 3)
                                    if (p["n"] - e - p["N"] * p["L"]) % 2 == 0])),
                lambda p, d: multinom.difference_sides(p["N"], p["L"], p["ell"], p["n"]),
                lambda p: (1 <= p["n"] < p["N"] - 1 and p["L"] >= 0
-                          and (p["n"] - p["ell"] - p["N"] * p["L"]) % 2 == 0)),
+                          and (p["n"] - p["ell"] - p["N"] * p["L"]) % 2 == 0),
+               modules=(multinom,)),
         Family("series.durfee", _ps("ell"), (("ell", range(0, 4)),),
                lambda p, d: series.durfee_sides(p["ell"], Truncation(d)),
-               lambda p: p["ell"] >= 0, trunc=25),
+               lambda p: p["ell"] >= 0, trunc=25, modules=(series,)),
         Family("series.limlm", _ps("N", "ell", "sigma"),
                (("N", (1, 2, 3)), ("sigma", (0, 1)), ("ell", range(0, 5))),
                lambda p, d: series.limlm_sides(p["N"], p["ell"], p["sigma"], Truncation(d)),
                lambda p: (_bailey(p, None).violation() is None
                           and (p["ell"] + p["sigma"] * p["N"]) % 2 == 0),
-               trunc=25),
+               trunc=25, modules=(series,)),
         Family("series.cbp", _ps("N", "ell", "sigma", "M:intinf"),
                (("N", (1, 2, 3)), ("ell", (0, 1, 2)), ("sigma", (0, 1)), ("M", (3, 5, None))),
-               _cbp_sides, lambda p: _bailey(p, None).violation() is None, trunc=25),
+               _cbp_sides, lambda p: _bailey(p, None).violation() is None, trunc=25,
+               modules=(series,)),
         Family("series.strings", _ps("N", "m", "ell"),
                (("N", (1, 2, 3)), ("ell", lambda p: range(0, p["N"] + 1)),
                 ("m", lambda p: range(p["ell"] % 2, 7, 2))),
-               _string_sides, lambda p: _string_query(p, None).violation() is None, trunc=20),
-        Family("series.products", _ps("family:word", family=_PRODUCTS),
+               _string_sides, lambda p: _string_query(p, None).violation() is None, trunc=20,
+               modules=(series, multinom)),
+        Family("series.products", _ps("family:word", family=lambda: _PRODUCTS),
                (("family", _PRODUCTS),),
                lambda p, d: (series.product_side(p["family"], Truncation(d)),
                              series.sum_side(p["family"], Truncation(d))),
-               trunc=30),
+               trunc=30, modules=(series,)),
         Family("qpoly.partitions", _ps("limit"), (("limit", (50,)),),
                lambda p, d: (qpoly.euler_inverse_truncated(Truncation(d)),
                              QPoly(dict(enumerate(_partition_counts(d))))),
@@ -414,8 +435,8 @@ REGISTRY: Dict[str, Family] = {
 # --- evaluation table ---------------------------------------------------------------
 
 
-def _string_of(fn: Callable) -> Callable:
-    return lambda *args: fn(series.StringFunctionQuery(*args))
+def _string_of(name: str) -> Callable:
+    return lambda *args: getattr(series, name)(series.StringFunctionQuery(*args))
 
 
 _STRING = (_ps("N", "m", "ell", "sigma"), {"sigma": 0})
@@ -423,23 +444,24 @@ _STRING = (_ps("N", "m", "ell", "sigma"), {"sigma": 0})
 # name -> (parameter specs, defaults, evaluator, default D).  The evaluator
 # takes the values in spec order, then Truncation(D) if the entry has a D.
 EVAL_REGISTRY: Dict[str, Tuple[Tuple[ParamSpec, ...], Dict, Callable, Optional[int]]] = {
-    "qbin": (_ps("m", "n"), {}, qbin_standard, None),
+    "qbin": (_ps("m", "n"), {}, lambda m, n: qbinom.qbin_standard(m, n), None),
     "qpoch": (_ps("s", "m"), {}, qpoly.qpoch, None),
     "euler": (_ps("limit"), {}, lambda n: qpoly.euler_inverse_truncated(Truncation(n)), None),
     "tmultinomial": (_ps("N", "L", "a:rat", "n"), {"n": 0},
                      lambda *args: multinom.t_multinomial(multinom.MultinomialQuery(*args)), None),
     "tnew": (REGISTRY["multinom.tnew"].params, {},
              lambda n, l, ell: multinom.tnew_rhs(n, l, ell, l % 2), None),
-    "abf": (_ps("p", "s", "L"), {}, multinom.abf_config_sum, None),
+    "abf": (_ps("p", "s", "L"), {}, lambda *args: multinom.abf_config_sum(*args), None),
     "x": (_ps(*_LABELS, "M1", "L1:rat", "M2", "L2:rat", "N", "sigma"), {"N": 1, "sigma": 0},
           lambda *args: burge.burge_xn(burge.BurgeParams(*args)), None),
-    "closed": (_ps("name:word", "M", "L:rat", "N", "sigma", name=tuple(burge.FORM_LABELS)),
-               {"N": 1, "sigma": 0}, burge.closed_form, None),
-    "product": (REGISTRY["series.products"].params, {}, series.product_side, 30),
-    "sumside": (REGISTRY["series.products"].params, {}, series.sum_side, 30),
-    "string.spinon": (*_STRING, _string_of(series.string_spinon), 20),
-    "string.fermionic": (*_STRING, _string_of(series.string_fermionic), 20),
-    "string.lp": (*_STRING, _string_of(series.string_lp), 20),
+    "closed": (_ps("name:word", "M", "L:rat", "N", "sigma", name=_form_names),
+               {"N": 1, "sigma": 0}, lambda *args: burge.closed_form(*args), None),
+    "product": (REGISTRY["series.products"].params, {},
+                lambda *args: series.product_side(*args), 30),
+    "sumside": (REGISTRY["series.products"].params, {}, lambda *args: series.sum_side(*args), 30),
+    "string.spinon": (*_STRING, _string_of("string_spinon"), 20),
+    "string.fermionic": (*_STRING, _string_of("string_fermionic"), 20),
+    "string.lp": (*_STRING, _string_of("string_lp"), 20),
 }
 
 
@@ -522,6 +544,8 @@ def _eval_point(fam: Family, values: Tuple, d, opts: Dict):
         verdict, fields = "error", {}
         note = f"{type(ex).__name__}: {ex}"
         if not isinstance(ex, QIdentError):
+            import traceback  # only an internal fault prints one
+
             note += "\n" + traceback.format_exc().rstrip()
     elapsed = int((time.perf_counter() - t0) * 1000) if opts["timing"] else 0
     return verdict, fields, elapsed, note
@@ -577,7 +601,7 @@ class _Pipeline:
     when drained), at most 2 x jobs in flight across families; their strings are
     written in submission order, and a family's summary after its last chunk."""
 
-    def __init__(self, stream, opts: Dict, pool: Optional[ProcessPoolExecutor], jobs: int):
+    def __init__(self, stream, opts: Dict, pool, jobs: int):
         self.stream, self.opts, self.limit = stream, opts, 2 * jobs
         self.submit = partial if pool is None else lambda *task: pool.submit(*task).result
         self.window: deque = deque()  # a result getter per chunk, (ident, t0) per family end
@@ -633,9 +657,21 @@ def _output(path: Optional[str]):
             yield stream
 
 
+def _new_pool(jobs: int):
+    from concurrent.futures import ProcessPoolExecutor  # a run at one job never loads it
+
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
 def _sweep(args, runs: Sequence[Tuple[Family, Dict]], opts: Dict, suite: bool) -> int:
     """Run families into one stream; the exit code is the worst of theirs."""
-    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    pool = None
+    if args.jobs > 1:
+        # the workers fork from this process: run the families' modules here,
+        # once, rather than in every worker (the first attribute read runs one)
+        for module in dict.fromkeys(module for fam, _ in runs for module in fam.modules):
+            vars(module)
+        pool = _new_pool(args.jobs)
     try:
         with _output(args.out) as stream:
             color = (args.format == "text" and os.environ.get("NO_COLOR") is None
@@ -675,6 +711,8 @@ def _parse_overrides(spec_params: Sequence[ParamSpec], extras: List[str],
         ps = by_name.get(name)
         if ps is None:
             raise ConfigError(f"unknown parameter --{name}")
+        if name in out:  # several values go in one comma list
+            raise ConfigError(f"--{name} given twice")
         vals = _parse_values(text, ps)
         if not multi and len(vals) != 1:
             raise ConfigError(f"--{name}: expected a single value")

@@ -11,6 +11,8 @@ n < 0 <= m+n, and becomes a Laurent polynomial when m+n < 0:
 Both are exposed in (m, n) form and in [top over bottom] form.  Standard
 binomials are memoized under the (min, max) symmetric key; the uncached
 path is reachable for equivalence testing via _qbin_symmetric.__wrapped__.
+A new binomial is built on one dense coefficient list, two linear passes
+per factor of its product formula.
 """
 
 from __future__ import annotations
@@ -18,18 +20,23 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
-from .qpoly import ONE, ZERO, QPoly, Truncation, exact_div, mul
+from .qpoly import ONE, ZERO, QPoly, Truncation, from_dense, mul
 
 
 @lru_cache(maxsize=None)
 def _qbin_symmetric(lo: int, hi: int) -> QPoly:
-    # [lo+hi over lo] via interleaved multiply/divide; every intermediate
-    # prod_{k=1..j} (1-q^{hi+k})/(1-q^k) is itself a binomial, so exact
-    out = ONE
+    # [lo+hi over lo] = prod_{k=1..lo} (1-q^{hi+k})/(1-q^k).  The partial
+    # product up to k is [hi+k over k], a polynomial of degree k*hi <= lo*hi,
+    # so each step is exact on the first k*hi+1 coefficients of one list:
+    # times 1-q^{hi+k} descending, then divided by 1-q^k as a running sum.
+    c = [1] + [0] * (lo * hi)
     for k in range(1, lo + 1):
-        out = mul(out, QPoly({0: 1, hi + k: -1}))
-        out = exact_div(out, QPoly({0: 1, k: -1}))
-    return out
+        top, s = k * hi, hi + k
+        for e in range(top, s - 1, -1):
+            c[e] -= c[e - s]
+        for e in range(k, top + 1):
+            c[e] += c[e - k]
+    return from_dense(c)
 
 
 def qbin_standard(m: int, n: int) -> QPoly:

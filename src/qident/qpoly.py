@@ -31,7 +31,7 @@ from itertools import repeat
 from operator import index
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .errors import InvalidParams, NonExactDivision, NonPolynomial, NonUnitConstantTerm
+from .errors import InvalidParams, NonPolynomial, NonUnitConstantTerm
 
 Exponent = Union[int, Fraction]
 ExponentLike = Union[int, Fraction]
@@ -391,6 +391,11 @@ def _kronecker(va: Tuple, vb: Tuple, cap: Optional[int]) -> Terms:
     return dict(zip(range(base, top + 1), vals))
 
 
+def from_dense(coeffs: List[int]) -> QPoly:
+    """sum_e coeffs[e] q^e, from a list of integer coefficients."""
+    return _make(1, {e: c for e, c in enumerate(coeffs) if c})
+
+
 def prod(polys: Iterable[QPoly], trunc: Truncation | None = None) -> QPoly:
     """Product of several polynomials, smallest factors first."""
     result = ONE
@@ -433,38 +438,6 @@ def qpoch_signed_base2(n: int) -> QPoly:
     if n == 0:
         return ONE
     return mul(qpoch_signed_base2(n - 1), QPoly({0: 1, 2 * n - 1: 1}))
-
-
-def exact_div(num: QPoly, den: QPoly) -> QPoly:
-    """Exact quotient num/den in the Laurent ring; raises if not exact."""
-    if not den._terms:
-        raise NonExactDivision("division by the zero polynomial")
-    if not num._terms:
-        return ZERO
-    d, tn, td = _common(num, den)
-    den_min = min(td)
-    den_min_coeff = td[den_min]
-    # exact quotient keys lie in [min(num)-min(den), max(num)-max(den)]
-    bound = max(tn) - max(td)
-    rem = dict(tn)
-    quot: Terms = {}
-    while rem:
-        e = min(rem)
-        qe = e - den_min
-        if qe > bound:
-            raise NonExactDivision("nonzero remainder")
-        qc, leftover = divmod(rem[e], den_min_coeff)
-        if leftover:
-            raise NonExactDivision("coefficient not divisible")
-        quot[qe] = qc
-        for ed, cd in td.items():
-            k = qe + ed
-            v = rem.get(k, 0) - qc * cd
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return _make(d, quot)
 
 
 def invert_truncated(p: QPoly, trunc: Truncation) -> QPoly:
@@ -522,7 +495,7 @@ def inv_qpoch(s: int, k: int, trunc: Truncation) -> QPoly:
         step = s + len(ladder) - 1
         for n in range(step, d + 1):
             c[n] += c[n - step]
-        ladder.append(_make(1, {n: v for n, v in enumerate(c) if v}))
+        ladder.append(from_dense(c))
     return ladder[k]
 
 

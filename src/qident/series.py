@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
+from . import multinom  # lazily loaded: only the spinon sum runs it
 from .errors import Checked, InvalidParams, StabilizationFailure
 from .lattice import axis_source, cartan, system_sum
-from .multinom import abf_config_sum
 from .qpoly import (
     ONE,
     ZERO,
@@ -251,7 +251,7 @@ def string_spinon(sq: StringFunctionQuery) -> QPoly:
     total = ZERO
     i = 0
     while Fraction(i * (i + m), N) + Fraction(ell * ell - m * m, 4 * N) <= d + 2:
-        X = abf_config_sum(N + 2, ell + 1, 2 * i + m)
+        X = multinom.abf_config_sum(N + 2, ell + 1, 2 * i + m)
         if not X.is_zero():
             term = mul(inv_qpoch(1, i, inner_trunc), inv_qpoch(1, i + m, inner_trunc), inner_trunc)
             total = total + mul(term, X, inner_trunc)
@@ -259,7 +259,7 @@ def string_spinon(sq: StringFunctionQuery) -> QPoly:
     # check three more i: the 1/(q)_i factors have nonnegative exponents only,
     # so an i-term vanishes below the cap exactly when its configuration sum does
     for i in range(i, i + 3):
-        X = abf_config_sum(N + 2, ell + 1, 2 * i + m)
+        X = multinom.abf_config_sum(N + 2, ell + 1, 2 * i + m)
         if not X.is_zero() and X.min_exponent() <= d:
             low = X.min_exponent()
             raise StabilizationFailure(f"spinon cutoff too early: i={i} reaches q^{low} <= q^{d}")

@@ -401,6 +401,9 @@ def test_tree_rejects_bad_depth_and_sigma():
         build_tree(-1)
     with pytest.raises(InvalidParams):
         build_tree(2, n_lat=3, sigma=1)
+    for n_lat in (0, -3):
+        with pytest.raises(InvalidParams, match="N must be >= 1"):
+            build_tree(2, n_lat=n_lat)
 
 
 def test_tree_rejects_negative_grid_and_never_verifies_on_no_points():

@@ -265,6 +265,21 @@ def test_tree_odd_level_sigma_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_tree_level_below_one_is_config_error(capsys, n):
+    assert run(["tree", "--N", n], capsys) == (2, "", "error: N must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "qs2", "--L1", "1", "--L2", "0", "--M", "0", "--ell", "0", "--L1", "2"],
+    ["verify", "qs2", "--L1=1", "--L1", "1"],
+    ["eval", "qbin", "--m", "1", "--m", "2", "--n", "1"],
+])
+def test_repeated_parameter_is_config_error(capsys, argv):
+    flag = argv[2].partition("=")[0]
+    assert run(argv, capsys) == (2, "", f"error: {flag} given twice\n")
+
+
 # --- report schema and determinism ---------------------------------------------------
 
 def test_row_schema_and_summary_counts(capsys):
@@ -435,7 +450,7 @@ def test_pool_keeps_at_most_two_chunks_per_worker(capsys, monkeypatch):
             future.result = result
             return future
 
-    monkeypatch.setattr("qident.cli.ProcessPoolExecutor", Counting)
+    monkeypatch.setattr("qident.cli._new_pool", lambda jobs: Counting(max_workers=jobs))
     code, out, _ = run(["verify", "qs2", "--jobs", "2", "--L1", "-6..6", "--L2", "-6..6",
                         "--M", "0..2", "--ell", "-6..6"], capsys)
     assert code == 0 and rows_of(out)[1]["total"] == 6591
@@ -470,6 +485,54 @@ def test_closed_pipe_exits_1_without_a_traceback(jobs, box, lines):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def _launch(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+
+
+# after the command, which qident modules ran and whether the pool machinery loaded;
+# a lazily loaded module that never ran has no __builtins__ (reading its __dict__
+# through object.__getattribute__ does not run it)
+_PROBE = """
+import json, sys
+from qident.cli import main
+code = main(sys.argv[1:])
+ran = [name for name, mod in sys.modules.items() if name.startswith("qident.")
+       and "__builtins__" in object.__getattribute__(mod, "__dict__")]
+print(json.dumps([code, sorted(ran), "concurrent.futures.process" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv,present,absent,pool", [
+    (["verify", "qpoly.partitions", "--limit", "0"], {"qpoly"},
+     {"burge", "multinom", "saalschutz", "series", "lattice"}, False),
+    (["verify", "series.limlm", "--N", "2", "--ell", "0", "--sigma", "0"], {"series", "lattice"},
+     {"burge", "multinom", "saalschutz"}, False),
+    # the parent of a pool evaluates no point, but runs the family's module before forking
+    (["verify", "qs2", "--L1", "0", "--L2", "0", "--M", "0", "--ell", "0", "--jobs", "2"],
+     {"saalschutz"}, {"burge", "multinom", "series"}, True),
+])
+def test_a_command_runs_only_the_modules_it_uses(argv, present, absent, pool):
+    proc = _launch("-c", _PROBE, *argv)
+    code, ran, pool_loaded = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert code == 0 and proc.stderr == b""
+    assert {f"qident.{name}" for name in present} <= set(ran)
+    assert not {f"qident.{name}" for name in absent} & set(ran)
+    assert pool_loaded == pool
+
+
+def test_lazily_loaded_modules_are_package_attributes():
+    proc = _launch("-c", "import qident, sys; print(qident.series is sys.modules['qident.series'],"
+                         " qident.series.limlm_sides.__module__)")
+    assert proc.stdout.decode().split() == ["True", "qident.series"]
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = _launch("-m", "qident", "eval", "qbin", "--m", "2", "--n", "2")
+    assert proc.returncode == 0 and proc.stdout == b"1 + q + 2*q^2 + q^3 + q^4\n"
+    assert _launch("-m", "qident", "verify", "nope").returncode == 2
 
 
 def test_text_format_has_no_ansi_when_piped(capsys, monkeypatch):

@@ -30,8 +30,10 @@ from qident.multinom import (
     tnew_rhs,
 )
 from qident.qbinom import qbin
-from qident.qpoly import ONE, ZERO, QPoly, Truncation, eval_at_one, exact_div, mul, qpoch, render
+from qident.qpoly import ONE, ZERO, QPoly, Truncation, eval_at_one, mul, qpoch, render
 from qident.saalschutz import ClassicParams, qcv_lhs
+
+from oracles import exact_div
 
 
 def oracle_classical(N, L, a):

@@ -11,7 +11,9 @@ from qident.qbinom import (
     qbin_standard,
     qbin_vector,
 )
-from qident.qpoly import ONE, ZERO, QPoly, exact_div, mul, qpoch, render
+from qident.qpoly import ONE, ZERO, QPoly, mul, qpoch, render
+
+from oracles import exact_div
 
 
 # --- oracle: product-ratio definition, no shared code path -------------------
@@ -87,6 +89,19 @@ def test_vector_products():
     assert qbin_vector([(1, 1), (1, 1)]) == mul(two, two)
     assert qbin_vector([(2, 1), (-1, 0), (1, 1)]) == ZERO
     assert qbin_vector([(1, -3)], variant="modified") == qbin_modified(1, -3)
+
+
+def test_linear_passes_match_the_product_formula():
+    # [lo+hi over lo] = (q^{hi+1}; q)_lo / (q; q)_lo, multiplied out and divided exactly
+    for lo in range(0, 13):
+        num = qpoch(1, lo)  # (q^{hi+1}; q)_lo at hi = 0
+        for hi in range(0, 41):
+            if hi:  # (q^{hi+1}; q)_lo from (q^hi; q)_lo
+                num = exact_div(mul(num, ONE - QPoly.monomial(1, hi + lo)),
+                                ONE - QPoly.monomial(1, hi))
+            built = _qbin_symmetric.__wrapped__(lo, hi)
+            assert built == exact_div(num, qpoch(1, lo)), (lo, hi)
+            assert sum(c for _, c in built.items()) == math.comb(lo + hi, lo)
 
 
 def test_cache_is_transparent():

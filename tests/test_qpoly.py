@@ -14,7 +14,6 @@ from qident.qpoly import (
     as_int,
     euler_inverse_truncated,
     eval_at_one,
-    exact_div,
     half_int,
     inv_qpoch,
     invert_truncated,
@@ -27,6 +26,8 @@ from qident.qpoly import (
     render,
     truncated_equal,
 )
+
+from oracles import exact_div
 
 
 # --- oracles -------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import series
+from qident import multinom, series
 from qident.errors import InvalidParams, StabilizationFailure
 from qident.lattice import CartanData, cartan
 from qident.qpoly import (
@@ -215,12 +215,12 @@ class TestStrings:
         # N=1, m=ell=0, D=4: the i-sum stops after i=2 (L=4) and then checks
         # i=3..5 (L=6..10); a configuration sum there inside the cap must raise
         sq = StringFunctionQuery(1, 0, 0, 0, Truncation(4))
-        real = series.abf_config_sum
-        monkeypatch.setattr(series, "abf_config_sum", lambda p, s, L: ONE if L >= 6 else real(p, s, L))
+        real = multinom.abf_config_sum
+        monkeypatch.setattr(multinom, "abf_config_sum", lambda p, s, L: ONE if L >= 6 else real(p, s, L))
         with pytest.raises(StabilizationFailure):
             string_spinon(sq)
         # past the checked margin the same fake goes unseen
-        monkeypatch.setattr(series, "abf_config_sum", lambda p, s, L: ONE if L >= 12 else real(p, s, L))
+        monkeypatch.setattr(multinom, "abf_config_sum", lambda p, s, L: ONE if L >= 12 else real(p, s, L))
         assert string_spinon(sq) == string_fermionic(sq)
 
     def test_validation(self):
