@@ -1,8 +1,10 @@
 """Walk the transform tree and check one edge by hand.
 
 Each node is a doubly bounded polynomial identified by four labels; the two
-transforms move the labels and multiply the kernel.  Named nodes carry a
-closed form, and every edge can be replayed at explicit bounds.
+transforms move the labels and multiply the kernel.  Burge's classic
+transforms are the N = 1 case of the level-N ones, with sigma = 0 here
+because the bounds are symmetric.  Named nodes carry a closed form, and
+every edge can be replayed at explicit bounds.
 """
 
 from qident.burge import (
@@ -10,7 +12,7 @@ from qident.burge import (
     build_tree,
     burge_x,
     closed_form,
-    transform_bt2,
+    transform_trafo,
 )
 from qident.qpoly import render
 
@@ -27,8 +29,8 @@ for nd in nodes:
 # replay the seed -> (2,3,1,1) edge at one bound pair: route the child through
 # the parent polynomial and compare against evaluating the child directly
 M = L = 3
-routed = transform_bt2(
-    M, L, M, L,
+routed = transform_trafo(
+    1, 0, M, L, M, L,
     lambda m1, l1, m2, l2: burge_x(BurgeParams(1, 2, 0, 1, m1, l1, m2, l2)),
 )
 direct = burge_x(BurgeParams(2, 3, 1, 1, M, L, M, L))

@@ -24,10 +24,8 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 from .errors import (
     InvalidParams,
-    NonExactDivision,
     NonPolynomial,
     QIdentError,
-    SufficiencyViolated,
     UnbalancedParameters,
     UnknownClosedForm,
 )
@@ -50,12 +48,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InvalidParams",
-    "NonExactDivision",
     "NonPolynomial",
     "ONE",
     "QIdentError",
     "QPoly",
-    "SufficiencyViolated",
     "Truncation",
     "UnbalancedParameters",
     "UnknownClosedForm",

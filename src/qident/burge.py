@@ -9,11 +9,13 @@ interval computable in advance.
 
 Transforms are higher-order: they apply the summation kernel to a child
 evaluator, so the same code path both verifies transform identities
-against direct evaluation and generates tree-node values.  Sufficiency
-predicates (floor inequalities, and the scan-based safety check of the
-classic transform) are warning-grade: failing them does not make the
-evaluation wrong, only unproven, hence SufficiencyViolated is raised
-only when enforcement is requested.
+against direct evaluation and generates tree-node values.  There is one
+kernel, the level-N one; Burge's classic transforms are its N = 1 case,
+with sigma = (M1 - M2) mod 2.  A transform evaluates wherever it is
+called.  Whether its identity is proven there is a separate question,
+answered by the sufficiency predicates (floor inequalities) and the
+scan-based safety checks of the classic transforms; the callers that
+verify an edge consult them first.
 
 The tree: for N = 1, breadth-first iteration of both transforms from
 the trivial seed (p,p',r,s) = (1,2,0,1).  For N > 1 the classic tree is
@@ -28,14 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import Checked, InvalidParams, SufficiencyViolated, UnknownClosedForm
+from .errors import Checked, InvalidParams, UnknownClosedForm
 from .lattice import axis_source, cartan, system_sum
 from .qbinom import qbin
 from .qpoly import ONE, ZERO, QPoly, as_int, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 Evaluator4 = Callable[[int, int, int, int], QPoly]
-Evaluator2 = Callable[[int, int], QPoly]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -117,29 +118,7 @@ def burge_x(bp: BurgeParams) -> QPoly:
     return total
 
 
-def burge_symmetry_check(bp: BurgeParams) -> bool:
-    """X_{r,s}^{(p,p')}(M1,L1,M2,L2) = X_{s-L12,r+M12}^{(p',p)}(L1,M1,L2,M2)."""
-    L1, L2 = as_int(bp.L1, "L1"), as_int(bp.L2, "L2")
-    L12 = L1 - L2
-    image = BurgeParams(
-        bp.pprime, bp.p, bp.s - L12, bp.r + bp.M12, L1, bp.M1, L2, bp.M2
-    )
-    return burge_x(bp) == burge_x(image)
-
-
 # --- level-N polynomial ---------------------------------------------------------
-
-_xn_nonintegral_skips = 0
-
-
-def xn_nonintegral_skips() -> int:
-    """Terms dropped because a binomial entry came out fractional.
-
-    The congruence restriction is supposed to make this impossible; the
-    counter exists so tests can assert it stayed at zero.
-    """
-    return _xn_nonintegral_skips
-
 
 def _xn_term(
     cd, M1: int, M2: int, two_l1: int, two_l2: int, p: int, pp: int, n_lat: int, sigma: int,
@@ -148,7 +127,8 @@ def _xn_term(
     """Inner eta-sum of one j-term; shift = 0 or r, skew = 0 or r-s.
 
     The binomial tops M1 + L1 - ((p'-p)j - skew)/N - (b2_bot - mu1)/2 and its
-    mirror are integer numerators over 2N; a fractional top counts a skip.
+    mirror are integer numerators over 2N.  The congruence restriction makes
+    a fractional top impossible at a valid point, so one raises InvalidParams.
     """
     b1_bot = M1 + p * j + shift
     b2_bot = M2 - p * j - shift
@@ -159,13 +139,11 @@ def _xn_term(
     base2 = n_lat * (2 * M2 + two_l2 - b1_bot) + tilt
 
     def weight(m):
-        global _xn_nonintegral_skips
         mu1, mu_last = (m[0], m[-1]) if m else (b2_bot, b1_bot)
         top1, rem1 = divmod(base1 + n_lat * mu1, two_n)
         top2, rem2 = divmod(base2 + n_lat * mu_last, two_n)
         if rem1 or rem2:
-            _xn_nonintegral_skips += 1
-            return ZERO
+            raise InvalidParams("binomial top must be an integer")
         t = qbin(top1, b1_bot)
         if t.is_zero():
             return t
@@ -198,72 +176,22 @@ def burge_xn(bp: BurgeParams, checked: bool = False) -> QPoly:
 
 # --- transforms -------------------------------------------------------------------
 
-def _check_sufficiency(labels, which, n_lat, m12, l1, l2, enforce):
-    if labels is None or not enforce:
-        return
-    p, pp, r, s = labels
-    if not _suff(p, pp, r, s, n_lat, m12, l1, l2, which):
-        raise SufficiencyViolated(
-            f"predicate {which} fails for child labels (p,p',r,s)=({p},{pp},{r},{s})"
-        )
-
-
-def _classic_kernel_sum(M1: int, L1: int, M2: int, L2: int,
-                        child_at: Callable[[int], QPoly]) -> QPoly:
-    """sum_i q^{i(i+M12)} [L1+L2+M2-i over M2-i] child_at(i), the classic kernel."""
-    M12 = M1 - M2
-    total = ZERO
-    for i in range(_ceil_div(-M12, 2), M2 + 1):
-        kernel = qbin(L1 + L2 + M2 - i, M2 - i)
-        if kernel.is_zero():
-            continue
-        val = child_at(i)
-        if val.is_zero():
-            continue
-        total = total + mul(kernel, val).times_monomial(1, i * (i + M12))
-    return total
-
-
-def transform_bt(
-    M1: int, L1: int, M2: int, L2: int, child: Evaluator4,
-    labels: Optional[Tuple[int, int, int, int]] = None, enforce: bool = True,
-) -> QPoly:
-    """sum_i q^{i(i+M12)} [L1+L2+M2-i over M2-i] child(i+M12, L1-i, i, L2-M12-i)."""
-    M12 = M1 - M2
-    if labels is not None and enforce:
-        if not classic_bt_safe(*labels, M1, L1, M2, L2):
-            raise SufficiencyViolated("classic transform safety scan failed")
-    return _classic_kernel_sum(M1, L1, M2, L2, lambda i: child(i + M12, L1 - i, i, L2 - M12 - i))
-
-
-def transform_bt2(
-    M1: int, L1: int, M2: int, L2: int, child: Evaluator4,
-    labels: Optional[Tuple[int, int, int, int]] = None, enforce: bool = True,
-) -> QPoly:
-    """Same kernel, child evaluated at (L1-i, i+M12, L2-M12-i, i).
-
-    The window lower end is again ceil(-M12/2): in either orientation the
-    child's top-minus-bottom differences sum to 2i+M12 plus a quantity
-    whose minimum over j is zero, so terms below that vanish.
-    """
-    M12 = M1 - M2
-    if labels is not None and enforce:
-        if not classic_bt2_safe(*labels, M1, L1, M2, L2):
-            raise SufficiencyViolated("classic transform safety scan failed")
-    return _classic_kernel_sum(M1, L1, M2, L2, lambda i: child(L1 - i, i + M12, L2 - M12 - i, i))
-
-
 def _level_kernel_sum(
-    n_lat: int, sigma: int, M1: int, M2: int, two_l12: int, child_args, i_low: int,
+    n_lat: int, sigma: int, M1: int, M2: int, two_l12: int, child_args,
 ) -> QPoly:
-    """Shared body of the level-N transforms; two_l12 = 2(L1+L2), child_args builds the bounds."""
+    """Shared body of the transforms; two_l12 = 2(L1+L2), child_args builds the bounds.
+
+    The window's lower end is ceil(-M12/2) for both transforms: in either
+    orientation the child's top-minus-bottom differences sum to 2i+M12 plus
+    a quantity whose minimum over j is zero, so terms below that vanish.
+    """
     cd = cartan(n_lat)
     M12 = M1 - M2
     if (M12 + sigma * n_lat) % 2:
         raise InvalidParams("M1-M2 + sigma*N must be even")
     l1l2 = half_int(two_l12, "L1+L2")
     total = ZERO
-    for i in range(i_low, M2 + 1):
+    for i in range(_ceil_div(-M12, 2), M2 + 1):
         kernel = qbin(l1l2 + M2 - i, M2 - i)
         if kernel.is_zero():
             continue
@@ -277,13 +205,15 @@ def _level_kernel_sum(
 
 
 def transform_burgetrafo_n(
-    n_lat: int, sigma: int, M1: int, L1: Rational, M2: int, L2: Rational,
-    child: Evaluator4,
-    labels: Optional[Tuple[int, int, int, int]] = None, enforce: bool = True,
+    n_lat: int, sigma: int, M1: int, L1: Rational, M2: int, L2: Rational, child: Evaluator4,
 ) -> QPoly:
-    """Level-N kernel over child(i+M12, L1-i+m1/2, i, L2-M12-i+m1/2)."""
+    """Level-N kernel over child(i+M12, L1-i+m1/2, i, L2-M12-i+m1/2).
+
+    At N = 1 and sigma = M12 mod 2 the inner sum is the single term m1 = 0,
+    and this is Burge's first transform, sum_i q^{i(i+M12)}
+    [L1+L2+M2-i over M2-i] child(i+M12, L1-i, i, L2-M12-i).
+    """
     M12 = M1 - M2
-    _check_sufficiency(labels, "suf", n_lat, M12, L1, L2, enforce)
     two_l1, two_l2 = twice(L1, "L1"), twice(L2, "L2")
 
     def child_args(i: int, m1: int) -> QPoly:
@@ -291,17 +221,18 @@ def transform_burgetrafo_n(
         b = half_int(two_l2 - 2 * (M12 + i) + m1, "child L2")
         return child(i + M12, a, i, b)
 
-    return _level_kernel_sum(n_lat, sigma, M1, M2, two_l1 + two_l2, child_args, _ceil_div(-M12, 2))
+    return _level_kernel_sum(n_lat, sigma, M1, M2, two_l1 + two_l2, child_args)
 
 
 def transform_trafo(
-    n_lat: int, sigma: int, M1: int, L1: Rational, M2: int, L2: Rational,
-    child: Evaluator4,
-    labels: Optional[Tuple[int, int, int, int]] = None, enforce: bool = True,
+    n_lat: int, sigma: int, M1: int, L1: Rational, M2: int, L2: Rational, child: Evaluator4,
 ) -> QPoly:
-    """Level-N kernel over child(L1-i+m1/2, i+M12, L2-M12-i+m1/2, i)."""
+    """Level-N kernel over child(L1-i+m1/2, i+M12, L2-M12-i+m1/2, i).
+
+    At N = 1 and sigma = M12 mod 2 this is Burge's second transform, the
+    same kernel over child(L1-i, i+M12, L2-M12-i, i).
+    """
     M12 = M1 - M2
-    _check_sufficiency(labels, "suf2", n_lat, M12, L1, L2, enforce)
     two_l1, two_l2 = twice(L1, "L1"), twice(L2, "L2")
 
     def child_args(i: int, m1: int) -> QPoly:
@@ -309,26 +240,7 @@ def transform_trafo(
         b = half_int(two_l2 - 2 * (M12 + i) + m1, "child M2")
         return child(a, i + M12, b, i)
 
-    return _level_kernel_sum(n_lat, sigma, M1, M2, two_l1 + two_l2, child_args, _ceil_div(-M12, 2))
-
-
-def transform_traf1(
-    n_lat: int, sigma: int, M: int, L: Rational, child: Evaluator2,
-    labels: Optional[Tuple[int, int, int, int]] = None, enforce: bool = True,
-) -> QPoly:
-    """Symmetric form: sum_{i=0}^M q^{i^2/N} [2L+M-i over 2L] ... child(i, L-i+m1/2)."""
-    _check_sufficiency(labels, "sufsym", n_lat, 0, L, L, enforce)
-    # the child sees the second pair of bounds, which equals the first here
-    return transform_burgetrafo_n(n_lat, sigma, M, L, M, L, lambda m1, l1, m2, l2: child(m2, l2))
-
-
-def transform_traf2(
-    n_lat: int, sigma: int, M: int, L: Rational, child: Evaluator2,
-    labels: Optional[Tuple[int, int, int, int]] = None, enforce: bool = True,
-) -> QPoly:
-    """Symmetric form with child(L-i+m1/2, i)."""
-    _check_sufficiency(labels, "sufsym", n_lat, 0, L, L, enforce)
-    return transform_trafo(n_lat, sigma, M, L, M, L, lambda m1, l1, m2, l2: child(m2, l2))
+    return _level_kernel_sum(n_lat, sigma, M1, M2, two_l1 + two_l2, child_args)
 
 
 def child_labels(labels: Tuple[int, int, int, int], tag: str, n_lat: int = 1,
@@ -352,8 +264,10 @@ def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rationa
                M2: int, L2: Rational, n_lat: int = 1, sigma: int = 0) -> Tuple[QPoly, QPoly]:
     """The child of `labels` under `tag`, evaluated directly and through the transform.
 
-    The level transforms traf1 and traf2 take symmetric bounds only, so they
-    read M1 and L1.
+    bt and traf1 route through the first transform, bt2 and traf2 through
+    the second.  The classic tags bt and bt2 are its N = 1 case, with sigma
+    the parity of M1-M2.  The level tags traf1 and traf2 take symmetric
+    bounds only, so they read M1 and L1.
     """
 
     def parent(m1, l1, m2, l2):
@@ -361,22 +275,28 @@ def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rationa
 
     child = BurgeParams(*child_labels(labels, tag, n_lat, M1 - M2, L1 - L2),
                         M1, L1, M2, L2, N=n_lat, sigma=sigma)
+    tf = transform_burgetrafo_n if tag in ("bt", "traf1") else transform_trafo
     if tag in ("bt", "bt2"):
-        tf = transform_bt if tag == "bt" else transform_bt2
-        return burge_x(child), tf(M1, L1, M2, L2, parent)
-    tf = transform_traf1 if tag == "traf1" else transform_traf2
-    return burge_xn(child), tf(n_lat, sigma, M1, L1, lambda m, l: parent(m, l, m, l))
+        return burge_x(child), tf(1, (M1 - M2) % 2, M1, L1, M2, L2, parent)
+    return burge_xn(child), tf(n_lat, sigma, M1, L1, M1, L1, parent)
 
 
 # --- sufficiency predicates ---------------------------------------------------------
 
-def _suff(
-    p: int, pprime: int, r: int, s: int, n_lat: int,
-    m12: int, l1: Rational, l2: Rational, which: str,
-) -> bool:
+def sufficiency(bp: BurgeParams, which: str) -> bool:
+    """Floor-inequality guarantees for the level-N transforms.
+
+    The label fields of `bp` are read as the child labels of the
+    transform, the bound fields as the point of application; `which`
+    selects "suf" (first unsymmetric transform), "suf2" (second), or
+    "sufsym" (the shared symmetric case, needing M1 = M2 and L1 = L2).
+    All three require p' > p; otherwise the guarantee is unavailable
+    and the answer is False.
+    """
+    p, pprime, r, s, n_lat, m12 = bp.p, bp.pprime, bp.r, bp.s, bp.N, bp.M12
     if pprime <= p:
         return False
-    L1, L2 = Fraction(l1), Fraction(l2)
+    L1, L2 = Fraction(bp.L1), Fraction(bp.L2)
     den_l = Fraction(pprime) + Fraction(p, n_lat)
     den_r = Fraction(pprime - p)
     skew = Fraction(m12 * (n_lat - 1), 2 * n_lat)
@@ -405,19 +325,6 @@ def _suff(
     else:
         raise InvalidParams(f"unknown sufficiency predicate {which!r}")
     return all(line(a, b) for a, b in pairs)
-
-
-def sufficiency(bp: BurgeParams, which: str) -> bool:
-    """Floor-inequality guarantees for the level-N transforms.
-
-    The label fields of `bp` are read as the child labels of the
-    transform, the bound fields as the point of application; `which`
-    selects "suf" (first unsymmetric transform), "suf2" (second), or
-    "sufsym" (the shared symmetric case, needing M1 = M2 and L1 = L2).
-    All three require p' > p; otherwise the guarantee is unavailable
-    and the answer is False.
-    """
-    return _suff(bp.p, bp.pprime, bp.r, bp.s, bp.N, bp.M12, bp.L1, bp.L2, which)
 
 
 def classic_bt_safe(
@@ -628,6 +535,8 @@ def closed_form_name(p: int, pprime: int, r: int, s: int, n_lat: int) -> Optiona
 
 # --- tree -------------------------------------------------------------------------------
 
+TREE_DEPTH_CAP = 6  # the tree doubles per level; depth 6 has 127 classic nodes
+
 # a failed check at one symmetric point: (M, L, direct value, closed form or route)
 Witness = Tuple[int, Rational, QPoly, QPoly]
 
@@ -696,14 +605,14 @@ def build_tree(depth: int, n_lat: int = 1, sigma: int = 0, verify_grid: int = 2)
     """Transform tree from the seed (1,2,0,1), breadth first.
 
     For n_lat = 1 both classic transforms generate children down to
-    `depth`.  For n_lat > 1 the classic tree forms a backbone of depth
+    `depth`, which lies in 0..TREE_DEPTH_CAP.  For n_lat > 1 the classic tree forms a backbone of depth
     depth-1 and every backbone node sprouts one leaf per symmetric
     level-N transform.  Nodes with recognized labels carry a closed-form
     verdict checked on a small (M, L) grid; a node that fails it or its
     edge check keeps the first failure as its witness.
     """
-    if depth < 0:
-        raise InvalidParams("depth must be >= 0")
+    if not 0 <= depth <= TREE_DEPTH_CAP:
+        raise InvalidParams(f"depth must lie in 0..{TREE_DEPTH_CAP}")
     if n_lat < 1:
         raise InvalidParams("N must be >= 1")
     if verify_grid < 0:

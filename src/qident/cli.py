@@ -33,8 +33,8 @@ Exit codes: 0 when no point mismatches or errors and at least one point was
 checked, 1 otherwise (a suite takes the worst of its families) or when the
 reader of stdout goes away, 2 for configuration problems (unknown family,
 malformed or empty ranges, a parameter given twice, oversized sweeps,
-out-of-range flags, --trunc where nothing is truncated, an --out path that
-cannot be opened).
+out-of-range flags, --jobs above MAX_JOBS among them, --trunc where nothing
+is truncated, an --out path that cannot be opened).
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from .errors import InvalidParams, QIdentError
 from .qpoly import ONE, QPoly, Truncation, render, truncated_equal, twice
 
 GRID_VERSION = "1"
-TREE_DEPTH_CAP = 6
 MAX_SWEEP_POINTS = 200_000
+MAX_JOBS = 64  # a pool starts all its workers at once
 
 _VERDICTS = ("equal", "mismatch", "skipped_precondition", "error")
 
@@ -377,8 +377,9 @@ REGISTRY: Dict[str, Family] = {
                _form_sides, _form_applies, _form_point, modules=(burge,)),
         Family("burge.tree", _ps("depth", "N", "sigma"),
                (("depth", (3,)), ("N", (1,)), ("sigma", (0,))), _tree_sides,
-               lambda p: (p["depth"] >= 0 and p["N"] >= 1 and p["sigma"] in (0, 1)
-                          and (p["N"] % 2 == 0 or p["sigma"] == 0)), modules=(burge,)),
+               lambda p: (0 <= p["depth"] <= burge.TREE_DEPTH_CAP and p["N"] >= 1
+                          and p["sigma"] in (0, 1) and (p["N"] % 2 == 0 or p["sigma"] == 0)),
+               modules=(burge,)),
         Family("multinom.tnew", _ps("N", "L", "ell"),
                (("N", (2, 3, 4)), ("L", range(0, 9)),
                 ("ell", lambda p: range(-p["N"] * p["L"], p["N"] * p["L"] + 1, 2))),
@@ -746,8 +747,6 @@ _TREE_FIELDS = ("N", "sigma", "depth", "parent_index", "transform_tag", "closed_
 
 
 def cmd_tree(args) -> int:
-    if args.depth < 0 or args.depth > TREE_DEPTH_CAP:
-        raise ConfigError(f"depth must lie in 0..{TREE_DEPTH_CAP}")
     try:
         nodes = burge.build_tree(args.depth, args.N, args.sigma, verify_grid=args.grid)
     except InvalidParams as ex:
@@ -837,6 +836,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise ConfigError(f"--{flag} must be >= {least}, got {value}")
+        if getattr(args, "jobs", 1) > MAX_JOBS:
+            raise ConfigError(f"--jobs must be <= {MAX_JOBS}, got {args.jobs}")
         if args.cmd == "verify":
             return cmd_verify(args, extras)
         if args.cmd == "eval":

@@ -13,10 +13,6 @@ class QIdentError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonExactDivision(QIdentError):
-    """Polynomial division left a remainder or a non-integer coefficient."""
-
-
 class NonUnitConstantTerm(QIdentError):
     """Series inversion needs a constant term of +1 or -1."""
 
@@ -48,10 +44,6 @@ class Checked:
 
 class UnbalancedParameters(QIdentError):
     """Summation parameters fail the required balance condition."""
-
-
-class SufficiencyViolated(QIdentError):
-    """Transform applied where its sufficiency predicate does not hold."""
 
 
 class UnknownClosedForm(QIdentError):

@@ -24,12 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import Checked, InvalidParams, NonPolynomial, StabilizationFailure
+from .errors import Checked, InvalidParams, NonPolynomial
 from .lattice import CartanData, _vectors_summing_at_most, axis_source, cartan, system_sum
 from .qbinom import qbin, qbin_vector
-from .qpoly import (
-    ZERO, QPoly, Truncation, eval_at_one, half_int, mul, norm_rat, qpoch, truncated_equal, twice,
-)
+from .qpoly import ZERO, QPoly, eval_at_one, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 
@@ -187,11 +185,6 @@ def difference_sides(N: int, L: int, ell: int, n_index: int) -> Tuple[QPoly, QPo
     return lhs, rhs
 
 
-def difference_identity_check(N: int, L: int, ell: int, n_index: int) -> bool:
-    lhs, rhs = difference_sides(N, L, ell, n_index)
-    return lhs == rhs
-
-
 def abf_config_sum(p: int, s: int, L: int) -> QPoly:
     """Bilateral configuration sum of the (p-1)-state height model, regime I.
 
@@ -217,70 +210,3 @@ def abf_config_sum(p: int, s: int, L: int) -> QPoly:
             t = t.times_monomial(delta, j * (p * j + s))
             total = total + t
     return total
-
-
-def config_limit_check(bp, trunc, m_cap: int = 60) -> bool:
-    """Stabilized (q)_(L1+L2)-weighted polynomial against its T_0 form.
-
-    The bounds in `bp` are the starting point; M2 grows with M1 - M2 held
-    fixed until the truncated product stabilizes, then the bilateral
-    difference of n = 0 multinomial columns must match.  The weight is
-    (q)_(L1+L2), i.e. (q)_L in terms of the width L = 2*L1 + M12 + (r-s)/N;
-    weighting by (q)_2L instead provably breaks at (2,5,1,2), M12 = 1, L = 2.
-    """
-    from .burge import BurgeParams, burge_xn
-
-    bp.validate()
-    N, p, pp, r, s = bp.N, bp.p, bp.pprime, bp.r, bp.s
-    M12 = bp.M12
-    skew = Fraction(r - s, N)
-    L_frac = 2 * Fraction(bp.L1) + M12 + skew
-    if L_frac.denominator != 1 or L_frac < 0:
-        raise InvalidParams("bounds do not define a nonnegative integer L")
-    L = L_frac.numerator
-    if Fraction(bp.L2) != Fraction(bp.L1) + M12 + skew:
-        raise InvalidParams("L2 must equal L1 + M12 + (r-s)/N")
-    if (L_frac - skew + bp.sigma).denominator != 1 or int(L_frac - skew + bp.sigma) % 2:
-        raise InvalidParams("sigma is fixed by L - (r-s)/N + sigma even")
-    if not isinstance(trunc, Truncation):
-        trunc = Truncation(trunc)
-    D = trunc.degree_cap
-
-    weight = qpoch(1, L)
-    cd = cartan(N)
-    prev = None
-    stable = None
-    streak = 0
-    m2 = bp.M2
-    for _ in range(m_cap):
-        cur = mul(
-            weight,
-            burge_xn(BurgeParams(p, pp, r, s, m2 + M12, bp.L1, m2, bp.L2,
-                                 N=N, sigma=bp.sigma)),
-            trunc,
-        )
-        if prev is not None and cur == prev:
-            streak += 1
-            if streak >= 2:
-                stable = cur
-                break
-        else:
-            streak = 0
-        prev = cur
-        m2 += 1
-    if stable is None:
-        raise StabilizationFailure(f"no stabilization within {m_cap} steps at degree {D}")
-
-    target = ZERO
-    two_rms, two_rps = r + M12 - s, r + M12 + s  # twice the a of each column at j = 0
-    j_span = (N * L + abs(two_rms) + abs(two_rps)) // (2 * pp) + 2
-    for j in range(-j_span, j_span + 1):
-        two_a1 = two_rms + 2 * pp * j
-        if abs(two_a1) <= N * L:
-            t = _t_sum(cd, L, two_a1, 0)
-            target = target + t.times_monomial(1, j * (p * pp * j + pp * (M12 + r) - p * s), N)
-        two_a2 = two_rps + 2 * pp * j
-        if abs(two_a2) <= N * L:
-            t = _t_sum(cd, L, two_a2, 0)
-            target = target - t.times_monomial(1, (p * j + M12 + r) * (pp * j + s), N)
-    return truncated_equal(stable, target, trunc)

@@ -8,9 +8,11 @@ n < 0 <= m+n, and becomes a Laurent polynomial when m+n < 0:
 
     (-1)^m q^(m(2n+m+1)/2) [ -n-1 over m ].
 
-Both are exposed in (m, n) form and in [top over bottom] form.  Standard
-binomials are memoized under the (min, max) symmetric key; the uncached
-path is reachable for equivalence testing via _qbin_symmetric.__wrapped__.
+Both are exposed in (m, n) form and in [top over bottom] form, and
+qbin_vector multiplies standard binomials, the product each admissible
+(m, n)-system contributes.  Standard binomials are memoized under the
+(min, max) symmetric key; the uncached path is reachable for equivalence
+testing via _qbin_symmetric.__wrapped__.
 A new binomial is built on one dense coefficient list, two linear passes
 per factor of its product formula.
 """
@@ -18,9 +20,9 @@ per factor of its product formula.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
-from .qpoly import ONE, ZERO, QPoly, Truncation, from_dense, mul
+from .qpoly import ONE, ZERO, QPoly, from_dense, mul
 
 
 @lru_cache(maxsize=None)
@@ -68,22 +70,12 @@ def qbin_mod_tb(top: int, bottom: int) -> QPoly:
     return qbin_modified(bottom, top - bottom)
 
 
-def qbin_vector(
-    pairs: Sequence[Tuple[int, int]],
-    variant: str = "standard",
-    trunc: Optional[Truncation] = None,
-) -> QPoly:
+def qbin_vector(pairs: Iterable[Tuple[int, int]]) -> QPoly:
     """prod over (m_j, n_j) of [m_j + n_j over m_j]; empty input gives 1."""
-    if variant == "standard":
-        factor_of = qbin_standard
-    elif variant == "modified":
-        factor_of = qbin_modified
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     out = ONE
     for mj, nj in pairs:
-        factor = factor_of(mj, nj)
+        factor = qbin_standard(mj, nj)
         if factor.is_zero():
             return ZERO
-        out = mul(out, factor, trunc)
+        out = mul(out, factor)
     return out

@@ -31,7 +31,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 from .errors import Checked, UnbalancedParameters
 from .lattice import axis_source, cartan, system_sum
 from .qbinom import qbin, qbin_mod_tb
-from .qpoly import ONE, ZERO, QPoly, half_int, mul, norm_rat, twice
+from .qpoly import ZERO, QPoly, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 
@@ -238,20 +238,3 @@ def gensum_rhs(p: SaalschutzParams, checked: bool = False) -> QPoly:
         return mul(b1, qbin(top2, p.M))
 
     return system_sum(cd, v, p.ell + p.sigma * p.N, weight)
-
-
-# --- Bailey-type limit check -----------------------------------------------------
-
-def cbp_n1_check(M: int, ell: int) -> bool:
-    """Cleared-denominator form of the conjugate-pair normalization.
-
-    sum_{i=0}^M q^{i(i+ell)} [M over i] (q^{i+ell+1}; q)_{M-i} == 1.
-    """
-    from .qpoly import qpoch
-
-    total = ZERO
-    for i in range(0, M + 1):
-        term = mul(qbin(M, i), qpoch(i + ell + 1, M - i))
-        if not term.is_zero():
-            total = total + term.times_monomial(1, i * (i + ell))
-    return total == ONE

@@ -141,11 +141,6 @@ def durfee_sides(ell: int, trunc: Truncation) -> Tuple[QPoly, QPoly]:
     return lhs, euler_inverse_truncated(trunc)
 
 
-def durfee_check(ell: int, trunc: Truncation) -> bool:
-    lhs, rhs = durfee_sides(ell, trunc)
-    return truncated_equal(lhs, rhs, trunc)
-
-
 def _gamma_delta(bq: BaileyPairQuery) -> Tuple[Dict[int, QPoly], Dict[int, QPoly]]:
     cd = cartan(bq.N)
     trunc = bq.trunc
@@ -200,10 +195,6 @@ def conjugate_pair_failure(bq: BaileyPairQuery) -> Optional[Tuple[int, QPoly, QP
     return None
 
 
-def conjugate_pair_check(bq: BaileyPairQuery) -> bool:
-    return conjugate_pair_failure(bq) is None
-
-
 def limlm_sides(N: int, ell: int, sigma: int, trunc: Truncation) -> Tuple[QPoly, QPoly]:
     """Unbounded double-sum form against its single restricted eta-sum."""
     BaileyPairQuery(N, ell, None, sigma, trunc).validate()
@@ -227,11 +218,6 @@ def limlm_sides(N: int, ell: int, sigma: int, trunc: Truncation) -> Tuple[QPoly,
         trunc,
     )
     return lhs, rhs
-
-
-def limlm_check(N: int, ell: int, sigma: int, trunc: Truncation) -> bool:
-    lhs, rhs = limlm_sides(N, ell, sigma, trunc)
-    return truncated_equal(lhs, rhs, trunc)
 
 
 def _series_budget(trunc: Truncation, pre_exp: Fraction) -> Optional[Truncation]:

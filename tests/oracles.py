@@ -1,7 +1,11 @@
 """Test oracles that share no code path with the package."""
 
-from qident.errors import NonExactDivision
+from qident.errors import QIdentError
 from qident.qpoly import QPoly
+
+
+class NonExactDivision(QIdentError):
+    """Polynomial division left a remainder or a non-integer coefficient."""
 
 
 def exact_div(num: QPoly, den: QPoly) -> QPoly:

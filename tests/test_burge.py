@@ -13,13 +13,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qident.burge import (
+    TREE_DEPTH_CAP,
     BurgeParams,
+    _xn_term,
     build_tree,
-    burge_symmetry_check,
     burge_x,
     burge_xn,
     classic_bt2_safe,
@@ -27,16 +28,11 @@ from qident.burge import (
     closed_form,
     closed_form_name,
     sufficiency,
-    transform_bt,
-    transform_bt2,
     transform_burgetrafo_n,
-    transform_traf1,
-    transform_traf2,
     transform_trafo,
-    xn_nonintegral_skips,
 )
 from qident.cli import main
-from qident.errors import InvalidParams, SufficiencyViolated, UnknownClosedForm
+from qident.errors import InvalidParams, UnknownClosedForm
 from qident.lattice import axis_source, cartan, enumerate_admissible
 from qident.qbinom import qbin
 from qident.qpoly import ZERO, QPoly, mul, render
@@ -123,13 +119,14 @@ def test_closed_form_unknown_name():
 
 
 def test_symmetry_relation():
+    # X_{r,s}^{(p,p')}(M1,L1,M2,L2) = X_{s-L12,r+M12}^{(p',p)}(L1,M1,L2,M2)
     for p, pp, r, s in LABELS:
         for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
-            assert burge_symmetry_check(BurgeParams(p, pp, r, s, m1, l1, m2, l2))
+            image = BurgeParams(pp, p, s - (l1 - l2), r + (m1 - m2), l1, m1, l2, m2)
+            assert burge_x(BurgeParams(p, pp, r, s, m1, l1, m2, l2)) == burge_x(image)
 
 
 def test_xn_reduces_to_x_at_level_one():
-    before = xn_nonintegral_skips()
     for p, pp, r, s in LABELS:
         for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
             sigma = (m1 - m2) % 2
@@ -137,11 +134,40 @@ def test_xn_reduces_to_x_at_level_one():
             b = burge_xn(BurgeParams(p, pp, r, s, m1, l1, m2, l2, sigma=sigma))
             assert a == b
             assert render(a) == render(b)
-    assert xn_nonintegral_skips() == before
+
+
+def test_xn_term_raises_on_a_fractional_top():
+    # a valid point never gets here: the congruence restriction keeps every
+    # top integral, so a fractional one is an error, not a dropped term
+    with pytest.raises(InvalidParams, match="binomial top"):
+        _xn_term(cartan(1), 0, 0, 1, 0, 1, 2, 1, 0, 0, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    p=st.integers(1, 3),
+    k=st.integers(0, 2),
+    r=st.integers(-2, 3),
+    t=st.integers(-1, 1),
+    sigma=st.integers(0, 1),
+    bounds=st.tuples(*(st.integers(0, 4) for _ in range(4))),
+)
+def test_xn_valid_points_never_meet_a_fractional_top(n, p, k, r, t, sigma, bounds):
+    m1, k1, m2, k2 = bounds
+    shift = Fraction((m1 - m2 + sigma) % 2, 2)
+    bp = BurgeParams(p, p + k * n, r, r + t * n, m1, k1 + shift, m2, k2 + shift, N=n, sigma=sigma)
+    assume(bp.violation() is None)
+    burge_xn(bp)  # a fractional binomial top would raise InvalidParams
 
 
 def _child(p, pp, r, s):
     return lambda m1, l1, m2, l2: burge_x(BurgeParams(p, pp, r, s, m1, l1, m2, l2))
+
+
+def _classic(transform, m1, l1, m2, l2, child):
+    """Burge's classic transform: the level-N one at N = 1, sigma = M12 mod 2."""
+    return transform(1, (m1 - m2) % 2, m1, l1, m2, l2, child)
 
 
 def test_bt_equals_direct_wherever_safe():
@@ -149,7 +175,7 @@ def test_bt_equals_direct_wherever_safe():
     for p, pp, r, s in [(1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1)]:
         for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
             lhs = burge_x(BurgeParams(p, p + pp, r, r + s, m1, l1, m2, l2))
-            rhs = transform_bt(m1, l1, m2, l2, _child(p, pp, r, s), enforce=False)
+            rhs = _classic(transform_burgetrafo_n, m1, l1, m2, l2, _child(p, pp, r, s))
             if classic_bt_safe(p, pp, r, s, m1, l1, m2, l2):
                 assert lhs == rhs, (p, pp, r, s, m1, l1, m2, l2)
             elif lhs != rhs:
@@ -164,26 +190,12 @@ def test_bt2_equals_direct_wherever_safe():
         for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
             m12, l12 = m1 - m2, l1 - l2
             lhs = burge_x(BurgeParams(pp, p + pp, s - m12, r + s + l12, m1, l1, m2, l2))
-            rhs = transform_bt2(m1, l1, m2, l2, _child(p, pp, r, s), enforce=False)
+            rhs = _classic(transform_trafo, m1, l1, m2, l2, _child(p, pp, r, s))
             if classic_bt2_safe(p, pp, r, s, m1, l1, m2, l2):
                 assert lhs == rhs, (p, pp, r, s, m1, l1, m2, l2)
             elif lhs != rhs:
                 mismatches_outside += 1
     assert mismatches_outside > 0
-
-
-def test_bt_enforcement_raises():
-    # symmetric points are always safe; pick a known-unsafe unsymmetric one
-    found = None
-    for p, pp, r, s in [(1, 2, 0, 1)]:
-        for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
-            if not classic_bt_safe(p, pp, r, s, m1, l1, m2, l2):
-                found = (p, pp, r, s, m1, l1, m2, l2)
-                break
-    assert found is not None
-    p, pp, r, s, m1, l1, m2, l2 = found
-    with pytest.raises(SufficiencyViolated):
-        transform_bt(m1, l1, m2, l2, _child(p, pp, r, s), labels=(p, pp, r, s))
 
 
 def test_symmetric_transforms_always_hold():
@@ -194,9 +206,9 @@ def test_symmetric_transforms_always_hold():
                 assert classic_bt_safe(p, pp, r, s, m, l, m, l)
                 assert classic_bt2_safe(p, pp, r, s, m, l, m, l)
                 lhs = burge_x(BurgeParams(p, p + pp, r, r + s, m, l, m, l))
-                assert lhs == transform_bt(m, l, m, l, _child(p, pp, r, s))
+                assert lhs == transform_burgetrafo_n(1, 0, m, l, m, l, _child(p, pp, r, s))
                 lhs = burge_x(BurgeParams(pp, p + pp, s, r + s, m, l, m, l))
-                assert lhs == transform_bt2(m, l, m, l, _child(p, pp, r, s))
+                assert lhs == transform_trafo(1, 0, m, l, m, l, _child(p, pp, r, s))
 
 
 def _sigma_grid(n, grid):
@@ -209,10 +221,10 @@ def _sigma_grid(n, grid):
 @pytest.mark.parametrize("n", [2, 3])
 def test_level_n_displays_three_ways(n):
     routes = {
-        "tadpole": ((1, 2 * n + 1, 0, n), transform_traf1, "initial"),
-        "euler_n": ((2, n + 2, 1, 1), transform_traf2, "initial"),
-        "a_n": ((3, n + 3, 1, 1), transform_traf2, "nn"),
-        "rr_n": ((2, 3 * n + 2, 1, n + 1), transform_traf1, "euler"),
+        "tadpole": ((1, 2 * n + 1, 0, n), transform_burgetrafo_n, "initial"),
+        "euler_n": ((2, n + 2, 1, 1), transform_trafo, "initial"),
+        "a_n": ((3, n + 3, 1, 1), transform_trafo, "nn"),
+        "rr_n": ((2, 3 * n + 2, 1, n + 1), transform_burgetrafo_n, "euler"),
     }
     for name, (labels, tf, seed) in routes.items():
         p, pp, r, s = labels
@@ -220,7 +232,8 @@ def test_level_n_displays_three_ways(n):
         for sigma, m, l in _sigma_grid(n, 3):
             direct = burge_xn(BurgeParams(p, pp, r, s, m, l, m, l, N=n, sigma=sigma))
             form = closed_form(name, m, l, n, sigma)
-            route = tf(n, sigma, m, l, lambda a, b: closed_form(seed, a, b))
+            # at symmetric bounds the seed sees equal bound pairs
+            route = tf(n, sigma, m, l, m, l, lambda m1, l1, m2, l2: closed_form(seed, m2, l2))
             assert direct == form == route, (name, n, sigma, m, l)
 
 
@@ -284,22 +297,12 @@ def test_sufficiency_shapes():
         for l in range(0, 12):
             bp = BurgeParams(1, 2, 0, 1, 0, l, 0, l, N=n)
             assert sufficiency(bp, "sufsym")
+    # a large r pushes the left floor past the right one at small caps
+    assert not sufficiency(BurgeParams(1, 2, 3, 3, 0, 0, 0, 0, N=2), "sufsym")
     with pytest.raises(InvalidParams):
         sufficiency(BurgeParams(1, 2, 0, 1, 1, 2, 0, 2, N=2), "sufsym")
     with pytest.raises(InvalidParams):
         sufficiency(BurgeParams(1, 2, 0, 1, 0, 2, 0, 2, N=2), "no-such-predicate")
-
-
-def test_sufficiency_violation_raised_by_level_transforms():
-    # a large r pushes the left floor past the right one at small caps
-    n = 2
-    bp = BurgeParams(1, 2, 3, 3, 0, 0, 0, 0, N=n)
-    assert not sufficiency(bp, "sufsym")
-    child = lambda m, l: burge_x(BurgeParams(1, 2, 3, 3, m, l, m, l))
-    with pytest.raises(SufficiencyViolated):
-        transform_traf1(n, 0, 2, 0, child, labels=(1, 2, 3, 3))
-    # same call without enforcement still evaluates
-    transform_traf1(n, 0, 2, 0, child, labels=(1, 2, 3, 3), enforce=False)
 
 
 def test_validate_catches_bad_level_params():
@@ -397,8 +400,10 @@ def test_tree_json_export_schema(tmp_path):
 
 
 def test_tree_rejects_bad_depth_and_sigma():
-    with pytest.raises(InvalidParams):
-        build_tree(-1)
+    # the tree doubles per level, so the cap holds for every caller
+    for depth in (-1, TREE_DEPTH_CAP + 1, 14):
+        with pytest.raises(InvalidParams, match=f"depth must lie in 0..{TREE_DEPTH_CAP}"):
+            build_tree(depth)
     with pytest.raises(InvalidParams):
         build_tree(2, n_lat=3, sigma=1)
     for n_lat in (0, -3):

@@ -16,6 +16,7 @@ from qident.cli import (
     EVAL_REGISTRY,
     REGISTRY,
     GRID_VERSION,
+    MAX_JOBS,
     Family,
     ParamSpec,
     _points_for,
@@ -197,6 +198,19 @@ def test_nonpositive_jobs_is_config_error(capsys):
         assert err.startswith("error: --jobs must be >= 1") and err.count("\n") == 1
 
 
+def test_jobs_above_the_cap_is_config_error(capsys, monkeypatch):
+    # a pool forks all its workers at the first submit; the patch makes sure
+    # no pool can start here even if the check were missing
+    def no_pool(jobs):
+        raise AssertionError(f"a pool of {jobs} workers was started")
+
+    monkeypatch.setattr("qident.cli._new_pool", no_pool)
+    for argv in (["verify", "qs2", "--jobs", str(MAX_JOBS + 1)], ["suite", "--jobs", "100000"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --jobs must be <= {MAX_JOBS}, got {argv[-1]}\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_checker_exception_is_one_error_row(capsys, monkeypatch, jobs):
     fam = REGISTRY["qs2"]
@@ -248,10 +262,19 @@ def test_tree_depth0_root_verified(capsys):
 
 
 def test_tree_depth_cap(capsys):
-    code, _, err = run(["tree", "--depth", "7"], capsys)
-    assert code == 2
-    code, _, err = run(["tree", "--depth", "-1"], capsys)
-    assert code == 2
+    for depth in ("7", "-1"):
+        assert run(["tree", "--depth", depth], capsys) == (2, "", "error: depth must lie in 0..6\n")
+
+
+def test_verify_tree_above_the_depth_cap_is_skipped_at_once(capsys):
+    # the cap lives in build_tree, so the verify family's precondition keeps
+    # a deep point from doubling its work per level
+    code, out, err = run(["verify", "burge.tree", "--depth", "7,14"], capsys)
+    assert code == 1
+    rows, summary = rows_of(out)
+    assert [r["verdict"] for r in rows] == ["skipped_precondition"] * 2
+    assert summary["skipped_precondition"] == 2 and summary["equal"] == 0
+    assert err == "burge.tree: no point was checked, so nothing was verified\n"
 
 
 def test_tree_negative_grid_is_config_error(capsys):

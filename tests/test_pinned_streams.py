@@ -1,5 +1,6 @@
 """The report streams that the default grids and the benchmark's override
-sweeps produce, pinned byte for byte.
+sweeps produce, and the documents of three transform trees, pinned byte for
+byte.
 
 Each pin belongs to one GRID_VERSION: a deliberate grid change bumps the
 version and records its new streams here, and any other change must leave
@@ -11,6 +12,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from qident.cli import GRID_VERSION, main
 
 # grid version -> stream -> (sha256, line count)
@@ -19,6 +22,12 @@ PINNED = {
         "suite": ("d62c9d54b6e61f3c125c2e48fb2012a6c0db18bdb33cc8235e5102ad97ecf9ef", 43654),
         "sweep-wide": ("7e9f63c950fc9e425c3fb5b6f01b6d0643256f7e4e7fcf71cdc817cf91841491", 194482),
         "series-deep": ("3e7b3feb245a15746260018ad65e63d0f598a9e8563084649bcf0dbbf179b024", 65),
+        "tree --depth 4": (
+            "05b83c9b61d3fc6a71558bfc3403ee57b5920386f70ab0783cfd83484d839755", 475),
+        "tree --depth 3 --N 2 --sigma 1": (
+            "65d926d59b50e1203abbd1d3457044743a2a65120a213251bbb789c70683510f", 325),
+        "tree --depth 3 --N 3": (
+            "772374f552c348ab54ad3d2e7a5325e7c702c199f42e7a03139d9df9573c1cf1", 325),
     },
 }
 
@@ -72,3 +81,10 @@ def test_series_deep_override_streams_are_pinned(tmp_path):
     commands = workloads.build("series-deep", workloads.DEFAULT_SEED).commands
     assert len(commands) == 3
     _assert_pinned("series-deep", _stream(commands, tmp_path))
+
+
+@pytest.mark.parametrize("command", ["tree --depth 4", "tree --depth 3 --N 2 --sigma 1",
+                                     "tree --depth 3 --N 3"])
+def test_tree_document_is_pinned(tmp_path, command):
+    # the level-N trees reach the leaves that the suite's burge.tree never does
+    _assert_pinned(command, _stream([command.split()], tmp_path))

@@ -88,7 +88,7 @@ def test_vector_products():
     two = QPoly({0: 1, 1: 1})
     assert qbin_vector([(1, 1), (1, 1)]) == mul(two, two)
     assert qbin_vector([(2, 1), (-1, 0), (1, 1)]) == ZERO
-    assert qbin_vector([(1, -3)], variant="modified") == qbin_modified(1, -3)
+    assert qbin_vector(iter([(2, 1), (1, 1)])) == mul(qbin_standard(2, 1), two)
 
 
 def test_linear_passes_match_the_product_formula():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident import qbinom
-from qident.errors import InvalidParams, NonExactDivision, NonPolynomial, NonUnitConstantTerm
+from qident.errors import InvalidParams, NonPolynomial, NonUnitConstantTerm
 from qident.qpoly import (
     ONE,
     ZERO,
@@ -27,7 +27,7 @@ from qident.qpoly import (
     truncated_equal,
 )
 
-from oracles import exact_div
+from oracles import NonExactDivision, exact_div
 
 
 # --- oracles -------------------------------------------------------------

@@ -31,15 +31,23 @@ from qident.series import (
     BaileyPairQuery,
     StringFunctionQuery,
     _eta_shell,
-    conjugate_pair_check,
-    durfee_check,
-    limlm_check,
+    conjugate_pair_failure,
+    durfee_sides,
+    limlm_sides,
     product_side,
     string_fermionic,
     string_lp,
     string_spinon,
     sum_side,
 )
+
+
+def durfee_holds(ell, trunc):
+    return truncated_equal(*durfee_sides(ell, trunc), trunc)
+
+
+def limlm_holds(N, ell, sigma, trunc):
+    return truncated_equal(*limlm_sides(N, ell, sigma, trunc), trunc)
 
 
 def oracle_partition_counts(d):
@@ -53,19 +61,19 @@ def oracle_partition_counts(d):
 
 class TestDurfee:
     def test_low_degree_example(self):
-        assert durfee_check(0, Truncation(3))
+        assert durfee_holds(0, Truncation(3))
         assert render(euler_inverse_truncated(Truncation(3))) == "1 + q + 2*q^2 + 3*q^3"
 
     def test_degree_zero(self):
-        assert durfee_check(0, Truncation(0))
+        assert durfee_holds(0, Truncation(0))
 
     def test_grid(self):
         for ell in range(0, 4):
-            assert durfee_check(ell, Truncation(25))
+            assert durfee_holds(ell, Truncation(25))
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidParams):
-            durfee_check(-1, Truncation(5))
+            durfee_holds(-1, Truncation(5))
 
     def test_euler_inverse_is_partition_series(self):
         d = 30
@@ -115,11 +123,11 @@ class TestConjugatePairs:
         (3, 0, 0), (3, 1, 1), (3, 2, 0),
     ])
     def test_relation(self, N, ell, sigma, M):
-        assert conjugate_pair_check(BaileyPairQuery(N, ell, M, sigma, Truncation(20)))
+        assert conjugate_pair_failure(BaileyPairQuery(N, ell, M, sigma, Truncation(20))) is None
 
     def test_spec_points(self):
-        assert conjugate_pair_check(BaileyPairQuery(1, 0, 3, 0, Truncation(20)))
-        assert conjugate_pair_check(BaileyPairQuery(2, 0, 4, 0, Truncation(20)))
+        assert conjugate_pair_failure(BaileyPairQuery(1, 0, 3, 0, Truncation(20))) is None
+        assert conjugate_pair_failure(BaileyPairQuery(2, 0, 4, 0, Truncation(20))) is None
 
     def test_n1_closed_forms(self):
         # rank 0 collapses both members to explicit factorial quotients
@@ -139,23 +147,23 @@ class TestConjugatePairs:
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
-            conjugate_pair_check(BaileyPairQuery(0, 0, 3, 0, Truncation(5)))
+            conjugate_pair_failure(BaileyPairQuery(0, 0, 3, 0, Truncation(5)))
         with pytest.raises(InvalidParams):
-            conjugate_pair_check(BaileyPairQuery(1, -1, 3, 0, Truncation(5)))
+            conjugate_pair_failure(BaileyPairQuery(1, -1, 3, 0, Truncation(5)))
         with pytest.raises(InvalidParams):
-            conjugate_pair_check(BaileyPairQuery(1, 0, -2, 0, Truncation(5)))
+            conjugate_pair_failure(BaileyPairQuery(1, 0, -2, 0, Truncation(5)))
         with pytest.raises(InvalidParams):
-            conjugate_pair_check(BaileyPairQuery(1, 0, 3, 2, Truncation(5)))
+            conjugate_pair_failure(BaileyPairQuery(1, 0, 3, 2, Truncation(5)))
 
 
 class TestLimLM:
     def test_spec_points(self):
-        assert limlm_check(2, 0, 0, Truncation(20))
-        assert limlm_check(3, 1, 1, Truncation(15))
+        assert limlm_holds(2, 0, 0, Truncation(20))
+        assert limlm_holds(3, 1, 1, Truncation(15))
 
     def test_n1_reduces_to_durfee_shape(self):
-        assert limlm_check(1, 0, 0, Truncation(20))
-        assert limlm_check(1, 2, 0, Truncation(20))
+        assert limlm_holds(1, 0, 0, Truncation(20))
+        assert limlm_holds(1, 2, 0, Truncation(20))
 
     def test_grid(self):
         for N in (1, 2, 3):
@@ -163,18 +171,18 @@ class TestLimLM:
                 for ell in range(0, 5):
                     if (ell + sigma * N) % 2:
                         continue
-                    assert limlm_check(N, ell, sigma, Truncation(12)), (N, ell, sigma)
+                    assert limlm_holds(N, ell, sigma, Truncation(12)), (N, ell, sigma)
 
     def test_high_rank_points(self):
         # N=7 at D=25 took about two minutes with the unpruned eta-shell scan
-        assert limlm_check(7, 0, 0, Truncation(25))
-        assert limlm_check(6, 2, 0, Truncation(30))
+        assert limlm_holds(7, 0, 0, Truncation(25))
+        assert limlm_holds(6, 2, 0, Truncation(30))
 
     def test_parity_precondition(self):
         with pytest.raises(InvalidParams):
-            limlm_check(2, 1, 0, Truncation(10))
+            limlm_holds(2, 1, 0, Truncation(10))
         with pytest.raises(InvalidParams):
-            limlm_check(3, 0, 1, Truncation(10))
+            limlm_holds(3, 0, 1, Truncation(10))
 
 
 class TestStrings:
@@ -274,5 +282,5 @@ class TestRefinement:
     @given(d=st.integers(min_value=0, max_value=24))
     @settings(max_examples=25, deadline=None)
     def test_verdicts_monotone(self, d):
-        assert durfee_check(1, Truncation(d))
-        assert limlm_check(2, 0, 0, Truncation(d))
+        assert durfee_holds(1, Truncation(d))
+        assert limlm_holds(2, 0, 0, Truncation(d))
