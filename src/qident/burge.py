@@ -536,6 +536,7 @@ def closed_form_name(p: int, pprime: int, r: int, s: int, n_lat: int) -> Optiona
 # --- tree -------------------------------------------------------------------------------
 
 TREE_DEPTH_CAP = 6  # the tree doubles per level; depth 6 has 127 classic nodes
+TREE_GRID_CAP = 8  # each node checks (grid + 1)^2 points; at depth 6, grid 8 takes seconds
 
 # a failed check at one symmetric point: (M, L, direct value, closed form or route)
 Witness = Tuple[int, Rational, QPoly, QPoly]
@@ -615,8 +616,8 @@ def build_tree(depth: int, n_lat: int = 1, sigma: int = 0, verify_grid: int = 2)
         raise InvalidParams(f"depth must lie in 0..{TREE_DEPTH_CAP}")
     if n_lat < 1:
         raise InvalidParams("N must be >= 1")
-    if verify_grid < 0:
-        raise InvalidParams("verify_grid must be >= 0")
+    if not 0 <= verify_grid <= TREE_GRID_CAP:
+        raise InvalidParams(f"verify_grid must lie in 0..{TREE_GRID_CAP}")
     if n_lat % 2 and sigma != 0:
         raise InvalidParams("odd N forces sigma = 0")
     nodes: List[TreeNode] = []

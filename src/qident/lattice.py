@@ -17,9 +17,10 @@ satisfies the caller's congruence restriction t/(2N) + (Cinv n)_1 in Z.
 The integer t is the offset; every restriction in the package has this
 form, with N the level of the Cartan data.
 
-Enumeration is exhaustive over a proven region: summing the constraint over
-all components gives 2*sum(n) + (column-sum weights of m) = sum(v) with
-nonnegative weights, hence sum(n) <= floor(sum(v)/2).
+Enumeration is exhaustive by row bounds: Cinv > 0 entrywise for both
+families (irreducible nonsingular M-matrices), so m = Cinv (v - 2n) >= 0 reads
+(Cinv n)_j cinv_den <= floor((Cinv v)_j cinv_den / 2) on every row j, and
+shell, the package's one walk over lattice vectors, prunes by exactly that.
 
 Every fermionic sum in the package has the same inner sum over these
 solutions, sum of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - s Cinv n);
@@ -32,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from math import floor, lcm
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from .errors import InvalidParams
 from .qbinom import qbin_vector
 from .qpoly import ZERO, QPoly, mul
 
@@ -129,8 +131,6 @@ def cartan(n: int, kind: str = "a") -> CartanData:
 
 def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int]) -> Optional[SystemSolution]:
     """Derive m = Cinv (v - 2n); None unless every component is integral."""
-    if cd.rank == 0:
-        return SystemSolution((), ())
     w = tuple(a - 2 * b for a, b in zip(v, n_vec))
     den = cd.cinv_den
     m = []
@@ -142,40 +142,62 @@ def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int]) -> Opti
     return SystemSolution(tuple(n_vec), tuple(m))
 
 
-def _vectors_summing_at_most(rank: int, budget: int) -> Iterator[IntVec]:
+def shell(
+    cd: CartanData, offset: Offset, bounds: Sequence[Optional[int]] = (), cap=None
+) -> Iterator[Tuple[IntVec, int]]:
+    """(eta, eta Cinv eta * cinv_den) for eta >= 0, in lexicographic order, with
+    offset/(2N) + (Cinv eta)_1 in Z (offset None: unrestricted), form <= cap if
+    a cap is given, and (Cinv eta)_{j+1} cinv_den <= bounds[j] for each bound
+    not None.
+
+    Depth first, carrying the prefix's integer row values and form.  Cinv > 0
+    (guarded below) makes them lower bounds on every completion's, growing with
+    the last value, so each loop stops at the first value past a bound
+    (U. Fincke, M. Pohst, Math. Comp. 44, 1985); a cap or one row bound bounds
+    every coordinate.
+    """
+    rank, two_n = cd.rank, 2 * cd.n
     if rank == 0:
-        yield ()
+        if offset is None or offset % two_n == 0:
+            yield (), 0
         return
-    if rank == 1:
-        for x in range(budget + 1):
-            yield (x,)
-        return
-    for first in range(budget + 1):
-        for rest in _vectors_summing_at_most(rank - 1, budget - first):
-            yield (first,) + rest
+    num, den = cd.cinv_num, cd.cinv_den
+    if any(x <= 0 for row in num for x in row):
+        raise InvalidParams("the pruned walk needs Cinv > 0 entrywise")
+    rows = [(j, b) for j, b in enumerate(bounds) if b is not None]
+    if cap is None and not rows:
+        raise InvalidParams("the walk needs a cap or a row bound")
+    limit = None if cap is None else floor(cap * den)
+    mod, last = two_n * den, rank - 1
+    vec = [0] * rank
+
+    def walk(pos: int, vals: List[int], form: int) -> Iterator[Tuple[IntVec, int]]:
+        # vals[j] = (Cinv prefix)_{j+1} * den; column pos of Cinv is row pos, by symmetry
+        col, diag, cross = num[pos], num[pos][pos], 2 * vals[pos]
+        top = min((b - vals[j]) // col[j] for j, b in rows) if rows else None
+        x, grown = 0, form
+        while (top is None or x <= top) and (limit is None or grown <= limit):
+            vec[pos] = x
+            if pos < last:
+                yield from walk(pos + 1, vals, grown)
+            elif offset is None or (offset * den + two_n * vals[0]) % mod == 0:
+                yield tuple(vec), grown
+            x += 1
+            vals = [a + c for a, c in zip(vals, col)]
+            grown = form + x * (x * diag + cross)
+        vec[pos] = 0
+
+    yield from walk(0, [0] * rank, 0)
 
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(cd: CartanData, v: IntVec, offset: Offset) -> Tuple[SystemSolution, ...]:
     if offset is not None and type(offset) is not int:
         raise TypeError(f"offset must be an int numerator over 2N, got {offset!r}")
-    two_n, den = 2 * cd.n, cd.cinv_den
-    if cd.rank == 0:
-        return (SystemSolution((), ()),) if offset is None or offset % two_n == 0 else ()
-    budget = sum(v)
-    if budget < 0:
-        return ()
-    out = []
-    row1, mod = cd.cinv_num[0], two_n * den
-    for n_vec in _vectors_summing_at_most(cd.rank, budget // 2):
-        if offset is not None:
-            dot1 = sum(r * x for r, x in zip(row1, n_vec))
-            if (offset * den + two_n * dot1) % mod:  # t/(2N) + dot1/den is not an integer
-                continue
-        sol = solve_system(cd, n_vec, v)
-        if sol is not None and all(x >= 0 for x in sol.m_vec):
-            out.append(sol)
-    return tuple(out)
+    # m = Cinv (v - 2n) >= 0, row by row
+    bounds = tuple(cd.cinv_component(v, j) // 2 for j in range(cd.rank))
+    sols = (solve_system(cd, n_vec, v) for n_vec, _ in shell(cd, offset, bounds))
+    return tuple(sol for sol in sols if sol is not None)
 
 
 def enumerate_admissible(cd: CartanData, v: Sequence[int], offset: Offset) -> Tuple[SystemSolution, ...]:
@@ -207,8 +229,6 @@ def system_sum(
             if w.is_zero():
                 continue
         term = qbin_vector(zip(sol.m_vec, sol.n_vec))
-        if term.is_zero():
-            continue
         if weight is not None:
             term = mul(w, term)
         exp = cd.qform(sol.n_vec)

@@ -8,7 +8,8 @@ of the A family, whose first and last rows sum to all ones, the blocks obey
 k1 + k2 + |eta| = L.  So k1 is one integer numerator over 2 N cinv_den, the
 restriction is its integrality, k2 follows by subtraction, and the term is
 the product of memoized binomials [L over k1] [L-k1 over k2] ... with no
-division.  a enters as the integer 2a throughout.
+division.  a enters as the integer 2a throughout.  By the same identity
+k2 = L/2 + a/N - (Cinv eta)_{N-1}, so k1, k2 >= 0 are row bounds for the walk.
 
 The decomposition rewrites the n = 0 coefficient as a quadratic-exponent
 double sum over restricted (m, n)-systems, and a companion difference
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import Checked, InvalidParams, NonPolynomial
-from .lattice import CartanData, _vectors_summing_at_most, axis_source, cartan, system_sum
+from .lattice import CartanData, axis_source, cartan, shell, system_sum
 from .qbinom import qbin, qbin_vector
 from .qpoly import ZERO, QPoly, eval_at_one, half_int, mul, norm_rat, twice
 
@@ -65,18 +66,17 @@ def _t_sum(cd: CartanData, L: int, two_a: int, n_index: int) -> QPoly:
     if n * L < abs(two_a):
         return ZERO
     base = (n * L - two_a) * den  # (L/2 - a/N) over 2 N cinv_den
+    k1_top, k2_top = base // (2 * n), (n * L + two_a) * den // (2 * n)  # k1, k2 >= 0: rows 1, N-1
+    bounds = (k1_top, *[None] * (cd.rank - 2), k2_top) if cd.rank > 1 else (min(k1_top, k2_top),)
     total = ZERO
-    for eta in _vectors_summing_at_most(cd.rank, (n * L - abs(two_a)) // 2):
+    for eta, exp in shell(cd, two_a - n * L, bounds):  # the offset makes k1 integral
         first = cd.cinv_component(eta, 0) if eta else 0
-        k1, rem = divmod(base - 2 * n * first, 2 * n * den)
+        k1 = (base - 2 * n * first) // (2 * n * den)
         k2 = L - sum(eta) - k1
-        if rem or k1 < 0 or k2 < 0:
-            continue
         pairs, rest = [], L
         for part in (k1, k2, *eta):
             pairs.append((part, rest - part))
             rest -= part
-        exp = cd.qform(eta)
         if n_index:
             exp -= cd.cinv_component(eta, n_index - 1)
         total = total + qbin_vector(pairs).times_monomial(1, exp, den)

@@ -3,11 +3,11 @@
 Everything here compares formal power series modulo q^(D+1) for a caller
 supplied degree cap D.  Infinite sums are cut off by lower bounds on the
 degree of their terms: quadratic prefactors for the i-sums, the positive
-definite quadratic form for the eta-sums.  The spinon sum has no proven
-bound: its per-term minimum degree tracks i(i+m)/N + (l^2 - m^2)/(4N) to
-within 3/2 on all probed grids, so it stops at a slack of 2 past the cap
-and then checks itself, raising unless the configuration sums of the next
-few i have no term at or below the cap.
+definite quadratic form for the eta-sums (lattice.shell walks the eta under
+the cap).  The spinon sum has no proven bound: its per-term minimum degree
+tracks i(i+m)/N + (l^2 - m^2)/(4N) to within 3/2 on all probed grids, so it
+stops at a slack of 2 past the cap and then checks itself, raising unless
+the configuration sums of the next few i have no term at or below the cap.
 
 An M of None means the unbounded version of a display: binomial factors
 degenerate to inverse factorials and 1/(q)_{M-L} to 1/(q)_inf.
@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import multinom  # lazily loaded: only the spinon sum runs it
 from .errors import Checked, InvalidParams, StabilizationFailure
-from .lattice import axis_source, cartan, system_sum
+from .lattice import axis_source, cartan, shell, system_sum
 from .qpoly import (
     ONE,
     ZERO,
@@ -78,50 +78,10 @@ class StringFunctionQuery(Checked):
         return None
 
 
-def _eta_shell(cd, offset: int, cap) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """(eta, eta Cinv eta * cinv_den) for eta >= 0 with form <= cap and
-    offset/(2N) + (Cinv eta)_1 in Z.
-
-    Depth first, carrying the integer numerator of the prefix form.  Cinv >= 0
-    (both Cartan families are nonsingular M-matrices; guarded below) makes a
-    prefix's form a lower bound on every completion's, growing with the last
-    value, so each loop stops at the first value past the cap (Fincke-Pohst).
-    """
-    rank, two_n = cd.rank, 2 * cd.n
-    if rank == 0:
-        if offset % two_n == 0:
-            yield (), 0
-        return
-    num, den = cd.cinv_num, cd.cinv_den
-    if any(x < 0 for row in num for x in row) or any(num[i][i] <= 0 for i in range(rank)):
-        raise InvalidParams("eta-shell pruning needs Cinv >= 0 with a positive diagonal")
-    limit = math.floor(cap * den)
-    mod = two_n * den
-    vec = [0] * rank
-
-    def rec(pos: int, form: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
-        if pos == rank:
-            dot1 = sum(r * x for r, x in zip(num[0], vec))
-            if (offset * den + two_n * dot1) % mod == 0:
-                yield tuple(vec), form
-            return
-        row = num[pos]
-        diag, cross = row[pos], 2 * sum(row[j] * vec[j] for j in range(pos))
-        x, grown = 0, form
-        while grown <= limit:
-            vec[pos] = x
-            yield from rec(pos + 1, grown)
-            x += 1
-            grown = form + x * (x * diag + cross)
-        vec[pos] = 0
-
-    yield from rec(0, 0)
-
-
 def _restricted_inverse_sum(cd, offset: int, trunc: Truncation) -> QPoly:
     # sum over the shell of q^(eta Cinv eta) / (q)_eta
     total = ZERO
-    for eta, form in _eta_shell(cd, offset, trunc.degree_cap):
+    for eta, form in shell(cd, offset, cap=trunc.degree_cap):
         term = prod((inv_qpoch(1, e, trunc) for e in eta), trunc)
         total = total + term.times_monomial(1, form, cd.cinv_den)
     return mul(total, ONE, trunc)

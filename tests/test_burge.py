@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from qident.burge import (
     TREE_DEPTH_CAP,
+    TREE_GRID_CAP,
     BurgeParams,
     _xn_term,
     build_tree,
@@ -419,3 +420,11 @@ def test_tree_rejects_negative_grid_and_never_verifies_on_no_points():
     # an empty grid checks nothing, so the node's verdict is open
     assert _verify_node(1, 2, 0, 1, 1, 0, "initial", -1) is None
     assert _verify_node(1, 2, 0, 1, 1, 0, "initial", 0) is True
+
+
+def test_tree_rejects_a_grid_above_the_cap():
+    # each node checks (grid + 1)^2 points, so the cap holds for every caller
+    for grid in (TREE_GRID_CAP + 1, 30):
+        with pytest.raises(InvalidParams, match=f"verify_grid must lie in 0..{TREE_GRID_CAP}"):
+            build_tree(1, verify_grid=grid)
+    assert build_tree(0, verify_grid=TREE_GRID_CAP)[0].verified is True

@@ -277,6 +277,12 @@ def test_verify_tree_above_the_depth_cap_is_skipped_at_once(capsys):
     assert err == "burge.tree: no point was checked, so nothing was verified\n"
 
 
+def test_tree_grid_cap(capsys):
+    for grid in ("9", "30"):
+        assert run(["tree", "--depth", "1", "--grid", grid], capsys) == (
+            2, "", "error: verify_grid must lie in 0..8\n")
+
+
 def test_tree_negative_grid_is_config_error(capsys):
     code, out, err = run(["tree", "--depth", "1", "--grid", "-1"], capsys)
     assert code == 2 and out == ""

@@ -1,14 +1,18 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident.errors import InvalidParams
 from qident.lattice import (
     _invert_fraction_matrix,
     axis_source,
     cartan,
     enumerate_admissible,
+    shell,
     solve_system,
     system_sum,
 )
@@ -221,6 +225,91 @@ def test_enumeration_oracle_randomized(n, i, ell):
     offset = 2 * i + ell
     got = sorted((s.n_vec, s.m_vec) for s in enumerate_admissible(cd, v, offset))
     assert got == box_oracle(cd, v, offset)
+
+
+# --- the pruned walk ----------------------------------------------------------------
+
+def box_scan(cd, v, offset):
+    """The box scan the walk replaced: every n >= 0 with sum(n) <= floor(sum(v)/2),
+    kept when m = Cinv (v - 2n) is integral and nonnegative and the restriction
+    holds, in lexicographic order; Fraction arithmetic throughout."""
+    rank, budget = cd.rank, sum(v) // 2
+    if budget < 0:
+        return []
+    cinv = invert_oracle(cd.cartan) if rank else []
+    found = []
+    for n_vec in itertools.product(range(budget + 1), repeat=rank):
+        if sum(n_vec) > budget:
+            continue
+        first = sum(cinv[0][j] * n_vec[j] for j in range(rank)) if rank else 0
+        if offset is not None and (Fraction(offset, 2 * cd.n) + first).denominator != 1:
+            continue
+        m = [sum(cinv[i][j] * (v[j] - 2 * n_vec[j]) for j in range(rank)) for i in range(rank)]
+        if all(x.denominator == 1 and x >= 0 for x in m):
+            found.append((n_vec, tuple(int(x) for x in m)))
+    return found
+
+
+@pytest.mark.parametrize("kind", ["a", "tadpole"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_walk_matches_the_box_scan(kind, n):
+    # random one-end and two-end sources, negative entries included; offsets None, even, odd
+    cd, rng = cartan(n, kind), random.Random(f"walk/{kind}/{n}")
+    r = cd.rank
+    sources = [axis_source(r, [(1, rng.randint(-2, 9))]) for _ in range(3)]
+    sources += [axis_source(r, [(1, rng.randint(-2, 6)), (r, rng.randint(-2, 6))]) for _ in range(3)]
+    kept = 0
+    for v in sources:
+        for offset in (None, 2 * rng.randint(-3, 3), 2 * rng.randint(-3, 3) + 1):
+            got = [(s.n_vec, s.m_vec) for s in enumerate_admissible(cd, v, offset)]
+            assert got == box_scan(cd, v, offset), (v, offset)
+            kept += len(got)
+    assert kept
+
+
+@pytest.mark.parametrize("kind", ["a", "tadpole"])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_walk_meets_row_bounds_and_cap_exactly(kind, n):
+    # a bound b on row j caps coordinate k at b // (Cinv_jk cinv_den), so the box is exhaustive
+    cd, rng = cartan(n, kind), random.Random(f"bounds/{kind}/{n}")
+    r, den = cd.rank, cd.cinv_den
+    for _ in range(6):
+        bounds = [rng.choice([None, None, rng.randint(-1, 5 * max(row))]) for row in cd.cinv_num]
+        j = rng.randrange(r)
+        bounds[j] = rng.randint(0, 5 * max(cd.cinv_num[j]))
+        cap = rng.choice([None, Fraction(rng.randint(0, 12), rng.randint(1, 3))])
+        offset = rng.choice([None, rng.randint(-4, 4)])
+        sides = [min(b // row[k] for b, row in zip(bounds, cd.cinv_num) if b is not None)
+                 for k in range(r)]
+        want = []
+        for eta in itertools.product(*(range(side + 1) for side in sides)):
+            form = cd.qform(eta)
+            if any(b is not None and cd.cinv_component(eta, j) > b for j, b in enumerate(bounds)):
+                continue
+            if cap is not None and Fraction(form, den) > cap:
+                continue
+            if offset is not None and (offset * den + 2 * n * cd.cinv_component(eta, 0)) % (2 * n * den):
+                continue
+            want.append((eta, form))
+        assert list(shell(cd, offset, bounds, cap)) == want, (bounds, cap, offset)
+
+
+def test_walk_needs_a_cap_or_a_row_bound():
+    with pytest.raises(InvalidParams, match="a cap or a row bound"):
+        list(shell(cartan(3), None))
+    with pytest.raises(InvalidParams, match="a cap or a row bound"):
+        list(shell(cartan(3), 0, (None, None)))
+    assert list(shell(cartan(1), 0)) == [((), 0)]  # rank 0 has one vector and nothing to bound
+
+
+def test_cinv_is_positive_and_the_end_rows_of_the_a_family_sum_to_one():
+    # the walk's pruning needs Cinv > 0; multinom's k2 row bound needs the end-row identity
+    for n in range(2, 13):
+        for kind in ("a", "tadpole"):
+            cd = cartan(n, kind)
+            assert all(x > 0 for row in cd.cinv_num for x in row), (n, kind)
+        cd = cartan(n)
+        assert all(a + b == cd.cinv_den for a, b in zip(cd.cinv_num[0], cd.cinv_num[-1])), n
 
 
 # --- parity structure of admissible solutions -------------------------------------

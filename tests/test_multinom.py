@@ -191,8 +191,9 @@ def t_sum_by_division(cd, L, a, n_index):
     total = ZERO
     if bound < 0:
         return total
-    for eta in itertools.product(range(math.floor(bound) + 1), repeat=rank):
-        if sum(eta) > bound:
+    top = math.floor(bound)  # sum(eta) <= bound, compared as integers
+    for eta in itertools.product(range(top + 1), repeat=rank):
+        if sum(eta) > top:
             continue
         first = comp(eta, 0) if rank else Fraction(0)
         if (half_l + shift + first).denominator != 1:
@@ -213,7 +214,7 @@ def t_sum_by_division(cd, L, a, n_index):
     return total
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_integer_t_sum_matches_division_definition(N):
     cd = cartan(N)
     checked = 0

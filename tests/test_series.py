@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qident import multinom, series
 from qident.errors import InvalidParams, StabilizationFailure
-from qident.lattice import CartanData, cartan
+from qident.lattice import CartanData, cartan, shell
 from qident.qpoly import (
     ONE,
     Truncation,
@@ -30,7 +30,6 @@ from qident.qpoly import (
 from qident.series import (
     BaileyPairQuery,
     StringFunctionQuery,
-    _eta_shell,
     conjugate_pair_failure,
     durfee_sides,
     limlm_sides,
@@ -101,18 +100,20 @@ def box_shell_oracle(cd, offset, cap):
 
 
 class TestEtaShell:
+    """lattice.shell under a cap alone, the walk the restricted eta-sums use."""
+
     @pytest.mark.parametrize("N", range(1, 7))
     @pytest.mark.parametrize("cap", [0, 4, 7, Fraction(11, 2), Fraction(20, 3)])
     def test_pruned_scan_matches_box(self, N, cap):
         cd = cartan(N)
         for a in range(4):  # offsets a/(2N): even and odd numerators
-            got = dict(_eta_shell(cd, a, cap))
+            got = dict(shell(cd, a, cap=cap))
             assert got == box_shell_oracle(cd, a, cap), (N, cap, a)
 
     def test_rejects_negative_inverse_entry(self):
         cd = CartanData(3, "a", 2, ((2, -1), (-1, 2)), ((0, 1), (1, 0)), ((2, -1), (-1, 2)), 3)
         with pytest.raises(InvalidParams):
-            list(_eta_shell(cd, Fraction(0), 5))
+            list(shell(cd, 0, cap=5))
 
 
 class TestConjugatePairs:
