@@ -25,7 +25,10 @@ shell, the package's one walk over lattice vectors, prunes by exactly that.
 Every fermionic sum in the package has the same inner sum over these
 solutions, sum of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - s Cinv n);
 system_sum is that sum, and the only loop over admissible solutions.  Each
-exponent is one integer over cinv_den.
+exponent is one integer over cinv_den, the form each solution keeps from the
+walk.  Kept per process, exact as functions of hashable arguments alone: the
+solutions of each (cd, v, offset) and the weight-free sum plain_sum of each
+(cd, v, offset, shift); a weight is a new closure on every call, so not kept.
 """
 
 from __future__ import annotations
@@ -72,10 +75,11 @@ class CartanData:
 
 @dataclass(frozen=True)
 class SystemSolution:
-    """One n with its derived integral m = Cinv (v - 2n)."""
+    """One n with its derived integral m = Cinv (v - 2n) and form n Cinv n * cinv_den."""
 
     n_vec: IntVec
     m_vec: IntVec
+    form: int
 
 
 def _invert_fraction_matrix(rows: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -129,8 +133,9 @@ def cartan(n: int, kind: str = "a") -> CartanData:
     return CartanData(n, kind, rank, c, incidence, num, den)
 
 
-def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int]) -> Optional[SystemSolution]:
-    """Derive m = Cinv (v - 2n); None unless every component is integral."""
+def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int],
+                 form: Optional[int] = None) -> Optional[SystemSolution]:
+    """Derive m = Cinv (v - 2n), None unless integral; form is n's qform, if the caller has it."""
     w = tuple(a - 2 * b for a, b in zip(v, n_vec))
     den = cd.cinv_den
     m = []
@@ -139,7 +144,7 @@ def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int]) -> Opti
         if u % den:
             return None
         m.append(u // den)
-    return SystemSolution(tuple(n_vec), tuple(m))
+    return SystemSolution(tuple(n_vec), tuple(m), cd.qform(n_vec) if form is None else form)
 
 
 def shell(
@@ -196,7 +201,7 @@ def _enumerate_cached(cd: CartanData, v: IntVec, offset: Offset) -> Tuple[System
         raise TypeError(f"offset must be an int numerator over 2N, got {offset!r}")
     # m = Cinv (v - 2n) >= 0, row by row
     bounds = tuple(cd.cinv_component(v, j) // 2 for j in range(cd.rank))
-    sols = (solve_system(cd, n_vec, v) for n_vec, _ in shell(cd, offset, bounds))
+    sols = (solve_system(cd, n_vec, v, form) for n_vec, form in shell(cd, offset, bounds))
     return tuple(sol for sol in sols if sol is not None)
 
 
@@ -231,11 +236,17 @@ def system_sum(
         term = qbin_vector(zip(sol.m_vec, sol.n_vec))
         if weight is not None:
             term = mul(w, term)
-        exp = cd.qform(sol.n_vec)
+        exp = sol.form
         if shift_row is not None:
             exp -= sum(a * b for a, b in zip(shift_row, sol.n_vec))
         total = total + term.times_monomial(1, exp, cd.cinv_den)
     return total
+
+
+@lru_cache(maxsize=None)
+def plain_sum(cd: CartanData, v: IntVec, offset: Offset, shift: Optional[IntVec] = None) -> QPoly:
+    """system_sum with weight 1, kept per process on its (hashable) arguments."""
+    return system_sum(cd, v, offset, shift=shift)
 
 
 def axis_source(rank: int, pairs: Sequence[Tuple[int, int]]) -> IntVec:

@@ -28,7 +28,7 @@ from typing import Optional, Tuple, Union
 from .errors import Checked, InvalidParams, NonPolynomial
 from .lattice import CartanData, axis_source, cartan, shell, system_sum
 from .qbinom import qbin, qbin_vector
-from .qpoly import ZERO, QPoly, eval_at_one, half_int, mul, norm_rat, twice
+from .qpoly import ZERO, QPoly, Truncation, eval_at_one, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 
@@ -185,11 +185,13 @@ def difference_sides(N: int, L: int, ell: int, n_index: int) -> Tuple[QPoly, QPo
     return lhs, rhs
 
 
-def abf_config_sum(p: int, s: int, L: int) -> QPoly:
+def abf_config_sum(p: int, s: int, L: int, cap: Optional[int] = None) -> QPoly:
     """Bilateral configuration sum of the (p-1)-state height model, regime I.
 
     Binomial entries with fractional bottoms vanish, which settles all
-    parity bookkeeping; the j-window comes from 0 <= bottom <= L.
+    parity bookkeeping; the j-window comes from 0 <= bottom <= L.  An int cap
+    keeps degrees <= cap only, exactly: a j whose shift j(pj+s) is past it is
+    skipped, and a binomial, of nonnegative degrees, is cut at cap - shift.
     """
     if p < 2:
         raise InvalidParams("p must be >= 2")
@@ -203,10 +205,12 @@ def abf_config_sum(p: int, s: int, L: int) -> QPoly:
         for j in range(lo, hi + 1):
             if (num - 2 * p * j) % 2:
                 continue
-            bot = (num - 2 * p * j) // 2
-            t = qbin(L, bot)
+            bot, shift = (num - 2 * p * j) // 2, j * (p * j + s)
+            if cap is not None and shift > cap:
+                continue
+            t = qbin(L, bot) if cap is None else qbin(L, bot).truncate(Truncation(cap - shift))
             if t.is_zero():
                 continue
-            t = t.times_monomial(delta, j * (p * j + s))
+            t = t.times_monomial(delta, shift)
             total = total + t
     return total

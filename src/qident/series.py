@@ -11,6 +11,10 @@ the configuration sums of the next few i have no term at or below the cap.
 
 An M of None means the unbounded version of a display: binomial factors
 degenerate to inverse factorials and 1/(q)_{M-L} to 1/(q)_inf.
+
+Kept per process: the weight-free lattice sums (lattice.plain_sum), and the
+restricted eta-sums on (cd, offset mod 2N, trunc), all of the offset that the
+walk's restriction reads.  Configuration sums are built only up to the cap.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from . import multinom  # lazily loaded: only the spinon sum runs it
 from .errors import Checked, InvalidParams, StabilizationFailure
-from .lattice import axis_source, cartan, shell, system_sum
+from .lattice import axis_source, cartan, plain_sum, shell
 from .qpoly import (
     ONE,
     ZERO,
@@ -79,9 +84,14 @@ class StringFunctionQuery(Checked):
 
 
 def _restricted_inverse_sum(cd, offset: int, trunc: Truncation) -> QPoly:
-    # sum over the shell of q^(eta Cinv eta) / (q)_eta
+    # sum over the shell of q^(eta Cinv eta) / (q)_eta; the walk reads offset mod 2N only
+    return _inverse_sum_cached(cd, offset % (2 * cd.n), trunc)
+
+
+@lru_cache(maxsize=None)
+def _inverse_sum_cached(cd, residue: int, trunc: Truncation) -> QPoly:
     total = ZERO
-    for eta, form in shell(cd, offset, cap=trunc.degree_cap):
+    for eta, form in shell(cd, residue, cap=trunc.degree_cap):
         term = prod((inv_qpoch(1, e, trunc) for e in eta), trunc)
         total = total + term.times_monomial(1, form, cd.cinv_den)
     return mul(total, ONE, trunc)
@@ -114,7 +124,7 @@ def _gamma_delta(bq: BaileyPairQuery) -> Tuple[Dict[int, QPoly], Dict[int, QPoly
     L = 0
     while Fraction(L * (L + bq.ell), bq.N) <= d:
         offset = 2 * L + bq.ell + bq.sigma * bq.N
-        inner_delta = system_sum(cd, axis_source(cd.rank, [(1, 2 * L + bq.ell)]), offset)
+        inner_delta = plain_sum(cd, axis_source(cd.rank, [(1, 2 * L + bq.ell)]), offset)
         if bq.M is None:
             gamma = mul(unbounded_base, _restricted_inverse_sum(cd, offset, trunc), trunc)
             delta = mul(euler, inner_delta, trunc)
@@ -125,10 +135,10 @@ def _gamma_delta(bq: BaileyPairQuery) -> Tuple[Dict[int, QPoly], Dict[int, QPoly
             v = axis_source(cd.rank, [(1, bq.M + L + bq.ell), (cd.rank, bq.M - L)])
             inv_short = inv_qpoch(1, bq.M - L, trunc)
             gamma_base = mul(inv_short, inv_qpoch(bq.ell + 1, bq.M + L, trunc), trunc)
-            gamma = mul(gamma_base, system_sum(cd, v, offset), trunc)
+            gamma = mul(gamma_base, plain_sum(cd, v, offset), trunc)
             delta = mul(inv_short, inner_delta, trunc)
-        gammas[L] = mul(gamma, ONE, trunc).times_monomial(1, L * (L + bq.ell), bq.N)
-        deltas[L] = mul(delta, ONE, trunc).times_monomial(1, L * (L + bq.ell), bq.N)
+        gammas[L] = gamma.times_monomial(1, L * (L + bq.ell), bq.N)
+        deltas[L] = delta.times_monomial(1, L * (L + bq.ell), bq.N)
         L += 1
     return gammas, deltas
 
@@ -165,7 +175,7 @@ def limlm_sides(N: int, ell: int, sigma: int, trunc: Truncation) -> Tuple[QPoly,
     lhs = ZERO
     i = 0
     while Fraction(i * (i + ell), N) <= d:
-        inner = system_sum(cd, axis_source(cd.rank, [(1, 2 * i + ell)]), 2 * i + ell + sigma * N)
+        inner = plain_sum(cd, axis_source(cd.rank, [(1, 2 * i + ell)]), 2 * i + ell + sigma * N)
         if not inner.is_zero():
             term = mul(inv_qpoch(1, i, trunc), inv_qpoch(1, i + ell, trunc), trunc)
             term = mul(term, inner, trunc)
@@ -197,7 +207,7 @@ def string_spinon(sq: StringFunctionQuery) -> QPoly:
     total = ZERO
     i = 0
     while Fraction(i * (i + m), N) + Fraction(ell * ell - m * m, 4 * N) <= d + 2:
-        X = multinom.abf_config_sum(N + 2, ell + 1, 2 * i + m)
+        X = multinom.abf_config_sum(N + 2, ell + 1, 2 * i + m, math.floor(d))
         if not X.is_zero():
             term = mul(inv_qpoch(1, i, inner_trunc), inv_qpoch(1, i + m, inner_trunc), inner_trunc)
             total = total + mul(term, X, inner_trunc)
@@ -205,7 +215,7 @@ def string_spinon(sq: StringFunctionQuery) -> QPoly:
     # check three more i: the 1/(q)_i factors have nonnegative exponents only,
     # so an i-term vanishes below the cap exactly when its configuration sum does
     for i in range(i, i + 3):
-        X = multinom.abf_config_sum(N + 2, ell + 1, 2 * i + m)
+        X = multinom.abf_config_sum(N + 2, ell + 1, 2 * i + m, math.floor(d))
         if not X.is_zero() and X.min_exponent() <= d:
             low = X.min_exponent()
             raise StabilizationFailure(f"spinon cutoff too early: i={i} reaches q^{low} <= q^{d}")
@@ -227,7 +237,7 @@ def string_fermionic(sq: StringFunctionQuery) -> QPoly:
     i = 0
     while Fraction(i * (i + m), N) <= d or i <= abs(m):
         v = axis_source(cd.rank, [(1, 2 * i + m), (ell, 1)])
-        inner = system_sum(cd, v, 2 * i + m + ell, shift=shift)
+        inner = plain_sum(cd, v, 2 * i + m + ell, shift)
         if not inner.is_zero():
             term = mul(inv_qpoch(1, i, inner_trunc), inv_qpoch(1, i + m, inner_trunc), inner_trunc)
             term = mul(term, inner, inner_trunc)

@@ -12,6 +12,7 @@ from qident.lattice import (
     axis_source,
     cartan,
     enumerate_admissible,
+    plain_sum,
     shell,
     solve_system,
     system_sum,
@@ -261,8 +262,10 @@ def test_walk_matches_the_box_scan(kind, n):
     kept = 0
     for v in sources:
         for offset in (None, 2 * rng.randint(-3, 3), 2 * rng.randint(-3, 3) + 1):
-            got = [(s.n_vec, s.m_vec) for s in enumerate_admissible(cd, v, offset)]
+            sols = enumerate_admissible(cd, v, offset)
+            got = [(s.n_vec, s.m_vec) for s in sols]
             assert got == box_scan(cd, v, offset), (v, offset)
+            assert all(s.form == cd.qform(s.n_vec) for s in sols)  # the form the walk yields
             kept += len(got)
     assert kept
 
@@ -397,3 +400,24 @@ def test_system_sum_matches_oracle(kind, n):
                 nonzero += not got.is_zero()
     assert nonzero
     assert dropped or r == 0
+
+
+@pytest.mark.parametrize("kind", ["a", "tadpole"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_plain_sum_keeps_the_uncached_weight_free_sum(kind, n):
+    # random sources with negative entries; offsets None, even, odd; shift None or a unit vector
+    cd, rng = cartan(n, kind), random.Random(f"plain/{kind}/{n}")
+    r = cd.rank
+    shifts = [None] + [axis_source(r, [(k, 1)]) for k in range(1, r + 1)]
+    nonzero = 0
+    for _ in range(3):
+        v = axis_source(r, [(1, rng.randint(-2, 8)), (r, rng.randint(-2, 5))])
+        for offset in (None, 2 * rng.randint(-3, 3), 2 * rng.randint(-3, 3) + 1):
+            for shift in shifts:
+                want = system_sum(cd, v, offset, shift=shift)
+                assert plain_sum(cd, v, offset, shift) == want, (v, offset, shift)
+                hits = plain_sum.cache_info().hits
+                assert plain_sum(cd, v, offset, shift) == want
+                assert plain_sum.cache_info().hits == hits + 1
+                nonzero += not want.is_zero()
+    assert nonzero

@@ -335,6 +335,16 @@ class TestConfigSum:
     def test_negative_exponent_point(self):
         assert render(abf_config_sum(4, 9, 2)) == "q^-4"
 
+    def test_cap_keeps_exactly_the_terms_up_to_it(self):
+        # s from 0 to p+1: the heights 1..p-1, their parity partners and negative shifts
+        for p in range(2, 9):
+            for s in range(0, p + 2):
+                for L in range(0, 31):
+                    exact = abf_config_sum(p, s, L)
+                    for cap in range(0, 41):
+                        got = abf_config_sum(p, s, L, cap)
+                        assert got == exact.truncate(Truncation(cap)), (p, s, L, cap)
+
     def test_validation(self):
         with pytest.raises(InvalidParams):
             abf_config_sum(1, 1, 3)

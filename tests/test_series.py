@@ -116,6 +116,28 @@ class TestEtaShell:
             list(shell(cd, 0, cap=5))
 
 
+class TestKeptEtaSums:
+    """The restricted eta-sums are kept per process on (cd, offset mod 2N, trunc)."""
+
+    @pytest.mark.parametrize("N", range(1, 5))
+    def test_offset_counts_mod_2n(self, N):
+        cd, two_n, trunc = cartan(N), 2 * N, Truncation(6)
+        uncached = series._inverse_sum_cached.__wrapped__
+        for offset in range(two_n):
+            kept = series._restricted_inverse_sum(cd, offset, trunc)
+            for moved in (offset - 2 * two_n, offset - two_n, offset + two_n, offset + 2 * two_n):
+                assert series._restricted_inverse_sum(cd, moved, trunc) == kept, (offset, moved)
+                assert uncached(cd, moved, trunc) == kept, (offset, moved)
+
+    def test_truncations_never_share_an_entry(self):
+        cd, kept = cartan(3), series._inverse_sum_cached
+        kept.cache_clear()
+        low = series._restricted_inverse_sum(cd, 0, Truncation(3))
+        high = series._restricted_inverse_sum(cd, 0, Truncation(5))
+        assert kept.cache_info().currsize == 2
+        assert low != high and low == high.truncate(Truncation(3))
+
+
 class TestConjugatePairs:
     @pytest.mark.parametrize("M", [3, 5, None])
     @pytest.mark.parametrize("N,ell,sigma", [
@@ -225,11 +247,11 @@ class TestStrings:
         # i=3..5 (L=6..10); a configuration sum there inside the cap must raise
         sq = StringFunctionQuery(1, 0, 0, 0, Truncation(4))
         real = multinom.abf_config_sum
-        monkeypatch.setattr(multinom, "abf_config_sum", lambda p, s, L: ONE if L >= 6 else real(p, s, L))
+        monkeypatch.setattr(multinom, "abf_config_sum", lambda p, s, L, cap=None: ONE if L >= 6 else real(p, s, L, cap))
         with pytest.raises(StabilizationFailure):
             string_spinon(sq)
         # past the checked margin the same fake goes unseen
-        monkeypatch.setattr(multinom, "abf_config_sum", lambda p, s, L: ONE if L >= 12 else real(p, s, L))
+        monkeypatch.setattr(multinom, "abf_config_sum", lambda p, s, L, cap=None: ONE if L >= 12 else real(p, s, L, cap))
         assert string_spinon(sq) == string_fermionic(sq)
 
     def test_validation(self):
