@@ -139,7 +139,7 @@ def _xn_term(
     base2 = n_lat * (2 * M2 + two_l2 - b1_bot) + tilt
 
     def weight(m):
-        mu1, mu_last = (m[0], m[-1]) if m else (b2_bot, b1_bot)
+        mu1, mu_last = m[:2] if m else (b2_bot, b1_bot)
         top1, rem1 = divmod(base1 + n_lat * mu1, two_n)
         top2, rem2 = divmod(base2 + n_lat * mu_last, two_n)
         if rem1 or rem2:
@@ -380,12 +380,12 @@ def classic_bt2_safe(
 
 # --- closed forms ----------------------------------------------------------------------
 
-def _parity_ok(m_vec: Sequence[int], n_lat: int, sigma: int, flip: bool) -> bool:
+def _parity_ok(m_mod2: Sequence[int], n_lat: int, sigma: int, flip: bool) -> bool:
     # 1-based odd positions carry sigma for the tadpole display, even
     # positions for the A_N display (flip=True); N odd allows only even m
     if n_lat % 2:
-        return all(x % 2 == 0 for x in m_vec)
-    for idx, x in enumerate(m_vec):
+        return all(x % 2 == 0 for x in m_mod2)
+    for idx, x in enumerate(m_mod2):
         odd_pos = idx % 2 == 0
         want = sigma if (odd_pos != flip) else 0
         if x % 2 != want % 2:
@@ -443,7 +443,7 @@ def _tadpole_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
     v = axis_source(cd.rank, [(1, two_l)])
 
     def weight(m):
-        if not _parity_ok(m, n_lat, sigma, flip=False):
+        if not _parity_ok(m[2] if m else (), n_lat, sigma, flip=False):
             return ZERO
         m1 = m[0] if m else 0
         return qbin(half_int(two_l + 2 * M - m1, "binomial top"), two_l)
@@ -462,7 +462,7 @@ def _a_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
     v = axis_source(cd.rank, [(1, two_l)])
 
     def weight(m):
-        if not _parity_ok(m, n_lat, sigma, flip=True):
+        if not _parity_ok(m[2] if m else (), n_lat, sigma, flip=True):
             return ZERO
         m1 = m[0] if m else 0
         return qbin(half_int(2 * two_l + 2 * M - m1, "binomial top"), two_l)

@@ -23,12 +23,14 @@ families (irreducible nonsingular M-matrices), so m = Cinv (v - 2n) >= 0 reads
 shell, the package's one walk over lattice vectors, prunes by exactly that.
 
 Every fermionic sum in the package has the same inner sum over these
-solutions, sum of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - s Cinv n);
-system_sum is that sum, and the only loop over admissible solutions.  Each
-exponent is one integer over cinv_den, the form each solution keeps from the
-walk.  Kept per process, exact as functions of hashable arguments alone: the
-solutions of each (cd, v, offset) and the weight-free sum plain_sum of each
-(cd, v, offset, shift); a weight is a new closure on every call, so not kept.
+solutions, sum of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - s Cinv n),
+with weight(m) a function of the class key (m_1, m_last, m mod 2) alone;
+system_sum is that sum, one weight and one multiply per class, and the class
+table the only loop over admissible solutions.  Each exponent is one integer
+over cinv_den, from the form each solution keeps.  Kept per process, exact as
+functions of hashable arguments alone: the solutions of each (cd, v, offset),
+the class table of each (cd, v, offset, shift) with each class's weight-free
+sum once a weight keeps it, and plain_sum of each (cd, v, offset, shift).
 """
 
 from __future__ import annotations
@@ -37,14 +39,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParams
 from .qbinom import qbin_vector
-from .qpoly import ZERO, QPoly, mul
+from .qpoly import ONE, ZERO, QPoly, mul
 
 Offset = Optional[int]  # t in the restriction t/(2N) + (Cinv n)_1 in Z; None: unrestricted
 IntVec = Tuple[int, ...]
+Weight = Callable[[tuple], QPoly]  # of a class key (m_1, m_last, m mod 2); () at rank 0
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class CartanData:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemSolution:
     """One n with its derived integral m = Cinv (v - 2n) and form n Cinv n * cinv_den."""
 
@@ -210,43 +213,61 @@ def enumerate_admissible(cd: CartanData, v: Sequence[int], offset: Offset) -> Tu
     return _enumerate_cached(cd, tuple(v), offset)
 
 
-def system_sum(
-    cd: CartanData,
-    v: Sequence[int],
-    offset: Offset,
-    weight: Optional[Callable[[IntVec], QPoly]] = None,
-    shift: Optional[Sequence[int]] = None,
-) -> QPoly:
-    """Sum over admissible (m, n) of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - shift Cinv n).
-
-    weight defaults to 1 and shift to the zero vector.  A solution whose
-    weight is zero is dropped before its binomials are built.  offset is t
-    in the restriction t/(2N) + (Cinv n)_1 in Z, or None.
-    """
-    shift_row = None
-    if shift is not None and any(shift):
-        # shift . Cinv as numerators over cinv_den
-        shift_row = tuple(sum(s * row[j] for s, row in zip(shift, cd.cinv_num)) for j in range(cd.rank))
-    total = ZERO
+@lru_cache(maxsize=None)
+def _class_table(cd: CartanData, v: IntVec, offset: Offset, shift: Optional[IntVec]) -> dict:
+    """class key -> its solutions, replaced by their weight-free sum when a weight keeps them."""
+    classes: Dict[tuple, list] = {}
+    patterns: Dict[IntVec, IntVec] = {}  # one tuple per parity pattern
     for sol in enumerate_admissible(cd, v, offset):
-        if weight is not None:
-            w = weight(sol.m_vec)
-            if w.is_zero():
-                continue
-        term = qbin_vector(zip(sol.m_vec, sol.n_vec))
-        if weight is not None:
-            term = mul(w, term)
-        exp = sol.form
-        if shift_row is not None:
-            exp -= sum(a * b for a, b in zip(shift_row, sol.n_vec))
-        total = total + term.times_monomial(1, exp, cd.cinv_den)
+        m, odd = sol.m_vec, tuple(x & 1 for x in sol.m_vec)
+        classes.setdefault((m[0], m[-1], patterns.setdefault(odd, odd)) if m else (), []).append(sol)
+    return {key: tuple(sols) for key, sols in classes.items()}
+
+
+def _class_sum(cd: CartanData, sols: Sequence[SystemSolution], shift: Optional[IntVec]) -> QPoly:
+    # shift Cinv n = (Cinv shift) . n, Cinv symmetric
+    row = [cd.cinv_component(shift, j) for j in range(cd.rank)] if shift else [0] * cd.rank
+    total = ZERO
+    for sol in sols:
+        exp = sol.form - sum(a * b for a, b in zip(row, sol.n_vec))
+        total = total + qbin_vector(zip(sol.m_vec, sol.n_vec)).times_monomial(1, exp, cd.cinv_den)
     return total
+
+
+def class_terms(cd: CartanData, v: Sequence[int], offset: Offset, weight: Optional[Weight] = None,
+                shift: Optional[Sequence[int]] = None) -> List[Tuple[tuple, QPoly]]:
+    """system_sum's terms: (key, weight(key) times the class's weight-free sum) for
+    each class of nonzero weight, in the order of the classes' first solutions."""
+    shift = tuple(shift) if shift is not None and any(shift) else None
+    classes = _class_table(cd, tuple(v), offset, shift)  # shift None or nonzero
+    terms = []
+    for key, part in classes.items():
+        w = ONE if weight is None else weight(key)
+        if w.is_zero():
+            continue
+        if type(part) is tuple:
+            part = classes[key] = _class_sum(cd, part, shift)
+        terms.append((key, part if weight is None else mul(w, part)))
+    return terms
+
+
+def system_sum(cd: CartanData, v: Sequence[int], offset: Offset, weight: Optional[Weight] = None,
+               shift: Optional[Sequence[int]] = None) -> QPoly:
+    """Sum over admissible (m, n) of weight(key) prod_j [m_j+n_j over n_j] q^(n Cinv n - shift Cinv n).
+
+    The key of m is (m_1, m_last, m mod 2), or () at rank 0: a weight sees m
+    only through it, once per class of solutions sharing it, and a class of
+    zero weight builds no binomial.  weight defaults to 1, shift to 0; offset
+    is t in the restriction t/(2N) + (Cinv n)_1 in Z, or None.
+    """
+    return sum((term for _, term in class_terms(cd, v, offset, weight, shift)), ZERO)
 
 
 @lru_cache(maxsize=None)
 def plain_sum(cd: CartanData, v: IntVec, offset: Offset, shift: Optional[IntVec] = None) -> QPoly:
-    """system_sum with weight 1, kept per process on its (hashable) arguments."""
-    return system_sum(cd, v, offset, shift=shift)
+    """system_sum with weight 1, kept per process on its (hashable) arguments;
+    all solutions as one class, so no class table is kept beside it."""
+    return _class_sum(cd, enumerate_admissible(cd, v, offset), shift)
 
 
 def axis_source(rank: int, pairs: Sequence[Tuple[int, int]]) -> IntVec:

@@ -28,7 +28,7 @@ from typing import Optional, Tuple, Union
 from .errors import Checked, InvalidParams, NonPolynomial
 from .lattice import CartanData, axis_source, cartan, shell, system_sum
 from .qbinom import qbin, qbin_vector
-from .qpoly import ZERO, QPoly, Truncation, eval_at_one, half_int, mul, norm_rat, twice
+from .qpoly import ZERO, QPoly, eval_at_one, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 
@@ -191,7 +191,7 @@ def abf_config_sum(p: int, s: int, L: int, cap: Optional[int] = None) -> QPoly:
     Binomial entries with fractional bottoms vanish, which settles all
     parity bookkeeping; the j-window comes from 0 <= bottom <= L.  An int cap
     keeps degrees <= cap only, exactly: a j whose shift j(pj+s) is past it is
-    skipped, and a binomial, of nonnegative degrees, is cut at cap - shift.
+    skipped, and a binomial, of nonnegative degrees, is built only to cap - shift.
     """
     if p < 2:
         raise InvalidParams("p must be >= 2")
@@ -208,7 +208,7 @@ def abf_config_sum(p: int, s: int, L: int, cap: Optional[int] = None) -> QPoly:
             bot, shift = (num - 2 * p * j) // 2, j * (p * j + s)
             if cap is not None and shift > cap:
                 continue
-            t = qbin(L, bot) if cap is None else qbin(L, bot).truncate(Truncation(cap - shift))
+            t = qbin(L, bot, None if cap is None else cap - shift)
             if t.is_zero():
                 continue
             t = t.times_monomial(delta, shift)

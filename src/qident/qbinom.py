@@ -14,26 +14,27 @@ qbin_vector multiplies standard binomials, the product each admissible
 (min, max) symmetric key; the uncached path is reachable for equivalence
 testing via _qbin_symmetric.__wrapped__.
 A new binomial is built on one dense coefficient list, two linear passes
-per factor of its product formula.
+per factor of its product formula; one cut at a degree is built only that
+far, and not kept.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .qpoly import ONE, ZERO, QPoly, from_dense, mul
 
 
-@lru_cache(maxsize=None)
-def _qbin_symmetric(lo: int, hi: int) -> QPoly:
+def _qbin_dense(lo: int, hi: int, deg: int) -> QPoly:
     # [lo+hi over lo] = prod_{k=1..lo} (1-q^{hi+k})/(1-q^k).  The partial
     # product up to k is [hi+k over k], a polynomial of degree k*hi <= lo*hi,
     # so each step is exact on the first k*hi+1 coefficients of one list:
     # times 1-q^{hi+k} descending, then divided by 1-q^k as a running sum.
-    c = [1] + [0] * (lo * hi)
+    # Both passes read only lower degrees, so a list cut at deg stays exact.
+    c = [1] + [0] * deg
     for k in range(1, lo + 1):
-        top, s = k * hi, hi + k
+        top, s = min(k * hi, deg), hi + k
         for e in range(top, s - 1, -1):
             c[e] -= c[e - s]
         for e in range(k, top + 1):
@@ -41,16 +42,22 @@ def _qbin_symmetric(lo: int, hi: int) -> QPoly:
     return from_dense(c)
 
 
-def qbin_standard(m: int, n: int) -> QPoly:
-    """[m+n over m]; zero unless m >= 0 and n >= 0."""
-    if m < 0 or n < 0:
+@lru_cache(maxsize=None)
+def _qbin_symmetric(lo: int, hi: int) -> QPoly:
+    return _qbin_dense(lo, hi, lo * hi)
+
+
+def qbin_standard(m: int, n: int, deg: Optional[int] = None) -> QPoly:
+    """[m+n over m], zero unless m >= 0 and n >= 0; cut to degrees <= deg if one is given."""
+    if m < 0 or n < 0 or deg is not None and deg < 0:
         return ZERO
-    return _qbin_symmetric(min(m, n), max(m, n))
+    lo, hi = min(m, n), max(m, n)
+    return _qbin_symmetric(lo, hi) if deg is None or deg >= lo * hi else _qbin_dense(lo, hi, deg)
 
 
-def qbin(top: int, bottom: int) -> QPoly:
-    """Standard [top over bottom]."""
-    return qbin_standard(bottom, top - bottom)
+def qbin(top: int, bottom: int, deg: Optional[int] = None) -> QPoly:
+    """Standard [top over bottom], cut to degrees <= deg if one is given."""
+    return qbin_standard(bottom, top - bottom, deg)
 
 
 def qbin_modified(m: int, n: int) -> QPoly:

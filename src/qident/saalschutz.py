@@ -19,7 +19,9 @@ of M.  Their sweeps walk M and the later axes inside a prefix of the earlier
 ones, (L1, L2) for qs2 and (N, sigma, ell) for gensum, so each keeps its inner
 sums for the current prefix only: on the default grids three in four are
 reused, and none is needed again once the prefix moves on, so the memo is
-bounded by the grid's own reuse window with no size to tune.
+bounded by the grid's own reuse window with no size to tune.  The gensum right
+side, sum over mu_1 of b1(L1, mu_1) H(L2, mu_1), keeps its L1-free class sums
+H the same way, per 2 L2 under the prefix (N, sigma, ell, M).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import Checked, UnbalancedParameters
-from .lattice import axis_source, cartan, system_sum
+from .lattice import axis_source, cartan, class_terms, system_sum
 from .qbinom import qbin, qbin_mod_tb
 from .qpoly import ZERO, QPoly, half_int, mul, norm_rat, twice
 
@@ -77,9 +79,10 @@ class SaalschutzParams(Checked):
 # that raises is never stored, so its point raises again
 _QS2_INNER: Dict[Tuple, Dict[Tuple, QPoly]] = {}  # (L1, L2) -> {(ell, i): ...}
 _GENSUM_INNER: Dict[Tuple, Dict[Tuple, QPoly]] = {}  # (N, sigma, ell) -> {(i, 2 L1, 2 L2): ...}
+_GENSUM_RHS: Dict[Tuple, Dict[int, Dict]] = {}  # (N, sigma, ell, M) -> {2 L2: {mu_1: H}}
 
 
-def _scope(memo: Dict[Tuple, Dict[Tuple, QPoly]], prefix: Tuple) -> Dict[Tuple, QPoly]:
+def _scope(memo: Dict[Tuple, Dict], prefix: Tuple) -> Dict:
     """The memo's values under prefix; any other prefix's values are dropped first."""
     values = memo.get(prefix)
     if values is None:
@@ -202,12 +205,12 @@ def gensum_lhs(p: SaalschutzParams, checked: bool = False) -> QPoly:
         if term is None:
             term = inner[i, two_l1, two_l2] = _gensum_inner(p.N, p.sigma, p.ell, i, two_l1, two_l2)
         if not term.is_zero():
-            total = total + mul(outer, term).times_monomial(1, i * (i + p.ell), p.N)
+            total = total + mul(outer, term)
     return total
 
 
 def _gensum_inner(N: int, sigma: int, ell: int, i: int, two_l1: int, two_l2: int) -> QPoly:
-    """The M-free (m,n)-system sum of the i-th gensum term, at L1 = two_l1/2, L2 = two_l2/2."""
+    """q^(i(i+ell)/N) times the M-free (m,n)-system sum of the i-th gensum term, at 2 L1, 2 L2."""
     cd = cartan(N)
 
     def weight(m):
@@ -218,23 +221,27 @@ def _gensum_inner(N: int, sigma: int, ell: int, i: int, two_l1: int, two_l2: int
         return mul(b1, qbin(half_int(two_l2 + m1, "binomial entry"), i))
 
     v = axis_source(cd.rank, [(1, 2 * i + ell)])
-    return system_sum(cd, v, 2 * i + ell + sigma * N, weight)
+    return system_sum(cd, v, 2 * i + ell + sigma * N, weight).times_monomial(1, i * (i + ell), N)
 
 
 def gensum_rhs(p: SaalschutzParams, checked: bool = False) -> QPoly:
     """The (mu,eta)-system side; checked=True skips the validation of a point already validated."""
     if not checked:
         p.validate()
-    cd = cartan(p.N)
-    v = axis_source(cd.rank, [(1, p.M + p.ell), (cd.rank, p.M)])
     two_l1, two_l2 = twice(p.L1, "L1"), twice(p.L2, "L2")
-
-    def weight(m):
-        mu_first, mu_last = (m[0], m[-1]) if m else (p.M, p.M + p.ell)  # rank-0 convention
+    memo = _scope(_GENSUM_RHS, (p.N, p.sigma, p.ell, p.M))
+    if two_l2 not in memo:  # mu_1 -> H, stored only once it is whole
+        cd, top2 = cartan(p.N), two_l2 + p.M + p.ell  # twice the top of b2, less mu_last
+        v = axis_source(cd.rank, [(1, p.M + p.ell), (cd.rank, p.M)])
+        parts: Dict[int, QPoly] = {}  # rank-0 convention: mu_1 = M, mu_last = M + ell
+        for key, term in class_terms(cd, v, p.ell + p.sigma * p.N, lambda m: qbin(
+                half_int(top2 + (m[1] if m else p.M + p.ell), "binomial entry"), p.M)):
+            mu_first = key[0] if key else p.M
+            parts[mu_first] = parts.get(mu_first, ZERO) + term
+        memo[two_l2] = parts
+    total = ZERO
+    for mu_first, part in memo[two_l2].items():
         b1 = qbin(half_int(two_l1 + p.M + mu_first, "binomial entry"), p.M + p.ell)
-        if b1.is_zero():
-            return b1
-        top2 = half_int(two_l2 + p.M + p.ell + mu_last, "binomial entry")
-        return mul(b1, qbin(top2, p.M))
-
-    return system_sum(cd, v, p.ell + p.sigma * p.N, weight)
+        if not b1.is_zero():
+            total = total + mul(b1, part)
+    return total

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import lattice
 from qident.errors import InvalidParams
 from qident.lattice import (
     _invert_fraction_matrix,
     axis_source,
     cartan,
+    class_terms,
     enumerate_admissible,
     plain_sum,
     shell,
@@ -372,11 +374,22 @@ def system_sum_oracle(cd, solutions, weight, shift):
     return total
 
 
-def _dropping_weight(m):
-    # zero when m_1 = 0, a fractional monomial otherwise
-    if m and m[0] == 0:
+def class_key(m):
+    """What a weight may read of m: (m_1, m_last, m mod 2), () at rank 0."""
+    return (m[0], m[-1], tuple(x % 2 for x in m)) if m else ()
+
+
+def _dropping_weight(key):
+    # zero when m_1 = 0, a fractional monomial of every part of the key otherwise
+    if key and key[0] == 0:
         return ZERO
-    return QPoly.monomial(1 + sum(m), Fraction(sum(m), 3))
+    m1, m_last, m_mod2 = key or (0, 0, ())
+    return QPoly.monomial(1 + m1 + 2 * m_last + sum(m_mod2), Fraction(m1 + m_last, 3))
+
+
+def _on_keys(weight):
+    """The oracle's weight of m: weight of m's class key, 1 for None."""
+    return (lambda m: ONE) if weight is None else (lambda m: weight(class_key(m)))
 
 
 @pytest.mark.parametrize("kind", ["a", "tadpole"])
@@ -393,13 +406,74 @@ def test_system_sum_matches_oracle(kind, n):
         for shift in [None] + units + [v]:
             for weight in (None, _dropping_weight):
                 got = system_sum(cd, v, offset, weight, shift)
-                want = system_sum_oracle(
-                    cd, solutions, weight or (lambda m: ONE), shift or (0,) * r
-                )
+                want = system_sum_oracle(cd, solutions, _on_keys(weight), shift or (0,) * r)
                 assert got == want
                 nonzero += not got.is_zero()
     assert nonzero
     assert dropped or r == 0
+
+
+def _parity_weight(key):
+    # reads only m mod 2: zero unless m_1 is even, a monomial of the parities otherwise
+    m_mod2 = key[2] if key else ()
+    if m_mod2 and m_mod2[0]:
+        return ZERO
+    return QPoly.monomial(2 + sum(m_mod2), Fraction(len(m_mod2) - sum(m_mod2), 2))
+
+
+@pytest.mark.parametrize("kind", ["a", "tadpole"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_class_table_matches_the_term_by_term_sum(kind, n):
+    # end-node and interior sources; from rank 3 on a class holds several solutions
+    cd = cartan(n, kind)
+    r = cd.rank
+    sources = [axis_source(r, [(1, 6), (r, 4)]), axis_source(r, [(1, 2), (2, 2), (r, 4)])]
+    merged = 0
+    for v in sources:
+        for offset in (None, 0, 1, 2):
+            sols = enumerate_admissible(cd, v, offset)
+            solutions = [(s.n_vec, s.m_vec) for s in sols]
+            sizes = {}
+            for _, m in solutions:
+                sizes[class_key(m)] = sizes.get(class_key(m), 0) + 1
+            merged += any(size > 1 for size in sizes.values())
+            for shift in (None, axis_source(r, [(r, 1)]), v):
+                for weight in (None, _dropping_weight, _parity_weight):
+                    want = system_sum_oracle(cd, solutions, _on_keys(weight), shift or (0,) * r)
+                    assert system_sum(cd, v, offset, weight, shift) == want, (v, offset, shift)
+                    terms = class_terms(cd, v, offset, weight, shift)
+                    assert [key for key, _ in terms] == [
+                        key for key in sizes if weight is None or not weight(key).is_zero()]
+    assert merged or r < 3
+
+
+def test_a_zero_weight_class_builds_no_binomial(monkeypatch):
+    built = []
+    real = lattice.qbin_vector
+    monkeypatch.setattr(lattice, "qbin_vector", lambda pairs: built.append(1) or real(pairs))
+    lattice._class_table.cache_clear()
+    cd, v = cartan(5), (8, 0, 0, 6)
+    sizes = {}
+    for sol in enumerate_admissible(cd, v, None):
+        sizes[class_key(sol.m_vec)] = sizes.get(class_key(sol.m_vec), 0) + 1
+    first, second = [key for key, size in sizes.items() if size > 1][:2]
+
+    def only(kept):
+        return lambda key: ONE if key == kept else ZERO
+
+    got = system_sum(cd, v, None, only(first))
+    assert len(built) == sizes[first]  # the other classes built nothing
+    assert got == system_sum_oracle(
+        cd, [(s.n_vec, s.m_vec) for s in enumerate_admissible(cd, v, None)],
+        lambda m: ONE if class_key(m) == first else ZERO, (0,) * cd.rank)
+    hits = lattice._class_table.cache_info().hits
+    assert system_sum(cd, v, None, only(first)) == got  # a repeated call hits the table
+    assert lattice._class_table.cache_info().hits == hits + 1
+    assert len(built) == sizes[first]
+    system_sum(cd, v, None, only(second))  # a class kept later is built then, once
+    assert len(built) == sizes[first] + sizes[second]
+    system_sum(cd, v, None, lambda key: ZERO)
+    assert len(built) == sizes[first] + sizes[second]
 
 
 @pytest.mark.parametrize("kind", ["a", "tadpole"])

@@ -1,6 +1,6 @@
 """The report streams that the default grids and the benchmark's override
-sweeps produce, and the documents of three transform trees, pinned byte for
-byte.
+sweeps produce, three verify streams at rank 4, and the documents of three
+transform trees, pinned byte for byte.
 
 Each pin belongs to one GRID_VERSION: a deliberate grid change bumps the
 version and records its new streams here, and any other change must leave
@@ -28,6 +28,12 @@ PINNED = {
             "65d926d59b50e1203abbd1d3457044743a2a65120a213251bbb789c70683510f", 325),
         "tree --depth 3 --N 3": (
             "772374f552c348ab54ad3d2e7a5325e7c702c199f42e7a03139d9df9573c1cf1", 325),
+        "verify gensum --N 5": (
+            "900b9e74558ee301339ce05ced2eefd8a4f50aef9eb50d1fa19f54897db0a2e0", 2269),
+        "verify multinom.tnew --N 5": (
+            "3f3924df1439e51193019d8b116674ddc79114361e00204f252f4ce97104b06f", 190),
+        "verify multinom.diff --N 5": (
+            "498fc91f5ce9af39cd86d52927f4a22b9958ea6e58d23d439842e27099883dfb", 188),
     },
 }
 
@@ -88,3 +94,10 @@ def test_series_deep_override_streams_are_pinned(tmp_path):
 def test_tree_document_is_pinned(tmp_path, command):
     # the level-N trees reach the leaves that the suite's burge.tree never does
     _assert_pinned(command, _stream([command.split()], tmp_path))
+
+
+@pytest.mark.parametrize("command", ["verify gensum --N 5", "verify multinom.tnew --N 5",
+                                     "verify multinom.diff --N 5"])
+def test_higher_rank_stream_is_pinned(tmp_path, command):
+    # rank 4 lattice sums, where the class table merges solutions
+    _assert_pinned(command, _stream([command.split() + ["--jobs", "1"]], tmp_path))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident.qbinom import (
+    _qbin_dense,
     _qbin_symmetric,
     qbin,
     qbin_mod_tb,
@@ -11,7 +12,7 @@ from qident.qbinom import (
     qbin_standard,
     qbin_vector,
 )
-from qident.qpoly import ONE, ZERO, QPoly, mul, qpoch, render
+from qident.qpoly import ONE, ZERO, QPoly, Truncation, mul, qpoch, render
 
 from oracles import exact_div
 
@@ -102,6 +103,19 @@ def test_linear_passes_match_the_product_formula():
             built = _qbin_symmetric.__wrapped__(lo, hi)
             assert built == exact_div(num, qpoch(1, lo)), (lo, hi)
             assert sum(c for _, c in built.items()) == math.comb(lo + hi, lo)
+
+
+def test_a_binomial_built_up_to_a_degree_is_the_whole_one_cut_there():
+    # every degree from below the constant term to past the top, with vanishing entries
+    for top in range(-2, 16):
+        for bottom in range(-2, top + 3):
+            whole = qbin(top, bottom)
+            for deg in range(-1, max(top * top // 4, 0) + 3):
+                want = whole.truncate(Truncation(deg)) if deg >= 0 else ZERO
+                assert qbin(top, bottom, deg) == want, (top, bottom, deg)
+                if 0 <= bottom <= top and deg >= 0:  # built that far, not cut from the whole
+                    lo = min(bottom, top - bottom)
+                    assert qbin(top, bottom, deg) == _qbin_dense(lo, top - lo, min(deg, lo * (top - lo)))
 
 
 def test_cache_is_transparent():

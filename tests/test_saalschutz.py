@@ -394,6 +394,37 @@ def test_an_inner_sum_that_raises_is_not_stored():
         assert saalschutz._GENSUM_INNER == {(1, 0, 0): {}}
 
 
+def test_the_right_side_memo_holds_only_the_current_prefix():
+    # H(mu_1) is free of L1, so it is kept per 2 L2 under the prefix (N, sigma, ell, M)
+    saalschutz._GENSUM_RHS.clear()
+    first = gensum_rhs(SaalschutzParams(3, 0, 0, 4, 1, 2))
+    assert saalschutz._GENSUM_RHS.keys() == {(3, 0, 0, 4)}
+    assert saalschutz._GENSUM_RHS[3, 0, 0, 4].keys() == {4}
+    parts = saalschutz._GENSUM_RHS[3, 0, 0, 4][4]
+    # the classes (mu_1, mu_last) are (4, 4), (2, 0), (2, 2), (0, 0), (0, 2): H(2) and H(0) sum two
+    assert parts.keys() == {4, 2, 0}
+    gensum_rhs(SaalschutzParams(3, 0, 0, 4, 3, 2))  # a new L1 reuses the parts
+    assert saalschutz._GENSUM_RHS[3, 0, 0, 4] == {4: parts}
+    assert saalschutz._GENSUM_RHS[3, 0, 0, 4][4] is parts
+    gensum_rhs(SaalschutzParams(3, 0, 0, 4, 1, 1))  # a new L2 adds its own
+    assert saalschutz._GENSUM_RHS[3, 0, 0, 4].keys() == {4, 2}
+    gensum_rhs(SaalschutzParams(3, 0, 0, 2, 1, 2))  # M moves: the prefix moves
+    assert saalschutz._GENSUM_RHS.keys() == {(3, 0, 0, 2)}
+    assert saalschutz._GENSUM_RHS[3, 0, 0, 2].keys() == {4}
+    saalschutz._GENSUM_RHS.clear()
+    assert gensum_rhs(SaalschutzParams(3, 0, 0, 4, 1, 2)) == first
+    assert first == oracle_gensum_sides(3, 0, 0, 4, 1, 2)[1]
+
+
+def test_a_right_side_that_raises_is_not_stored():
+    # as in the left-side test: mu_last = M + ell = 1 meets the top (1 + 1 + 1)/2
+    bad = SaalschutzParams(1, 0, 0, 1, Fraction(1, 2), Fraction(1, 2))
+    for _ in range(2):
+        with pytest.raises(InvalidParams, match="binomial entry"):
+            gensum_rhs(bad, checked=True)
+        assert saalschutz._GENSUM_RHS == {(1, 0, 0, 1): {}}
+
+
 # --- cleared-denominator limit ------------------------------------------------------------
 
 def cbp_n1_sum(M, ell):
