@@ -2,19 +2,26 @@
 
 Each node is a doubly bounded polynomial identified by four labels; the two
 transforms move the labels and multiply the kernel.  Burge's classic
-transforms are the N = 1 case of the level-N ones, with sigma = 0 here
-because the bounds are symmetric.  Named nodes carry a closed form, and
-every edge can be replayed at explicit bounds.
+transforms are the N = 1 case of the level-N ones, and so is the
+polynomial: burge_xn at N = 1, with sigma the parity of M1 - M2.  Named
+nodes carry a closed form, and every edge can be replayed at explicit
+bounds.
 """
 
 from qident.burge import (
     BurgeParams,
     build_tree,
-    burge_x,
+    burge_xn,
     closed_form,
     transform_trafo,
 )
 from qident.qpoly import render
+
+
+def classic_x(labels, m1, l1, m2, l2):
+    """Burge's polynomial X_{r,s}^{(p,p')}(m1, l1, m2, l2), the level-N one at N = 1."""
+    return burge_xn(BurgeParams(*labels, m1, l1, m2, l2, sigma=(m1 - m2) % 2))
+
 
 nodes = build_tree(2, 1, 0, verify_grid=2)
 print("depth-2 tree from the seed node:")
@@ -27,13 +34,14 @@ for nd in nodes:
     )
 
 # replay the seed -> (2,3,1,1) edge at one bound pair: route the child through
-# the parent polynomial and compare against evaluating the child directly
+# the parent polynomial and compare against evaluating the child directly;
+# sigma = 0 because the bounds are symmetric
 M = L = 3
 routed = transform_trafo(
     1, 0, M, L, M, L,
-    lambda m1, l1, m2, l2: burge_x(BurgeParams(1, 2, 0, 1, m1, l1, m2, l2)),
+    lambda m1, l1, m2, l2: classic_x((1, 2, 0, 1), m1, l1, m2, l2),
 )
-direct = burge_x(BurgeParams(2, 3, 1, 1, M, L, M, L))
+direct = classic_x((2, 3, 1, 1), M, L, M, L)
 print()
 print(f"edge replay at M=L={M}: routed == direct is {routed == direct}")
 print("  value:", render(direct))

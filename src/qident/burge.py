@@ -1,11 +1,15 @@
 """Doubly bounded partition-pair polynomials and their transform tree.
 
-burge_x evaluates the bilateral two-term j-sum X_{r,s}^{(p,p')} with
-standard binomials; burge_xn its level-N extension, where each j-term
-carries an inner sum over admissible (mu,eta)-systems.  The j-windows
-are exact: every binomial bottom must be nonnegative, and the two
-bottoms of a term sum to a j-free constant, so support is an integer
-interval computable in advance.
+burge_xn is the one evaluator of the bilateral two-term j-sum
+X_{r,s}^{(p,p')} at level N: each j-term carries an inner sum over
+admissible (mu,eta)-systems, and at N = 1 that sum is the one empty
+system, which leaves Burge's polynomial in standard binomials.  The
+j-windows keep every j that can contribute.  Each binomial bottom must be
+nonnegative, which bounds j by M1 and M2; each top must reach its bottom,
+which bounds j by L1 and L2.  The tops grow with mu_1 and mu_last, and
+these are at most (Cinv v)_1 = ((N-1) b_1 + b_2)/N and its mirror, since
+eta >= 0 and Cinv > 0 entrywise for the A family.  At N = 1 the windows
+are Burge's own (W. H. Burge, J. Combin. Theory Ser. A 63, 1993).
 
 Transforms are higher-order: they apply the summation kernel to a child
 evaluator, so the same code path both verifies transform identities
@@ -84,40 +88,6 @@ class BurgeParams(Checked):
         return None
 
 
-# --- classic polynomial -------------------------------------------------------
-
-def burge_x(bp: BurgeParams) -> QPoly:
-    # sigma plays no role here, so the level-N parity constraints are not imposed
-    if bp.N != 1:
-        raise InvalidParams("burge_x is the N=1 polynomial")
-    if bp.p < 1 or bp.pprime < 1:
-        raise InvalidParams("p and p' must be >= 1")
-    p, pp, r, s = bp.p, bp.pprime, bp.r, bp.s
-    M1, M2 = bp.M1, bp.M2
-    L1, L2 = as_int(bp.L1, "L1"), as_int(bp.L2, "L2")
-    M12 = M1 - M2
-    total = ZERO
-    lo = max(_ceil_div(-M1, p), _ceil_div(-L2, pp))
-    hi = min(M2 // p, L1 // pp)
-    for j in range(lo, hi + 1):
-        t = mul(
-            qbin(M1 + L1 - (pp - p) * j, M1 + p * j),
-            qbin(M2 + L2 + (pp - p) * j, M2 - p * j),
-        )
-        if not t.is_zero():
-            total = total + t.times_monomial(1, j * (p * pp * j + pp * (M12 + r) - p * s))
-    lo = max(_ceil_div(-M1 - r, p), _ceil_div(-L2 - s, pp))
-    hi = min((M2 - r) // p, (L1 - s) // pp)
-    for j in range(lo, hi + 1):
-        t = mul(
-            qbin(M1 + L1 - (pp - p) * j + r - s, M1 + p * j + r),
-            qbin(M2 + L2 + (pp - p) * j - r + s, M2 - p * j - r),
-        )
-        if not t.is_zero():
-            total = total - t.times_monomial(1, (p * j + M12 + r) * (pp * j + s))
-    return total
-
-
 # --- level-N polynomial ---------------------------------------------------------
 
 def _xn_term(
@@ -161,16 +131,16 @@ def burge_xn(bp: BurgeParams, checked: bool = False) -> QPoly:
     two_l1, two_l2 = twice(bp.L1, "L1"), twice(bp.L2, "L2")
     cd = cartan(N)
     total = ZERO
-    for j in range(_ceil_div(-M1, p), M2 // p + 1):
-        inner = _xn_term(cd, M1, M2, two_l1, two_l2, p, pp, N, bp.sigma, j, 0, 0)
-        if inner.is_zero():
-            continue
-        total = total + inner.times_monomial(1, j * (p * pp * j + pp * (M12 + r) - p * s), N)
-    for j in range(_ceil_div(-M1 - r, p), (M2 - r) // p + 1):
-        inner = _xn_term(cd, M1, M2, two_l1, two_l2, p, pp, N, bp.sigma, j, r, r - s)
-        if inner.is_zero():
-            continue
-        total = total - inner.times_monomial(1, (p * j + M12 + r) * (pp * j + s), N)
+    # the two j-sums: sign, shift, skew, and the exponent of q^(1/N)
+    for sign, shift, skew, exponent in ((1, 0, 0, lambda j: j * (p * pp * j + pp * (M12 + r) - p * s)),
+                                        (-1, r, r - s, lambda j: (p * j + M12 + r) * (pp * j + s))):
+        # bottoms >= 0, and top >= bottom at the largest mu_1 and mu_last
+        tilt = (N - 1) * M12 + 2 * skew - 2 * shift
+        lo = max(_ceil_div(-M1 - shift, p), -((N * two_l2 - tilt) // (2 * pp)))
+        for j in range(lo, min((M2 - shift) // p, (N * two_l1 + tilt) // (2 * pp)) + 1):
+            inner = _xn_term(cd, M1, M2, two_l1, two_l2, p, pp, N, bp.sigma, j, shift, skew)
+            if not inner.is_zero():
+                total = total + inner.times_monomial(sign, exponent(j), N)
     return total
 
 
@@ -271,14 +241,16 @@ def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rationa
     """
 
     def parent(m1, l1, m2, l2):
-        return burge_x(BurgeParams(*labels, m1, l1, m2, l2))
+        return burge_xn(BurgeParams(*labels, m1, l1, m2, l2, sigma=(m1 - m2) % 2))
 
+    classic = tag in ("bt", "bt2")
+    if classic:
+        n_lat, sigma = 1, (M1 - M2) % 2
     child = BurgeParams(*child_labels(labels, tag, n_lat, M1 - M2, L1 - L2),
                         M1, L1, M2, L2, N=n_lat, sigma=sigma)
     tf = transform_burgetrafo_n if tag in ("bt", "traf1") else transform_trafo
-    if tag in ("bt", "bt2"):
-        return burge_x(child), tf(1, (M1 - M2) % 2, M1, L1, M2, L2, parent)
-    return burge_xn(child), tf(n_lat, sigma, M1, L1, M1, L1, parent)
+    bounds = (M1, L1, M2, L2) if classic else (M1, L1, M1, L1)
+    return burge_xn(child), tf(n_lat, sigma, *bounds, parent)
 
 
 # --- sufficiency predicates ---------------------------------------------------------

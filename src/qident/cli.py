@@ -21,7 +21,7 @@ stream is byte-identical across runs for a fixed configuration, and
 elapsed_ms stays 0 unless timing is requested explicitly.  A summary's
 elapsed_ms then runs from the queueing of the family's first chunk to the
 reading of its last: at one job that is the family's own sweep, in a pool it
-overlaps the families next to it.
+overlaps the families next to it.  The suite's runs over the whole sweep.
 
 A command loads only the modules it runs: the tables below reach every
 layer through the package's lazily loaded modules, read when a family's
@@ -666,7 +666,7 @@ def _new_pool(jobs: int):
 
 def _sweep(args, runs: Sequence[Tuple[Family, Dict]], opts: Dict, suite: bool) -> int:
     """Run families into one stream; the exit code is the worst of theirs."""
-    pool = None
+    t0, pool = time.perf_counter(), None
     if args.jobs > 1:
         # the workers fork from this process: run the families' modules here,
         # once, rather than in every worker (the first attribute read runs one)
@@ -683,7 +683,8 @@ def _sweep(args, runs: Sequence[Tuple[Family, Dict]], opts: Dict, suite: bool) -
                 _run_family(fam, ranges, opts, pipe)
             pipe.drain(0)
             if suite:
-                stream.write(_summary_line("suite", pipe.total, pipe.exit_code, 0, args.format))
+                elapsed = int((time.perf_counter() - t0) * 1000) if opts["timing"] else 0
+                stream.write(_summary_line("suite", pipe.total, pipe.exit_code, elapsed, args.format))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)  # leaving early drops the queued chunks

@@ -30,7 +30,8 @@ table the only loop over admissible solutions.  Each exponent is one integer
 over cinv_den, from the form each solution keeps.  Kept per process, exact as
 functions of hashable arguments alone: the solutions of each (cd, v, offset),
 the class table of each (cd, v, offset, shift) with each class's weight-free
-sum once a weight keeps it, and plain_sum of each (cd, v, offset, shift).
+sum once a weight keeps it, and plain_sum of each (cd, v, offset, shift).  At
+rank 0 the one solution n = () has form 0, so a weighted sum needs no table.
 """
 
 from __future__ import annotations
@@ -215,12 +216,12 @@ def enumerate_admissible(cd: CartanData, v: Sequence[int], offset: Offset) -> Tu
 
 @lru_cache(maxsize=None)
 def _class_table(cd: CartanData, v: IntVec, offset: Offset, shift: Optional[IntVec]) -> dict:
-    """class key -> its solutions, replaced by their weight-free sum when a weight keeps them."""
+    """class key -> its solutions, replaced by their weight-free sum when a weight keeps them (rank >= 1)."""
     classes: Dict[tuple, list] = {}
     patterns: Dict[IntVec, IntVec] = {}  # one tuple per parity pattern
     for sol in enumerate_admissible(cd, v, offset):
         m, odd = sol.m_vec, tuple(x & 1 for x in sol.m_vec)
-        classes.setdefault((m[0], m[-1], patterns.setdefault(odd, odd)) if m else (), []).append(sol)
+        classes.setdefault((m[0], m[-1], patterns.setdefault(odd, odd)), []).append(sol)
     return {key: tuple(sols) for key, sols in classes.items()}
 
 
@@ -238,6 +239,11 @@ def class_terms(cd: CartanData, v: Sequence[int], offset: Offset, weight: Option
                 shift: Optional[Sequence[int]] = None) -> List[Tuple[tuple, QPoly]]:
     """system_sum's terms: (key, weight(key) times the class's weight-free sum) for
     each class of nonzero weight, in the order of the classes' first solutions."""
+    if not cd.rank:  # n = () alone, of form 0, where the offset allows it
+        if offset is not None and offset % (2 * cd.n):
+            return []
+        w = ONE if weight is None else weight(())
+        return [((), w)] if w else []
     shift = tuple(shift) if shift is not None and any(shift) else None
     classes = _class_table(cd, tuple(v), offset, shift)  # shift None or nonzero
     terms = []

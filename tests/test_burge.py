@@ -22,7 +22,6 @@ from qident.burge import (
     BurgeParams,
     _xn_term,
     build_tree,
-    burge_x,
     burge_xn,
     classic_bt2_safe,
     classic_bt_safe,
@@ -58,14 +57,21 @@ def oracle_x(p, pp, r, s, m1, l1, m2, l2):
     return total
 
 
+def classic_x(p, pp, r, s, m1, l1, m2, l2):
+    """Burge's polynomial: burge_xn at N = 1, with sigma the parity of m1 - m2."""
+    return burge_xn(BurgeParams(p, pp, r, s, m1, l1, m2, l2, sigma=(m1 - m2) % 2))
+
+
 LABELS = [(1, 2, 0, 1), (1, 3, 0, 1), (2, 3, 1, 1), (3, 4, 1, 1), (2, 5, 1, 2)]
 
 
 def test_x_matches_wide_window_oracle_on_grid():
     for p, pp, r, s in LABELS:
         for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
-            bp = BurgeParams(p, pp, r, s, m1, l1, m2, l2)
-            assert burge_x(bp) == oracle_x(p, pp, r, s, m1, l1, m2, l2)
+            got = classic_x(p, pp, r, s, m1, l1, m2, l2)
+            want = oracle_x(p, pp, r, s, m1, l1, m2, l2)
+            assert got == want
+            assert render(got) == render(want)
 
 
 @settings(max_examples=120, deadline=None)
@@ -79,22 +85,19 @@ def test_x_matches_wide_window_oracle_on_grid():
 def test_x_matches_oracle_random(p, dp, r, s, bounds):
     pp = p + dp
     m1, l1, m2, l2 = bounds
-    bp = BurgeParams(p, pp, r, s, m1, l1, m2, l2)
-    assert burge_x(bp) == oracle_x(p, pp, r, s, m1, l1, m2, l2)
+    assert classic_x(p, pp, r, s, m1, l1, m2, l2) == oracle_x(p, pp, r, s, m1, l1, m2, l2)
 
 
 def test_x_rejects_bad_labels():
     with pytest.raises(InvalidParams):
-        burge_x(BurgeParams(0, 2, 0, 1, 1, 1, 1, 1))
-    with pytest.raises(InvalidParams):
-        burge_x(BurgeParams(1, 2, 0, 1, 1, 1, 1, 1, N=2))
+        classic_x(0, 2, 0, 1, 1, 1, 1, 1)
 
 
 def test_initial_form_is_kronecker_delta():
     for m in range(0, 6):
-        assert burge_x(BurgeParams(1, 2, 0, 1, m, 0, m, 0)) == QPoly({0: 1})
+        assert classic_x(1, 2, 0, 1, m, 0, m, 0) == QPoly({0: 1})
         for l in range(1, 5):
-            assert burge_x(BurgeParams(1, 2, 0, 1, m, l, m, l)).is_zero()
+            assert classic_x(1, 2, 0, 1, m, l, m, l).is_zero()
 
 
 @pytest.mark.parametrize(
@@ -110,7 +113,7 @@ def test_classic_closed_forms(labels, name):
     p, pp, r, s = labels
     for m in range(0, 7):
         for l in range(0, 7):
-            direct = burge_x(BurgeParams(p, pp, r, s, m, l, m, l))
+            direct = classic_x(p, pp, r, s, m, l, m, l)
             assert direct == closed_form(name, m, l), (name, m, l)
 
 
@@ -120,21 +123,12 @@ def test_closed_form_unknown_name():
 
 
 def test_symmetry_relation():
-    # X_{r,s}^{(p,p')}(M1,L1,M2,L2) = X_{s-L12,r+M12}^{(p',p)}(L1,M1,L2,M2)
+    # X_{r,s}^{(p,p')}(M1,L1,M2,L2) = X_{s-L12,r+M12}^{(p',p)}(L1,M1,L2,M2); the
+    # image has p' < p, which BurgeParams rejects, so the oracle evaluates it
     for p, pp, r, s in LABELS:
         for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
-            image = BurgeParams(pp, p, s - (l1 - l2), r + (m1 - m2), l1, m1, l2, m2)
-            assert burge_x(BurgeParams(p, pp, r, s, m1, l1, m2, l2)) == burge_x(image)
-
-
-def test_xn_reduces_to_x_at_level_one():
-    for p, pp, r, s in LABELS:
-        for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
-            sigma = (m1 - m2) % 2
-            a = burge_x(BurgeParams(p, pp, r, s, m1, l1, m2, l2))
-            b = burge_xn(BurgeParams(p, pp, r, s, m1, l1, m2, l2, sigma=sigma))
-            assert a == b
-            assert render(a) == render(b)
+            image = oracle_x(pp, p, s - (l1 - l2), r + (m1 - m2), l1, m1, l2, m2)
+            assert classic_x(p, pp, r, s, m1, l1, m2, l2) == image
 
 
 def test_xn_term_raises_on_a_fractional_top():
@@ -162,8 +156,47 @@ def test_xn_valid_points_never_meet_a_fractional_top(n, p, k, r, t, sigma, bound
     burge_xn(bp)  # a fractional binomial top would raise InvalidParams
 
 
+def m_window_xn(bp):
+    """burge_xn summed over every j whose binomial bottoms are nonnegative,
+    without the windows in L1 and L2."""
+    p, pp, r, s, n, m1, m2, m12 = bp.p, bp.pprime, bp.r, bp.s, bp.N, bp.M1, bp.M2, bp.M12
+    two_l1, two_l2, cd = int(2 * bp.L1), int(2 * bp.L2), cartan(n)
+    total = ZERO
+    for j in range(-(m1 // p), m2 // p + 1):
+        inner = _xn_term(cd, m1, m2, two_l1, two_l2, p, pp, n, bp.sigma, j, 0, 0)
+        total = total + inner.times_monomial(1, j * (p * pp * j + pp * (m12 + r) - p * s), n)
+    for j in range(-((m1 + r) // p), (m2 - r) // p + 1):
+        inner = _xn_term(cd, m1, m2, two_l1, two_l2, p, pp, n, bp.sigma, j, r, r - s)
+        total = total - inner.times_monomial(1, (p * j + m12 + r) * (pp * j + s), n)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    p=st.integers(1, 3),
+    k=st.integers(0, 2),
+    r=st.integers(-3, 3),
+    t=st.integers(-1, 1),
+    sigma=st.integers(0, 1),
+    ms=st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+    ks=st.tuples(st.integers(-4, 3), st.integers(-4, 3)),
+)
+def test_xn_windows_keep_every_contributing_j(n, p, k, r, t, sigma, ms, ks):
+    # the L-windows follow from top >= bottom at the largest mu_1 and mu_last;
+    # negative L and both j-sums, at every level the suite and the pins reach
+    m1, m2 = ms
+    if n % 2:
+        sigma = (m1 - m2) % 2
+    shift = Fraction((m1 - m2 + sigma) % 2, 2)
+    bp = BurgeParams(p, p + k * n, r, r + t * n, m1, ks[0] + shift, m2, ks[1] + shift,
+                     N=n, sigma=sigma)
+    assume(bp.violation() is None)
+    assert burge_xn(bp) == m_window_xn(bp)
+
+
 def _child(p, pp, r, s):
-    return lambda m1, l1, m2, l2: burge_x(BurgeParams(p, pp, r, s, m1, l1, m2, l2))
+    return lambda m1, l1, m2, l2: classic_x(p, pp, r, s, m1, l1, m2, l2)
 
 
 def _classic(transform, m1, l1, m2, l2, child):
@@ -175,7 +208,7 @@ def test_bt_equals_direct_wherever_safe():
     mismatches_outside = 0
     for p, pp, r, s in [(1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1)]:
         for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
-            lhs = burge_x(BurgeParams(p, p + pp, r, r + s, m1, l1, m2, l2))
+            lhs = classic_x(p, p + pp, r, r + s, m1, l1, m2, l2)
             rhs = _classic(transform_burgetrafo_n, m1, l1, m2, l2, _child(p, pp, r, s))
             if classic_bt_safe(p, pp, r, s, m1, l1, m2, l2):
                 assert lhs == rhs, (p, pp, r, s, m1, l1, m2, l2)
@@ -190,7 +223,7 @@ def test_bt2_equals_direct_wherever_safe():
     for p, pp, r, s in [(1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1)]:
         for m1, l1, m2, l2 in itertools.product(range(0, 4), repeat=4):
             m12, l12 = m1 - m2, l1 - l2
-            lhs = burge_x(BurgeParams(pp, p + pp, s - m12, r + s + l12, m1, l1, m2, l2))
+            lhs = classic_x(pp, p + pp, s - m12, r + s + l12, m1, l1, m2, l2)
             rhs = _classic(transform_trafo, m1, l1, m2, l2, _child(p, pp, r, s))
             if classic_bt2_safe(p, pp, r, s, m1, l1, m2, l2):
                 assert lhs == rhs, (p, pp, r, s, m1, l1, m2, l2)
@@ -206,9 +239,9 @@ def test_symmetric_transforms_always_hold():
             for l in range(0, 5):
                 assert classic_bt_safe(p, pp, r, s, m, l, m, l)
                 assert classic_bt2_safe(p, pp, r, s, m, l, m, l)
-                lhs = burge_x(BurgeParams(p, p + pp, r, r + s, m, l, m, l))
+                lhs = classic_x(p, p + pp, r, r + s, m, l, m, l)
                 assert lhs == transform_burgetrafo_n(1, 0, m, l, m, l, _child(p, pp, r, s))
-                lhs = burge_x(BurgeParams(pp, p + pp, s, r + s, m, l, m, l))
+                lhs = classic_x(pp, p + pp, s, r + s, m, l, m, l)
                 assert lhs == transform_trafo(1, 0, m, l, m, l, _child(p, pp, r, s))
 
 

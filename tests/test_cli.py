@@ -711,6 +711,41 @@ def test_suite_fails_a_family_that_checked_nothing(capsys, monkeypatch):
     assert [(s["identity_id"], s["exit_code"]) for s in summaries] == [("__fake", 1), ("suite", 1)]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_suite_timing_covers_every_family(capsys, monkeypatch, jobs):
+    import time
+
+    def slow(params, d):
+        time.sleep(0.005)
+        return ONE, ONE
+
+    fakes = {name: Family(name, (ParamSpec("i", "int"),), (("i", range(4)),), slow)
+             for name in ("__a", "__b")}
+    monkeypatch.setattr("qident.cli.REGISTRY", fakes)
+    code, out, _ = run(["suite", "--timing", "--jobs", jobs], capsys)
+    assert code == 0
+    summaries = [json.loads(ln) for ln in out.splitlines() if '"summary"' in ln]
+    assert [s["identity_id"] for s in summaries] == ["__a", "__b", "suite"]
+    *families, suite = [s["elapsed_ms"] for s in summaries]
+    assert min(families) > 0
+    assert suite >= max(families)
+    # without --timing every summary keeps the byte-stable 0
+    code, out, _ = run(["suite", "--jobs", jobs], capsys)
+    assert {json.loads(ln)["elapsed_ms"] for ln in out.splitlines()} == {0}
+
+
+def test_burge_parent_labels_are_validated(capsys):
+    # the parent is evaluated through burge_xn, which rejects p' < p; a label
+    # override that gives the parent such labels gets an error row, not a value
+    code, out, err = run(["verify", "burge.bt", "--p", "3", "--pprime", "2", "--r", "1", "--s", "1",
+                          "--M1", "1", "--L1", "1", "--M2", "1", "--L2", "1"], capsys)
+    assert code == 1
+    rows, summary = rows_of(out)
+    assert [r["verdict"] for r in rows] == ["error"]
+    assert summary["error"] == summary["total"] == 1
+    assert "InvalidParams: (p'-p)/N must be a nonnegative integer" in err
+
+
 def test_tree_mismatch_carries_the_failing_node(capsys, monkeypatch):
     from qident import burge
 

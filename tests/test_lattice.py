@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qident import lattice
 from qident.errors import InvalidParams
 from qident.lattice import (
+    _class_sum,
     _invert_fraction_matrix,
     axis_source,
     cartan,
@@ -474,6 +475,35 @@ def test_a_zero_weight_class_builds_no_binomial(monkeypatch):
     assert len(built) == sizes[first] + sizes[second]
     system_sum(cd, v, None, lambda key: ZERO)
     assert len(built) == sizes[first] + sizes[second]
+
+
+@pytest.mark.parametrize("kind", ["a", "tadpole"])
+def test_rank_zero_sum_is_the_weight_where_the_offset_allows(kind, monkeypatch):
+    # rank 0 skips the class table: the one solution n = () has form 0
+    cd = cartan(1, kind)
+    seen = []
+
+    def fail_table(*args):
+        raise AssertionError("rank 0 built a class table")
+
+    monkeypatch.setattr(lattice, "_class_table", fail_table)
+    weights = {"none": None, "zero": lambda key: seen.append(key) or ZERO,
+               "nonzero": lambda key: seen.append(key) or QPoly.monomial(-3, Fraction(5, 2))}
+    kept = 0
+    for offset in (None, 0, 4, -2, 1, -3):
+        for name, weight in weights.items():
+            for shift in (None, ()):
+                w = ONE if weight is None else weight(())
+                want = mul(w, _class_sum(cd, enumerate_admissible(cd, (), offset), shift))
+                seen.clear()
+                assert system_sum(cd, (), offset, weight, shift) == want, (offset, name)
+                terms = class_terms(cd, (), offset, weight, shift)
+                assert terms == ([((), want)] if want else []), (offset, name)
+                # each call reads the empty key once, and only where the offset allows it
+                allowed = offset is None or offset % 2 == 0
+                assert seen == ([(), ()] if weight and allowed else [])
+                kept += bool(terms)
+    assert kept == 2 * 4 * 2  # none and nonzero, at every even or absent offset, both shifts
 
 
 @pytest.mark.parametrize("kind", ["a", "tadpole"])

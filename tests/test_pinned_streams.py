@@ -1,6 +1,6 @@
 """The report streams that the default grids and the benchmark's override
-sweeps produce, three verify streams at rank 4, and the documents of three
-transform trees, pinned byte for byte.
+sweeps produce, three verify streams at rank 4, three level-N Burge verify
+streams, and the documents of three transform trees, pinned byte for byte.
 
 Each pin belongs to one GRID_VERSION: a deliberate grid change bumps the
 version and records its new streams here, and any other change must leave
@@ -34,6 +34,12 @@ PINNED = {
             "3f3924df1439e51193019d8b116674ddc79114361e00204f252f4ce97104b06f", 190),
         "verify multinom.diff --N 5": (
             "498fc91f5ce9af39cd86d52927f4a22b9958ea6e58d23d439842e27099883dfb", 188),
+        "verify burge.traf1 --N 4": (
+            "ab5566e9fc641337ec886b34aee723374549e8ee7af3764ffe0515135ba5e2da", 145),
+        "verify burge.traf2 --N 4": (
+            "c7614ba3c5959f2141d361d3389d5158765981db1575d0f5882d641839eb5722", 145),
+        "verify burge.forms --N 5": (
+            "d6aad84e89b31419ae632cbd05714adb7095bffc8ac1eff2b5e3da1e2e337149", 586),
     },
 }
 
@@ -97,7 +103,9 @@ def test_tree_document_is_pinned(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["verify gensum --N 5", "verify multinom.tnew --N 5",
-                                     "verify multinom.diff --N 5"])
+                                     "verify multinom.diff --N 5", "verify burge.traf1 --N 4",
+                                     "verify burge.traf2 --N 4", "verify burge.forms --N 5"])
 def test_higher_rank_stream_is_pinned(tmp_path, command):
-    # rank 4 lattice sums, where the class table merges solutions
+    # rank 4 lattice sums, where the class table merges solutions, and the
+    # level-N Burge polynomial at ranks the suite does not reach
     _assert_pinned(command, _stream([command.split() + ["--jobs", "1"]], tmp_path))
