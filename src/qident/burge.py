@@ -237,20 +237,20 @@ def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rationa
     bt and traf1 route through the first transform, bt2 and traf2 through
     the second.  The classic tags bt and bt2 are its N = 1 case, with sigma
     the parity of M1-M2.  The level tags traf1 and traf2 take symmetric
-    bounds only, so they read M1 and L1.
+    bounds only, M1 = M2 and L1 = L2, and raise InvalidParams otherwise.
     """
 
     def parent(m1, l1, m2, l2):
         return burge_xn(BurgeParams(*labels, m1, l1, m2, l2, sigma=(m1 - m2) % 2))
 
-    classic = tag in ("bt", "bt2")
-    if classic:
+    if tag in ("bt", "bt2"):
         n_lat, sigma = 1, (M1 - M2) % 2
+    elif (M1, L1) != (M2, L2):
+        raise InvalidParams(f"{tag} takes symmetric bounds only: M1 = M2 and L1 = L2")
     child = BurgeParams(*child_labels(labels, tag, n_lat, M1 - M2, L1 - L2),
                         M1, L1, M2, L2, N=n_lat, sigma=sigma)
     tf = transform_burgetrafo_n if tag in ("bt", "traf1") else transform_trafo
-    bounds = (M1, L1, M2, L2) if classic else (M1, L1, M1, L1)
-    return burge_xn(child), tf(n_lat, sigma, *bounds, parent)
+    return burge_xn(child), tf(n_lat, sigma, M1, L1, M2, L2, parent)
 
 
 # --- sufficiency predicates ---------------------------------------------------------

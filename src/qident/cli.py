@@ -561,8 +561,10 @@ def _row_line(fam: Family, values: Tuple, verdict: str, fields: Dict, elapsed: i
     """One report row: the family's head filled with the values, the verdict, then
     the fields that are not None, in order; as JSON, elapsed_ms last."""
     if opts["format"] == "json":
-        head = fam.heads[0] % tuple(map(_json_value, values))
-        rest = "".join([f', "{k}": {_json_value(v)}' for k, v in fields.items() if v is not None])
+        head = fam.heads[0] % (values if set(map(type, values)) == {int}  # no bool: %s writes as json
+                               else tuple(map(_json_value, values)))
+        rest = "".join([f', "{k}": {_json_value(v)}' for k, v in fields.items()
+                        if v is not None]) if fields else ""
         return f'{head}, "verdict": "{verdict}"{rest}, "elapsed_ms": {elapsed}}}\n'
     if opts["color"] and verdict in _COLORS:
         verdict = f"{_COLORS[verdict]}{verdict}\x1b[0m"

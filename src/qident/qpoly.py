@@ -17,6 +17,8 @@ exponent <= D, that is the keys k <= floor(D*den).  Every truncated
 operation equals the exact operation followed by a final truncation.
 No operation changes a polynomial, so the first dense multiply it meets
 keeps a view of it (see _operand), which cannot go stale and dies with it.
+A sum of products (dot) is packed, accumulated in one integer and unpacked
+once, its slot width sized by the bound of the whole sum, not of one product.
 """
 
 from __future__ import annotations
@@ -270,8 +272,10 @@ class Truncation:
 _DENSE_SPAN = 2
 _PAIRS_PER_TERM = 5
 
-# the array typecode of an unsigned machine word, by its size in bytes
-_WORD = {size: next(c for c in "BHILQ" if array(c).itemsize == size) for size in (1, 2, 4, 8)}
+# the array typecode of an unsigned machine word, by its size in bytes; words
+# are read as little-endian slots, so a big-endian host packs every slot biased
+_WORD = {size: next(c for c in "BHILQ" if array(c).itemsize == size)
+         for size in (1, 2, 4, 8)} if sys.byteorder == "little" else {}
 
 
 def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
@@ -287,7 +291,7 @@ def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
         va, vb = _operand(a, den), _operand(b, den)
         if va and vb:
             cap = None if trunc is None else _cap_key(trunc.degree_cap, den)
-            return _make(den, _kronecker(va, vb, cap))
+            return _make(den, _kronecker([(va, vb)], cap))
     den, ta, tb = _common(a, b)
     top = max(ta) + max(tb)
     if trunc is not None:
@@ -305,6 +309,24 @@ def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
                 else:
                     del out[e]
     return _make(den, out)
+
+
+def dot(pairs: Iterable[Tuple[QPoly, QPoly]], trunc: Truncation | None = None) -> QPoly:
+    """sum a*b over the pairs, less the terms above trunc's cap; the pairs mul would
+    multiply as one big integer make one packed sum per denominator (_kronecker)."""
+    total, dense = ZERO, {}  # den -> [(view of a, view of b)]
+    for a, b in pairs:
+        if len(a._terms) * len(b._terms) > _PAIRS_PER_TERM * (len(a._terms) + len(b._terms)):
+            den = math.lcm(a._den, b._den)
+            va, vb = _operand(a, den), _operand(b, den)
+            if va and vb:
+                dense.setdefault(den, []).append((va, vb))
+                continue
+        total = total + mul(a, b, trunc)
+    for den, views in dense.items():
+        cap = None if trunc is None else _cap_key(trunc.degree_cap, den)
+        total = total + _make(den, _kronecker(views, cap))
+    return total
 
 
 def _operand(p: QPoly, den: int) -> Tuple:
@@ -334,7 +356,7 @@ def _packed(view: Tuple, width: int, count: int) -> int:
         return packs[width]
     clipped = cs[:count]
     if view[2] >= 0 and width in _WORD:  # machine words, packed in C
-        value = int.from_bytes(array(_WORD[width], clipped).tobytes(), sys.byteorder)
+        value = int.from_bytes(array(_WORD[width], clipped).tobytes(), "little")
     else:  # each slot biased by half to be nonnegative, the biases taken off at once
         half, slot = 1 << (8 * width - 1), bytes(width - 1) + b"\x80"  # `half` in one slot
         raw = b"".join((c + half).to_bytes(width, "little") for c in clipped)
@@ -344,47 +366,52 @@ def _packed(view: Tuple, width: int, count: int) -> int:
     return value
 
 
-def _kronecker(va: Tuple, vb: Tuple, cap: Optional[int]) -> Terms:
-    """Product keys of two dense operands, up to the cap key if there is one.
+def _kronecker(pairs: List[Tuple[Tuple, Tuple]], cap: Optional[int]) -> Terms:
+    """Keys of sum a*b over pairs of dense operands, up to the cap key if there is one.
 
     Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
     operand, clipped to the coefficients that can reach the cap, is packed into
     one integer with a fixed-width slot per coefficient, and one integer
-    multiply gives every product coefficient.  No product coefficient exceeds
-    bound = max|a| * max|b| * min(len a, len b) in magnitude.  When both
-    operands are nonnegative and bound < 2**64, the slot is the smallest of
-    1, 2, 4 or 8 bytes that holds bound: no slot can carry into the next, so
-    the operands pack and the product unpacks as machine words in C.
+    multiply gives every product coefficient.  Each product, shifted to its
+    lowest key, is added into one integer, which is unpacked once.  No slot of
+    it exceeds bound = the sum of max|a| * max|b| * min(len a, len b) over the
+    pairs in magnitude.  When every operand is nonnegative and a 1, 2, 4 or
+    8-byte slot holds bound, the smallest is taken: no slot can carry into the
+    next, so operands pack and the sum unpacks as machine words in C.
     Otherwise the slot is wider than twice bound, and adding half the slot
-    range to each slot of the product makes it nonnegative, so no borrow
-    crosses a slot.  Either way an operand packs to the same value per width.
-    The sign test and max|.| come from the whole operand's view, not from its
-    clipped part: a clipped pack may take the biased path or a wider slot than
-    its own coefficients need, which costs time but never changes a product.
+    range to each slot of the sum makes it nonnegative, so no borrow crosses a
+    slot.  Either way an operand packs to the same value per width.  The sign
+    test and max|.| come from the whole operand's view, not from its clipped
+    part: a clipped pack may take the biased path or a wider slot than its own
+    coefficients need, which costs time but never changes a sum.
     """
-    lo_a, ca, min_a, max_a, _ = va
-    lo_b, cb, min_b, max_b, _ = vb
-    base, top = lo_a + lo_b, lo_a + len(ca) + lo_b + len(cb) - 2
-    if cap is not None:
-        top = min(top, cap)
-    if top < base:
+    clips, bound, signed, base, top = [], 0, False, math.inf, -math.inf
+    for va, vb in pairs:
+        lo_a, ca, min_a, max_a, _ = va
+        lo_b, cb, min_b, max_b, _ = vb
+        low, high = lo_a + lo_b, lo_a + len(ca) + lo_b + len(cb) - 2
+        if cap is not None:
+            high = min(high, cap)
+        if high >= low:  # the coefficients that reach high
+            len_a, len_b = min(len(ca), high - low + 1), min(len(cb), high - low + 1)
+            bound += max(max_a, -min_a) * max(max_b, -min_b) * min(len_a, len_b)
+            signed = signed or min_a < 0 or min_b < 0
+            base, top = low if low < base else base, high if high > top else top
+            clips.append((low, va, len_a, vb, len_b))
+    if not clips:
         return {}
-    n = top - base + 1
-    len_a, len_b = min(len(ca), n), min(len(cb), n)  # the coefficients that reach top
-    bound = max(max_a, -min_a) * max(max_b, -min_b) * min(len_a, len_b)
-    if min_a >= 0 and min_b >= 0 and bound >> 64 == 0:
-        width = next(w for w in _WORD if bound >> (8 * w) == 0)
-        product = _packed(va, width, len_a) * _packed(vb, width, len_b)
-        # the full product, slot for slot, so it casts back in either byte order
-        raw = product.to_bytes(width * (len_a + len_b - 1), sys.byteorder)
-        vals = memoryview(raw).cast(_WORD[width])[:n].tolist()
+    n, words = top - base + 1, [] if signed else [w for w in _WORD if bound >> (8 * w) == 0]
+    width = words[0] if words else (bound.bit_length() + 2 + 7) // 8  # bytes per slot
+    total = 0
+    for low, va, len_a, vb, len_b in clips:
+        total += (_packed(va, width, len_a) * _packed(vb, width, len_b)) << (8 * width * (low - base))
+    mask = (1 << (8 * width * n)) - 1  # the slots to top; a clipped product runs past it
+    if words:
+        vals = memoryview((total & mask).to_bytes(width * n, "little")).cast(_WORD[width]).tolist()
     else:
-        width = (bound.bit_length() + 2 + 7) // 8  # bytes per slot
         half = 1 << (8 * width - 1)
-        product = _packed(va, width, len_a) * _packed(vb, width, len_b)
         slots = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # `half` in each slot
-        biased = (product + slots) & ((1 << (8 * width * n)) - 1)
-        raw = biased.to_bytes(width * n, "little")
+        raw = ((total + slots) & mask).to_bytes(width * n, "little")
         vals = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
     if 0 in vals:
         return {base + i: v for i, v in enumerate(vals) if v}

@@ -13,6 +13,7 @@ raises InvalidParams rather than silently dropping a term.  Exponents are
 integer numerators over N, lattice offsets numerators over 2N.
 qs2 and qcv sum only their live terms, i from max(0, -ell) to min(L2, L1 - ell)
 (and to M for qs2, zero outright when L1 + L2 < 0): any other has a zero binomial.
+qs2's left side is one packed sum of products per point (qpoly.dot).
 
 qs2 and gensum are sums over i of outer(M, i) * inner(i), with inner(i) free
 of M.  Their sweeps walk M and the later axes inside a prefix of the earlier
@@ -33,7 +34,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 from .errors import Checked, UnbalancedParameters
 from .lattice import axis_source, cartan, class_terms, system_sum
 from .qbinom import qbin, qbin_mod_tb
-from .qpoly import ZERO, QPoly, half_int, mul, norm_rat, twice
+from .qpoly import ZERO, QPoly, dot, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 
@@ -97,14 +98,14 @@ def qs2_lhs(p: ClassicParams) -> QPoly:
     if p.L1 + p.L2 < 0:  # every outer [L1+L2+M-i over M-i] vanishes
         return ZERO
     inner = _scope(_QS2_INNER, (p.L1, p.L2))
-    total = ZERO
+    pairs = []
     # outside i+ell in 0..L1 and i in 0..L2 an inner binomial vanishes; to M no outer one does
     for i in range(max(0, -p.ell), min(p.M, p.L2, p.L1 - p.ell) + 1):
         term = inner.get((p.ell, i))
         if term is None:
             term = inner[p.ell, i] = _qs2_inner(p.L1, p.L2, p.ell, i)
-        total = total + mul(qbin(p.L1 + p.L2 + p.M - i, p.M - i), term)
-    return total
+        pairs.append((qbin(p.L1 + p.L2 + p.M - i, p.M - i), term))
+    return dot(pairs)
 
 
 def _qs2_inner(L1: int, L2: int, ell: int, i: int) -> QPoly:

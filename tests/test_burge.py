@@ -27,6 +27,7 @@ from qident.burge import (
     classic_bt_safe,
     closed_form,
     closed_form_name,
+    edge_sides,
     sufficiency,
     transform_burgetrafo_n,
     transform_trafo,
@@ -319,6 +320,26 @@ def test_unsymmetric_level_transforms_under_sufficiency():
             assert lhs == rhs, ("suf2", n, sigma, m1, l1, m2, l2, p, pp, r, s)
             checked += 1
     assert checked > 100
+
+
+
+def test_level_edges_take_symmetric_bounds_only():
+    # a level tag routes its transform at (M1, L1, M1, L1), so at an asymmetric
+    # point it would set the child against another point's route
+    for tag in ("traf1", "traf2"):
+        for bounds in ((2, 1, 0, 1), (1, 1, 1, 2), (1, Fraction(1, 2), 0, Fraction(3, 2))):
+            with pytest.raises(InvalidParams, match="symmetric bounds"):
+                edge_sides((1, 2, 0, 1), tag, *bounds, 2, 0)
+        direct, route = edge_sides((1, 2, 0, 1), tag, 2, 1, 2, 1, 2, 0)
+        assert direct == route
+    # the classic tags keep their asymmetric points
+    asymmetric = [b for b in itertools.product(range(3), repeat=4) if b[:2] != b[2:]]
+    for tag, safe in (("bt", classic_bt_safe), ("bt2", classic_bt2_safe)):
+        checked = [b for b in asymmetric if safe(1, 2, 0, 1, *b)]
+        assert checked
+        for bounds in checked:
+            direct, route = edge_sides((1, 2, 0, 1), tag, *bounds)
+            assert direct == route, (tag, bounds)
 
 
 def test_sufficiency_shapes():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import cli
 from qident.cli import (
     EVAL_REGISTRY,
     REGISTRY,
@@ -386,6 +387,28 @@ def test_row_line_matches_the_row_record(fam, values, verdict, fields, elapsed):
     assert line == want_json
     assert json.loads(line)["params"]["n" if fam is _MIXED else "L1"] == values[0]
     assert _row_line(fam, values, verdict, fields, elapsed, {"format": "text", "color": False}) == want_text
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"truncation": 25}, {"lhs_repr": "1", "rhs_repr": "q", "diff_repr": "1 - q", "truncation": None},
+], ids=["no_fields", "truncation", "sides"])
+@pytest.mark.parametrize("fam, values", [
+    (REGISTRY["qs2"], (-3, 0, 12, -1)),
+    (REGISTRY["qs2"], (0, 0, 0, 0)),
+    (REGISTRY["gensum"], (2, 0, -2, 3, Fraction(5, 2), 1)),  # L as gensum parses it
+    (REGISTRY["gensum"], (2, 1, 1, 0, Fraction(1, 2), Fraction(3))),
+    (REGISTRY["burge.forms"], ("ising", 2, 1, 4, Fraction(3, 2))),  # a word value
+    (_MIXED, (-4, Fraction(-5, 2), None, "rr")),  # None is written inf
+    (_MIXED, (1, 2, 3, True)),  # a bool is no plain int
+], ids=["negative_ints", "zeros", "gensum_half", "gensum_whole_fraction", "forms_word", "inf", "bool"])
+def test_json_row_with_plain_ints_skips_the_value_encoder(monkeypatch, fam, values, fields):
+    want = row_oracle(fam, values, "equal", fields, 7)[0]
+    encoded = []
+    json_value = cli._json_value
+    monkeypatch.setattr(cli, "_json_value", lambda v: encoded.append(v) or json_value(v))
+    assert _row_line(fam, values, "equal", fields, 7, {"format": "json", "color": False}) == want
+    fast = all(type(v) is int for v in values)
+    assert len(encoded) == (0 if fast else len(values)) + sum(v is not None for v in fields.values())
 
 
 @pytest.mark.parametrize("argv, sha, lines", [

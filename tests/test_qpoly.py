@@ -12,6 +12,7 @@ from qident.qpoly import (
     QPoly,
     Truncation,
     as_int,
+    dot,
     euler_inverse_truncated,
     eval_at_one,
     half_int,
@@ -127,12 +128,12 @@ def test_times_monomial_examples():
 # --- dense products (the Kronecker path) ------------------------------------
 
 @st.composite
-def dense_polys(draw, den=None, nonnegative=False):
-    """8 to 300 consecutive exponents lo/den, (lo+1)/den, ... with signed
-    coefficients, or positive ones when nonnegative."""
+def dense_polys(draw, den=None, nonnegative=False, max_size=300, min_lo=0):
+    """8 to max_size consecutive exponents lo/den, (lo+1)/den, ... from lo in
+    min_lo..12, with signed coefficients, or positive ones when nonnegative."""
     den = den if den is not None else draw(st.sampled_from([1, 2, 3]))
-    size = draw(st.integers(min_value=8, max_value=300))
-    lo = draw(st.integers(min_value=0, max_value=12))
+    size = draw(st.integers(min_value=8, max_value=max_size))
+    lo = draw(st.integers(min_value=min_lo, max_value=12))
     mag = draw(st.sampled_from([9, 2 ** 20, 2 ** 70]))
     nonzero = st.integers(min_value=0 if nonnegative else -mag, max_value=mag).filter(lambda c: c != 0)
     coeffs = draw(st.lists(nonzero, min_size=size, max_size=size))
@@ -317,6 +318,101 @@ def test_mixed_sign_pair_reuses_both_operands():
         assert as_frac_dict(mul(a, b)) == oracle_mul(a, b)
         assert as_frac_dict(mul(b, a, Truncation(15))) == oracle_mul(a, b, 15)
     assert sorted(a._view[4]) == sorted(signed._view[4]) == [1]
+
+
+# --- sums of products: one packed integer for the dense pairs ---------------------
+
+def oracle_dot(pairs, cap=None):
+    want = {}
+    for a, b in pairs:
+        for e, c in oracle_mul(a, b, cap).items():
+            want[e] = want.get(e, 0) + c
+    return {e: c for e, c in want.items() if c}
+
+
+@st.composite
+def dot_pairs(draw):
+    """0 to 6 pairs: dense ones, which dot packs, mixed with a zero operand, a
+    small pair under mul's cut-over or a sparse operand, which go through mul."""
+    nonnegative = draw(st.booleans())
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        den = draw(st.sampled_from([1, 2, 3, "mixed"]))
+        dens = (2, 3) if den == "mixed" else (den, den)
+        # up to 40 terms keep the oracle quick; from -60 a product may lie wholly below 0
+        a, b = (draw(dense_polys(d, nonnegative, max_size=40, min_lo=-60)) for d in dens)
+        kind = draw(st.sampled_from(["dense", "dense", "dense", "zero", "small", "sparse"]))
+        if kind == "zero":
+            a = ZERO
+        elif kind == "small":
+            a = draw(polys)
+        elif kind == "sparse":  # one key in five: no dense view
+            a = QPoly({e * 5: c for e, c in a.items()})
+        pairs.append((a, b) if draw(st.booleans()) else (b, a))
+    return pairs
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_dot_matches_the_summed_convolution_oracle(data):
+    pairs = data.draw(dot_pairs())
+    assert as_frac_dict(dot(pairs)) == oracle_dot(pairs)
+    nonzero = [(a, b) for a, b in pairs if a and b]
+    if nonzero:
+        cap = max(Fraction(0), data.draw(caps_for(*nonzero[0])))  # a cap is never negative
+        got = dot(pairs, Truncation(cap))
+        assert as_frac_dict(got) == oracle_dot(pairs, cap)
+        assert got == dot(pairs).truncate(Truncation(cap))
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_dot_of_one_pair_is_mul(data):
+    a, b = data.draw(dense_pairs())
+    cap = data.draw(caps_for(a, b))
+    assert dot([(a, b)]) == mul(a, b)
+    assert dot([(a, b)], Truncation(cap)) == mul(a, b, Truncation(cap))
+
+
+def test_dot_of_nothing_or_zeros_is_zero():
+    a = QPoly({k: 1 for k in range(20)})
+    assert dot([]) == ZERO and dot([(ZERO, a), (a, ZERO)]) == ZERO
+    assert dot([(a, a)], Truncation(Fraction(1, 2))) == QPoly({0: 1})
+
+
+def _sum_slot_cases():
+    # two products that each fill a w-byte slot exactly (see _slot_cases) and
+    # so, added, need the next width; at 8 bytes the sum crosses 2**64 and takes
+    # the signed path
+    for width, (ca, cb) in {1: (3, 5), 2: (257, 15), 4: (257 * 65537, 15),
+                            8: (257 * 641 * 65537 * 6700417, 15)}.items():
+        yield pytest.param(ca, cb, 17, 2, id=f"two_fill_{width}_bytes")
+    # signed: each bound 3 * 1 * 21 = 63 takes one byte with its sign bit free,
+    # three of them reach -189, which needs two
+    yield pytest.param(-3, 1, 21, 3, id="three_signed_fill_1_byte")
+
+
+@pytest.mark.parametrize("ca, cb, size, count", _sum_slot_cases())
+@pytest.mark.parametrize("capped", [False, True])
+def test_dot_slot_comes_from_the_bound_of_the_sum(ca, cb, size, count, capped):
+    pairs = [(QPoly({k: ca for k in range(size)}), QPoly({k: cb for k in range(size)}))] * count
+    cap = size - 1 if capped else None  # the middle key: every coefficient still reaches it
+    want = oracle_dot(pairs, cap)
+    assert want[size - 1] == count * ca * cb * size  # the middle key holds every product's bound
+    assert as_frac_dict(dot(pairs, None if cap is None else Truncation(cap))) == want
+
+
+def test_dot_keeps_whole_packs_per_width_and_never_a_clipped_one():
+    a = QPoly({k: 3 for k in range(20)})
+    narrow = QPoly({k: 1 for k in range(20)})  # 3 * 1 * 20 = 60: one byte for one pair
+    wide = QPoly({k: 5000 + k for k in range(20)})  # about 2**21: four bytes
+    for pairs in ([(a, narrow)], [(a, narrow)] * 5, [(a, wide), (narrow, a)]):
+        assert as_frac_dict(dot(pairs)) == oracle_dot(pairs)
+        assert as_frac_dict(dot(pairs, Truncation(12))) == oracle_dot(pairs, 12)  # clips every operand
+    assert sorted(a._view[4]) == [1, 2, 4]  # 5 * 60 = 300 took two bytes
+    for p in (a, narrow, wide):
+        cs, packs = p._view[1], p._view[4]
+        assert packs and all(v == sum(c << (8 * w * i) for i, c in enumerate(cs)) for w, v in packs.items())
 
 
 def test_binom_kernel_shape_sizes():

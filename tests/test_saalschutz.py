@@ -14,7 +14,7 @@ import qident
 from qident import saalschutz
 from qident.errors import InvalidParams, UnbalancedParameters
 from qident.qbinom import qbin
-from qident.qpoly import ONE, ZERO, QPoly, mul, qpoch, render
+from qident.qpoly import _PAIRS_PER_TERM, ONE, ZERO, QPoly, mul, qpoch, render
 from qident.saalschutz import (
     ClassicParams,
     SaalschutzParams,
@@ -155,6 +155,28 @@ def test_qs2_identity_or_documented_failure(L1, L2, M, ell):
         assert rhs != ZERO
     else:
         assert lhs == rhs
+
+
+
+def test_qs2_lhs_is_its_sum_of_products_beyond_the_default_box():
+    packed = []  # per draw: whether two or more terms are above mul's cut-over
+    axis = st.one_of(st.integers(-12, 12), st.integers(3, 12))  # half the draws where sums are long
+
+    @given(axis, axis, axis, st.integers(-12, 12))
+    @settings(max_examples=300, deadline=None)
+    def check(L1, L2, M, ell):
+        total, dense = ZERO, 0
+        if L1 + L2 >= 0:  # the sum as one running total, a product at a time
+            for i in range(max(0, -ell), min(M, L2, L1 - ell) + 1):
+                outer = qbin(L1 + L2 + M - i, M - i)
+                inner = mul(qbin(L1, i + ell), qbin(L2, i)).times_monomial(1, i * (i + ell))
+                total = total + mul(outer, inner)
+                dense += len(outer) * len(inner) > _PAIRS_PER_TERM * (len(outer) + len(inner))
+        assert qs2_lhs(ClassicParams(L1, L2, M, ell)) == total
+        packed.append(dense >= 2)
+
+    check()
+    assert sum(packed) >= 20, f"{sum(packed)} of {len(packed)} draws packed two products or more"
 
 
 # --- qcv ---------------------------------------------------------------------------
