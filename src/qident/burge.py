@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import Checked, InvalidParams, UnknownClosedForm
-from .lattice import axis_source, cartan, system_sum
+from .lattice import axis_source, cartan, i_sum, system_sum
 from .qbinom import qbin
 from .qpoly import ONE, ZERO, QPoly, as_int, half_int, mul, norm_rat, twice
 
@@ -146,34 +146,6 @@ def burge_xn(bp: BurgeParams, checked: bool = False) -> QPoly:
 
 # --- transforms -------------------------------------------------------------------
 
-def _level_kernel_sum(
-    n_lat: int, sigma: int, M1: int, M2: int, two_l12: int, child_args,
-) -> QPoly:
-    """Shared body of the transforms; two_l12 = 2(L1+L2), child_args builds the bounds.
-
-    The window's lower end is ceil(-M12/2) for both transforms: in either
-    orientation the child's top-minus-bottom differences sum to 2i+M12 plus
-    a quantity whose minimum over j is zero, so terms below that vanish.
-    """
-    cd = cartan(n_lat)
-    M12 = M1 - M2
-    if (M12 + sigma * n_lat) % 2:
-        raise InvalidParams("M1-M2 + sigma*N must be even")
-    l1l2 = half_int(two_l12, "L1+L2")
-    total = ZERO
-    for i in range(_ceil_div(-M12, 2), M2 + 1):
-        kernel = qbin(l1l2 + M2 - i, M2 - i)
-        if kernel.is_zero():
-            continue
-        v = axis_source(cd.rank, [(1, 2 * i + M12)])
-        inner = system_sum(cd, v, 2 * i + M12 + sigma * n_lat,
-                           lambda m: child_args(i, m[0] if m else 0))
-        if inner.is_zero():
-            continue
-        total = total + mul(kernel, inner).times_monomial(1, i * (i + M12), n_lat)
-    return total
-
-
 def transform_burgetrafo_n(
     n_lat: int, sigma: int, M1: int, L1: Rational, M2: int, L2: Rational, child: Evaluator4,
 ) -> QPoly:
@@ -182,35 +154,37 @@ def transform_burgetrafo_n(
     At N = 1 and sigma = M12 mod 2 the inner sum is the single term m1 = 0,
     and this is Burge's first transform, sum_i q^{i(i+M12)}
     [L1+L2+M2-i over M2-i] child(i+M12, L1-i, i, L2-M12-i).
+
+    The window's lower end is ceil(-M12/2): the child's top-minus-bottom
+    differences sum to 2i+M12 plus a quantity whose minimum over j is zero,
+    so terms below that vanish.
     """
     M12 = M1 - M2
     two_l1, two_l2 = twice(L1, "L1"), twice(L2, "L2")
+    if (M12 + sigma * n_lat) % 2:
+        raise InvalidParams("M1-M2 + sigma*N must be even")
+    l1l2 = half_int(two_l1 + two_l2, "L1+L2")
 
-    def child_args(i: int, m1: int) -> QPoly:
-        a = half_int(two_l1 - 2 * i + m1, "child L1")
-        b = half_int(two_l2 - 2 * (M12 + i) + m1, "child L2")
-        return child(i + M12, a, i, b)
+    def weight(i: int, m) -> QPoly:
+        m1 = m[0] if m else 0
+        return child(i + M12, half_int(two_l1 - 2 * i + m1, "L1-i+m1/2"), i,
+                     half_int(two_l2 - 2 * (M12 + i) + m1, "L2-M12-i+m1/2"))
 
-    return _level_kernel_sum(n_lat, sigma, M1, M2, two_l1 + two_l2, child_args)
+    return i_sum(cartan(n_lat), M12, sigma * n_lat, range(_ceil_div(-M12, 2), M2 + 1), weight,
+                 lambda i: qbin(l1l2 + M2 - i, M2 - i))
 
 
 def transform_trafo(
     n_lat: int, sigma: int, M1: int, L1: Rational, M2: int, L2: Rational, child: Evaluator4,
 ) -> QPoly:
-    """Level-N kernel over child(L1-i+m1/2, i+M12, L2-M12-i+m1/2, i).
+    """Level-N kernel over child(L1-i+m1/2, i+M12, L2-M12-i+m1/2, i): the first
+    transform over the child with each (M, L) pair swapped.
 
     At N = 1 and sigma = M12 mod 2 this is Burge's second transform, the
     same kernel over child(L1-i, i+M12, L2-M12-i, i).
     """
-    M12 = M1 - M2
-    two_l1, two_l2 = twice(L1, "L1"), twice(L2, "L2")
-
-    def child_args(i: int, m1: int) -> QPoly:
-        a = half_int(two_l1 - 2 * i + m1, "child M1")
-        b = half_int(two_l2 - 2 * (M12 + i) + m1, "child M2")
-        return child(a, i + M12, b, i)
-
-    return _level_kernel_sum(n_lat, sigma, M1, M2, two_l1 + two_l2, child_args)
+    return transform_burgetrafo_n(n_lat, sigma, M1, L1, M2, L2,
+                                  lambda m1, l1, m2, l2: child(l1, m1, l2, m2))
 
 
 def child_labels(labels: Tuple[int, int, int, int], tag: str, n_lat: int = 1,
@@ -396,10 +370,8 @@ def closed_form(name: str, M: int, L: Rational, n_lat: int = 1, sigma: int = 0) 
             return ZERO
         Li = as_int(L, "L")
         return qbin(2 * Li + M, 2 * Li)
-    if name == "tadpole":
-        return _tadpole_form(M, L, n_lat, sigma)
-    if name == "a_n":
-        return _a_n_form(M, L, n_lat, sigma)
+    if name in ("tadpole", "a_n"):
+        return _lattice_form(M, L, n_lat, sigma, a_n=name == "a_n")
     if name == "rr_n":
         return _rr_n_form(M, L, n_lat, sigma)
     if name == "slater":
@@ -407,57 +379,31 @@ def closed_form(name: str, M: int, L: Rational, n_lat: int = 1, sigma: int = 0) 
     raise UnknownClosedForm(name)
 
 
-def _tadpole_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
+def _lattice_form(M: int, L: Rational, n_lat: int, sigma: int, a_n: bool) -> QPoly:
+    """The tadpole display on rank N-1 tadpole data or, with a_n, the A_N one on rank N."""
     two_l = twice(L, "L")
     if n_lat % 2 and sigma != 0:
         raise InvalidParams("odd N forces sigma = 0 here")
-    cd = cartan(n_lat, "tadpole")
+    cd = cartan(n_lat + 1) if a_n else cartan(n_lat, "tadpole")
     v = axis_source(cd.rank, [(1, two_l)])
+    top = (2 if a_n else 1) * two_l + 2 * M  # twice the binomial top, less m1
 
     def weight(m):
-        if not _parity_ok(m[2] if m else (), n_lat, sigma, flip=False):
+        if not _parity_ok(m[2] if m else (), n_lat, sigma, flip=a_n):
             return ZERO
-        m1 = m[0] if m else 0
-        return qbin(half_int(two_l + 2 * M - m1, "binomial top"), two_l)
+        return qbin(half_int(top - (m[0] if m else 0), "binomial top"), two_l)
 
     # m C m / 4 = n Cinv n - v Cinv n + v Cinv v / 4 for m = Cinv (v - 2n), C symmetric;
-    # the prefactor v Cinv v / 4 + L^2 is (qform(v) + cinv_den (2L)^2) / (4 cinv_den)
-    total = system_sum(cd, v, None, weight, shift=v)
-    return total.times_monomial(1, cd.qform(v) + cd.cinv_den * two_l * two_l, 4 * cd.cinv_den)
-
-
-def _a_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
-    two_l = twice(L, "L")
-    if n_lat % 2 and sigma != 0:
-        raise InvalidParams("odd N forces sigma = 0 here")
-    cd = cartan(n_lat + 1, "a")  # rank N system
-    v = axis_source(cd.rank, [(1, two_l)])
-
-    def weight(m):
-        if not _parity_ok(m[2] if m else (), n_lat, sigma, flip=True):
-            return ZERO
-        m1 = m[0] if m else 0
-        return qbin(half_int(2 * two_l + 2 * M - m1, "binomial top"), two_l)
-
-    # exponent m C m / 4, rewritten as in _tadpole_form
-    return system_sum(cd, v, None, weight, shift=v).times_monomial(1, cd.qform(v), 4 * cd.cinv_den)
+    # the prefactor v Cinv v / 4, plus L^2 for the tadpole, is one integer over 4 cinv_den
+    pre = cd.qform(v) + (0 if a_n else cd.cinv_den * two_l * two_l)
+    return system_sum(cd, v, None, weight, shift=v).times_monomial(1, pre, 4 * cd.cinv_den)
 
 
 def _rr_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
     two_l = twice(L, "L")
-    cd = cartan(n_lat)
-    total = ZERO
-    for i in range(0, M + 1):
-        outer = qbin(two_l + M - i, two_l)
-        if outer.is_zero():
-            continue
-        v = axis_source(cd.rank, [(1, 2 * i)])
-        inner = system_sum(cd, v, 2 * i + sigma * n_lat,
-                           lambda m: qbin(two_l - i + (m[0] if m else 0), i))
-        if inner.is_zero():
-            continue
-        total = total + mul(outer, inner).times_monomial(1, i * i, n_lat)
-    return total
+    return i_sum(cartan(n_lat), 0, sigma * n_lat, range(M + 1),
+                 lambda i, m: qbin(two_l - i + (m[0] if m else 0), i),
+                 lambda i: qbin(two_l + M - i, two_l))
 
 
 def _slater_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:

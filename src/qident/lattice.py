@@ -32,6 +32,12 @@ functions of hashable arguments alone: the solutions of each (cd, v, offset),
 the class table of each (cd, v, offset, shift) with each class's weight-free
 sum once a weight keeps it, and plain_sum of each (cd, v, offset, shift).  At
 rank 0 the one solution n = () has form 0, so a weighted sum needs no table.
+
+Most of them share one outer shape too, the paper's sum_i outer(i)
+q^(i(i+ell)/N) times the sum over v = (2i+ell) e_1 + extra at offset 2i+ell+t:
+i_sum is that loop and i_term its i-th term.  Its callers are burge's level-N
+transforms and rr_n form, gensum (i_term, under its prefix memo), tnew_rhs,
+difference_sides, limlm_sides and string_fermionic.
 """
 
 from __future__ import annotations
@@ -40,15 +46,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParams
 from .qbinom import qbin_vector
-from .qpoly import ONE, ZERO, QPoly, mul
+from .qpoly import ONE, ZERO, QPoly, Truncation, mul
 
 Offset = Optional[int]  # t in the restriction t/(2N) + (Cinv n)_1 in Z; None: unrestricted
 IntVec = Tuple[int, ...]
 Weight = Callable[[tuple], QPoly]  # of a class key (m_1, m_last, m mod 2); () at rank 0
+IWeight = Callable[[int, tuple], QPoly]  # of i and a class key, for i_term
 
 
 @dataclass(frozen=True)
@@ -274,6 +281,35 @@ def plain_sum(cd: CartanData, v: IntVec, offset: Offset, shift: Optional[IntVec]
     """system_sum with weight 1, kept per process on its (hashable) arguments;
     all solutions as one class, so no class table is kept beside it."""
     return _class_sum(cd, enumerate_admissible(cd, v, offset), shift)
+
+
+def i_term(cd: CartanData, i: int, ell: int, t: int, weight: Optional[IWeight] = None,
+           extra: Sequence[Tuple[int, int]] = (), shift: Optional[IntVec] = None) -> QPoly:
+    """q^(i(i+ell)/N) times the sum over v = (2i+ell) e_1 + extra at offset 2i+ell+t,
+    weighted by weight(i, key), or plain_sum's when there is no weight."""
+    v = axis_source(cd.rank, [(1, 2 * i + ell), *extra])
+    offset = 2 * i + ell + t
+    if weight is not None:
+        inner = system_sum(cd, v, offset, lambda key: weight(i, key), shift)
+    else:  # three arguments when shift-free: the cache key series._gamma_delta's calls share
+        inner = plain_sum(cd, v, offset) if shift is None else plain_sum(cd, v, offset, shift)
+    return inner.times_monomial(1, i * (i + ell), cd.n)
+
+
+def i_sum(cd: CartanData, ell: int, t: int, i_range: Iterable[int], weight: Optional[IWeight] = None,
+          outer: Optional[Callable[[int], QPoly]] = None, extra: Sequence[Tuple[int, int]] = (),
+          shift: Optional[IntVec] = None, trunc: Optional[Truncation] = None) -> QPoly:
+    """sum over i in i_range of outer(i) i_term(cd, i, ell, t, weight, extra, shift), outer
+    1 by default, each product capped at trunc; an i of zero outer factor builds no inner sum."""
+    total = ZERO
+    for i in i_range:
+        factor = ONE if outer is None else outer(i)
+        if factor.is_zero():
+            continue
+        term = i_term(cd, i, ell, t, weight, extra, shift)
+        if not term.is_zero():
+            total = total + mul(factor, term, trunc)
+    return total
 
 
 def axis_source(rank: int, pairs: Sequence[Tuple[int, int]]) -> IntVec:

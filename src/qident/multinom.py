@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import Checked, InvalidParams, NonPolynomial
-from .lattice import CartanData, axis_source, cartan, shell, system_sum
+from .lattice import CartanData, axis_source, cartan, i_sum, shell
 from .qbinom import qbin, qbin_vector
 from .qpoly import ZERO, QPoly, eval_at_one, half_int, mul, norm_rat, twice
 
@@ -130,24 +130,16 @@ def tnew_rhs(N: int, L: int, ell: int, sigma: int, checked: bool = False) -> QPo
         raise InvalidParams("sigma must be 0 or 1 with sigma = L mod 2")
     if not checked:
         MultinomialQuery(N, L, Fraction(ell, 2)).validate()
-    cd = cartan(N)
-    total = ZERO
-    # a nonzero term needs 2i <= L - ell + m1 and m1 <= ((2i+ell)(N-1)+n)/N
-    for i in range(0, max(0, (N * L - ell) // 2) + 1):
-        v = axis_source(cd.rank, [(1, 2 * i + ell)])
-        offset = N * L + 2 * i + ell  # L/2 + (2i+ell)/(2N), over 2N
 
-        def weight(m):
-            m1 = m[0] if m else 0
-            top1 = half_int(L + ell + m1, "binomial entry")
-            top2 = half_int(L - ell + m1, "binomial entry")
-            return mul(qbin(top1, i + ell), qbin(top2, i))
+    def weight(i, m):
+        m1 = m[0] if m else 0
+        top1 = half_int(L + ell + m1, "binomial entry")
+        top2 = half_int(L - ell + m1, "binomial entry")
+        return mul(qbin(top1, i + ell), qbin(top2, i))
 
-        inner = system_sum(cd, v, offset, weight)
-        if inner.is_zero():
-            continue
-        total = total + inner.times_monomial(1, i * (i + ell), N)
-    return total
+    # a nonzero term needs 2i <= L - ell + m1 and m1 <= ((2i+ell)(N-1)+n)/N; the
+    # offset N L + 2i + ell is L/2 + (2i+ell)/(2N) over 2N
+    return i_sum(cartan(N), ell, N * L, range(max(0, (N * L - ell) // 2) + 1), weight)
 
 
 def difference_sides(N: int, L: int, ell: int, n_index: int) -> Tuple[QPoly, QPoly]:
@@ -166,22 +158,16 @@ def difference_sides(N: int, L: int, ell: int, n_index: int) -> Tuple[QPoly, QPo
     lhs = _t_sum(cd, L, n_index - ell, n_index)
     lhs = lhs - _t_sum(cd, L, n_index + ell + 2, n_index).times_monomial(1, ell + 1, N)
     source_idx = N - n_index
-    shift = axis_source(cd.rank, [(source_idx, 1)])
-    rhs = ZERO
-    for i in range(0, max(0, (N * L - ell + n_index) // 2) + 1):
-        v = axis_source(cd.rank, [(1, 2 * i + ell), (source_idx, 1)])
-        offset = N * L + 2 * i + ell - n_index  # L/2 + (2i+ell-n)/(2N), over 2N
 
-        def weight(m):
-            m1 = m[0] if m else 0
-            t0, t1, t2, t3 = (half_int(L + k + m1, "binomial entry")
-                              for k in (ell, -ell, ell + 2, -ell - 2))
-            return mul(qbin(t0, i + ell), qbin(t1, i)) - mul(qbin(t2, i + ell + 1), qbin(t3, i - 1))
+    def weight(i, m):
+        m1 = m[0] if m else 0
+        t0, t1, t2, t3 = (half_int(L + k + m1, "binomial entry")
+                          for k in (ell, -ell, ell + 2, -ell - 2))
+        return mul(qbin(t0, i + ell), qbin(t1, i)) - mul(qbin(t2, i + ell + 1), qbin(t3, i - 1))
 
-        inner = system_sum(cd, v, offset, weight, shift=shift)
-        if inner.is_zero():
-            continue
-        rhs = rhs + inner.times_monomial(1, i * (i + ell), N)
+    # the offset N L + 2i + ell - n is L/2 + (2i+ell-n)/(2N) over 2N
+    rhs = i_sum(cd, ell, N * L - n_index, range(max(0, (N * L - ell + n_index) // 2) + 1), weight,
+                extra=((source_idx, 1),), shift=axis_source(cd.rank, [(source_idx, 1)]))
     return lhs, rhs
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import Checked, UnbalancedParameters
-from .lattice import axis_source, cartan, class_terms, system_sum
+from .lattice import axis_source, cartan, class_terms, i_term
 from .qbinom import qbin, qbin_mod_tb
 from .qpoly import ZERO, QPoly, dot, half_int, mul, norm_rat, twice
 
@@ -212,17 +212,15 @@ def gensum_lhs(p: SaalschutzParams, checked: bool = False) -> QPoly:
 
 def _gensum_inner(N: int, sigma: int, ell: int, i: int, two_l1: int, two_l2: int) -> QPoly:
     """q^(i(i+ell)/N) times the M-free (m,n)-system sum of the i-th gensum term, at 2 L1, 2 L2."""
-    cd = cartan(N)
 
-    def weight(m):
+    def weight(i, m):
         m1 = m[0] if m else 0
         b1 = qbin(half_int(two_l1 + m1, "binomial entry"), i + ell)
         if b1.is_zero():
             return b1
         return mul(b1, qbin(half_int(two_l2 + m1, "binomial entry"), i))
 
-    v = axis_source(cd.rank, [(1, 2 * i + ell)])
-    return system_sum(cd, v, 2 * i + ell + sigma * N, weight).times_monomial(1, i * (i + ell), N)
+    return i_term(cartan(N), i, ell, sigma * N, weight)
 
 
 def gensum_rhs(p: SaalschutzParams, checked: bool = False) -> QPoly:

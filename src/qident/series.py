@@ -5,9 +5,10 @@ supplied degree cap D.  Infinite sums are cut off by lower bounds on the
 degree of their terms: quadratic prefactors for the i-sums, the positive
 definite quadratic form for the eta-sums (lattice.shell walks the eta under
 the cap).  The spinon sum has no proven bound: its per-term minimum degree
-tracks i(i+m)/N + (l^2 - m^2)/(4N) to within 3/2 on all probed grids, so it
-stops at a slack of 2 past the cap and then checks itself, raising unless
-the configuration sums of the next few i have no term at or below the cap.
+falls below i(i+m)/N + (l^2 - m^2)/(4N) by a gap that grows with N (1 at N = 2,
+2 at N = 4, 3.43 at N = 7, 6 at N = 12), so its fixed slack of 2 past the cap
+falls short from N = 5 on.  It checks itself: it raises unless the
+configuration sums of the next few i have no term at or below the cap.
 
 An M of None means the unbounded version of a display: binomial factors
 degenerate to inverse factorials and 1/(q)_{M-L} to 1/(q)_inf.
@@ -23,11 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, takewhile
 from typing import Dict, Optional, Tuple
 
 from . import multinom  # lazily loaded: only the spinon sum runs it
 from .errors import Checked, InvalidParams, StabilizationFailure
-from .lattice import axis_source, cartan, plain_sum, shell
+from .lattice import axis_source, cartan, i_sum, plain_sum, shell
 from .qpoly import (
     ONE,
     ZERO,
@@ -94,7 +96,7 @@ def _inverse_sum_cached(cd, residue: int, trunc: Truncation) -> QPoly:
     for eta, form in shell(cd, residue, cap=trunc.degree_cap):
         term = prod((inv_qpoch(1, e, trunc) for e in eta), trunc)
         total = total + term.times_monomial(1, form, cd.cinv_den)
-    return mul(total, ONE, trunc)
+    return total.truncate(trunc)
 
 
 def durfee_sides(ell: int, trunc: Truncation) -> Tuple[QPoly, QPoly]:
@@ -161,7 +163,7 @@ def conjugate_pair_failure(bq: BaileyPairQuery) -> Optional[Tuple[int, QPoly, QP
             term = mul(term, inv_qpoch(bq.ell + 1, r + L, trunc), trunc)
             rhs = rhs + term
         if not truncated_equal(gamma, rhs, trunc):
-            return L, gamma, mul(rhs, ONE, trunc)
+            return L, gamma, rhs.truncate(trunc)
     return None
 
 
@@ -172,16 +174,9 @@ def limlm_sides(N: int, ell: int, sigma: int, trunc: Truncation) -> Tuple[QPoly,
         raise InvalidParams("ell + sigma*N must be even")
     cd = cartan(N)
     d = trunc.degree_cap
-    lhs = ZERO
-    i = 0
-    while Fraction(i * (i + ell), N) <= d:
-        inner = plain_sum(cd, axis_source(cd.rank, [(1, 2 * i + ell)]), 2 * i + ell + sigma * N)
-        if not inner.is_zero():
-            term = mul(inv_qpoch(1, i, trunc), inv_qpoch(1, i + ell, trunc), trunc)
-            term = mul(term, inner, trunc)
-            lhs = lhs + term.times_monomial(1, i * (i + ell), N)
-        i += 1
-    lhs = mul(lhs, ONE, trunc)
+    lhs = i_sum(cd, ell, sigma * N, takewhile(lambda i: Fraction(i * (i + ell), N) <= d, count()),
+                outer=lambda i: mul(inv_qpoch(1, i, trunc), inv_qpoch(1, i + ell, trunc), trunc),
+                trunc=trunc)
     rhs = mul(
         euler_inverse_truncated(trunc),
         _restricted_inverse_sum(cd, ell + sigma * N, trunc),
@@ -219,7 +214,7 @@ def string_spinon(sq: StringFunctionQuery) -> QPoly:
         if not X.is_zero() and X.min_exponent() <= d:
             low = X.min_exponent()
             raise StabilizationFailure(f"spinon cutoff too early: i={i} reaches q^{low} <= q^{d}")
-    return mul(total, ONE, inner_trunc).times_monomial(1, pre_exp.numerator, pre_exp.denominator)
+    return total.truncate(inner_trunc).times_monomial(1, pre_exp.numerator, pre_exp.denominator)
 
 
 def string_fermionic(sq: StringFunctionQuery) -> QPoly:
@@ -233,17 +228,11 @@ def string_fermionic(sq: StringFunctionQuery) -> QPoly:
     d = inner_trunc.degree_cap
     cd = cartan(N)
     shift = axis_source(cd.rank, [(ell, 1)])  # zero unless 1 <= ell <= N-1
-    total = ZERO
-    i = 0
-    while Fraction(i * (i + m), N) <= d or i <= abs(m):
-        v = axis_source(cd.rank, [(1, 2 * i + m), (ell, 1)])
-        inner = plain_sum(cd, v, 2 * i + m + ell, shift)
-        if not inner.is_zero():
-            term = mul(inv_qpoch(1, i, inner_trunc), inv_qpoch(1, i + m, inner_trunc), inner_trunc)
-            term = mul(term, inner, inner_trunc)
-            total = total + term.times_monomial(1, i * (i + m), N)
-        i += 1
-    return mul(total, ONE, inner_trunc).times_monomial(1, pre_exp.numerator, pre_exp.denominator)
+    in_reach = takewhile(lambda i: Fraction(i * (i + m), N) <= d or i <= abs(m), count())
+    total = i_sum(cd, m, ell, in_reach, outer=lambda i: mul(
+        inv_qpoch(1, i, inner_trunc), inv_qpoch(1, i + m, inner_trunc), inner_trunc),
+        extra=((ell, 1),), shift=shift, trunc=inner_trunc)
+    return total.times_monomial(1, pre_exp.numerator, pre_exp.denominator)
 
 
 def string_lp(sq: StringFunctionQuery) -> QPoly:
@@ -317,4 +306,4 @@ def sum_side(which: str, trunc: Truncation) -> QPoly:
             n += 1
     else:
         raise InvalidParams(f"unknown product family: {which!r}")
-    return mul(total, ONE, trunc)
+    return total.truncate(trunc)

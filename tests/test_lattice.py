@@ -15,13 +15,15 @@ from qident.lattice import (
     cartan,
     class_terms,
     enumerate_admissible,
+    i_sum,
+    i_term,
     plain_sum,
     shell,
     solve_system,
     system_sum,
 )
 from qident.qbinom import qbin
-from qident.qpoly import ONE, ZERO, QPoly, mul
+from qident.qpoly import ONE, ZERO, QPoly, Truncation, mul
 
 
 # --- independent oracle ----------------------------------------------------
@@ -525,3 +527,81 @@ def test_plain_sum_keeps_the_uncached_weight_free_sum(kind, n):
                 assert plain_sum.cache_info().hits == hits + 1
                 nonzero += not want.is_zero()
     assert nonzero
+
+
+# --- the summation loop over i -------------------------------------------------------
+
+def _explicit_i_sum(cd, ell, t, i_range, weight, outer, extra, shift, trunc):
+    """The loop written out: system_sum or plain_sum per i, times outer(i), shifted
+    by q^(i(i+ell)/N), the whole sum truncated once at the end."""
+    total = ZERO
+    for i in i_range:
+        v = axis_source(cd.rank, [(1, 2 * i + ell), *extra])
+        if weight is None:
+            inner = plain_sum(cd, v, 2 * i + ell + t, shift)
+        else:
+            inner = system_sum(cd, v, 2 * i + ell + t, lambda key, i=i: weight(i, key), shift)
+        factor = ONE if outer is None else outer(i)
+        total = total + mul(factor, inner).times_monomial(1, i * (i + ell), cd.n)
+    return total if trunc is None else total.truncate(trunc)
+
+
+def _i_weight(i, key):
+    # zero when m_1 = i mod 3, a fractional monomial of i and the key otherwise
+    m1, m_last, m_mod2 = key or (0, 0, ())
+    if m1 % 3 == i % 3 and key:
+        return ZERO
+    return QPoly.monomial(1 + i + m_last + sum(m_mod2), Fraction(m1 + i, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_i_sum_is_the_explicit_sum_of_its_terms(n):
+    # ranks 0-3; outer factors that vanish at some i, a source e_r beyond e_1 with
+    # the offset moved by r as at the callers, a shift, a cap
+    cd = cartan(n)
+    r = cd.rank
+    outers = (None, lambda i: qbin(4 - i, 2), lambda i: QPoly.monomial(i - 2, Fraction(1, 3)))
+    nonzero = cases = 0
+    for extra, shift in (((), None), (((r, 1),), None), (((r, 1),), axis_source(r, [(r, 1)]))):
+        for ell, sigma in itertools.product(range(-1, 3), (0, 1)):
+            t = sigma * n + (r if extra else 0)
+            if (ell + t) % 2:  # ell + t is even at every caller
+                continue
+            for weight, outer, trunc in itertools.product(
+                    (None, _i_weight), outers, (None, Truncation(Fraction(9, 2)))):
+                args = (cd, ell, t, range(-1, 6), weight, outer, extra, shift, trunc)
+                got = i_sum(*args)
+                assert got == _explicit_i_sum(*args), (ell, t, extra, shift, trunc)
+                cases += 1
+                nonzero += not got.is_zero()
+                if trunc is not None and got:
+                    assert got.max_exponent() <= trunc.degree_cap
+    assert 10 * nonzero >= 9 * cases
+
+
+def test_i_term_is_one_shifted_lattice_sum():
+    cd = cartan(3)
+    v = axis_source(cd.rank, [(1, 7), (2, 1)])
+    want = system_sum(cd, v, 7 + 4, lambda key: _i_weight(3, key), (0, 1)).times_monomial(1, 3 * 4, 3)
+    assert i_term(cd, 3, 1, 4, _i_weight, ((2, 1),), (0, 1)) == want
+    assert i_term(cd, 3, 1, 4) == plain_sum(cd, (7, 0), 11).times_monomial(1, 12, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_zero_outer_factor_never_reads_the_weight(n):
+    cd = cartan(n)
+    calls = []
+
+    def weight(i, key):
+        calls.append(i)
+        return QPoly.monomial(1, i)
+
+    def outer(i):  # zero at odd i
+        return ZERO if i % 2 else qbin(6, i)
+
+    got = i_sum(cd, 0, 0, range(7), weight, outer)
+    assert calls and set(calls) <= {0, 2, 4, 6}
+    assert got == _explicit_i_sum(cd, 0, 0, range(0, 7, 2), weight, outer, (), None, None)
+    calls.clear()
+    assert i_sum(cd, 0, 0, range(7), weight, lambda i: ZERO) == ZERO
+    assert calls == []

@@ -158,8 +158,9 @@ def caps_for(draw, a, b):
         return max(Fraction(0), lo - Fraction(1, 2))
     if where == "lowest":
         return lo
-    if where == "inside":
-        return draw(st.fractions(min_value=lo, max_value=hi, max_denominator=6))
+    if where == "inside":  # a bound's denominator may pass 6, as 1/4 + 1/3 does
+        return draw(st.fractions(min_value=lo, max_value=hi,
+                                 max_denominator=max(6, lo.denominator, hi.denominator)))
     return hi if where == "highest" else hi + draw(st.integers(min_value=1, max_value=5))
 
 
