@@ -25,6 +25,15 @@ The tree: for N = 1, breadth-first iteration of both transforms from
 the trivial seed (p,p',r,s) = (1,2,0,1).  For N > 1 the classic tree is
 kept as a backbone and each backbone node sprouts two level-N leaves,
 whose labels follow the symmetric level-N transform rules.
+
+Closed forms: CLOSED_FORMS gives each display its level, its node labels
+and its evaluator.  The level displays tadpole, euler_n, a_n and rr_n hold
+at every N.  Burge's nn, euler, ising and rr are their N = 1 cases: they
+live at N = 1 only and share those evaluators.  initial, the seed's
+Kronecker delta, also lives at N = 1.  slater lives at N = 2 only and is a
+second display of the rr_n node.  It keeps its own double sum, since it is
+an independent check of that polynomial; folded into rr_n, its rows would
+be copies of the rr_n rows.
 """
 
 from __future__ import annotations
@@ -32,12 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import Checked, InvalidParams, UnknownClosedForm
 from .lattice import axis_source, cartan, i_sum, system_sum
 from .qbinom import qbin
-from .qpoly import ONE, ZERO, QPoly, as_int, half_int, mul, norm_rat, twice
+from .qpoly import ONE, ZERO, QPoly, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 Evaluator4 = Callable[[int, int, int, int], QPoly]
@@ -339,51 +349,14 @@ def _parity_ok(m_mod2: Sequence[int], n_lat: int, sigma: int, flip: bool) -> boo
     return True
 
 
-def closed_form(name: str, M: int, L: Rational, n_lat: int = 1, sigma: int = 0) -> QPoly:
-    """Explicit right-hand sides for the recognized tree nodes."""
-    if name == "initial":
-        return ONE if L == 0 else ZERO
-    if name == "nn":
-        Li = as_int(L, "L")
-        return qbin(Li + M, 2 * Li).times_monomial(1, Li * Li)
-    if name == "euler":
-        Li = as_int(L, "L")
-        return qbin(2 * Li + M, 2 * Li)
-    if name == "ising":
-        Li = as_int(L, "L")
-        total = ZERO
-        for m in range(0, Li + 1, 2):
-            t = mul(qbin(2 * Li + M - m // 2, 2 * Li), qbin(Li, m))
-            if not t.is_zero():
-                total = total + t.times_monomial(1, m * m // 2)
-        return total
-    if name == "rr":
-        Li = as_int(L, "L")
-        total = ZERO
-        for k in range(0, Li + 1):
-            t = mul(qbin(2 * Li + M - k, 2 * Li), qbin(2 * Li - k, k))
-            if not t.is_zero():
-                total = total + t.times_monomial(1, k * k)
-        return total
-    if name == "euler_n":
-        if sigma != 0:
-            return ZERO
-        Li = as_int(L, "L")
-        return qbin(2 * Li + M, 2 * Li)
-    if name in ("tadpole", "a_n"):
-        return _lattice_form(M, L, n_lat, sigma, a_n=name == "a_n")
-    if name == "rr_n":
-        return _rr_n_form(M, L, n_lat, sigma)
-    if name == "slater":
-        return _slater_form(M, L, n_lat, sigma)
-    raise UnknownClosedForm(name)
+def _euler_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
+    two_l = twice(L, "L")
+    return ZERO if sigma else qbin(two_l + M, two_l)
 
 
 def _lattice_form(M: int, L: Rational, n_lat: int, sigma: int, a_n: bool) -> QPoly:
     """The tadpole display on rank N-1 tadpole data or, with a_n, the A_N one on rank N."""
     two_l = twice(L, "L")
-    if n_lat % 2 and sigma != 0:
-        raise InvalidParams("odd N forces sigma = 0 here")
     cd = cartan(n_lat + 1) if a_n else cartan(n_lat, "tadpole")
     v = axis_source(cd.rank, [(1, two_l)])
     top = (2 if a_n else 1) * two_l + 2 * M  # twice the binomial top, less m1
@@ -407,8 +380,6 @@ def _rr_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
 
 
 def _slater_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
-    if n_lat != 2:
-        raise InvalidParams("this double sum is the N=2 display")
     two_l = twice(L, "L")
     total = ZERO
     for i in range(0, M + 1):
@@ -426,27 +397,55 @@ def _slater_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
     return total
 
 
-# closed-form name -> its node labels (p, p', r, s) at level N
-FORM_LABELS: Dict[str, Callable[[int], Tuple[int, int, int, int]]] = {
-    "initial": lambda n: (1, 2, 0, 1),
-    "nn": lambda n: (1, 3, 0, 1),
-    "euler": lambda n: (2, 3, 1, 1),
-    "ising": lambda n: (3, 4, 1, 1),
-    "rr": lambda n: (2, 5, 1, 2),
-    "tadpole": lambda n: (1, 2 * n + 1, 0, n),
-    "euler_n": lambda n: (2, n + 2, 1, 1),
-    "a_n": lambda n: (3, n + 3, 1, 1),
-    "rr_n": lambda n: (2, 3 * n + 2, 1, n + 1),
-    "slater": lambda n: (2, 8, 1, 3),
+class ClosedForm(NamedTuple):
+    level: Optional[int]  # the one N the display lives at, or None for every N >= 1
+    labels: Callable[[int], Tuple[int, int, int, int]]  # its node (p, p', r, s) at level N
+    display: Callable[[int, Rational, int, int], QPoly]  # (M, L, N, sigma) -> value
+
+
+_tadpole_form = partial(_lattice_form, a_n=False)
+_a_n_form = partial(_lattice_form, a_n=True)
+
+# In this order: closed_form_name takes the first match, and it is the order
+# of the name axis of the burge.forms sweep.  A classic name is its level
+# display at N = 1.
+CLOSED_FORMS: Dict[str, ClosedForm] = {
+    "initial": ClosedForm(1, lambda n: (1, 2, 0, 1), lambda M, L, n, sg: ONE if L == 0 <= M else ZERO),
+    "nn": ClosedForm(1, lambda n: (1, 3, 0, 1), _tadpole_form),
+    "euler": ClosedForm(1, lambda n: (2, 3, 1, 1), _euler_n_form),
+    "ising": ClosedForm(1, lambda n: (3, 4, 1, 1), _a_n_form),
+    "rr": ClosedForm(1, lambda n: (2, 5, 1, 2), _rr_n_form),
+    "tadpole": ClosedForm(None, lambda n: (1, 2 * n + 1, 0, n), _tadpole_form),
+    "euler_n": ClosedForm(None, lambda n: (2, n + 2, 1, 1), _euler_n_form),
+    "a_n": ClosedForm(None, lambda n: (3, n + 3, 1, 1), _a_n_form),
+    "rr_n": ClosedForm(None, lambda n: (2, 3 * n + 2, 1, n + 1), _rr_n_form),
+    "slater": ClosedForm(2, lambda n: (2, 8, 1, 3), _slater_form),
 }
-CLASSIC_FORMS = ("initial", "nn", "euler", "ising", "rr")
-_LEVEL_FORMS = ("tadpole", "euler_n", "a_n", "rr_n")  # slater is not a tree node
+
+
+def closed_form(name: str, M: int, L: Rational, n_lat: int = 1, sigma: int = 0) -> QPoly:
+    """The display `name` of its node at the symmetric bounds M1 = M2 = M, L1 = L2 = L.
+
+    The point must exist: N >= 1, sigma in {0, 1} with sigma = 0 for odd N,
+    L - sigma/2 an integer, and a fixed-level name at its own level.
+    """
+    form = CLOSED_FORMS.get(name)
+    if form is None:
+        raise UnknownClosedForm(name)
+    if n_lat < 1:
+        raise InvalidParams("N must be >= 1")
+    if sigma not in (0, 1) or sigma * n_lat % 2:
+        raise InvalidParams("sigma must be 0 or 1, and 0 for odd N")
+    half_int(twice(L, "L") - sigma, "L - sigma/2")
+    if form.level not in (None, n_lat):
+        raise InvalidParams(f"{name} is the N = {form.level} display")
+    return form.display(M, L, n_lat, sigma)
 
 
 def closed_form_name(p: int, pprime: int, r: int, s: int, n_lat: int) -> Optional[str]:
-    """The inverse of FORM_LABELS on the nodes the tree recognizes."""
-    for name in CLASSIC_FORMS if n_lat == 1 else _LEVEL_FORMS:
-        if FORM_LABELS[name](n_lat) == (p, pprime, r, s):
+    """The first name in CLOSED_FORMS at level n_lat whose node has these labels."""
+    for name, form in CLOSED_FORMS.items():
+        if form.level in (None, n_lat) and form.labels(n_lat) == (p, pprime, r, s):
             return name
     return None
 

@@ -255,29 +255,27 @@ def _traf_family(identity_id: str, tag: str, parents: Tuple) -> Family:
 
 
 def _form_names() -> Tuple[str, ...]:
-    return tuple(burge.FORM_LABELS)
+    return tuple(burge.CLOSED_FORMS)
 
 
 def _form_point(name: str, N: int, sigma: int, M: int, L) -> Tuple[str, burge.BurgeParams]:
     """The form's name and its node at the symmetric bounds."""
-    return name, _symmetric(burge.FORM_LABELS[name](N), N, sigma, M, L)
+    return name, _symmetric(burge.CLOSED_FORMS[name].labels(N), N, sigma, M, L)
 
 
 def _form_levels(p: Dict) -> Tuple[int, ...]:
-    if p["name"] in burge.CLASSIC_FORMS:
-        return (1,)
-    return (2,) if p["name"] == "slater" else (2, 3)
+    level = burge.CLOSED_FORMS[p["name"]].level
+    return (2, 3) if level is None else (level,)
 
 
 def _form_span(p: Dict) -> int:
-    """The classic forms run over a wider (M, L) box."""
-    return 9 if p["name"] in burge.CLASSIC_FORMS else 6
+    """The N = 1 forms run over a wider (M, L) box."""
+    return 9 if burge.CLOSED_FORMS[p["name"]].level == 1 else 6
 
 
 def _form_applies(form: Tuple[str, burge.BurgeParams]) -> bool:
     name, bp = form
-    level_ok = (name not in burge.CLASSIC_FORMS or bp.N == 1) and (name != "slater" or bp.N == 2)
-    return level_ok and bp.violation() is None
+    return burge.CLOSED_FORMS[name].level in (None, bp.N) and bp.violation() is None
 
 
 def _form_sides(form: Tuple[str, burge.BurgeParams], d):

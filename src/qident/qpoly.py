@@ -69,14 +69,6 @@ def norm_rat(x) -> Exponent:
     return f.numerator if f.denominator == 1 else f
 
 
-def as_int(x, what: str) -> int:
-    """x as an int; InvalidParams names `what` when x is not integral."""
-    f = norm_rat(x)
-    if type(f) is not int:
-        raise InvalidParams(f"{what} must be an integer, got {x}")
-    return f
-
-
 def half_int(double: int, what: str) -> int:
     """double/2 as an int; InvalidParams names `what` and the half when double is odd."""
     if double & 1:

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qident.burge import (
+    CLOSED_FORMS,
     TREE_DEPTH_CAP,
     TREE_GRID_CAP,
     BurgeParams,
@@ -121,6 +122,17 @@ def test_classic_closed_forms(labels, name):
 def test_closed_form_unknown_name():
     with pytest.raises(UnknownClosedForm):
         closed_form("no-such-form", 1, 1)
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_every_display_is_its_node_at_negative_bounds(name):
+    # the node vanishes once M or L is negative, and so must its display
+    form = CLOSED_FORMS[name]
+    for n in (form.level,) if form.level else (1, 2, 3):
+        for sigma, m0, l0 in _sigma_grid(n, 3):
+            for m, l in ((m0 - 3, l0), (m0, l0 - 3)):
+                direct = burge_xn(BurgeParams(*form.labels(n), m, l, m, l, N=n, sigma=sigma))
+                assert closed_form(name, m, l, n, sigma) == direct, (n, sigma, m, l)
 
 
 def test_symmetry_relation():
@@ -253,20 +265,24 @@ def _sigma_grid(n, grid):
                 yield sigma, m, k + Fraction(sigma, 2)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_level_n_displays_three_ways(n):
+    # name -> (labels at level n, transform, seed display, Burge's name at n = 1)
     routes = {
-        "tadpole": ((1, 2 * n + 1, 0, n), transform_burgetrafo_n, "initial"),
-        "euler_n": ((2, n + 2, 1, 1), transform_trafo, "initial"),
-        "a_n": ((3, n + 3, 1, 1), transform_trafo, "nn"),
-        "rr_n": ((2, 3 * n + 2, 1, n + 1), transform_burgetrafo_n, "euler"),
+        "tadpole": ((1, 2 * n + 1, 0, n), transform_burgetrafo_n, "initial", "nn"),
+        "euler_n": ((2, n + 2, 1, 1), transform_trafo, "initial", "euler"),
+        "a_n": ((3, n + 3, 1, 1), transform_trafo, "nn", "ising"),
+        "rr_n": ((2, 3 * n + 2, 1, n + 1), transform_burgetrafo_n, "euler", "rr"),
     }
-    for name, (labels, tf, seed) in routes.items():
+    for name, (labels, tf, seed, classic) in routes.items():
         p, pp, r, s = labels
-        assert closed_form_name(p, pp, r, s, n) == name
+        # at n = 1 the node is Burge's, and the table names it first
+        node_name = classic if n == 1 else name
+        assert closed_form_name(p, pp, r, s, n) == node_name
         for sigma, m, l in _sigma_grid(n, 3):
             direct = burge_xn(BurgeParams(p, pp, r, s, m, l, m, l, N=n, sigma=sigma))
             form = closed_form(name, m, l, n, sigma)
+            assert closed_form(node_name, m, l, n, sigma) == form
             # at symmetric bounds the seed sees equal bound pairs
             route = tf(n, sigma, m, l, m, l, lambda m1, l1, m2, l2: closed_form(seed, m2, l2))
             assert direct == form == route, (name, n, sigma, m, l)

@@ -172,6 +172,19 @@ def test_eval_unknown_and_missing(capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("args,err", [
+    ("euler_n --M 1 --L 1 --N 0", "N must be >= 1"),
+    ("nn --M 1 --L 1 --N 3", "nn is the N = 1 display"),
+    ("rr --M 1 --L 1 --sigma 1", "sigma must be 0 or 1, and 0 for odd N"),
+    ("slater --M 1 --L 1 --N 3", "slater is the N = 2 display"),
+    ("rr --M 2 --L 1/2", "L - sigma/2 must be an integer, got 1/2"),
+])
+def test_eval_closed_at_a_point_with_no_node_is_config_error(capsys, args, err):
+    # each point is checked once, before any display runs
+    assert run(["eval", "closed", "--name", *args.split()], capsys) == (
+        2, "", f"error: InvalidParams: {err}\n")
+
+
 def test_negative_trunc_is_config_error(capsys):
     for argv in (["verify", "series.durfee", "--trunc", "-1"],
                  ["eval", "qbin", "--m", "1", "--n", "1", "--trunc", "-1"]):

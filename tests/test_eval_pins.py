@@ -2,9 +2,9 @@
 
 A verify row prints only its verdict, so a rewrite that changes both sides of
 an identity the same way keeps every stream.  These pins hold the values
-themselves: the quadratic-exponent T sum, the level-N closed forms of the
-Burge tree, a fermionic string function at a negative m, and the two level-N
-transforms at N = 2 with M1 != M2.
+themselves: the quadratic-exponent T sum, Burge's classic closed forms and
+the level-N ones of the Burge tree, a fermionic string function at a negative
+m, and the two level-N transforms at N = 2 with M1 != M2.
 """
 
 from fractions import Fraction
@@ -26,6 +26,33 @@ EVAL_PINS = {
         "q^(3/4) + 2*q^(7/4) + 4*q^(11/4) + 6*q^(15/4) + 8*q^(19/4) + 9*q^(23/4) + "
         "10*q^(27/4) + 9*q^(31/4) + 8*q^(35/4) + 7*q^(39/4) + 5*q^(43/4) + 4*q^(47/4) + "
         "3*q^(51/4) + 2*q^(55/4) + q^(59/4) + q^(63/4)\n",
+    "closed --name nn --M 3 --L 2":
+        "q^4 + q^5 + q^6 + q^7 + q^8\n",
+    "closed --name nn --M 5 --L 3":
+        "q^9 + q^10 + 2*q^11 + 2*q^12 + 3*q^13 + 3*q^14 + 4*q^15 + 3*q^16 + 3*q^17 + "
+        "2*q^18 + 2*q^19 + q^20 + q^21\n",
+    "closed --name euler --M 3 --L 2":
+        "1 + q + 2*q^2 + 3*q^3 + 4*q^4 + 4*q^5 + 5*q^6 + 4*q^7 + 4*q^8 + 3*q^9 + "
+        "2*q^10 + q^11 + q^12\n",
+    "closed --name euler --M 4 --L 3":
+        "1 + q + 2*q^2 + 3*q^3 + 5*q^4 + 6*q^5 + 9*q^6 + 10*q^7 + 13*q^8 + 14*q^9 + "
+        "16*q^10 + 16*q^11 + 18*q^12 + 16*q^13 + 16*q^14 + 14*q^15 + 13*q^16 + 10*q^17 + "
+        "9*q^18 + 6*q^19 + 5*q^20 + 3*q^21 + 2*q^22 + q^23 + q^24\n",
+    "closed --name ising --M 3 --L 3":
+        "1 + q + 3*q^2 + 5*q^3 + 8*q^4 + 10*q^5 + 14*q^6 + 15*q^7 + 18*q^8 + 18*q^9 + "
+        "18*q^10 + 15*q^11 + 14*q^12 + 10*q^13 + 8*q^14 + 5*q^15 + 3*q^16 + q^17 + q^18\n",
+    "closed --name ising --M 4 --L 4":
+        "1 + q + 3*q^2 + 5*q^3 + 10*q^4 + 14*q^5 + 22*q^6 + 29*q^7 + 41*q^8 + 50*q^9 + "
+        "64*q^10 + 74*q^11 + 88*q^12 + 95*q^13 + 105*q^14 + 107*q^15 + 112*q^16 + "
+        "107*q^17 + 105*q^18 + 95*q^19 + 88*q^20 + 74*q^21 + 64*q^22 + 50*q^23 + "
+        "41*q^24 + 29*q^25 + 22*q^26 + 14*q^27 + 10*q^28 + 5*q^29 + 3*q^30 + q^31 + q^32\n",
+    "closed --name rr --M 3 --L 3":
+        "1 + 2*q + 4*q^2 + 7*q^3 + 11*q^4 + 16*q^5 + 22*q^6 + 26*q^7 + 29*q^8 + 31*q^9 + "
+        "29*q^10 + 26*q^11 + 22*q^12 + 16*q^13 + 11*q^14 + 7*q^15 + 4*q^16 + 2*q^17 + "
+        "q^18\n",
+    "closed --name rr --M 4 --L 2":
+        "1 + 2*q + 4*q^2 + 7*q^3 + 12*q^4 + 15*q^5 + 20*q^6 + 22*q^7 + 24*q^8 + 22*q^9 + "
+        "20*q^10 + 15*q^11 + 12*q^12 + 7*q^13 + 4*q^14 + 2*q^15 + q^16\n",
     "closed --name tadpole --M 4 --L 2 --N 2":
         "q^4 + 2*q^5 + 4*q^6 + 5*q^7 + 7*q^8 + 5*q^9 + 4*q^10 + 2*q^11 + q^12\n",
     "closed --name tadpole --M 4 --L 5/2 --N 2 --sigma 1":

@@ -11,7 +11,6 @@ from qident.qpoly import (
     ZERO,
     QPoly,
     Truncation,
-    as_int,
     dot,
     euler_inverse_truncated,
     eval_at_one,
@@ -464,15 +463,12 @@ def test_exact_div_and_inverse_with_denominators():
 
 
 def test_rational_helpers():
-    assert as_int(7, "x") == 7 and type(as_int(Fraction(6, 2), "x")) is int
     assert norm_rat(5) == 5 and norm_rat(Fraction(4, 2)) == 2 and norm_rat(Fraction(1, 2)) == Fraction(1, 2)
     assert half_int(-6, "binomial entry") == -3
     with pytest.raises(InvalidParams, match=r"^binomial entry must be an integer, got 7/2$"):
         half_int(7, "binomial entry")
     with pytest.raises(InvalidParams, match=r"^binomial entry must be an integer, got -1/2$"):
         half_int(-1, "binomial entry")
-    with pytest.raises(InvalidParams, match=r"got 3/2$"):
-        as_int(Fraction(3, 2), "binomial entry")
     assert twice(3, "L") == 6 and twice(Fraction(-5, 2), "L") == -5
     assert type(twice(Fraction(4, 2), "L")) is int
     with pytest.raises(InvalidParams, match=r"^L must be a multiple of 1/2, got 1/3$"):
