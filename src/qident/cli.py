@@ -15,13 +15,17 @@ naming nothing gives the default grid, versioned via GRID_VERSION.
 
 Reports are one JSON object per line with a summary object last.  A row is
 its family's head, built once, filled with the point's values, then the
-verdict fields.  Workers (the parent, at one job) render chunks of rows, at
-most 2 x jobs in flight, and the parent writes them in submission order: a
-stream is byte-identical across runs for a fixed configuration, and
-elapsed_ms stays 0 unless timing is requested explicitly.  A summary's
-elapsed_ms then runs from the queueing of the family's first chunk to the
-reading of its last: at one job that is the family's own sweep, in a pool it
-overlaps the families next to it.  The suite's runs over the whole sweep.
+verdict fields.  Workers (the parent, at one job) run one loop per chunk of
+points: it reads the family's functions, the flags and the row format once,
+then gives each point its verdict, counts it and renders its row, a row
+without fields being the head between two ends precomputed per verdict.
+At most 2 x jobs chunks are in flight, and the parent writes their rows in
+submission order: a stream is byte-identical across runs for a fixed
+configuration, and elapsed_ms stays 0, with no clock read, unless timing is
+requested explicitly.  A summary's elapsed_ms then runs from the queueing of
+the family's first chunk to the reading of its last: at one job that is the
+family's own sweep, in a pool it overlaps the families next to it.  The
+suite's runs over the whole sweep.
 
 A command loads only the modules it runs: the tables below reach every
 layer through the package's lazily loaded modules, read when a family's
@@ -33,7 +37,8 @@ Exit codes: 0 when no point mismatches or errors and at least one point was
 checked, 1 otherwise (a suite takes the worst of its families) or when the
 reader of stdout goes away, 2 for configuration problems (unknown family,
 malformed or empty ranges, a parameter given twice, oversized sweeps,
-out-of-range flags, --jobs above MAX_JOBS among them, --trunc where nothing
+out-of-range flags, --jobs above MAX_JOBS among them, a degree above
+MAX_DEGREE from --trunc or a parameter such as --limit, --trunc where nothing
 is truncated, an --out path that cannot be opened).
 """
 
@@ -62,6 +67,7 @@ from .qpoly import ONE, QPoly, Truncation, render, truncated_equal, twice
 GRID_VERSION = "1"
 MAX_SWEEP_POINTS = 200_000
 MAX_JOBS = 64  # a pool starts all its workers at once
+MAX_DEGREE = 1000  # a truncation degree; inverting to degree D costs about D^2
 
 _VERDICTS = ("equal", "mismatch", "skipped_precondition", "error")
 
@@ -76,7 +82,7 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
-    kind: str  # int | rat | word | intinf
+    kind: str  # int | rat | word | intinf | degree (an int, at most MAX_DEGREE)
     choices: Optional[Callable[[], Sequence[str]]] = None  # a word's values, read when one is parsed
 
 
@@ -109,7 +115,7 @@ def _parse_values(text: str, ps: ParamSpec) -> List:
     vals: List = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if ".." in chunk and ps.kind in ("int", "rat", "intinf"):
+        if ".." in chunk and ps.kind in ("int", "rat", "intinf", "degree"):
             lo_s, hi_s = chunk.split("..", 1)
             try:
                 lo, hi = int(lo_s), int(hi_s)
@@ -117,6 +123,8 @@ def _parse_values(text: str, ps: ParamSpec) -> List:
                 raise ConfigError(f"--{ps.name}: range bounds must be integers, got {chunk!r}")
             if lo > hi:
                 raise ConfigError(f"--{ps.name}: empty range {chunk!r}")
+            if hi - lo >= MAX_SWEEP_POINTS:  # checked before the values are made
+                raise ConfigError(f"--{ps.name}: range {chunk!r} exceeds {MAX_SWEEP_POINTS} values")
             vals.extend(range(lo, hi + 1))
         elif chunk:
             vals.append(_parse_one(chunk, ps))
@@ -124,6 +132,8 @@ def _parse_values(text: str, ps: ParamSpec) -> List:
             raise ConfigError(f"--{ps.name}: empty value")
     if not vals:
         raise ConfigError(f"--{ps.name}: no values given")
+    if ps.kind == "degree" and max(vals) > MAX_DEGREE:
+        raise ConfigError(f"--{ps.name} must be <= {MAX_DEGREE}, got {max(vals)}")
     return vals
 
 
@@ -423,7 +433,7 @@ REGISTRY: Dict[str, Family] = {
                lambda p, d: (series.product_side(p["family"], Truncation(d)),
                              series.sum_side(p["family"], Truncation(d))),
                trunc=30, modules=(series,)),
-        Family("qpoly.partitions", _ps("limit"), (("limit", (50,)),),
+        Family("qpoly.partitions", _ps("limit:degree"), (("limit", (50,)),),
                lambda p, d: (qpoly.euler_inverse_truncated(Truncation(d)),
                              QPoly(dict(enumerate(_partition_counts(d))))),
                lambda p: p["limit"] >= 0, trunc="limit"),
@@ -445,7 +455,7 @@ _STRING = (_ps("N", "m", "ell", "sigma"), {"sigma": 0})
 EVAL_REGISTRY: Dict[str, Tuple[Tuple[ParamSpec, ...], Dict, Callable, Optional[int]]] = {
     "qbin": (_ps("m", "n"), {}, lambda m, n: qbinom.qbin_standard(m, n), None),
     "qpoch": (_ps("s", "m"), {}, qpoly.qpoch, None),
-    "euler": (_ps("limit"), {}, lambda n: qpoly.euler_inverse_truncated(Truncation(n)), None),
+    "euler": (_ps("limit:degree"), {}, lambda n: qpoly.euler_inverse_truncated(Truncation(n)), None),
     "tmultinomial": (_ps("N", "L", "a:rat", "n"), {"n": 0},
                      lambda *args: multinom.t_multinomial(multinom.MultinomialQuery(*args)), None),
     "tnew": (REGISTRY["multinom.tnew"].params, {},
@@ -511,69 +521,36 @@ def _points_for(fam: Family, ranges: Dict[str, List]) -> Tuple[int, Iterator[Tup
                                       for _ in leaves())
 
 
-def _verdict(fam: Family, values: Tuple, d: Optional[int], opts: Dict) -> Tuple[str, Dict]:
-    """The verdict of one report row and its other fields; None values are left out."""
-    point = dict(zip(fam.names, values)) if fam.point is None else fam.point(*values)
-    if fam.precondition is not None and not fam.precondition(point):
-        if opts["include_exceptional"] and fam.exceptional_sides:
-            lhs, rhs = fam.sides(point, d)[:2]
-            return "skipped_precondition", {"lhs_repr": render(lhs), "rhs_repr": render(rhs)}
-        return "skipped_precondition", {}
-    lhs, rhs, *witness = fam.sides(point, d)
-    if d is not None:
-        t = Truncation(d)
-        if truncated_equal(lhs, rhs, t):
-            return "equal", {"truncation": d}
-        lhs, rhs = lhs.truncate(t), rhs.truncate(t)
-    elif lhs == rhs:
-        return "equal", {}
-    return "mismatch", {"lhs_repr": render(lhs), "rhs_repr": render(rhs),
-                        "diff_repr": render(lhs - rhs), "truncation": d,
-                        "witness": witness[0] if witness else None}
-
-
-def _eval_point(fam: Family, values: Tuple, d, opts: Dict):
-    """One row's verdict, other fields, elapsed_ms and stderr note (None unless it raised)."""
-    if isinstance(d, str):
-        d = values[fam.names.index(d)]
-    t0, note = time.perf_counter(), None
-    try:
-        verdict, fields = _verdict(fam, values, d, opts)
-    except Exception as ex:  # one failing point is an error row, never an aborted sweep
-        verdict, fields = "error", {}
-        note = f"{type(ex).__name__}: {ex}"
-        if not isinstance(ex, QIdentError):
-            import traceback  # only an internal fault prints one
-
-            note += "\n" + traceback.format_exc().rstrip()
-    elapsed = int((time.perf_counter() - t0) * 1000) if opts["timing"] else 0
-    return verdict, fields, elapsed, note
-
-
 _COLORS = {"equal": "\x1b[32m", "mismatch": "\x1b[31m", "error": "\x1b[31m",
            "skipped_precondition": "\x1b[33m"}
 
 
-def _row_line(fam: Family, values: Tuple, verdict: str, fields: Dict, elapsed: int,
-              opts: Dict) -> str:
-    """One report row: the family's head filled with the values, the verdict, then
-    the fields that are not None, in order; as JSON, elapsed_ms last."""
+def _row_format(fam: Family, opts: Dict) -> Tuple[str, Callable, Callable]:
+    """The report row format: a row is before + head % values + after, where the
+    values go through encode, which plain ints may skip (not bool, which %s
+    writes as True), and (before, after) = ends(verdict, fields, elapsed).  The
+    fields that are not None follow the verdict in order; as JSON, elapsed_ms
+    is last."""
     if opts["format"] == "json":
-        head = fam.heads[0] % (values if set(map(type, values)) == {int}  # no bool: %s writes as json
-                               else tuple(map(_json_value, values)))
-        rest = "".join([f', "{k}": {_json_value(v)}' for k, v in fields.items()
-                        if v is not None]) if fields else ""
-        return f'{head}, "verdict": "{verdict}"{rest}, "elapsed_ms": {elapsed}}}\n'
-    if opts["color"] and verdict in _COLORS:
-        verdict = f"{_COLORS[verdict]}{verdict}\x1b[0m"
-    parts = [verdict, fam.heads[1] % tuple(map(_encode_value, values))]
-    if fields.get("truncation") is not None:
-        parts.append(f"D={fields['truncation']}")
-    if "diff_repr" in fields:
-        parts.append(f"diff[{fields['diff_repr']}]")
-    elif "lhs_repr" in fields:
-        parts.append(f"lhs[{fields['lhs_repr']}] rhs[{fields['rhs_repr']}]")
-    return " ".join(parts) + "\n"
+        def ends(verdict: str, fields: Dict, elapsed: int) -> Tuple[str, str]:
+            rest = "".join([f', "{k}": {_json_value(v)}' for k, v in fields.items() if v is not None])
+            return "", f', "verdict": "{verdict}"{rest}, "elapsed_ms": {elapsed}}}\n'
+
+        return fam.heads[0], _json_value, ends
+
+    def ends(verdict: str, fields: Dict, elapsed: int) -> Tuple[str, str]:
+        parts = [""]
+        if fields.get("truncation") is not None:
+            parts.append(f"D={fields['truncation']}")
+        if "diff_repr" in fields:
+            parts.append(f"diff[{fields['diff_repr']}]")
+        elif "lhs_repr" in fields:
+            parts.append(f"lhs[{fields['lhs_repr']}] rhs[{fields['rhs_repr']}]")
+        if opts["color"] and verdict in _COLORS:
+            verdict = f"{_COLORS[verdict]}{verdict}\x1b[0m"
+        return verdict + " ", " ".join(parts) + "\n"
+
+    return fam.heads[1], _encode_value, ends
 
 
 def _summary_line(ident: str, counts: Counter, code: int, elapsed_ms: int, fmt: str) -> str:
@@ -588,13 +565,51 @@ def _summary_line(ident: str, counts: Counter, code: int, elapsed_ms: int, fmt: 
 
 
 def _eval_chunk(ident: str, chunk: List[Tuple], d, opts: Dict):
-    """A chunk's rows rendered as one string, its verdict counts and its notes."""
+    """A chunk's rows rendered as one string, its verdict counts and its notes; d
+    is the degree, or the name of the parameter whose value is each point's."""
     fam = REGISTRY[ident]
-    rows = [(values, *_eval_point(fam, values, d, opts)) for values in chunk]
-    return ("".join([_row_line(fam, *row[:4], opts) for row in rows]),
-            Counter(row[1] for row in rows),
-            [f"{ident} {dict(zip(fam.names, map(_encode_value, values)))}: {note}"
-             for values, _, _, _, note in rows if note])
+    names, point, precondition, sides = fam.names, fam.point, fam.precondition, fam.sides
+    exceptional, timing = opts["include_exceptional"] and fam.exceptional_sides, opts["timing"]
+    at = names.index(d) if isinstance(d, str) else None
+    head, encode, ends = _row_format(fam, opts)
+    plain = {verdict: ends(verdict, {}, 0) for verdict in _VERDICTS}  # a row without fields
+    ints = set(map(type, chain.from_iterable(chunk))) == {int}  # then no value needs encode
+    counts, rows, notes = dict.fromkeys(_VERDICTS, 0), [], []
+    for values in chunk:
+        t0 = time.perf_counter() if timing else 0
+        deg, fields = d if at is None else values[at], {}
+        try:
+            p = dict(zip(names, values)) if point is None else point(*values)
+            if precondition is not None and not precondition(p):
+                verdict = "skipped_precondition"
+                if exceptional:
+                    lhs, rhs = sides(p, deg)[:2]
+                    fields = {"lhs_repr": render(lhs), "rhs_repr": render(rhs)}
+            else:
+                lhs, rhs, *witness = sides(p, deg)
+                t = None if deg is None else Truncation(deg)
+                if lhs == rhs if t is None else truncated_equal(lhs, rhs, t):
+                    verdict, fields = "equal", {} if t is None else {"truncation": deg}
+                else:
+                    if t is not None:
+                        lhs, rhs = lhs.truncate(t), rhs.truncate(t)
+                    verdict, fields = "mismatch", {
+                        "lhs_repr": render(lhs), "rhs_repr": render(rhs), "diff_repr": render(lhs - rhs),
+                        "truncation": deg, "witness": witness[0] if witness else None}
+        except Exception as ex:  # one failing point is an error row, never an aborted sweep
+            verdict, fields = "error", {}
+            note = f"{type(ex).__name__}: {ex}"
+            if not isinstance(ex, QIdentError):
+                import traceback  # only an internal fault prints one
+
+                note += "\n" + traceback.format_exc().rstrip()
+            notes.append(f"{ident} {dict(zip(names, map(_encode_value, values)))}: {note}")
+        counts[verdict] += 1
+        elapsed = int((time.perf_counter() - t0) * 1000) if timing else 0
+        before, after = ends(verdict, fields, elapsed) if fields or elapsed else plain[verdict]
+        filled = head % (values if ints else tuple(map(encode, values)))
+        rows.append(f"{before}{filled}{after}")
+    return "".join(rows), counts, notes
 
 
 class _Pipeline:
@@ -833,12 +848,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:
-        for flag, least in (("trunc", 0), ("jobs", 1), ("grid", 0)):
+        for flag, least, most in (("trunc", 0, MAX_DEGREE), ("jobs", 1, MAX_JOBS), ("grid", 0, None)):
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise ConfigError(f"--{flag} must be >= {least}, got {value}")
-        if getattr(args, "jobs", 1) > MAX_JOBS:
-            raise ConfigError(f"--jobs must be <= {MAX_JOBS}, got {args.jobs}")
+            if value is not None and most is not None and value > most:  # the grid cap is the tree's
+                raise ConfigError(f"--{flag} must be <= {most}, got {value}")
         if args.cmd == "verify":
             return cmd_verify(args, extras)
         if args.cmd == "eval":

@@ -12,8 +12,9 @@ parameter constraints make a fractional top impossible, so hitting one
 raises InvalidParams rather than silently dropping a term.  Exponents are
 integer numerators over N, lattice offsets numerators over 2N.
 qs2 and qcv sum only their live terms, i from max(0, -ell) to min(L2, L1 - ell)
-(and to M for qs2, zero outright when L1 + L2 < 0): any other has a zero binomial.
-qs2's left side is one packed sum of products per point (qpoly.dot).
+(and to M for qs2): any other has a zero binomial.  qs2's sides are 0 at once,
+before any memo or binomial, at an empty window or outside the right side's
+support; otherwise the left is one packed sum of products (qpoly.dot).
 
 qs2 and gensum are sums over i of outer(M, i) * inner(i), with inner(i) free
 of M.  Their sweeps walk M and the later axes inside a prefix of the earlier
@@ -95,16 +96,18 @@ def _scope(memo: Dict[Tuple, Dict], prefix: Tuple) -> Dict:
 # --- classical summation ----------------------------------------------------
 
 def qs2_lhs(p: ClassicParams) -> QPoly:
-    if p.L1 + p.L2 < 0:  # every outer [L1+L2+M-i over M-i] vanishes
-        return ZERO
-    inner = _scope(_QS2_INNER, (p.L1, p.L2))
-    pairs = []
+    L1, L2, M, ell = p
     # outside i+ell in 0..L1 and i in 0..L2 an inner binomial vanishes; to M no outer one does
-    for i in range(max(0, -p.ell), min(p.M, p.L2, p.L1 - p.ell) + 1):
-        term = inner.get((p.ell, i))
+    live = range(max(0, -ell), min(M, L2, L1 - ell) + 1)
+    if not live:  # also whenever L1 + L2 < 0, where every outer binomial vanishes
+        return ZERO
+    inner = _scope(_QS2_INNER, (L1, L2))
+    pairs = []
+    for i in live:
+        term = inner.get((ell, i))
         if term is None:
-            term = inner[p.ell, i] = _qs2_inner(p.L1, p.L2, p.ell, i)
-        pairs.append((qbin(p.L1 + p.L2 + p.M - i, p.M - i), term))
+            term = inner[ell, i] = _qs2_inner(L1, L2, ell, i)
+        pairs.append((qbin(L1 + L2 + M - i, M - i), term))
     return dot(pairs)
 
 
@@ -114,13 +117,15 @@ def _qs2_inner(L1: int, L2: int, ell: int, i: int) -> QPoly:
 
 
 def qs2_rhs(p: ClassicParams) -> QPoly:
-    return mul(qbin(p.L1 + p.M, p.M + p.ell), qbin(p.L2 + p.M + p.ell, p.M))
+    L1, L2, M, ell = p
+    if M < 0 or M + ell < 0 or L1 < ell or L2 + ell < 0:  # outside both binomials' support
+        return ZERO
+    return mul(qbin(L1 + M, M + ell), qbin(L2 + M + ell, M))
 
 
 def qs2_exceptional(p: ClassicParams) -> bool:
-    first = -p.L1 <= -p.ell <= p.L2 < 0 <= p.M
-    second = -p.L2 <= p.ell <= p.L1 < 0 <= p.M + p.ell
-    return first or second
+    L1, L2, M, ell = p
+    return -L1 <= -ell <= L2 < 0 <= M or -L2 <= ell <= L1 < 0 <= M + ell
 
 
 def qcv_lhs(p: ClassicParams) -> QPoly:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -17,11 +18,11 @@ from qident.cli import (
     EVAL_REGISTRY,
     REGISTRY,
     GRID_VERSION,
+    MAX_DEGREE,
     MAX_JOBS,
     Family,
     ParamSpec,
     _points_for,
-    _row_line,
     main,
 )
 from qident.errors import InvalidParams, QIdentError
@@ -191,6 +192,36 @@ def test_negative_trunc_is_config_error(capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err == "error: --trunc must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "series.limlm", "--N", "1", "--ell", "0", "--sigma", "0", "--trunc", "100000000000"],
+     f"--trunc must be <= {MAX_DEGREE}, got 100000000000"),
+    (["eval", "product", "--family", "rr", "--trunc", str(MAX_DEGREE + 1)],
+     f"--trunc must be <= {MAX_DEGREE}, got {MAX_DEGREE + 1}"),
+    (["verify", "qpoly.partitions", "--limit", f"50,{MAX_DEGREE + 1}"],
+     f"--limit must be <= {MAX_DEGREE}, got {MAX_DEGREE + 1}"),
+    (["eval", "euler", "--limit", "5000"], f"--limit must be <= {MAX_DEGREE}, got 5000"),
+    (["verify", "qpoly.partitions", "--limit", "0..100000000000"],
+     "--limit: range '0..100000000000' exceeds 200000 values"),
+    (["verify", "qs2", "--M", "0..100000000000"], "--M: range '0..100000000000' exceeds 200000 values"),
+], ids=["trunc", "eval_trunc", "limit", "eval_limit", "limit_range", "any_range"])
+def test_degree_above_the_cap_is_config_error(capsys, monkeypatch, argv, err):
+    # exit 2 at parse time: nothing is evaluated, and no point or range is built
+    def fail(*args):
+        raise AssertionError("evaluated past the parse")
+
+    monkeypatch.setattr(cli, "_sweep", fail)
+    monkeypatch.setattr(cli, "Truncation", fail)
+    assert run(argv, capsys) == (2, "", f"error: {err}\n")
+
+
+def test_degree_at_the_cap_is_accepted(capsys, monkeypatch):
+    swept = []
+    monkeypatch.setattr(cli, "_sweep", lambda args, runs, opts, suite: swept.append((runs, opts)) or 0)
+    assert run(["verify", "qpoly.partitions", "--limit", f"0,{MAX_DEGREE}"], capsys) == (0, "", "")
+    assert run(["verify", "series.durfee", "--trunc", str(MAX_DEGREE)], capsys) == (0, "", "")
+    assert swept[0][0][0][1] == {"limit": [0, MAX_DEGREE]} and swept[1][1]["trunc"] == MAX_DEGREE
 
 
 @pytest.mark.parametrize("argv,err", [
@@ -373,33 +404,76 @@ def row_oracle(fam, values, verdict, fields, elapsed):
 
 _MIXED = Family("mixed", (ParamSpec("n", "int"), ParamSpec("r", "rat"), ParamSpec("m", "intinf"),
                           ParamSpec("w", "word", ("nn", "rr"))), (), lambda p, d: (ONE, ONE))
+_Q, _ROOT_Q = QPoly({1: 1}), QPoly({Fraction(1, 2): 1})
 
+
+def _raise(p, d):
+    raise ZeroDivisionError("injected")
+
+
+def _chunk_rows(monkeypatch, fam, values, d=None, include_exceptional=False, timing=False,
+                fmt="json", color=False, **change):
+    """The rows, counts and notes that the chunk loop gives one point of fam, its
+    sides (equal by default) and precondition replaced as `change` says and its
+    point left a dict."""
+    change = {"point": None, "precondition": None, "sides": lambda p, d: (ONE, ONE), **change}
+    fam = dataclasses.replace(fam, **change)
+    monkeypatch.setitem(REGISTRY, fam.identity_id, fam)
+    opts = {"include_exceptional": include_exceptional, "timing": timing, "format": fmt, "color": color}
+    return cli._eval_chunk(fam.identity_id, [values], d, opts)
+
+
+# (how the chunk loop runs the point, the verdict, its fields)
 _ROW_FIELDS = [
-    pytest.param("equal", {}, 0, id="equal"),
-    pytest.param("equal", {"truncation": 25}, 3, id="equal_truncated"),
-    pytest.param("skipped_precondition", {}, 0, id="skipped"),
-    pytest.param("skipped_precondition", {"lhs_repr": "1 + q", "rhs_repr": "0"}, 0,
-                 id="skipped_with_sides"),
-    pytest.param("mismatch", {"lhs_repr": "1", "rhs_repr": "2", "diff_repr": "-1", "truncation": None,
-                              "witness": {"node": 2, "M": 1, "L": "1/2"}}, 0, id="mismatch_witness"),
-    pytest.param("mismatch", {"lhs_repr": "q", "rhs_repr": "q^(1/2)", "diff_repr": "-q^(1/2) + q",
-                              "truncation": 4, "witness": None}, 0, id="mismatch_truncated"),
-    pytest.param("error", {}, 0, id="error"),
+    pytest.param({}, "equal", {}, id="equal"),
+    pytest.param({"d": 25, "sides": lambda p, d: (ONE, ONE + QPoly({26: 3}))},
+                 "equal", {"truncation": 25}, id="equal_truncated"),
+    pytest.param({"precondition": lambda p: False, "exceptional_sides": True},
+                 "skipped_precondition", {}, id="skipped"),
+    pytest.param({"precondition": lambda p: False, "exceptional_sides": True,
+                  "include_exceptional": True, "sides": lambda p, d: (ONE + _Q, ZERO)},
+                 "skipped_precondition", {"lhs_repr": "1 + q", "rhs_repr": "0"}, id="skipped_with_sides"),
+    pytest.param({"sides": lambda p, d: (ONE, ONE + ONE, {"node": 2, "M": 1, "L": "1/2"})},
+                 "mismatch", {"lhs_repr": "1", "rhs_repr": "2", "diff_repr": "-1", "truncation": None,
+                              "witness": {"node": 2, "M": 1, "L": "1/2"}}, id="mismatch_witness"),
+    pytest.param({"d": 4, "sides": lambda p, d: (_Q + QPoly({5: 1}), _ROOT_Q)},
+                 "mismatch", {"lhs_repr": "q", "rhs_repr": "q^(1/2)", "diff_repr": "-q^(1/2) + q",
+                              "truncation": 4, "witness": None}, id="mismatch_truncated"),
+    pytest.param({"sides": _raise}, "error", {}, id="error"),
 ]
 
 
-@pytest.mark.parametrize("verdict, fields, elapsed", _ROW_FIELDS)
+@pytest.mark.parametrize("run_as, verdict, fields", _ROW_FIELDS)
 @pytest.mark.parametrize("fam, values", [
     (REGISTRY["qs2"], (-3, 0, 12, -1)),
     (_MIXED, (-4, Fraction(3), None, "nn")),
     (_MIXED, (0, Fraction(-5, 2), 7, "rr")),
 ], ids=["ints", "rat_int_inf", "rat_half"])
-def test_row_line_matches_the_row_record(fam, values, verdict, fields, elapsed):
-    want_json, want_text = row_oracle(fam, values, verdict, fields, elapsed)
-    line = _row_line(fam, values, verdict, fields, elapsed, {"format": "json", "color": False})
+def test_row_line_matches_the_row_record(monkeypatch, fam, values, run_as, verdict, fields):
+    # the row the chunk loop writes for each verdict, in both formats
+    want_json, want_text = row_oracle(fam, values, verdict, fields, 0)
+    line, counts, notes = _chunk_rows(monkeypatch, fam, values, **run_as)
     assert line == want_json
     assert json.loads(line)["params"]["n" if fam is _MIXED else "L1"] == values[0]
-    assert _row_line(fam, values, verdict, fields, elapsed, {"format": "text", "color": False}) == want_text
+    assert counts == {**dict.fromkeys(counts, 0), verdict: 1}
+    assert len(notes) == (verdict == "error")
+    assert _chunk_rows(monkeypatch, fam, values, fmt="text", **run_as)[0] == want_text
+    color = {"equal": "32", "skipped_precondition": "33"}.get(verdict, "31")
+    assert (_chunk_rows(monkeypatch, fam, values, fmt="text", color=True, **run_as)[0]
+            == f"\x1b[{color}m{verdict}\x1b[0m{want_text[len(verdict):]}")
+
+
+def test_timed_row_matches_the_row_record(monkeypatch):
+    # a row with elapsed_ms above 0 is rendered in full, not from a precomputed end
+    def slow(p, d):
+        time.sleep(0.003)
+        return ONE, ONE
+
+    values = (-4, Fraction(3), None, "nn")
+    line = _chunk_rows(monkeypatch, _MIXED, values, timing=True, sides=slow)[0]
+    elapsed = json.loads(line)["elapsed_ms"]
+    assert type(elapsed) is int and elapsed >= 3
+    assert line == row_oracle(_MIXED, values, "equal", {}, elapsed)[0]
 
 
 @pytest.mark.parametrize("fields", [
@@ -415,13 +489,69 @@ def test_row_line_matches_the_row_record(fam, values, verdict, fields, elapsed):
     (_MIXED, (1, 2, 3, True)),  # a bool is no plain int
 ], ids=["negative_ints", "zeros", "gensum_half", "gensum_whole_fraction", "forms_word", "inf", "bool"])
 def test_json_row_with_plain_ints_skips_the_value_encoder(monkeypatch, fam, values, fields):
-    want = row_oracle(fam, values, "equal", fields, 7)[0]
+    verdict = "mismatch" if "diff_repr" in fields else "equal"
+    want = row_oracle(fam, values, verdict, fields, 0)[0]
     encoded = []
     json_value = cli._json_value
     monkeypatch.setattr(cli, "_json_value", lambda v: encoded.append(v) or json_value(v))
-    assert _row_line(fam, values, "equal", fields, 7, {"format": "json", "color": False}) == want
+    rhs = _Q if verdict == "mismatch" else ONE
+    assert _chunk_rows(monkeypatch, fam, values, fields.get("truncation"),
+                       sides=lambda p, d: (ONE, rhs))[0] == want
     fast = all(type(v) is int for v in values)
     assert len(encoded) == (0 if fast else len(values)) + sum(v is not None for v in fields.values())
+
+
+_SWEEPS = {  # the argv of a sweep, and the monkeypatch it runs under
+    "qs2": (["verify", "qs2", "--L1", "-2..2", "--L2", "-1..2", "--M", "-1..2", "--ell", "-2..2"], None),
+    "qs2_exceptional": (["verify", "qs2", "--include-exceptional", "--L1", "-2..2", "--L2", "-2..1",
+                         "--M", "0..2", "--ell", "-2..2"], None),
+    "qs2_timing": (["verify", "qs2", "--L1", "0..3", "--L2", "1", "--M", "-1..3", "--ell", "-1..1",
+                    "--timing"], None),
+    "qs2_error": (["verify", "qs2", "--L1", "1", "--L2", "1", "--M", "0..3", "--ell", "0"], "error"),
+    "gensum_fractions": (["verify", "gensum", "--N", "2", "--sigma", "1", "--M", "0..1", "--ell", "0"], None),
+    "forms_words": (["verify", "burge.forms", "--name", "ising,rr_n", "--M", "0..2"], None),
+    "cbp_inf": (["verify", "series.cbp", "--N", "1", "--ell", "0"], None),
+    "cbp_witness": (["verify", "series.cbp", "--N", "1", "--ell", "0", "--sigma", "0"], "witness"),
+    "limlm_truncated": (["verify", "series.limlm", "--N", "1", "--trunc", "12"], None),
+    "partitions_limit": (["verify", "qpoly.partitions", "--limit", "-1,0,7,12"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SWEEPS))
+def test_every_row_of_a_sweep_matches_the_row_record(capsys, monkeypatch, case):
+    # each row of a real sweep against the oracle, with the point values the
+    # grid walk gives and the fields the JSON row reports, in both formats
+    argv, patch = _SWEEPS[case]
+    fam = REGISTRY[argv[1]]
+    if patch == "error":
+        def sides(p, d):
+            if p.M == 2:
+                raise ZeroDivisionError("injected")
+            return fam.sides(p, d)
+
+        monkeypatch.setitem(REGISTRY, "qs2", dataclasses.replace(fam, sides=sides))
+    if patch == "witness":  # as in test_cbp_mismatch_reports_failing_L
+        monkeypatch.setattr("qident.series.conjugate_pair_failure", lambda bq: (2, ONE, ZERO))
+    extras = [a for a in argv[2:] if a not in ("--include-exceptional", "--timing")]
+    extras = extras[:extras.index("--trunc")] if "--trunc" in extras else extras
+    _, points = _points_for(fam, cli._parse_overrides(fam.params, extras, multi=True))
+    points = list(points)
+    code, out, _ = run(argv, capsys)
+    rows = out.splitlines(keepends=True)[:-1]
+    text = run(argv + ["--format", "text"], capsys)[1].splitlines(keepends=True)[:-1]
+    assert len(rows) == len(text) == len(points) > 0
+    verdicts = set()
+    for values, line, text_line in zip(points, rows, text):
+        row = json.loads(line)
+        fields = {k: v for k, v in row.items()
+                  if k not in ("identity_id", "params", "verdict", "elapsed_ms")}
+        elapsed = row["elapsed_ms"]
+        assert type(elapsed) is int and elapsed >= 0 and (elapsed == 0 or "--timing" in argv)
+        want_json, want_text = row_oracle(fam, values, row["verdict"], fields, elapsed)
+        assert (line, text_line) == (want_json, want_text)
+        verdicts.add(row["verdict"])
+    assert verdicts == {"error": {"equal", "error"}, "witness": {"mismatch"}}.get(patch, verdicts)
+    assert code == (1 if verdicts & {"mismatch", "error"} else 0)
 
 
 @pytest.mark.parametrize("argv, sha, lines", [

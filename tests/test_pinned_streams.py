@@ -77,11 +77,12 @@ def test_suite_stream_is_pinned_with_a_pool(tmp_path):
     _assert_pinned("suite", _stream([("suite", "--jobs", "2")], tmp_path))
 
 
-def test_sweep_wide_override_stream_is_pinned(tmp_path):
-    # one qs2 override sweep over 194,481 points in a pool: the path where
-    # the memoized qs2 inner sums see the most reuse
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_wide_override_stream_is_pinned(tmp_path, jobs):
+    # one qs2 override sweep over 194,481 points, in-process and in a pool:
+    # the path where the memoized qs2 inner sums see the most reuse
     workloads = _load_workloads()
-    commands = workloads.build("sweep-wide", workloads.DEFAULT_SEED).commands
+    commands = workloads.build("sweep-wide", workloads.DEFAULT_SEED).with_jobs(jobs)
     assert len(commands) == 1
     _assert_pinned("sweep-wide", _stream(commands, tmp_path))
 
