@@ -14,17 +14,17 @@ are Burge's own (W. H. Burge, J. Combin. Theory Ser. A 63, 1993).
 Transforms are higher-order: they apply the summation kernel to a child
 evaluator, so the same code path both verifies transform identities
 against direct evaluation and generates tree-node values.  There is one
-kernel, the level-N one; Burge's classic transforms are its N = 1 case,
-with sigma = (M1 - M2) mod 2.  A transform evaluates wherever it is
-called.  Whether its identity is proven there is a separate question,
-answered by the sufficiency predicates (floor inequalities) and the
-scan-based safety checks of the classic transforms; the callers that
-verify an edge consult them first.
+kernel, the level-N one, and one label rule per transform; Burge's classic
+transforms bt and bt2 are traf1 and traf2 at N = 1, with sigma =
+(M1 - M2) mod 2.  A transform evaluates wherever it is called.  Whether its
+identity is proven there is a separate question, and edge_applies is the one
+place that answers it: the sufficiency predicates (floor inequalities) for
+the level tags, the scan-based safety checks for the classic ones.
 
 The tree: for N = 1, breadth-first iteration of both transforms from
 the trivial seed (p,p',r,s) = (1,2,0,1).  For N > 1 the classic tree is
 kept as a backbone and each backbone node sprouts two level-N leaves,
-whose labels follow the symmetric level-N transform rules.
+whose labels follow the level-N rules at M1 = M2, L1 = L2.
 
 Closed forms: CLOSED_FORMS gives each display its level, its node labels
 and its evaluator.  The level displays tadpole, euler_n, a_n and rr_n hold
@@ -132,10 +132,9 @@ def _xn_term(
     return system_sum(cd, v, offset, weight)
 
 
-def burge_xn(bp: BurgeParams, checked: bool = False) -> QPoly:
-    """The level-N polynomial; checked=True skips the validation of a point already validated."""
-    if not checked:
-        bp.validate()
+def burge_xn(bp: BurgeParams) -> QPoly:
+    """The level-N polynomial, after validating bp."""
+    bp.validate()
     p, pp, r, s = bp.p, bp.pprime, bp.r, bp.s
     M1, M2, M12, N = bp.M1, bp.M2, bp.M12, bp.N
     two_l1, two_l2 = twice(bp.L1, "L1"), twice(bp.L2, "L2")
@@ -199,19 +198,17 @@ def transform_trafo(
 
 def child_labels(labels: Tuple[int, int, int, int], tag: str, n_lat: int = 1,
                  m12: int = 0, l12: int = 0) -> Tuple[int, int, int, int]:
-    """Labels (p, p', r, s) of the node that transform `tag` grows from `labels`.
+    """Labels (p, p', r, s) of the level-N node that transform `tag` grows from `labels`.
 
-    The bt2 child also moves with the bound differences M1-M2 and L1-L2,
-    which vanish at the symmetric points of the tree.
+    The first transform (bt, traf1) gives (p, p + Np', r, r + Ns), the second
+    (bt2, traf2) gives (p', Np + p', s - M12, N(r + L12 + M12) + s - M12), with
+    M12 = M1 - M2 and L12 = L1 - L2 the bound differences of the point.  The
+    classic tags are the N = 1 case.
     """
     p, pp, r, s = labels
-    if tag == "bt":
-        return p, p + pp, r, r + s
-    if tag == "bt2":
-        return pp, p + pp, s - m12, r + s + l12
-    if tag == "traf1":
+    if tag in ("bt", "traf1"):
         return p, p + n_lat * pp, r, r + n_lat * s
-    return pp, n_lat * p + pp, s, n_lat * r + s
+    return pp, n_lat * p + pp, s - m12, n_lat * (r + l12 + m12) + s - m12
 
 
 def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rational,
@@ -219,9 +216,9 @@ def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rationa
     """The child of `labels` under `tag`, evaluated directly and through the transform.
 
     bt and traf1 route through the first transform, bt2 and traf2 through
-    the second.  The classic tags bt and bt2 are its N = 1 case, with sigma
-    the parity of M1-M2.  The level tags traf1 and traf2 take symmetric
-    bounds only, M1 = M2 and L1 = L2, and raise InvalidParams otherwise.
+    the second, at (M1, L1, M2, L2) over the parent's polynomial at level 1.
+    The classic tags bt and bt2 fix N = 1 and sigma the parity of M1-M2.
+    Whether the two sides must agree is edge_applies's question.
     """
 
     def parent(m1, l1, m2, l2):
@@ -229,12 +226,36 @@ def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rationa
 
     if tag in ("bt", "bt2"):
         n_lat, sigma = 1, (M1 - M2) % 2
-    elif (M1, L1) != (M2, L2):
-        raise InvalidParams(f"{tag} takes symmetric bounds only: M1 = M2 and L1 = L2")
-    child = BurgeParams(*child_labels(labels, tag, n_lat, M1 - M2, L1 - L2),
-                        M1, L1, M2, L2, N=n_lat, sigma=sigma)
     tf = transform_burgetrafo_n if tag in ("bt", "traf1") else transform_trafo
-    return burge_xn(child), tf(n_lat, sigma, M1, L1, M2, L2, parent)
+    return (burge_xn(_child(labels, tag, M1, L1, M2, L2, n_lat, sigma)),
+            tf(n_lat, sigma, M1, L1, M2, L2, parent))
+
+
+def _child(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rational,
+           M2: int, L2: Rational, n_lat: int, sigma: int) -> BurgeParams:
+    # L1 - L2 is an integer at every valid point; elsewhere the child fails validation
+    return BurgeParams(*child_labels(labels, tag, n_lat, M1 - M2, int(L1 - L2)),
+                       M1, L1, M2, L2, N=n_lat, sigma=sigma)
+
+
+def edge_applies(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rational,
+                 M2: int, L2: Rational, n_lat: int = 1, sigma: int = 0) -> bool:
+    """True where the identity of edge_sides is proven at this point.
+
+    The parent's labels must be valid at level 1, 1 <= p <= p', which makes
+    the child's labels valid; the child is then valid when its point is.  A
+    classic tag needs integral bounds >= 0 and its safety scan, a level tag
+    sufficiency on the parent: sufsym at symmetric bounds, else suf or suf2.
+    """
+    if not 1 <= labels[0] <= labels[1]:
+        return False
+    if tag in ("bt", "bt2"):  # at N = 1, sigma = M12 mod 2: valid for integral L1, L2
+        return (min(M1, L1, M2, L2) >= 0 and not (L1 % 1 or L2 % 1)
+                and (classic_bt_safe if tag == "bt" else classic_bt2_safe)(*labels, M1, L1, M2, L2))
+    if _child(labels, tag, M1, L1, M2, L2, n_lat, sigma).violation() is not None:
+        return False
+    which = "sufsym" if (M1, L1) == (M2, L2) else "suf" if tag == "traf1" else "suf2"
+    return sufficiency(BurgeParams(*labels, M1, L1, M2, L2, N=n_lat, sigma=sigma), which)
 
 
 # --- sufficiency predicates ---------------------------------------------------------
@@ -242,8 +263,9 @@ def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rationa
 def sufficiency(bp: BurgeParams, which: str) -> bool:
     """Floor-inequality guarantees for the level-N transforms.
 
-    The label fields of `bp` are read as the child labels of the
-    transform, the bound fields as the point of application; `which`
+    The label fields of `bp` are the parent's labels, those of the node the
+    transform is applied to (so the floors use the parent's p and p'), and
+    the bound fields are the point of application; `which`
     selects "suf" (first unsymmetric transform), "suf2" (second), or
     "sufsym" (the shared symmetric case, needing M1 = M2 and L1 = L2).
     All three require p' > p; otherwise the guarantee is unavailable
@@ -499,19 +521,15 @@ def _verify_edge(parent: TreeNode, tag: str, n_lat: int, sigma: int,
                  grid: int) -> Union[None, bool, Witness]:
     """Route through the parent equals the direct child at symmetric points.
 
-    Level transforms skip grid points outside their sufficiency window;
-    None means no point was applicable, a tuple is the first failure.
+    Grid points where edge_applies fails are skipped; None means no point
+    was applicable, a tuple is the first failure.
     """
-    level = tag in ("traf1", "traf2")
-    shift = Fraction(sigma, 2) if level else 0
     checked = False
     for M in range(0, grid + 1):
         for k in range(0, grid + 1):
-            L = k + shift
-            if level:
-                probe = BurgeParams(*_labels(parent), M, L, M, L, N=n_lat, sigma=sigma)
-                if not sufficiency(probe, "sufsym"):
-                    continue
+            L = k + Fraction(sigma, 2) if sigma else k
+            if not edge_applies(_labels(parent), tag, M, L, M, L, n_lat, sigma):
+                continue
             direct, route = edge_sides(_labels(parent), tag, M, L, M, L, n_lat, sigma)
             if direct != route:
                 return M, L, direct, route

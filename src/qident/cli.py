@@ -229,39 +229,22 @@ def _gensum_halves(p: Dict) -> List[Fraction]:
     return [Fraction(t, 2) for t in range(0, 11) if (t + p["ell"] + p["sigma"]) % 2 == 0]
 
 
-def _symmetric(labels: Sequence[int], N: int, sigma: int, M: int, L) -> burge.BurgeParams:
-    """The level-N point of `labels` at the symmetric bounds M1 = M2 = M, L1 = L2 = L."""
-    return burge.BurgeParams(*labels, M, L, M, L, N=N, sigma=sigma)
+def _edge_family(identity_id: str, tag: str, parents: Tuple) -> Family:
+    """A transform edge over `parents` where burge.edge_applies holds: a classic
+    tag at bounds in 0..3, a level tag at symmetric bounds at N = 2, 3."""
+    if tag in ("bt", "bt2"):
+        params, names = _BOUNDS, _BOUNDS
+        axes = tuple((b, range(0, 4)) for b in _BOUNDS)
+    else:
+        params, names = ("N", "sigma", "M", "L:rat"), _SYMMETRIC + ("N", "sigma")
+        axes = (("N", (2, 3)), ("sigma", _sigmas), ("M", range(0, 6)), ("L", _shifted(6)))
 
+    def args(p):
+        return (_get(p, _LABELS), tag, *_get(p, names))
 
-def _bt_family(identity_id: str, tag: str) -> Family:
-    """A classic transform edge, where its safety scan burge.classic_<tag>_safe allows it."""
-    axes = ((_LABELS, ((1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1))),)
-    return Family(identity_id, _ps(*_LABELS, *_BOUNDS),
-                  axes + tuple((b, range(0, 4)) for b in _BOUNDS),
-                  lambda p, d: burge.edge_sides(_get(p, _LABELS), tag, *_get(p, _BOUNDS)),
-                  lambda p: (min(_get(p, _BOUNDS)) >= 0
-                             and getattr(burge, f"classic_{tag}_safe")(*_get(p, _LABELS + _BOUNDS))),
+    return Family(identity_id, _ps(*_LABELS, *params), ((_LABELS, parents),) + axes,
+                  lambda p, d: burge.edge_sides(*args(p)), lambda p: burge.edge_applies(*args(p)),
                   modules=(burge,))
-
-
-def _traf_family(identity_id: str, tag: str, parents: Tuple) -> Family:
-    """A symmetric level-N transform edge, on its sufficiency window."""
-
-    def applies(p):
-        # the parent point only feeds the sufficiency scan; label validity
-        # applies to the child
-        rest = _get(p, ("N", "sigma", "M", "L"))
-        child = _symmetric(burge.child_labels(_get(p, _LABELS), tag, p["N"]), *rest)
-        parent = _symmetric(_get(p, _LABELS), *rest)
-        return child.violation() is None and burge.sufficiency(parent, "sufsym")
-
-    axes = ((_LABELS, parents), ("N", (2, 3)), ("sigma", _sigmas),
-            ("M", range(0, 6)), ("L", _shifted(6)))
-    return Family(identity_id, _ps(*_LABELS, "N", "sigma", "M", "L:rat"), axes,
-                  lambda p, d: burge.edge_sides(_get(p, _LABELS), tag, *_get(p, _SYMMETRIC),
-                                                p["N"], p["sigma"]),
-                  applies, modules=(burge,))
 
 
 def _form_names() -> Tuple[str, ...]:
@@ -270,7 +253,7 @@ def _form_names() -> Tuple[str, ...]:
 
 def _form_point(name: str, N: int, sigma: int, M: int, L) -> Tuple[str, burge.BurgeParams]:
     """The form's name and its node at the symmetric bounds."""
-    return name, _symmetric(burge.CLOSED_FORMS[name].labels(N), N, sigma, M, L)
+    return name, burge.BurgeParams(*burge.CLOSED_FORMS[name].labels(N), M, L, M, L, N=N, sigma=sigma)
 
 
 def _form_levels(p: Dict) -> Tuple[int, ...]:
@@ -290,8 +273,7 @@ def _form_applies(form: Tuple[str, burge.BurgeParams]) -> bool:
 
 def _form_sides(form: Tuple[str, burge.BurgeParams], d):
     name, bp = form
-    return (burge.burge_xn(bp, checked=True),
-            burge.closed_form(name, bp.M1, bp.L1, bp.N, bp.sigma))
+    return burge.burge_xn(bp), burge.closed_form(name, bp.M1, bp.L1, bp.N, bp.sigma)
 
 
 def _tree_sides(p: Dict, d):
@@ -305,8 +287,8 @@ def _tree_sides(p: Dict, d):
 
 def _classical_sides(q: multinom.MultinomialQuery, d):
     """The q -> 1 limit of T_0 against the ordinary multinomial coefficient."""
-    got = multinom.classical_limit(multinom.t_multinomial(q, checked=True))
-    want = multinom.classical_multinomial(q.N, q.L, q.a, checked=True)
+    got = multinom.classical_limit(multinom.t_multinomial(q))
+    want = multinom.classical_multinomial(q.N, q.L, q.a)
     return QPoly.monomial(got), QPoly.monomial(want)
 
 
@@ -369,14 +351,13 @@ REGISTRY: Dict[str, Family] = {
                (("N", range(1, 5)), ("sigma", (0, 1)),
                 ("ell", lambda p: [e for e in range(-4, 5) if (e + p["sigma"] * p["N"]) % 2 == 0]),
                 ("M", range(0, 7)), ("L1", _gensum_halves), ("L2", _gensum_halves)),
-               lambda g, d: (saalschutz.gensum_lhs(g, checked=True),
-                             saalschutz.gensum_rhs(g, checked=True)),
+               lambda g, d: (saalschutz.gensum_lhs(g), saalschutz.gensum_rhs(g)),
                lambda g: g.M >= 0 and g.violation() is None,
                lambda *values: saalschutz.SaalschutzParams(*values), modules=(saalschutz,)),
-        _bt_family("burge.bt", "bt"),
-        _bt_family("burge.bt2", "bt2"),
-        _traf_family("burge.traf1", "traf1", ((1, 2, 0, 1), (2, 3, 1, 1))),
-        _traf_family("burge.traf2", "traf2", ((1, 2, 0, 1), (1, 3, 0, 1))),
+        _edge_family("burge.bt", "bt", ((1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1))),
+        _edge_family("burge.bt2", "bt2", ((1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1))),
+        _edge_family("burge.traf1", "traf1", ((1, 2, 0, 1), (2, 3, 1, 1))),
+        _edge_family("burge.traf2", "traf2", ((1, 2, 0, 1), (1, 3, 0, 1))),
         Family("burge.forms",
                _ps("name:word", "N", "sigma", "M", "L:rat", name=_form_names),
                (("name", lambda p: _form_names()), ("N", _form_levels), ("sigma", _sigmas),
@@ -391,8 +372,8 @@ REGISTRY: Dict[str, Family] = {
         Family("multinom.tnew", _ps("N", "L", "ell"),
                (("N", (2, 3, 4)), ("L", range(0, 9)),
                 ("ell", lambda p: range(-p["N"] * p["L"], p["N"] * p["L"] + 1, 2))),
-               lambda q, d: (multinom.tnew_rhs(q.N, q.L, twice(q.a, "a"), q.L % 2, checked=True),
-                             multinom.t_multinomial(q, checked=True)),
+               lambda q, d: (multinom.tnew_rhs(q.N, q.L, twice(q.a, "a"), q.L % 2),
+                             multinom.t_multinomial(q)),
                lambda q: q.violation() is None,
                lambda N, L, ell: multinom.MultinomialQuery(N, L, Fraction(ell, 2)),
                modules=(multinom,)),

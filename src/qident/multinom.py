@@ -83,18 +83,16 @@ def _t_sum(cd: CartanData, L: int, two_a: int, n_index: int) -> QPoly:
     return total
 
 
-def t_multinomial(query: MultinomialQuery, checked: bool = False) -> QPoly:
-    """T_n^{(N)}(L, a); checked=True skips the validation of a query already validated."""
-    if not checked:
-        query.validate()
+def t_multinomial(query: MultinomialQuery) -> QPoly:
+    """T_n^{(N)}(L, a), after validating the query."""
+    query.validate()
     return _t_sum(cartan(query.N), query.L, twice(query.a, "a"), query.n_index)
 
 
-def classical_multinomial(N: int, L: int, a: Rational, checked: bool = False) -> int:
-    """Coefficient of x^(a + NL/2) in (1 + x + ... + x^N)^L; checked=True skips the
-    validation of MultinomialQuery(N, L, a), already validated by the caller."""
-    if not checked:
-        MultinomialQuery(N, L, a).validate()
+def classical_multinomial(N: int, L: int, a: Rational) -> int:
+    """Coefficient of x^(a + NL/2) in (1 + x + ... + x^N)^L, after validating
+    MultinomialQuery(N, L, a)."""
+    MultinomialQuery(N, L, a).validate()
     coeffs = [1]
     for _ in range(L):
         nxt = [0] * (len(coeffs) + N)
@@ -123,13 +121,12 @@ def classical_limit(poly: QPoly) -> int:
     return eval_at_one(poly)
 
 
-def tnew_rhs(N: int, L: int, ell: int, sigma: int, checked: bool = False) -> QPoly:
-    """Quadratic-exponent rewriting of T_0^{(N)}(L, ell/2); checked=True skips the
-    validation of MultinomialQuery(N, L, ell/2), already validated by the caller."""
+def tnew_rhs(N: int, L: int, ell: int, sigma: int) -> QPoly:
+    """Quadratic-exponent rewriting of T_0^{(N)}(L, ell/2), after validating
+    MultinomialQuery(N, L, ell/2)."""
     if sigma not in (0, 1) or (sigma - L) % 2:
         raise InvalidParams("sigma must be 0 or 1 with sigma = L mod 2")
-    if not checked:
-        MultinomialQuery(N, L, Fraction(ell, 2)).validate()
+    MultinomialQuery(N, L, Fraction(ell, 2)).validate()
 
     def weight(i, m):
         m1 = m[0] if m else 0

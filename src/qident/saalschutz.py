@@ -195,10 +195,9 @@ def sears_rhs(a: int, b: int, c: int, d: int, e: int, f: int, g: int) -> QPoly:
 
 # --- lattice generalization ----------------------------------------------------
 
-def gensum_lhs(p: SaalschutzParams, checked: bool = False) -> QPoly:
-    """The lattice sum; checked=True skips the validation of a point already validated."""
-    if not checked:
-        p.validate()
+def gensum_lhs(p: SaalschutzParams) -> QPoly:
+    """The lattice sum, after validating p."""
+    p.validate()
     two_l1, two_l2 = twice(p.L1, "L1"), twice(p.L2, "L2")
     l12 = half_int(two_l1 + two_l2, "binomial entry")
     inner = _scope(_GENSUM_INNER, (p.N, p.sigma, p.ell))
@@ -228,10 +227,9 @@ def _gensum_inner(N: int, sigma: int, ell: int, i: int, two_l1: int, two_l2: int
     return i_term(cartan(N), i, ell, sigma * N, weight)
 
 
-def gensum_rhs(p: SaalschutzParams, checked: bool = False) -> QPoly:
-    """The (mu,eta)-system side; checked=True skips the validation of a point already validated."""
-    if not checked:
-        p.validate()
+def gensum_rhs(p: SaalschutzParams) -> QPoly:
+    """The (mu,eta)-system side, after validating p."""
+    p.validate()
     two_l1, two_l2 = twice(p.L1, "L1"), twice(p.L2, "L2")
     memo = _scope(_GENSUM_RHS, (p.N, p.sigma, p.ell, p.M))
     if two_l2 not in memo:  # mu_1 -> H, stored only once it is whole

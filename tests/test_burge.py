@@ -28,6 +28,7 @@ from qident.burge import (
     classic_bt_safe,
     closed_form,
     closed_form_name,
+    edge_applies,
     edge_sides,
     sufficiency,
     transform_burgetrafo_n,
@@ -322,6 +323,8 @@ def test_unsymmetric_level_transforms_under_sufficiency():
             )
             rhs = transform_burgetrafo_n(n, sigma, m1, l1, m2, l2, _child(p, pp, r, s))
             assert lhs == rhs, ("suf", n, sigma, m1, l1, m2, l2, p, pp, r, s)
+            # the hand-built child is the oracle for edge_sides's child rule
+            assert edge_sides((p, pp, r, s), "traf1", m1, l1, m2, l2, n, sigma) == (lhs, rhs)
             checked += 1
         if sufficiency(probe, "suf2"):
             l12 = int(l1 - l2)
@@ -334,28 +337,58 @@ def test_unsymmetric_level_transforms_under_sufficiency():
             )
             rhs = transform_trafo(n, sigma, m1, l1, m2, l2, _child(p, pp, r, s))
             assert lhs == rhs, ("suf2", n, sigma, m1, l1, m2, l2, p, pp, r, s)
+            assert edge_sides((p, pp, r, s), "traf2", m1, l1, m2, l2, n, sigma) == (lhs, rhs)
             checked += 1
     assert checked > 100
 
 
 
-def test_level_edges_take_symmetric_bounds_only():
-    # a level tag routes its transform at (M1, L1, M1, L1), so at an asymmetric
-    # point it would set the child against another point's route
-    for tag in ("traf1", "traf2"):
-        for bounds in ((2, 1, 0, 1), (1, 1, 1, 2), (1, Fraction(1, 2), 0, Fraction(3, 2))):
-            with pytest.raises(InvalidParams, match="symmetric bounds"):
-                edge_sides((1, 2, 0, 1), tag, *bounds, 2, 0)
-        direct, route = edge_sides((1, 2, 0, 1), tag, 2, 1, 2, 1, 2, 0)
-        assert direct == route
-    # the classic tags keep their asymmetric points
-    asymmetric = [b for b in itertools.product(range(3), repeat=4) if b[:2] != b[2:]]
-    for tag, safe in (("bt", classic_bt_safe), ("bt2", classic_bt2_safe)):
-        checked = [b for b in asymmetric if safe(1, 2, 0, 1, *b)]
-        assert checked
-        for bounds in checked:
-            direct, route = edge_sides((1, 2, 0, 1), tag, *bounds)
-            assert direct == route, (tag, bounds)
+GRID_PARENTS = [(1, 2, 0, 1), (2, 3, 1, 1), (1, 3, 0, 1)]  # the edge families' parents
+
+
+def test_level_edges_route_asymmetric_bounds():
+    # a level tag routes its transform at (M1, L1, M2, L2), and the second
+    # rule's child moves with M12 and L12; every valid point of the box where
+    # edge_applies holds agrees, the asymmetric ones (suf, suf2) among them
+    applied = asymmetric = 0
+    for n, sigma in itertools.product((1, 2, 3), (0, 1)):
+        for m1, m2 in itertools.product(range(4), repeat=2):
+            if (m1 - m2 + sigma * n) % 2:
+                continue
+            shift = Fraction((m1 - m2 + sigma) % 2, 2)
+            for k1, k2 in itertools.product(range(3), repeat=2):
+                bounds = (m1, k1 + shift, m2, k2 + shift)
+                for labels, tag in itertools.product(GRID_PARENTS, ("traf1", "traf2")):
+                    if edge_applies(labels, tag, *bounds, n, sigma):
+                        direct, route = edge_sides(labels, tag, *bounds, n, sigma)
+                        assert direct == route, (labels, tag, bounds, n, sigma)
+                        applied += 1
+                        asymmetric += bounds[:2] != bounds[2:]
+    assert (applied, asymmetric) == (1391, 1103)
+
+
+def test_classic_edges_are_the_level_edges_at_n_1():
+    for labels in GRID_PARENTS:
+        for bounds in itertools.product(range(3), repeat=4):
+            sigma = (bounds[0] - bounds[2]) % 2
+            for classic, level in (("bt", "traf1"), ("bt2", "traf2")):
+                assert edge_sides(labels, classic, *bounds) == edge_sides(labels, level, *bounds, 1, sigma)
+
+
+def test_edge_applies_checks_labels_before_any_scan():
+    # p = 0 would divide by zero in the classic safety scan, and p' < p has no
+    # parent polynomial: labels invalid at level 1 are out of every edge's domain
+    for labels in ((0, 2, 0, 1), (1, 0, 0, 1), (2, 1, 0, 1)):
+        for tag in ("bt", "bt2"):
+            assert not edge_applies(labels, tag, 0, 0, 0, 0)
+        for tag in ("traf1", "traf2"):
+            assert not edge_applies(labels, tag, 0, 0, 0, 0, 2, 0)
+    # a classic point needs integral bounds >= 0
+    assert edge_applies((1, 2, 0, 1), "bt", 1, 1, 1, 1)
+    assert not edge_applies((1, 2, 0, 1), "bt", 1, -1, 1, 1)
+    assert not edge_applies((1, 2, 0, 1), "bt2", 1, Fraction(1, 2), 1, Fraction(1, 2))
+    # a level point must be valid: here L1 - L2 is not an integer
+    assert not edge_applies((1, 2, 0, 1), "traf2", 1, Fraction(1, 2), 1, 1, 2, 1)
 
 
 def test_sufficiency_shapes():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -901,15 +902,37 @@ def test_suite_timing_covers_every_family(capsys, monkeypatch, jobs):
 
 
 def test_burge_parent_labels_are_validated(capsys):
-    # the parent is evaluated through burge_xn, which rejects p' < p; a label
-    # override that gives the parent such labels gets an error row, not a value
+    # the parent is evaluated at level 1, where p' < p is invalid; a label
+    # override that gives the parent such labels is out of the edge's domain
     code, out, err = run(["verify", "burge.bt", "--p", "3", "--pprime", "2", "--r", "1", "--s", "1",
                           "--M1", "1", "--L1", "1", "--M2", "1", "--L2", "1"], capsys)
     assert code == 1
     rows, summary = rows_of(out)
-    assert [r["verdict"] for r in rows] == ["error"]
-    assert summary["error"] == summary["total"] == 1
-    assert "InvalidParams: (p'-p)/N must be a nonnegative integer" in err
+    assert [r["verdict"] for r in rows] == ["skipped_precondition"]
+    assert summary["skipped_precondition"] == summary["total"] == 1
+    assert summary["equal"] == 0 and "lhs_repr" not in rows[0]
+    assert err == "burge.bt: no point was checked, so nothing was verified\n"
+
+
+_BOUNDS_AT_ZERO = ["--M1", "0", "--L1", "0", "--M2", "0", "--L2", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["burge.bt", "--p", "0", "--pprime", "2", "--r", "0", "--s", "1", *_BOUNDS_AT_ZERO],
+    ["burge.bt2", "--p", "1", "--pprime", "0", "--r", "0", "--s", "1", *_BOUNDS_AT_ZERO],
+    ["burge.bt", "--p", "2", "--pprime", "1", "--r", "0", "--s", "1", *_BOUNDS_AT_ZERO],
+    ["burge.traf2", "--p", "0", "--pprime", "2", "--r", "0", "--s", "1", "--N", "2", "--M", "0", "--L", "0"],
+    ["burge.traf1", "--p", "3", "--pprime", "2", "--r", "0", "--s", "1", "--N", "2", "--M", "0", "--L", "0"],
+])
+def test_edge_parent_outside_the_domain_is_skipped(capsys, argv):
+    # labels invalid at level 1 are out of every edge family's domain: no
+    # division by p = 0 in a safety scan, and no error row from the parent
+    code, out, err = run(["verify", *argv], capsys)
+    rows, summary = rows_of(out)
+    assert code == 1 and rows
+    assert {r["verdict"] for r in rows} == {"skipped_precondition"}
+    assert summary["skipped_precondition"] == summary["total"] == len(rows)
+    assert "Traceback" not in err and "Error" not in err
 
 
 def test_tree_mismatch_carries_the_failing_node(capsys, monkeypatch):
@@ -947,7 +970,7 @@ def test_out_into_missing_directory_is_config_error(capsys, tmp_path, argv):
     assert not target.parent.exists()
 
 
-def test_verify_gensum_validates_each_point_once(capsys, monkeypatch):
+def test_verify_gensum_builds_each_point_once(capsys, monkeypatch):
     from qident.saalschutz import SaalschutzParams
 
     calls = []
@@ -956,8 +979,10 @@ def test_verify_gensum_validates_each_point_once(capsys, monkeypatch):
     code, out, _ = run(["verify", "gensum", "--N", "1..3", "--M", "1", "--L1", "1/2,1,3/2"], capsys)
     rows, summary = rows_of(out)
     assert code == 0 and summary["equal"] > 0 and summary["skipped_precondition"] > 0
-    # skipped and checked rows alike build and validate their point once
-    assert len(calls) == len(rows) == summary["total"]
+    # skipped and checked rows alike build their point once; the precondition
+    # validates it, and each of a checked row's two sides validates it again
+    assert len({id(c) for c in calls}) == len(rows) == summary["total"]
+    assert len(calls) == summary["total"] + 2 * summary["equal"]
 
 
 @pytest.mark.parametrize("module, record, argv", [
@@ -975,5 +1000,8 @@ def test_sides_reuse_the_validated_row_record(capsys, monkeypatch, module, recor
     code, out, _ = run(argv, capsys)
     rows, summary = rows_of(out)
     assert code == 0 and summary["equal"] == summary["total"] > 0
-    # the precondition validates the row's record; the sides take it as checked
-    assert len(calls) == len(rows) == summary["total"]
+    # the precondition validates the row's record and the side that takes it
+    # validates it again; a record validated once is one a side built itself
+    uses = Counter(map(id, calls))
+    assert set(uses.values()) <= {1, 2}
+    assert sum(n == 2 for n in uses.values()) == len(rows) == summary["total"]

@@ -1,12 +1,19 @@
-"""Negative controls for qs2: four wrong versions of the q-Pfaff-Saalschutz
-sum, each put into a copy of the family, must be caught through the command
-line's row loop on the default grid, at one job and in a pool.
+"""Negative controls: wrong versions of an identity, put into the program,
+must be caught through the command line's row loop on the default grid, at
+one job and in a pool.
+
+For qs2, four wrong versions of the q-Pfaff-Saalschutz sum each go into a
+copy of the family.
 
 The counts are of the 27,973 checked points of the 28,561-point grid (the
 rest are skipped as exceptional).  Some caught points compare 0 with 0 under
 the true identity, so a row loop that took two zero sides for equal without
 comparing them, or a side that returned 0 early outside its support, would
 lose them.
+
+For burge.bt2, the second transform's child rule loses its dependence on
+M1 - M2 or on L1 - L2.  Its default grid has 483 checked points of 768; the
+rest fail the safety scan.
 """
 
 import dataclasses
@@ -14,6 +21,7 @@ import json
 
 import pytest
 
+from qident import burge
 from qident.cli import REGISTRY, main
 from qident.qbinom import qbin
 from qident.qpoly import ZERO, mul
@@ -63,3 +71,33 @@ def test_wrong_qs2_is_caught_by_the_runner(capsys, monkeypatch, control, jobs):
     caught = [ClassicParams(**r["params"]) for r in rows if r["verdict"] == "mismatch"]
     assert len(caught) == mismatches
     assert sum(qs2_lhs(p).is_zero() and qs2_rhs(p).is_zero() for p in caught) == zero_zero
+
+
+EDGE_CHECKED = 483
+
+# name -> (factors on M12 and L12 in the second rule, mismatches)
+EDGE_CONTROLS = {
+    "true": ((1, 1), 0),
+    "dropping_M12": ((0, 1), 275),
+    "dropping_L12": ((1, 0), 286),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("control", list(EDGE_CONTROLS))
+def test_wrong_second_transform_rule_is_caught_by_the_runner(capsys, monkeypatch, control, jobs):
+    (keep_m12, keep_l12), mismatches = EDGE_CONTROLS[control]
+    real = burge.child_labels
+
+    def rule(labels, tag, n_lat=1, m12=0, l12=0):
+        return real(labels, tag, n_lat, keep_m12 * m12, keep_l12 * l12)
+
+    monkeypatch.setattr(burge, "child_labels", rule)
+    code = main(["verify", "burge.bt2", "--jobs", jobs])
+    out, err = capsys.readouterr()
+    lines = [json.loads(line) for line in out.splitlines()]
+    summary, rows = lines[-1], lines[:-1]
+    assert summary["equal"] + summary["mismatch"] == EDGE_CHECKED
+    assert summary["mismatch"] == mismatches and summary["error"] == 0
+    assert code == (1 if mismatches else 0) and err == ""
+    assert sum(r["verdict"] == "mismatch" for r in rows) == mismatches

@@ -405,14 +405,15 @@ def test_memos_hold_only_the_current_prefix():
     assert saalschutz._GENSUM_INNER[3, 1, 1].keys() == {(0, 2, 2), (1, 2, 2)}
 
 
-def test_an_inner_sum_that_raises_is_not_stored():
+def test_an_inner_sum_that_raises_is_not_stored(monkeypatch):
     # L1 = L2 = 1/2 at ell = sigma = 0 breaks the parity rule, so the
-    # (m,n)-system weight meets the half-integral top 1/2 at i = 0; checked=True
-    # lets the point past validation, as a precondition bug would
+    # (m,n)-system weight meets the half-integral top 1/2 at i = 0; a
+    # validation that finds nothing lets the point through, as a bug in it would
+    monkeypatch.setattr(SaalschutzParams, "violation", lambda self: None)
     bad = SaalschutzParams(1, 0, 0, 1, Fraction(1, 2), Fraction(1, 2))
     for _ in range(2):
         with pytest.raises(InvalidParams, match="binomial entry"):
-            gensum_lhs(bad, checked=True)
+            gensum_lhs(bad)
         assert saalschutz._GENSUM_INNER == {(1, 0, 0): {}}
 
 
@@ -438,12 +439,13 @@ def test_the_right_side_memo_holds_only_the_current_prefix():
     assert first == oracle_gensum_sides(3, 0, 0, 4, 1, 2)[1]
 
 
-def test_a_right_side_that_raises_is_not_stored():
+def test_a_right_side_that_raises_is_not_stored(monkeypatch):
     # as in the left-side test: mu_last = M + ell = 1 meets the top (1 + 1 + 1)/2
+    monkeypatch.setattr(SaalschutzParams, "violation", lambda self: None)
     bad = SaalschutzParams(1, 0, 0, 1, Fraction(1, 2), Fraction(1, 2))
     for _ in range(2):
         with pytest.raises(InvalidParams, match="binomial entry"):
-            gensum_rhs(bad, checked=True)
+            gensum_rhs(bad)
         assert saalschutz._GENSUM_RHS == {(1, 0, 0, 1): {}}
 
 
