@@ -22,13 +22,7 @@ attribute read, so a command pays only for the layers its family uses.
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from .errors import (
-    InvalidParams,
-    NonPolynomial,
-    QIdentError,
-    UnbalancedParameters,
-    UnknownClosedForm,
-)
+from .errors import InvalidParams, NonPolynomial, QIdentError, UnbalancedParameters, UnknownClosedForm
 from .qpoly import ONE, ZERO, QPoly, Truncation, mul, qpoch, render, truncated_equal
 
 

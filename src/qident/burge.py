@@ -45,9 +45,9 @@ from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import Checked, InvalidParams, UnknownClosedForm
-from .lattice import axis_source, cartan, i_sum, system_sum
+from .lattice import axis_source, cartan, i_sum, scope, system_sum
 from .qbinom import qbin
-from .qpoly import ONE, ZERO, QPoly, half_int, mul, norm_rat, twice
+from .qpoly import ONE, ZERO, QPoly, dot, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 Evaluator4 = Callable[[int, int, int, int], QPoly]
@@ -211,6 +211,10 @@ def child_labels(labels: Tuple[int, int, int, int], tag: str, n_lat: int = 1,
     return pp, n_lat * p + pp, s - m12, n_lat * (r + l12 + m12) + s - m12
 
 
+# parent labels -> {(M1, L1, M2, L2): the parent's level-1 polynomial}
+_PARENT: Dict[Tuple, Dict[Tuple, QPoly]] = {}
+
+
 def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rational,
                M2: int, L2: Rational, n_lat: int = 1, sigma: int = 0) -> Tuple[QPoly, QPoly]:
     """The child of `labels` under `tag`, evaluated directly and through the transform.
@@ -218,11 +222,17 @@ def edge_sides(labels: Tuple[int, int, int, int], tag: str, M1: int, L1: Rationa
     bt and traf1 route through the first transform, bt2 and traf2 through
     the second, at (M1, L1, M2, L2) over the parent's polynomial at level 1.
     The classic tags bt and bt2 fix N = 1 and sigma the parity of M1-M2.
-    Whether the two sides must agree is edge_applies's question.
+    Whether the two sides must agree is edge_applies's question.  A sweep
+    reads the parent at each bound many times, so _PARENT keeps its values for
+    one label set at a time (lattice.scope); an evaluation that raised is never
+    stored, so its point raises again.
     """
+    values = scope(_PARENT, tuple(labels))
 
-    def parent(m1, l1, m2, l2):
-        return burge_xn(BurgeParams(*labels, m1, l1, m2, l2, sigma=(m1 - m2) % 2))
+    def parent(*bounds):
+        if bounds not in values:
+            values[bounds] = burge_xn(BurgeParams(*labels, *bounds, sigma=(bounds[0] - bounds[2]) % 2))
+        return values[bounds]
 
     if tag in ("bt", "bt2"):
         n_lat, sigma = 1, (M1 - M2) % 2
@@ -402,21 +412,9 @@ def _rr_n_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
 
 
 def _slater_form(M: int, L: Rational, n_lat: int, sigma: int) -> QPoly:
-    two_l = twice(L, "L")
-    total = ZERO
-    for i in range(0, M + 1):
-        outer = qbin(two_l + M - i, two_l)
-        if outer.is_zero():
-            continue
-        for k in range(0, i + 1):
-            if (k + i + sigma) % 2:
-                continue
-            t = mul(qbin(i, k), qbin(two_l - k, i))
-            if t.is_zero():
-                continue
-            t = mul(outer, t)
-            total = total + t.times_monomial(1, i * i + k * k, 2)
-    return total
+    two_l = twice(L, "L")  # k runs over the parity of i + sigma
+    return dot((qbin(two_l + M - i, two_l), mul(qbin(i, k), qbin(two_l - k, i)).times_monomial(1, i * i + k * k, 2))
+               for i in range(M + 1) for k in range((i + sigma) % 2, i + 1, 2))
 
 
 class ClosedForm(NamedTuple):

@@ -312,6 +312,15 @@ def i_sum(cd: CartanData, ell: int, t: int, i_range: Iterable[int], weight: Opti
     return total
 
 
+def scope(memo: Dict[Tuple, Dict], prefix: Tuple) -> Dict:
+    """The memo's values under prefix; any other prefix's values are dropped first."""
+    values = memo.get(prefix)
+    if values is None:
+        memo.clear()
+        values = memo[prefix] = {}
+    return values
+
+
 def axis_source(rank: int, pairs: Sequence[Tuple[int, int]]) -> IntVec:
     """Source vector sum_k a_k e_{i_k} from (index_1based, value) pairs.
 

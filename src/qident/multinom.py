@@ -194,6 +194,5 @@ def abf_config_sum(p: int, s: int, L: int, cap: Optional[int] = None) -> QPoly:
             t = qbin(L, bot, None if cap is None else cap - shift)
             if t.is_zero():
                 continue
-            t = t.times_monomial(delta, shift)
-            total = total + t
+            total = total + t.times_monomial(delta, shift)
     return total

@@ -17,8 +17,10 @@ exponent <= D, that is the keys k <= floor(D*den).  Every truncated
 operation equals the exact operation followed by a final truncation.
 No operation changes a polynomial, so the first dense multiply it meets
 keeps a view of it (see _operand), which cannot go stale and dies with it.
-A sum of products (dot) is packed, accumulated in one integer and unpacked
-once, its slot width sized by the bound of the whole sum, not of one product.
+A view steps by the gcd of its key gaps, so a q^(1/N) sum whose keys lie in
+one class mod N is as dense as an integer one.  A sum of products (dot) is
+packed, accumulated in one integer per step and class, and unpacked once,
+its slot width sized by the bound of the whole sum, not of one product.
 """
 
 from __future__ import annotations
@@ -258,8 +260,8 @@ class Truncation:
 
 
 # A product of two dense operands (key span under _DENSE_SPAN times the
-# length) whose term pairs outnumber _PAIRS_PER_TERM times its terms is one
-# big-integer multiply: that costs a few pair steps per term, where the
+# length, in steps) whose term pairs outnumber _PAIRS_PER_TERM times its terms
+# is one big-integer multiply: that costs a few pair steps per term, where the
 # schoolbook convolution costs one per pair.
 _DENSE_SPAN = 2
 _PAIRS_PER_TERM = 5
@@ -279,11 +281,9 @@ def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
     if trunc is None and a._terms == ONE._terms:  # {0: 1} forces den 1
         return b
     if len(a._terms) * len(b._terms) > _PAIRS_PER_TERM * (len(a._terms) + len(b._terms)):
-        den = math.lcm(a._den, b._den)
-        va, vb = _operand(a, den), _operand(b, den)
-        if va and vb:
-            cap = None if trunc is None else _cap_key(trunc.degree_cap, den)
-            return _make(den, _kronecker([(va, vb)], cap))
+        den, va, vb = _dense_pair(a, b)
+        if va:
+            return _make(den, _product(va, vb, None if trunc is None else _cap_key(trunc.degree_cap, den)))
     den, ta, tb = _common(a, b)
     top = max(ta) + max(tb)
     if trunc is not None:
@@ -304,50 +304,78 @@ def mul(a: QPoly, b: QPoly, trunc: Truncation | None = None) -> QPoly:
 
 
 def dot(pairs: Iterable[Tuple[QPoly, QPoly]], trunc: Truncation | None = None) -> QPoly:
-    """sum a*b over the pairs, less the terms above trunc's cap; the pairs mul would
-    multiply as one big integer make one packed sum per denominator (_kronecker)."""
-    total, dense = ZERO, {}  # den -> [(view of a, view of b)]
+    """sum a*b over the pairs, less the terms above trunc's cap.  Every pair of dense
+    operands, however small, joins one packed sum (_kronecker) per denominator,
+    step and class of lowest keys modulo the step, which saves it a merge of its
+    terms too; the rest go through mul."""
+    total, dense = ZERO, {}  # (den, step, lowest key mod step) -> [(view of a, view of b)]
     for a, b in pairs:
-        if len(a._terms) * len(b._terms) > _PAIRS_PER_TERM * (len(a._terms) + len(b._terms)):
-            den = math.lcm(a._den, b._den)
-            va, vb = _operand(a, den), _operand(b, den)
-            if va and vb:
-                dense.setdefault(den, []).append((va, vb))
-                continue
-        total = total + mul(a, b, trunc)
-    for den, views in dense.items():
-        cap = None if trunc is None else _cap_key(trunc.degree_cap, den)
-        total = total + _make(den, _kronecker(views, cap))
+        den, va, vb = _dense_pair(a, b) if a._terms and b._terms else (1, (), ())
+        if va:
+            dense.setdefault((den, va[1], (va[0] + vb[0]) % va[1]), []).append((va, vb))
+        else:
+            total = total + mul(a, b, trunc)
+    for (den, _, _), views in dense.items():
+        total = total + _make(den, _kronecker(views, None if trunc is None else _cap_key(trunc.degree_cap, den)))
     return total
+
+
+def _dense_pair(a: QPoly, b: QPoly) -> Tuple[int, Tuple, Tuple]:
+    """(den, view of a, view of b) over their common den and at one step, or
+    (den, (), ()) when an operand is sparse; views of two steps spread to the gcd."""
+    den = a._den if a._den == b._den else math.lcm(a._den, b._den)
+    va = _operand(a, den)
+    vb = va and _operand(b, den)
+    if vb and va[1] != vb[1]:
+        step = math.gcd(va[1], vb[1])
+        va, vb = _spread(va, step), _spread(vb, step)
+    return (den, va, vb) if va and vb else (den, (), ())
+
+
+def _spread(view: Tuple, step: int) -> Tuple:
+    """view at a step dividing its own, zeros between its coefficients, or () if
+    that leaves it sparse; a spread view serves one product and keeps no pack."""
+    gap, cs = view[1] // step, view[2]
+    if gap == 1 or gap * (len(cs) - 1) >= _DENSE_SPAN * len(cs):
+        return view if gap == 1 else ()
+    spread = [0] * (gap * (len(cs) - 1) + 1)
+    spread[::gap] = cs
+    return view[0], step, spread, view[3], view[4], {}  # zeros move no sign or magnitude test
 
 
 def _operand(p: QPoly, den: int) -> Tuple:
     """p as a dense operand over den, a multiple of its own denominator: (lowest
-    key, the coefficients from it on, least and greatest coefficient, {slot
-    width: packed coefficients}), or () for sparse keys.  Over its own den the
-    view is built once and kept in p._view; over a finer one, for one product."""
-    own = den == p._den
-    if own and p._view is not None:
-        return p._view
-    terms = p._terms if own else {k * (den // p._den): c for k, c in p._terms.items()}
-    lo, hi = min(terms), max(terms)
-    view = ()
-    if hi - lo < _DENSE_SPAN * len(terms):
-        cs = list(map(terms.get, range(lo, hi + 1), repeat(0)))
-        view = lo, cs, min(cs), max(cs), {}
-    if own:
+    key, step, the coefficients at lowest + step*j, least and greatest one,
+    {slot width: packed coefficients}), or () for sparse keys; the step is the
+    gcd of the key gaps.  Built once over p's own den and kept in p._view; over
+    a finer den its lowest key and step scale, its lists and packs are shared."""
+    view = p._view
+    if view is None:
+        terms = p._terms
+        lo, hi, step = min(terms), max(terms), 0
+        for k in terms:  # a step-1 polynomial stops at its second key
+            step = math.gcd(step, k - lo)
+            if step == 1:
+                break
+        view = ()
+        if hi - lo < _DENSE_SPAN * len(terms) * step:
+            cs = list(map(terms.get, range(lo, hi + 1, step), repeat(0)))
+            view = lo, step, cs, min(cs), max(cs), {}
         p._view = view
-    return view
+    if den == p._den or not view:
+        return view
+    scale = den // p._den
+    return (view[0] * scale, view[1] * scale) + view[2:]
 
 
 def _packed(view: Tuple, width: int, count: int) -> int:
-    """sum c_i * 2**(8*width*i) over the first `count` coefficients; the view
+    """sum c_j * 2**(8*width*j) over the first `count` coefficients; the view
     keeps the value of its whole list per width, never that of a clipped one."""
-    cs, packs = view[1], view[4]
+    cs, packs = view[2], view[5]
     if count == len(cs) and width in packs:
         return packs[width]
     clipped = cs[:count]
-    if view[2] >= 0 and width in _WORD:  # machine words, packed in C
+    if view[3] >= 0 and width in _WORD:  # machine words, packed in C
         value = int.from_bytes(array(_WORD[width], clipped).tobytes(), "little")
     else:  # each slot biased by half to be nonnegative, the biases taken off at once
         half, slot = 1 << (8 * width - 1), bytes(width - 1) + b"\x80"  # `half` in one slot
@@ -358,56 +386,81 @@ def _packed(view: Tuple, width: int, count: int) -> int:
     return value
 
 
-def _kronecker(pairs: List[Tuple[Tuple, Tuple]], cap: Optional[int]) -> Terms:
-    """Keys of sum a*b over pairs of dense operands, up to the cap key if there is one.
+def _clip(va: Tuple, vb: Tuple, cap: Optional[int]) -> Tuple[int, int, int, int, int]:
+    """(lowest key, product slots to the cap, slots of a and b reaching them, slot bound)."""
+    ca, cb = va[2], vb[2]
+    low, n = va[0] + vb[0], len(ca) + len(cb) - 1
+    if cap is not None and cap - low < va[1] * (n - 1):
+        n = (cap - low) // va[1] + 1
+    len_a, len_b = min(len(ca), n), min(len(cb), n)
+    return low, n, len_a, len_b, max(va[4], -va[3]) * max(vb[4], -vb[3]) * min(len_a, len_b)
 
-    Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
-    operand, clipped to the coefficients that can reach the cap, is packed into
-    one integer with a fixed-width slot per coefficient, and one integer
-    multiply gives every product coefficient.  Each product, shifted to its
-    lowest key, is added into one integer, which is unpacked once.  No slot of
-    it exceeds bound = the sum of max|a| * max|b| * min(len a, len b) over the
-    pairs in magnitude.  When every operand is nonnegative and a 1, 2, 4 or
-    8-byte slot holds bound, the smallest is taken: no slot can carry into the
-    next, so operands pack and the sum unpacks as machine words in C.
-    Otherwise the slot is wider than twice bound, and adding half the slot
-    range to each slot of the sum makes it nonnegative, so no borrow crosses a
-    slot.  Either way an operand packs to the same value per width.  The sign
-    test and max|.| come from the whole operand's view, not from its clipped
-    part: a clipped pack may take the biased path or a wider slot than its own
-    coefficients need, which costs time but never changes a sum.
+
+def _slot(bound: int, signed: bool) -> Tuple[int, bool]:
+    """(bytes per slot, whether slots are unsigned machine words) for |slots| <= bound."""
+    for width in () if signed else _WORD:
+        if bound >> (8 * width) == 0:
+            return width, True
+    return (bound.bit_length() + 2 + 7) // 8, False
+
+
+def _unpack(total: int, base: int, step: int, n: int, width: int, words: bool, mask: bool) -> Terms:
+    """The nonzero among the first n slots of total at keys base + step*j; mask: drop the rest."""
+    if not words:  # `half` in each slot
+        total += int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = (total & ((1 << (8 * width * n)) - 1) if mask else total).to_bytes(width * n, "little")
+    if words:
+        vals = memoryview(raw).cast(_WORD[width]).tolist()
+    else:
+        half = 1 << (8 * width - 1)
+        vals = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
+    if 0 in vals:
+        return {base + step * j: v for j, v in enumerate(vals) if v}
+    return dict(zip(range(base, base + step * n, step), vals))
+
+
+def _product(va: Tuple, vb: Tuple, cap: Optional[int]) -> Terms:
+    """_kronecker of the one pair, with no list of pairs, no shift and, below the cap, no mask."""
+    low, n, len_a, len_b, bound = _clip(va, vb, cap)
+    if n <= 0:
+        return {}
+    width, words = _slot(bound, va[3] < 0 or vb[3] < 0)
+    total = _packed(va, width, len_a) * _packed(vb, width, len_b)
+    return _unpack(total, low, va[1], n, width, words, len_a + len_b > n + 1)
+
+
+def _kronecker(pairs: List[Tuple[Tuple, Tuple]], cap: Optional[int]) -> Terms:
+    """Keys of sum a*b up to the cap key, if any, over pairs of views of one step
+    whose lowest keys agree modulo it.
+
+    Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): an
+    operand, clipped to the coefficients that can reach the cap, packs into one
+    integer whose slot j, of fixed width, holds its coefficient at lowest key +
+    step*j; one integer multiply gives every product coefficient, and the
+    products, each shifted by its lowest key in steps, add into one integer,
+    unpacked once.  No slot of it exceeds bound = the sum over the pairs of
+    max|a| * max|b| * min(len a, len b).  Nonnegative operands take the smallest
+    machine word (1, 2, 4 or 8 bytes) that holds bound: nothing carries, so they
+    pack and the sum unpacks in C.  Otherwise the slot is wider than twice
+    bound, and half the slot range added to each slot makes the sum
+    nonnegative, so no borrow crosses a slot.  The sign test and max|.| read the
+    whole operand's view, so it packs to one value per width; a clipped pack may
+    take a wider or biased slot than it needs, which costs time, never a sum.
     """
-    clips, bound, signed, base, top = [], 0, False, math.inf, -math.inf
+    step, clips, bound, signed, base, top = pairs[0][0][1], [], 0, False, math.inf, -math.inf
     for va, vb in pairs:
-        lo_a, ca, min_a, max_a, _ = va
-        lo_b, cb, min_b, max_b, _ = vb
-        low, high = lo_a + lo_b, lo_a + len(ca) + lo_b + len(cb) - 2
-        if cap is not None:
-            high = min(high, cap)
-        if high >= low:  # the coefficients that reach high
-            len_a, len_b = min(len(ca), high - low + 1), min(len(cb), high - low + 1)
-            bound += max(max_a, -min_a) * max(max_b, -min_b) * min(len_a, len_b)
-            signed = signed or min_a < 0 or min_b < 0
-            base, top = low if low < base else base, high if high > top else top
+        low, n, len_a, len_b, most = _clip(va, vb, cap)
+        if n > 0:  # the coefficients that reach the cap
+            bound, signed = bound + most, signed or va[3] < 0 or vb[3] < 0
+            base, top = low if low < base else base, low + step * n if low + step * n > top else top
             clips.append((low, va, len_a, vb, len_b))
     if not clips:
         return {}
-    n, words = top - base + 1, [] if signed else [w for w in _WORD if bound >> (8 * w) == 0]
-    width = words[0] if words else (bound.bit_length() + 2 + 7) // 8  # bytes per slot
+    width, words = _slot(bound, signed)
     total = 0
     for low, va, len_a, vb, len_b in clips:
-        total += (_packed(va, width, len_a) * _packed(vb, width, len_b)) << (8 * width * (low - base))
-    mask = (1 << (8 * width * n)) - 1  # the slots to top; a clipped product runs past it
-    if words:
-        vals = memoryview((total & mask).to_bytes(width * n, "little")).cast(_WORD[width]).tolist()
-    else:
-        half = 1 << (8 * width - 1)
-        slots = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # `half` in each slot
-        raw = ((total + slots) & mask).to_bytes(width * n, "little")
-        vals = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
-    if 0 in vals:
-        return {base + i: v for i, v in enumerate(vals) if v}
-    return dict(zip(range(base, top + 1), vals))
+        total += (_packed(va, width, len_a) * _packed(vb, width, len_b)) << (8 * width * ((low - base) // step))
+    return _unpack(total, base, step, (top - base) // step, width, words, cap is not None)
 
 
 def from_dense(coeffs: List[int]) -> QPoly:
@@ -445,8 +498,7 @@ def qpoch(s: int, m: int) -> QPoly:
         return ONE
     if s <= 0 <= s + m - 1:
         return ZERO  # the factor 1 - q^0 appears
-    result = mul(qpoch(s, m - 1), QPoly({0: 1, s + m - 1: -1}))
-    return result
+    return mul(qpoch(s, m - 1), QPoly({0: 1, s + m - 1: -1}))
 
 
 @lru_cache(maxsize=None)
@@ -530,29 +582,14 @@ def eval_at_one(p: QPoly) -> int:
     return sum(p._terms.values())
 
 
-def _render_term(e: Exponent, c: int) -> str:
-    mag = abs(c)
-    if e == 0:
-        return str(mag)
-    if e == 1:
-        power = "q"
-    elif isinstance(e, int):
-        power = f"q^{e}"
-    else:
-        power = f"q^({e})"
-    return power if mag == 1 else f"{mag}*{power}"
-
-
 def render(p: QPoly) -> str:
     """Canonical text form: ascending exponents, signed joining."""
     if not p._terms:
         return "0"
-    parts = []
+    den, parts = p._den, []
     for k in sorted(p._terms):
-        c = p._terms[k]
-        body = _render_term(_exp(k, p._den), c)
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+        c, g = p._terms[k], math.gcd(k, den)  # the exponent k/den is (k/g)/(den/g) in lowest terms
+        body = "q" if k == den else f"q^{k // g}" if g == den else f"q^({k // g}/{den // g})"
+        body = str(abs(c)) if k == 0 else body if abs(c) == 1 else f"{abs(c)}*{body}"
+        parts.append(("-" if c < 0 else "") + body if not parts else ("- " if c < 0 else "+ ") + body)
     return " ".join(parts)

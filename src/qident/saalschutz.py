@@ -14,7 +14,9 @@ integer numerators over N, lattice offsets numerators over 2N.
 qs2 and qcv sum only their live terms, i from max(0, -ell) to min(L2, L1 - ell)
 (and to M for qs2): any other has a zero binomial.  qs2's sides are 0 at once,
 before any memo or binomial, at an empty window or outside the right side's
-support; otherwise the left is one packed sum of products (qpoly.dot).
+support; otherwise the left is one packed sum of products (qpoly.dot).  Both
+gensum sides are such sums too, each product an integer binomial times a
+q^(1/N) sum whose keys lie in one class mod N.
 
 qs2 and gensum are sums over i of outer(M, i) * inner(i), with inner(i) free
 of M.  Their sweeps walk M and the later axes inside a prefix of the earlier
@@ -33,9 +35,9 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import Checked, UnbalancedParameters
-from .lattice import axis_source, cartan, class_terms, i_term
+from .lattice import axis_source, cartan, class_terms, i_term, scope
 from .qbinom import qbin, qbin_mod_tb
-from .qpoly import ZERO, QPoly, dot, half_int, mul, norm_rat, twice
+from .qpoly import ONE, ZERO, QPoly, dot, half_int, mul, norm_rat, twice
 
 Rational = Union[int, Fraction]
 
@@ -84,15 +86,6 @@ _GENSUM_INNER: Dict[Tuple, Dict[Tuple, QPoly]] = {}  # (N, sigma, ell) -> {(i, 2
 _GENSUM_RHS: Dict[Tuple, Dict[int, Dict]] = {}  # (N, sigma, ell, M) -> {2 L2: {mu_1: H}}
 
 
-def _scope(memo: Dict[Tuple, Dict], prefix: Tuple) -> Dict:
-    """The memo's values under prefix; any other prefix's values are dropped first."""
-    values = memo.get(prefix)
-    if values is None:
-        memo.clear()
-        values = memo[prefix] = {}
-    return values
-
-
 # --- classical summation ----------------------------------------------------
 
 def qs2_lhs(p: ClassicParams) -> QPoly:
@@ -101,7 +94,7 @@ def qs2_lhs(p: ClassicParams) -> QPoly:
     live = range(max(0, -ell), min(M, L2, L1 - ell) + 1)
     if not live:  # also whenever L1 + L2 < 0, where every outer binomial vanishes
         return ZERO
-    inner = _scope(_QS2_INNER, (L1, L2))
+    inner = scope(_QS2_INNER, (L1, L2))
     pairs = []
     for i in live:
         term = inner.get((ell, i))
@@ -129,11 +122,8 @@ def qs2_exceptional(p: ClassicParams) -> bool:
 
 
 def qcv_lhs(p: ClassicParams) -> QPoly:
-    total = ZERO
-    # outside i+ell in 0..L1 and i in 0..L2 a binomial of the term vanishes
-    for i in range(max(0, -p.ell), min(p.L2, p.L1 - p.ell) + 1):
-        total = total + _qs2_inner(p.L1, p.L2, p.ell, i)
-    return total
+    live = range(max(0, -p.ell), min(p.L2, p.L1 - p.ell) + 1)  # outside it a binomial vanishes
+    return sum((_qs2_inner(p.L1, p.L2, p.ell, i) for i in live), ZERO)
 
 
 def qcv_rhs(p: ClassicParams) -> QPoly:
@@ -142,49 +132,33 @@ def qcv_rhs(p: ClassicParams) -> QPoly:
 
 def qcv_exceptional(p: ClassicParams) -> bool:
     """M-free caveat: the column sum vanishes while the closed form may not."""
-    first = -p.L1 <= -p.ell <= p.L2 < 0
-    second = -p.L2 <= p.ell <= p.L1 < 0
-    return first or second
+    return -p.L1 <= -p.ell <= p.L2 < 0 or -p.L2 <= p.ell <= p.L1 < 0
 
 
 # --- Sears transform ---------------------------------------------------------
 
-def _check_balance(a: int, b: int, c: int, d: int, e: int, f: int, g: int) -> None:
-    if a + b != c + d + f:
-        raise UnbalancedParameters(f"a+b must equal c+d+f, got {a + b} != {c + d + f}")
-
-
 def sears_lhs(a: int, b: int, c: int, d: int, e: int, f: int, g: int) -> QPoly:
     """sum_i q^{i(i-a+e+g)} [i+a, a][b-i, c-i][d, i+e][f, i+g], modified."""
-    _check_balance(a, b, c, d, e, f, g)
-    total = ZERO
     # the bottom entries a (fixed), c-i, i+e, i+g must all be >= 0
-    if a < 0:
-        return total
-    for i in range(max(-e, -g), c + 1):
-        term = qbin_mod_tb(i + a, a)
-        if term.is_zero():
-            continue
-        for top, bottom in ((b - i, c - i), (d, i + e), (f, i + g)):
-            term = mul(term, qbin_mod_tb(top, bottom))
-            if term.is_zero():
-                break
-        else:
-            total = total + term.times_monomial(1, i * (i - a + e + g))
-    return total
+    return _sears_sum(a, b, c, d, e, f, g, range(max(-e, -g), c + 1) if a >= 0 else (),
+                      lambda i: ((i + a, a), (b - i, c - i), (d, i + e), (f, i + g)))
 
 
 def sears_rhs(a: int, b: int, c: int, d: int, e: int, f: int, g: int) -> QPoly:
     """sum_i q^{i(i-a+e+g)} [a-g, a-g-i][b-d+e, c-i][c+d-i, c+e][i+f, i+g]."""
-    _check_balance(a, b, c, d, e, f, g)
+    return _sears_sum(a, b, c, d, e, f, g, range(-g, min(a - g, c) + 1) if c + e >= 0 else (),
+                      lambda i: ((a - g, a - g - i), (b - d + e, c - i), (c + d - i, c + e), (i + f, i + g)))
+
+
+def _sears_sum(a: int, b: int, c: int, d: int, e: int, f: int, g: int, i_range, entries) -> QPoly:
+    """sum over i in i_range of q^{i(i-a+e+g)} times the modified binomials [top, bottom]
+    listed by entries(i), a product stopped at its first zero factor; balanced points only."""
+    if a + b != c + d + f:
+        raise UnbalancedParameters(f"a+b must equal c+d+f, got {a + b} != {c + d + f}")
     total = ZERO
-    if c + e < 0:
-        return total
-    for i in range(-g, min(a - g, c) + 1):
-        term = qbin_mod_tb(a - g, a - g - i)
-        if term.is_zero():
-            continue
-        for top, bottom in ((b - d + e, c - i), (c + d - i, c + e), (i + f, i + g)):
+    for i in i_range:
+        term = ONE
+        for top, bottom in entries(i):
             term = mul(term, qbin_mod_tb(top, bottom))
             if term.is_zero():
                 break
@@ -200,18 +174,14 @@ def gensum_lhs(p: SaalschutzParams) -> QPoly:
     p.validate()
     two_l1, two_l2 = twice(p.L1, "L1"), twice(p.L2, "L2")
     l12 = half_int(two_l1 + two_l2, "binomial entry")
-    inner = _scope(_GENSUM_INNER, (p.N, p.sigma, p.ell))
-    total = ZERO
-    for i in range(0, p.M + 1):
-        outer = qbin(l12 + p.M - i, p.M - i)
-        if outer.is_zero():
-            continue
+    inner = scope(_GENSUM_INNER, (p.N, p.sigma, p.ell))
+    pairs = []
+    for i in range(0, p.M + 1):  # L1 + L2 >= 0, so no outer binomial vanishes
         term = inner.get((i, two_l1, two_l2))
         if term is None:
             term = inner[i, two_l1, two_l2] = _gensum_inner(p.N, p.sigma, p.ell, i, two_l1, two_l2)
-        if not term.is_zero():
-            total = total + mul(outer, term)
-    return total
+        pairs.append((qbin(l12 + p.M - i, p.M - i), term))
+    return dot(pairs)
 
 
 def _gensum_inner(N: int, sigma: int, ell: int, i: int, two_l1: int, two_l2: int) -> QPoly:
@@ -231,7 +201,7 @@ def gensum_rhs(p: SaalschutzParams) -> QPoly:
     """The (mu,eta)-system side, after validating p."""
     p.validate()
     two_l1, two_l2 = twice(p.L1, "L1"), twice(p.L2, "L2")
-    memo = _scope(_GENSUM_RHS, (p.N, p.sigma, p.ell, p.M))
+    memo = scope(_GENSUM_RHS, (p.N, p.sigma, p.ell, p.M))
     if two_l2 not in memo:  # mu_1 -> H, stored only once it is whole
         cd, top2 = cartan(p.N), two_l2 + p.M + p.ell  # twice the top of b2, less mu_last
         v = axis_source(cd.rank, [(1, p.M + p.ell), (cd.rank, p.M)])
@@ -241,9 +211,5 @@ def gensum_rhs(p: SaalschutzParams) -> QPoly:
             mu_first = key[0] if key else p.M
             parts[mu_first] = parts.get(mu_first, ZERO) + term
         memo[two_l2] = parts
-    total = ZERO
-    for mu_first, part in memo[two_l2].items():
-        b1 = qbin(half_int(two_l1 + p.M + mu_first, "binomial entry"), p.M + p.ell)
-        if not b1.is_zero():
-            total = total + mul(b1, part)
-    return total
+    return dot((qbin(half_int(two_l1 + p.M + mu_first, "binomial entry"), p.M + p.ell), part)
+               for mu_first, part in memo[two_l2].items())

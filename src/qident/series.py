@@ -35,6 +35,7 @@ from .qpoly import (
     ZERO,
     QPoly,
     Truncation,
+    dot,
     euler_inverse_truncated,
     inv_qpoch,
     invert_truncated,
@@ -103,13 +104,9 @@ def durfee_sides(ell: int, trunc: Truncation) -> Tuple[QPoly, QPoly]:
     """Durfee rectangle dissection of the partition generating series."""
     if ell < 0:
         raise InvalidParams("ell must be >= 0")
-    d = trunc.degree_cap
-    lhs = ZERO
-    i = 0
-    while i * (i + ell) <= d:
-        term = mul(inv_qpoch(1, i, trunc), inv_qpoch(1, i + ell, trunc), trunc)
-        lhs = lhs + term.times_monomial(1, i * (i + ell))
-        i += 1
+    reach = takewhile(lambda i: i * (i + ell) <= trunc.degree_cap, count())
+    lhs = dot(((inv_qpoch(1, i, trunc), inv_qpoch(1, i + ell, trunc).times_monomial(1, i * (i + ell)))
+               for i in reach), trunc)
     return lhs, euler_inverse_truncated(trunc)
 
 
@@ -155,13 +152,9 @@ def conjugate_pair_failure(bq: BaileyPairQuery) -> Optional[Tuple[int, QPoly, QP
     trunc = bq.trunc
     gammas, deltas = _gamma_delta(bq)
     for L, gamma in gammas.items():
-        rhs = ZERO
-        for r, delta in deltas.items():
-            if r < L or (bq.M is not None and r > bq.M):
-                continue
-            term = mul(delta, inv_qpoch(1, r - L, trunc), trunc)
-            term = mul(term, inv_qpoch(bq.ell + 1, r + L, trunc), trunc)
-            rhs = rhs + term
+        reach = (r for r in deltas if L <= r and (bq.M is None or r <= bq.M))
+        rhs = dot(((mul(deltas[r], inv_qpoch(1, r - L, trunc), trunc), inv_qpoch(bq.ell + 1, r + L, trunc))
+                   for r in reach), trunc)
         if not truncated_equal(gamma, rhs, trunc):
             return L, gamma, rhs.truncate(trunc)
     return None

@@ -34,7 +34,8 @@ from qident.burge import (
     transform_burgetrafo_n,
     transform_trafo,
 )
-from qident.cli import main
+from qident import burge
+from qident.cli import REGISTRY, _points_for, main
 from qident.errors import InvalidParams, UnknownClosedForm
 from qident.lattice import axis_source, cartan, enumerate_admissible
 from qident.qbinom import qbin
@@ -373,6 +374,81 @@ def test_classic_edges_are_the_level_edges_at_n_1():
             sigma = (bounds[0] - bounds[2]) % 2
             for classic, level in (("bt", "traf1"), ("bt2", "traf2")):
                 assert edge_sides(labels, classic, *bounds) == edge_sides(labels, level, *bounds, 1, sigma)
+
+
+# --- the parent memo: one label set's level-1 values at a time ------------------------
+
+def _grid_edges(identity_id):
+    """(labels, tag, bounds, N, sigma) at each applicable point of a default grid."""
+    fam = REGISTRY[identity_id]
+    tag = identity_id.split(".")[1]
+    for values in _points_for(fam, {})[1]:
+        p = dict(zip(fam.names, values))
+        if fam.precondition(p):
+            labels = (p["p"], p["pprime"], p["r"], p["s"])
+            if tag in ("bt", "bt2"):
+                yield labels, tag, (p["M1"], p["L1"], p["M2"], p["L2"]), 1, 0
+            else:
+                yield labels, tag, (p["M"], p["L"], p["M"], p["L"]), p["N"], p["sigma"]
+
+
+@pytest.mark.parametrize("identity_id, points, values", [("burge.bt2", 483, 555), ("burge.traf2", 216, 90)])
+def test_parent_memo_equals_a_fresh_evaluation(monkeypatch, identity_id, points, values):
+    # every value the memo gives equals a fresh evaluation, and each is made
+    # once: a point evaluates its child, and its parent values only where new
+    monkeypatch.setattr(burge, "_PARENT", {})
+    real, calls, checked = burge.burge_xn, [], set()
+    monkeypatch.setattr(burge, "burge_xn", lambda bp: calls.append(bp) or real(bp))
+    count = 0
+    for labels, tag, bounds, n, sigma in _grid_edges(identity_id):
+        edge_sides(labels, tag, *bounds, n, sigma)
+        count += 1
+        assert burge._PARENT.keys() == {labels}
+        for key, value in burge._PARENT[labels].items():
+            if (labels, key) not in checked:
+                checked.add((labels, key))
+                assert value == real(BurgeParams(*labels, *key, sigma=(key[0] - key[2]) % 2)), (labels, key)
+    assert (count, len(checked)) == (points, values)
+    assert len(calls) == points + values
+
+
+def test_parent_memo_never_stores_an_evaluation_that_raised(monkeypatch):
+    monkeypatch.setattr(burge, "_PARENT", {})
+    labels, bounds, failing = (1, 2, 0, 1), (2, 1, 1, 2), [True]
+    real = burge.burge_xn
+
+    def planted(bp):
+        if failing and (bp.p, bp.pprime, bp.r, bp.s) == labels:
+            raise InvalidParams("planted")
+        return real(bp)
+
+    monkeypatch.setattr(burge, "burge_xn", planted)
+    with pytest.raises(InvalidParams, match="planted"):
+        edge_sides(labels, "bt", *bounds)
+    assert burge._PARENT == {labels: {}}
+    failing.clear()
+    direct, route = edge_sides(labels, "bt", *bounds)
+    assert direct == route and burge._PARENT[labels]
+    assert all(v == real(BurgeParams(*labels, *k, sigma=(k[0] - k[2]) % 2)) for k, v in burge._PARENT[labels].items())
+
+
+def test_parent_memo_holds_one_label_set_at_a_time(monkeypatch):
+    monkeypatch.setattr(burge, "_PARENT", {})
+    calls = []
+    real = burge.burge_xn
+    monkeypatch.setattr(burge, "burge_xn", lambda bp: calls.append(bp) or real(bp))
+    first, second, bounds = (1, 2, 0, 1), (2, 3, 1, 1), (2, 2, 2, 2)
+    edge_sides(first, "bt", *bounds)
+    held, made = dict(burge._PARENT[first]), len(calls)
+    assert burge._PARENT.keys() == {first} and held
+    edge_sides(first, "bt2", *bounds)  # the same labels: the parent values it shares are read
+    assert burge._PARENT.keys() == {first} and held.items() <= burge._PARENT[first].items()
+    edge_sides(second, "bt", *bounds)
+    assert burge._PARENT.keys() == {second}
+    calls.clear()
+    edge_sides(first, "bt", *bounds)  # first's values were dropped: they are evaluated again
+    assert burge._PARENT.keys() == {first} and burge._PARENT[first] == held
+    assert len(calls) == made
 
 
 def test_edge_applies_checks_labels_before_any_scan():

@@ -14,6 +14,12 @@ lose them.
 For burge.bt2, the second transform's child rule loses its dependence on
 M1 - M2 or on L1 - L2.  Its default grid has 483 checked points of 768; the
 rest fail the safety scan.
+
+For gensum, four wrong versions of the lattice generalization go into a copy
+of the family, each written out here over the package's lattice sums: the
+left side's inner exponent, its outer bottom, the right side's b1 bottom,
+and L1 exchanged with L2 on the right.  Every one of its 8,806 default points
+is checked.
 """
 
 import dataclasses
@@ -23,9 +29,10 @@ import pytest
 
 from qident import burge
 from qident.cli import REGISTRY, main
+from qident.lattice import axis_source, cartan, class_terms
 from qident.qbinom import qbin
-from qident.qpoly import ZERO, mul
-from qident.saalschutz import ClassicParams, qs2_lhs, qs2_rhs
+from qident.qpoly import ZERO, dot, half_int, mul, twice
+from qident.saalschutz import ClassicParams, _gensum_inner, gensum_lhs, gensum_rhs, qs2_lhs, qs2_rhs
 
 CHECKED = 27_973
 
@@ -101,3 +108,68 @@ def test_wrong_second_transform_rule_is_caught_by_the_runner(capsys, monkeypatch
     assert summary["mismatch"] == mismatches and summary["error"] == 0
     assert code == (1 if mismatches else 0) and err == ""
     assert sum(r["verdict"] == "mismatch" for r in rows) == mismatches
+
+
+GENSUM_CHECKED = 8_806
+_INNER = {}  # (N, sigma, ell) -> {(i, 2 L1, 2 L2): inner sum}, one prefix at a time, as the sweep walks
+
+
+def _gensum_lhs(g, extra_exponent=0, outer_shift=0):
+    """sum over i of [L1+L2+M-i over M-i-outer_shift] q^(i extra_exponent/N) times
+    the i-th inner sum, q^(i(i+ell)/N) included."""
+    two_l1, two_l2 = twice(g.L1, "L1"), twice(g.L2, "L2")
+    if (g.N, g.sigma, g.ell) not in _INNER:
+        _INNER.clear()
+    inner = _INNER.setdefault((g.N, g.sigma, g.ell), {})
+    pairs = []
+    for i in range(0, g.M + 1):
+        key = (i, two_l1, two_l2)
+        if key not in inner:
+            inner[key] = _gensum_inner(g.N, g.sigma, g.ell, *key)
+        outer = qbin(half_int(two_l1 + two_l2, "L1+L2") + g.M - i, g.M - i - outer_shift)
+        pairs.append((outer, inner[key].times_monomial(1, i * extra_exponent, g.N)))
+    return dot(pairs)
+
+
+def _gensum_rhs(g, b1_shift=0, exchanged=False):
+    """sum over the (mu, eta)-system classes of b1(L1, mu_1) b2(L2, mu_last) times
+    the class sum, b1's bottom M+ell+b1_shift, L1 and L2 exchanged if asked."""
+    two_l1, two_l2 = twice(g.L1, "L1"), twice(g.L2, "L2")
+    if exchanged:
+        two_l1, two_l2 = two_l2, two_l1
+    cd = cartan(g.N)
+    v = axis_source(cd.rank, [(1, g.M + g.ell), (cd.rank, g.M)])
+    pairs = []
+    for key, term in class_terms(cd, v, g.ell + g.sigma * g.N):
+        mu_first, mu_last = key[:2] if key else (g.M, g.M + g.ell)
+        b1 = qbin(half_int(two_l1 + g.M + mu_first, "b1 top"), g.M + g.ell + b1_shift)
+        b2 = qbin(half_int(two_l2 + g.M + g.ell + mu_last, "b2 top"), g.M)
+        pairs.append((mul(b1, b2), term))
+    return dot(pairs)
+
+
+# name -> (sides, the side left true, mismatches, mismatches where the true
+# identity compares 0 with 0: there the true side's row value is 0)
+GENSUM_CONTROLS = {
+    "inner_exponent": (lambda g, d: (_gensum_lhs(g, extra_exponent=1), gensum_rhs(g)), "rhs", 3944, 0),
+    "outer_bottom": (lambda g, d: (_gensum_lhs(g, outer_shift=1), gensum_rhs(g)), "rhs", 4844, 0),
+    "right_b1_bottom": (lambda g, d: (gensum_lhs(g), _gensum_rhs(g, b1_shift=1)), "lhs", 4876, 171),
+    "right_L1_L2_exchanged": (lambda g, d: (gensum_lhs(g), _gensum_rhs(g, exchanged=True)), "lhs", 4296, 1249),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("control", list(GENSUM_CONTROLS))
+def test_wrong_gensum_is_caught_by_the_runner(capsys, monkeypatch, control, jobs):
+    sides, true_side, mismatches, zero_zero = GENSUM_CONTROLS[control]
+    monkeypatch.setitem(REGISTRY, "gensum", dataclasses.replace(REGISTRY["gensum"], sides=sides))
+    code = main(["verify", "gensum", "--jobs", jobs])
+    out, err = capsys.readouterr()
+    lines = [json.loads(line) for line in out.splitlines()]
+    summary, rows = lines[-1], lines[:-1]
+    assert summary["equal"] + summary["mismatch"] == GENSUM_CHECKED
+    assert summary["mismatch"] == mismatches and summary["error"] == 0
+    assert code == (1 if mismatches else 0) and err == ""
+    caught = [r for r in rows if r["verdict"] == "mismatch"]
+    assert len(caught) == mismatches
+    assert sum(r[f"{true_side}_repr"] == "0" for r in caught) == zero_zero

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import qbinom
+from qident import qbinom, qpoly
 from qident.errors import InvalidParams, NonPolynomial, NonUnitConstantTerm
 from qident.qpoly import (
     ONE,
@@ -266,7 +266,7 @@ def test_operand_reused_at_two_slot_widths():
     wide = QPoly({k: 5000 + k for k in range(20)})  # bound about 2**21 needs four
     for b in (narrow, wide, narrow, wide):
         assert as_frac_dict(mul(a, b)) == oracle_mul(a, b)
-    assert sorted(a._view[4]) == [1, 4]  # a kept one packed value per width
+    assert sorted(a._view[5]) == [1, 4]  # a kept one packed value per width
 
 
 @pytest.mark.parametrize("first", ["whole", "clipped"])
@@ -282,7 +282,7 @@ def test_operand_clipped_before_or_after_a_whole_product(first, signs):
         assert as_frac_dict(mul(b, a, trunc)) == want
     # a clipped operand's packed value is never kept: each kept value is the whole list's
     for p in (a, b):
-        cs, packs = p._view[1], p._view[4]
+        cs, packs = p._view[2], p._view[5]
         assert packs and all(v == sum(c << (8 * w * i) for i, c in enumerate(cs))
                              for w, v in packs.items())
 
@@ -297,15 +297,40 @@ def test_operands_built_by_constructor_and_by_arithmetic():
         assert as_frac_dict(mul(a, b, Truncation(9))) == oracle_mul(a, b, 9)
 
 
-def test_operand_scaled_to_a_finer_denominator():
-    # a's keys double against halves: its dense run spreads with a zero between
-    # each pair of slots for that product, and its own view stays as it was
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(qpoly, name)
+    monkeypatch.setattr(qpoly, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_operand_scaled_to_a_finer_denominator(monkeypatch):
+    # over halves a's view scales to step 2 and spreads, a zero between each
+    # pair of slots, for that product; its own view stays as it was
+    packed, summed = _count_calls(monkeypatch, "_product"), _count_calls(monkeypatch, "_kronecker")
     a = QPoly({k: k % 4 + 1 for k in range(20)})
     halves = QPoly({Fraction(k, 2): 2 - k % 3 for k in range(30)})
     for b in (a, halves, a, halves):
         assert as_frac_dict(mul(a, b)) == oracle_mul(a, b)
         assert as_frac_dict(mul(b, a, Truncation(Fraction(21, 2)))) == oracle_mul(a, b, Fraction(21, 2))
-    assert a._view[0] == 0 and len(a._view[1]) == 20
+        assert as_frac_dict(dot([(a, b)])) == oracle_mul(a, b)
+    assert len(packed) == 8 and len(summed) == 4  # every product packed, none schoolbook
+    spread = [v for *views, cap in packed for v in views if len(v[2]) == 39]  # a's 20 over halves
+    assert len(spread) == 4 and all(v[1] == 1 and v[2][1::2] == [0] * 19 for v in spread)
+    assert a._view[:2] == (0, 1) and len(a._view[2]) == 20
+    assert halves._view[:2] == (0, 1) and len(halves._view[2]) == 29  # its last key is 28/2
+
+
+def test_operand_views_are_scaled_not_rebuilt():
+    # over a finer den the view's lowest key and step scale; the coefficient
+    # list and the packs are the same objects as those of the view over its own den
+    a = QPoly({2 * k: k % 3 + 1 for k in range(10)})  # keys 0, 2, ..., 18: step 2
+    own = qpoly._operand(a, 1)
+    assert own[:2] == (0, 2) and own[2] == [k % 3 + 1 for k in range(10)]
+    finer = qpoly._operand(a, 3)
+    assert finer[:2] == (0, 6) and finer[2] is own[2] and finer[5] is own[5]
+    assert qpoly._operand(a, 1) is own
+    assert qpoly._operand(QPoly({0: 1, 5: 1, 7: 1}), 1) == ()  # span 7 against 2 * 3 terms
 
 
 def test_mixed_sign_pair_reuses_both_operands():
@@ -317,7 +342,7 @@ def test_mixed_sign_pair_reuses_both_operands():
     for b in (ones, signed, signed, ones):
         assert as_frac_dict(mul(a, b)) == oracle_mul(a, b)
         assert as_frac_dict(mul(b, a, Truncation(15))) == oracle_mul(a, b, 15)
-    assert sorted(a._view[4]) == sorted(signed._view[4]) == [1]
+    assert sorted(a._view[5]) == sorted(signed._view[5]) == [1]
 
 
 # --- sums of products: one packed integer for the dense pairs ---------------------
@@ -409,10 +434,74 @@ def test_dot_keeps_whole_packs_per_width_and_never_a_clipped_one():
     for pairs in ([(a, narrow)], [(a, narrow)] * 5, [(a, wide), (narrow, a)]):
         assert as_frac_dict(dot(pairs)) == oracle_dot(pairs)
         assert as_frac_dict(dot(pairs, Truncation(12))) == oracle_dot(pairs, 12)  # clips every operand
-    assert sorted(a._view[4]) == [1, 2, 4]  # 5 * 60 = 300 took two bytes
+    assert sorted(a._view[5]) == [1, 2, 4]  # 5 * 60 = 300 took two bytes
     for p in (a, narrow, wide):
-        cs, packs = p._view[1], p._view[4]
+        cs, packs = p._view[2], p._view[5]
         assert packs and all(v == sum(c << (8 * w * i) for i, c in enumerate(cs)) for w, v in packs.items())
+
+
+# --- stepped views: keys in one class modulo a step, over a denominator ------------
+
+@st.composite
+def strided_polys(draw, nonnegative=False, den=None, step=None):
+    """8 to 40 exponents (r + step*k)/den for k from lo on, with den and step in
+    1..6 and r in 0..step-1 unless given: one class of keys modulo the step, as
+    a q^(1/N) lattice sum has.  Some reduce to a smaller den or step."""
+    den = den or draw(st.integers(min_value=1, max_value=6))
+    step = step or draw(st.integers(min_value=1, max_value=6))
+    r = draw(st.integers(min_value=0, max_value=step - 1))
+    size, lo = draw(st.integers(min_value=8, max_value=40)), draw(st.integers(min_value=-10, max_value=10))
+    mag = draw(st.sampled_from([9, 2 ** 20, 2 ** 70]))
+    nonzero = st.integers(min_value=0 if nonnegative else -mag, max_value=mag).filter(lambda c: c != 0)
+    coeffs = draw(st.lists(nonzero, min_size=size, max_size=size))
+    return QPoly({Fraction(r + step * (lo + k), den): c for k, c in enumerate(coeffs)})
+
+
+def stepped_operands(nonnegative, den=None, step=None):
+    """A strided polynomial or a dense one of den 1, as an integer binomial is."""
+    return st.one_of(strided_polys(nonnegative, den, step),
+                     dense_polys(1, nonnegative, max_size=40, min_lo=-10))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_stepped_mul_matches_the_convolution_oracle(data):
+    nonnegative = data.draw(st.booleans())
+    a, b = (data.draw(stepped_operands(nonnegative)) for _ in range(2))
+    assert as_frac_dict(mul(a, b)) == oracle_mul(a, b)
+    cap = max(Fraction(0), data.draw(caps_for(a, b)))  # a cap is never negative
+    got = mul(a, b, Truncation(cap))
+    assert as_frac_dict(got) == oracle_mul(a, b, cap)
+    assert got == mul(b, a).truncate(Truncation(cap))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_stepped_dot_matches_the_summed_oracle(data):
+    # shared: one den and step, each pair its own class; free: every operand its own
+    nonnegative, shared = data.draw(st.booleans()), data.draw(st.booleans())
+    den, step = (data.draw(st.integers(min_value=1, max_value=6)) for _ in range(2)) if shared else (None, None)
+    pairs = [tuple(data.draw(stepped_operands(nonnegative, den, step)) for _ in range(2))
+             for _ in range(data.draw(st.integers(min_value=1, max_value=6)))]
+    assert as_frac_dict(dot(pairs)) == oracle_dot(pairs)
+    cap = max(Fraction(0), data.draw(caps_for(*pairs[0])))
+    got = dot(pairs, Truncation(cap))
+    assert as_frac_dict(got) == oracle_dot(pairs, cap)
+    assert got == dot(pairs).truncate(Truncation(cap))
+
+
+def test_dot_packs_one_sum_per_class_of_lowest_keys(monkeypatch):
+    # the shape of a gensum side: integer binomials times q^(1/3) sums whose
+    # keys lie in one class mod 3, classes 1, 2, 1 and 2 (keys over den 3)
+    summed, schoolbook = _count_calls(monkeypatch, "_kronecker"), _count_calls(monkeypatch, "mul")
+    binomials = [qbinom.qbin_standard(n, 4) for n in (8, 9, 10, 11)]
+    sums = [QPoly({Fraction(r + 3 * k, 3): k % 5 + 1 for k in range(12)}) for r in (1, 2, 4, 5)]
+    pairs = list(zip(binomials, sums))
+    for trunc in (None, Truncation(Fraction(20, 3))):
+        assert as_frac_dict(dot(pairs, trunc)) == oracle_dot(pairs, None if trunc is None else trunc.degree_cap)
+    assert schoolbook == [] and len(summed) == 4
+    assert sorted(len(views) for views, cap in summed) == [2, 2, 2, 2]
+    assert {views[0][0][1] for views, cap in summed} == {3}  # the binomials scaled to step 3
 
 
 def test_binom_kernel_shape_sizes():
@@ -643,6 +732,19 @@ def test_render_fixed_strings():
     assert render(QPoly({Fraction(1, 2): 3})) == "3*q^(1/2)"
     assert render(QPoly({Fraction(3, 2): -1, 2: 5})) == "-q^(3/2) + 5*q^2"
     assert render(QPoly({0: -7})) == "-7"
+
+
+@given(st.dictionaries(st.fractions(min_value=-8, max_value=8, max_denominator=6), coeffs, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_render_matches_the_fraction_oracle(terms):
+    # each exponent written as its Fraction prints, in lowest terms, ascending
+    p, parts = QPoly(terms), []
+    for e, c in sorted(p.items(), key=lambda t: Fraction(t[0])):
+        e = Fraction(e)
+        power = "q" if e == 1 else f"q^{e}" if e.denominator == 1 else f"q^({e})"
+        body = str(abs(c)) if e == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+        parts.append(("-" if c < 0 else "") + body if not parts else ("- " if c < 0 else "+ ") + body)
+    assert render(p) == (" ".join(parts) or "0")
 
 
 def test_render_is_ascending():
