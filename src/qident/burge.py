@@ -473,10 +473,6 @@ def closed_form_name(p: int, pprime: int, r: int, s: int, n_lat: int) -> Optiona
 # --- tree -------------------------------------------------------------------------------
 
 TREE_DEPTH_CAP = 6  # the tree doubles per level; depth 6 has 127 classic nodes
-TREE_GRID_CAP = 8  # each node checks (grid + 1)^2 points; at depth 6, grid 8 takes seconds
-
-# a failed check at one symmetric point: (M, L, direct value, closed form or route)
-Witness = Tuple[int, Rational, QPoly, QPoly]
 
 
 @dataclass(frozen=True)
@@ -491,82 +487,32 @@ class TreeNode:
     parent_index: Optional[int]
     transform_tag: Optional[str]
     closed_form_name: Optional[str]
-    verified: Optional[bool]
-    witness: Optional[Witness] = None  # the first failed check when verified is False
+
+    @property
+    def labels(self) -> Tuple[int, int, int, int]:
+        return self.p, self.pprime, self.r, self.s
 
 
-def _verify_node(p: int, pp: int, r: int, s: int, n_lat: int, sigma: int,
-                 form: Optional[str], grid: int) -> Union[None, bool, Witness]:
-    """True when the node equals its closed form on the grid, else the first failure."""
-    if form is None or grid < 0:
-        return None  # no point to check
-    shift = Fraction(sigma, 2)
-    for M in range(0, grid + 1):
-        for twoL in range(0, 2 * grid + 1, 2):
-            L = twoL // 2 + shift
-            direct = burge_xn(BurgeParams(p, pp, r, s, M, L, M, L, N=n_lat, sigma=sigma))
-            want = closed_form(form, M, L, n_lat, sigma)
-            if direct != want:
-                return M, L, direct, want
-    return True
-
-
-def _labels(nd: TreeNode) -> Tuple[int, int, int, int]:
-    return nd.p, nd.pprime, nd.r, nd.s
-
-
-def _verify_edge(parent: TreeNode, tag: str, n_lat: int, sigma: int,
-                 grid: int) -> Union[None, bool, Witness]:
-    """Route through the parent equals the direct child at symmetric points.
-
-    Grid points where edge_applies fails are skipped; None means no point
-    was applicable, a tuple is the first failure.
-    """
-    checked = False
-    for M in range(0, grid + 1):
-        for k in range(0, grid + 1):
-            L = k + Fraction(sigma, 2) if sigma else k
-            if not edge_applies(_labels(parent), tag, M, L, M, L, n_lat, sigma):
-                continue
-            direct, route = edge_sides(_labels(parent), tag, M, L, M, L, n_lat, sigma)
-            if direct != route:
-                return M, L, direct, route
-            checked = True
-    return True if checked else None
-
-
-def build_tree(depth: int, n_lat: int = 1, sigma: int = 0, verify_grid: int = 2) -> List[TreeNode]:
-    """Transform tree from the seed (1,2,0,1), breadth first.
+def build_tree(depth: int, n_lat: int = 1, sigma: int = 0) -> List[TreeNode]:
+    """The shape of the transform tree from the seed (1,2,0,1), breadth first.
 
     For n_lat = 1 both classic transforms generate children down to
-    `depth`, which lies in 0..TREE_DEPTH_CAP.  For n_lat > 1 the classic tree forms a backbone of depth
-    depth-1 and every backbone node sprouts one leaf per symmetric
-    level-N transform.  Nodes with recognized labels carry a closed-form
-    verdict checked on a small (M, L) grid; a node that fails it or its
-    edge check keeps the first failure as its witness.
+    `depth`, which lies in 0..TREE_DEPTH_CAP.  For n_lat > 1 the classic
+    tree forms a backbone of depth depth-1 and every backbone node sprouts
+    one leaf per symmetric level-N transform.  A node carries no verdict:
+    the command line checks it as points of burge.forms and of its edge's
+    family.
     """
     if not 0 <= depth <= TREE_DEPTH_CAP:
         raise InvalidParams(f"depth must lie in 0..{TREE_DEPTH_CAP}")
     if n_lat < 1:
         raise InvalidParams("N must be >= 1")
-    if not 0 <= verify_grid <= TREE_GRID_CAP:
-        raise InvalidParams(f"verify_grid must lie in 0..{TREE_GRID_CAP}")
     if n_lat % 2 and sigma != 0:
         raise InvalidParams("odd N forces sigma = 0")
     nodes: List[TreeNode] = []
 
     def add(p, pp, r, s, nl, sg, d, parent, tag):
-        form = closed_form_name(p, pp, r, s, nl)
-        form_ok = _verify_node(p, pp, r, s, nl, sg, form, verify_grid)
-        edge_ok = None
-        if parent is not None:
-            edge_ok = _verify_edge(nodes[parent], tag, nl, sg, verify_grid)
-        witness = next((w for w in (form_ok, edge_ok) if isinstance(w, tuple)), None)
-        if form_ok is None and edge_ok is None:
-            verified: Optional[bool] = None
-        else:
-            verified = witness is None
-        nodes.append(TreeNode(p, pp, r, s, nl, sg, d, parent, tag, form, verified, witness))
+        nodes.append(TreeNode(p, pp, r, s, nl, sg, d, parent, tag, closed_form_name(p, pp, r, s, nl)))
         return len(nodes) - 1
 
     backbone_depth = depth if n_lat == 1 else depth - 1
@@ -575,12 +521,12 @@ def build_tree(depth: int, n_lat: int = 1, sigma: int = 0, verify_grid: int = 2)
         next_frontier = []
         for idx in frontier:
             for tag in ("bt", "bt2"):
-                labels = child_labels(_labels(nodes[idx]), tag)
+                labels = child_labels(nodes[idx].labels, tag)
                 next_frontier.append(add(*labels, 1, 0, d, idx, tag))
         frontier = next_frontier
     if n_lat > 1 and depth >= 1:
         for idx in range(len(nodes)):
             for tag in ("traf1", "traf2"):
-                labels = child_labels(_labels(nodes[idx]), tag, n_lat)
+                labels = child_labels(nodes[idx].labels, tag, n_lat)
                 add(*labels, n_lat, sigma, nodes[idx].depth + 1, idx, tag)
     return nodes

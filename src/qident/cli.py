@@ -1,5 +1,6 @@
 """Command line front end: sweep-verify identity families, expand transform
-trees, and evaluate single objects to canonical text.
+trees and check each node as points of burge.forms and of its edge's family,
+and evaluate single objects to canonical text.
 
 Each verify family is one declarative Family record.  Its axes, listed in
 grid order, are value sequences, rules over the values chosen before them
@@ -13,19 +14,18 @@ truncated at D as trunc says.  An override sweep crosses the named axes
 first, in parameter order, and fills each unnamed axis by its grid rule;
 naming nothing gives the default grid, versioned via GRID_VERSION.
 
-Reports are one JSON object per line with a summary object last.  A row is
-its family's head, built once, filled with the point's values, then the
-verdict fields.  Workers (the parent, at one job) run one loop per chunk of
-points: it reads the family's functions, the flags and the row format once,
-then gives each point its verdict, counts it and renders its row, a row
-without fields being the head between two ends precomputed per verdict.
-At most 2 x jobs chunks are in flight, and the parent writes their rows in
-submission order: a stream is byte-identical across runs for a fixed
-configuration, and elapsed_ms stays 0, with no clock read, unless timing is
-requested explicitly.  A summary's elapsed_ms then runs from the queueing of
-the family's first chunk to the reading of its last: at one job that is the
-family's own sweep, in a pool it overlaps the families next to it.  The
-suite's runs over the whole sweep.
+Reports are one JSON object per line with a summary object last.  A row is its
+family's head, built once, filled with the point's values, then the verdict
+fields.  Workers (the parent, at one job) run one loop per chunk of points: it
+reads the family's functions, the flags and the row format once, then gives
+each point its verdict, counts it and renders its row, a row without fields
+being the head between two ends precomputed per verdict.  At most 2 x jobs
+chunks are in flight, and the parent writes their rows in submission order: a
+stream is byte-identical across runs for a fixed configuration, and elapsed_ms
+stays 0, with no clock read, unless timing is requested explicitly.  A
+summary's elapsed_ms then runs from the queueing of the family's first chunk to
+the reading of its last: at one job that is the family's own sweep, in a pool
+it overlaps the families next to it.  The suite's runs over the whole sweep.
 
 A command loads only the modules it runs: the tables below reach every
 layer through the package's lazily loaded modules, read when a family's
@@ -276,12 +276,47 @@ def _form_sides(form: Tuple[str, burge.BurgeParams], d):
     return burge.burge_xn(bp), burge.closed_form(name, bp.M1, bp.L1, bp.N, bp.sigma)
 
 
+TREE_GRID_CAP = 8  # each node checks (grid + 1)^2 points; at depth 6, grid 8 takes seconds
+
+
+def tree_verdicts(nodes: List[burge.TreeNode], grid: int) -> List[Tuple]:
+    """Each node's (verdict, first mismatch as (family, values, lhs, rhs), notes).
+
+    The row loop runs a node's checks at M, L in 0..grid (L an int at sigma = 0):
+    its closed form as burge.forms points, then the edge from its parent as points
+    of that edge's family.  The verdict is None when no point was compared, False
+    on any mismatch or error, else True."""
+    if not 0 <= grid <= TREE_GRID_CAP:
+        raise InvalidParams(f"verify_grid must lie in 0..{TREE_GRID_CAP}")
+    out = []
+    for nd in nodes:
+        checks = [("burge.forms", (nd.closed_form_name, nd.N, nd.sigma), 1)] if nd.closed_form_name else []
+        if nd.parent_index is not None:
+            classic = nd.transform_tag in ("bt", "bt2")
+            checks.append((f"burge.{nd.transform_tag}", nodes[nd.parent_index].labels
+                           + (() if classic else (nd.N, nd.sigma)), 2 if classic else 1))
+        counts, first, notes = Counter(), None, []
+        for ident, head, repeat in checks:
+            points = [head + (M, k + Fraction(nd.sigma, 2) if nd.sigma else k) * repeat
+                      for M in range(grid + 1) for k in range(grid + 1)]
+            _, got, more, miss = _eval_chunk(ident, points, None, {
+                "include_exceptional": False, "timing": False, "format": "json", "color": False})
+            counts.update(got)
+            notes += more
+            first = first or miss and (ident, points[miss[0]], *miss[1:])
+        failed = counts["mismatch"] or counts["error"]
+        out.append((False if failed else True if counts["equal"] else None, first, notes))
+    return out
+
+
 def _tree_sides(p: Dict, d):
-    nodes = burge.build_tree(p["depth"], p["N"], p["sigma"], verify_grid=2)
-    for index, nd in enumerate(nodes):
-        if nd.witness is not None:
-            m, l, direct, other = nd.witness
-            return direct, other, {"node": index, "M": m, "L": _encode_value(l)}
+    nodes = burge.build_tree(p["depth"], p["N"], p["sigma"])
+    for index, (verdict, first, notes) in enumerate(tree_verdicts(nodes, 2)):
+        if notes:  # an error row carrying the node's notes, never an equal one
+            raise QIdentError("\n".join(notes))
+        if verdict is False:
+            _, values, lhs, rhs = first
+            return lhs, rhs, {"node": index, "M": values[-2], "L": _encode_value(values[-1])}
     return _AGREED
 
 
@@ -546,8 +581,8 @@ def _summary_line(ident: str, counts: Counter, code: int, elapsed_ms: int, fmt: 
 
 
 def _eval_chunk(ident: str, chunk: List[Tuple], d, opts: Dict):
-    """A chunk's rows rendered as one string, its verdict counts and its notes; d
-    is the degree, or the name of the parameter whose value is each point's."""
+    """A chunk's rows as one string, its verdict counts, notes and first mismatch (row index,
+    lhs, rhs) or None; d is the degree, or the name of the parameter whose value is each point's."""
     fam = REGISTRY[ident]
     names, point, precondition, sides = fam.names, fam.point, fam.precondition, fam.sides
     exceptional, timing = opts["include_exceptional"] and fam.exceptional_sides, opts["timing"]
@@ -555,7 +590,7 @@ def _eval_chunk(ident: str, chunk: List[Tuple], d, opts: Dict):
     head, encode, ends = _row_format(fam, opts)
     plain = {verdict: ends(verdict, {}, 0) for verdict in _VERDICTS}  # a row without fields
     ints = set(map(type, chain.from_iterable(chunk))) == {int}  # then no value needs encode
-    counts, rows, notes = dict.fromkeys(_VERDICTS, 0), [], []
+    counts, rows, notes, first = dict.fromkeys(_VERDICTS, 0), [], [], None
     for values in chunk:
         t0 = time.perf_counter() if timing else 0
         deg, fields = d if at is None else values[at], {}
@@ -574,6 +609,7 @@ def _eval_chunk(ident: str, chunk: List[Tuple], d, opts: Dict):
                 else:
                     if t is not None:
                         lhs, rhs = lhs.truncate(t), rhs.truncate(t)
+                    first = first or (len(rows), lhs, rhs)
                     verdict, fields = "mismatch", {
                         "lhs_repr": render(lhs), "rhs_repr": render(rhs), "diff_repr": render(lhs - rhs),
                         "truncation": deg, "witness": witness[0] if witness else None}
@@ -590,7 +626,7 @@ def _eval_chunk(ident: str, chunk: List[Tuple], d, opts: Dict):
         before, after = ends(verdict, fields, elapsed) if fields or elapsed else plain[verdict]
         filled = head % (values if ints else tuple(map(encode, values)))
         rows.append(f"{before}{filled}{after}")
-    return "".join(rows), counts, notes
+    return "".join(rows), counts, notes, first
 
 
 class _Pipeline:
@@ -610,7 +646,7 @@ class _Pipeline:
         while len(self.window) > keep or self.window and isinstance(self.window[0], tuple):
             item = self.window.popleft()
             if not isinstance(item, tuple):
-                text, counts, notes = item()
+                text, counts, notes, _ = item()
                 self.stream.write(text)
                 self.counts.update(counts)
                 for note in notes:
@@ -739,33 +775,31 @@ def cmd_suite(args) -> int:
     return _sweep(args, [(fam, {}) for fam in REGISTRY.values()], opts, suite=True)
 
 
-_TREE_FIELDS = ("N", "sigma", "depth", "parent_index", "transform_tag", "closed_form_name",
-                "verified")
-
-
 def cmd_tree(args) -> int:
     try:
-        nodes = burge.build_tree(args.depth, args.N, args.sigma, verify_grid=args.grid)
+        nodes = burge.build_tree(args.depth, args.N, args.sigma)
+        verdicts = tree_verdicts(nodes, args.grid)
     except InvalidParams as ex:
         raise ConfigError(str(ex))
-    doc = {
-        "grid_version": GRID_VERSION,
-        "depth": args.depth,
-        "N": args.N,
-        "sigma": args.sigma,
-        "verify_grid": args.grid,
-        "all_verified": all(nd.verified is not False for nd in nodes),
-        "nodes": [{"labels": [nd.p, nd.pprime, nd.r, nd.s],
-                   **{k: getattr(nd, k) for k in _TREE_FIELDS}} for nd in nodes],
-    }
+    for index, (nd, (_, first, notes)) in enumerate(zip(nodes, verdicts)):
+        sys.stderr.writelines(f"{note}\n" for note in notes)
+        if first is not None:  # the node's witness: the family, the point and both sides
+            ident, values, lhs, rhs = first
+            print(f"node {index} {nd.labels} {ident} M={values[-2]} L={_encode_value(values[-1])}"
+                  f" lhs[{render(lhs)}] rhs[{render(rhs)}]", file=sys.stderr)
+    doc = {"grid_version": GRID_VERSION, "depth": args.depth, "N": args.N, "sigma": args.sigma,
+           "verify_grid": args.grid, "all_verified": all(v is not False for v, _, _ in verdicts),
+           "nodes": [{"labels": list(nd.labels), **{k: getattr(nd, k) for k in (
+               "N", "sigma", "depth", "parent_index", "transform_tag", "closed_form_name")},
+               "verified": v} for nd, (v, _, _) in zip(nodes, verdicts)]}
     with _output(args.out) as stream:
         if args.format == "json":
             stream.write(json.dumps(doc, indent=1) + "\n")
         else:
-            for nd in nodes:
+            for nd, (v, _, _) in zip(nodes, verdicts):
                 stream.write(f"depth={nd.depth} ({nd.p},{nd.pprime},{nd.r},{nd.s})"
                              f" N={nd.N} sigma={nd.sigma} via={nd.transform_tag or 'seed'}"
-                             f" form={nd.closed_form_name or '-'} verified={nd.verified}\n")
+                             f" form={nd.closed_form_name or '-'} verified={v}\n")
     return 0 if doc["all_verified"] else 1
 
 

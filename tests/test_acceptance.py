@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from qident.burge import build_tree
-from qident.cli import main
+from qident.cli import main, tree_verdicts
 from qident.lattice import (
     cartan,
     enumerate_admissible,
@@ -91,10 +91,10 @@ def test_criterion_3_balanced_random_tuples(tmp_path):
 
 
 def test_criterion_4_tree_nodes_match_closed_forms(tmp_path):
-    nodes = build_tree(3, 1, 0, verify_grid=2)
+    nodes = build_tree(3, 1, 0)
     named = {
-        (nd.p, nd.pprime, nd.r, nd.s): (nd.closed_form_name, nd.verified)
-        for nd in nodes
+        (nd.p, nd.pprime, nd.r, nd.s): (nd.closed_form_name, verdict)
+        for nd, (verdict, _, _) in zip(nodes, tree_verdicts(nodes, 2))
         if nd.closed_form_name
     }
     for labels, want in [

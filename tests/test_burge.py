@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from qident.burge import (
     CLOSED_FORMS,
     TREE_DEPTH_CAP,
-    TREE_GRID_CAP,
     BurgeParams,
     _xn_term,
     build_tree,
@@ -35,7 +34,7 @@ from qident.burge import (
     transform_trafo,
 )
 from qident import burge
-from qident.cli import REGISTRY, _points_for, main
+from qident.cli import REGISTRY, TREE_GRID_CAP, _points_for, main, tree_verdicts
 from qident.errors import InvalidParams, UnknownClosedForm
 from qident.lattice import axis_source, cartan, enumerate_admissible
 from qident.qbinom import qbin
@@ -541,7 +540,8 @@ def test_tree_depth3_labels():
                 assert (nd.r, nd.s) == (parent.s, parent.r + parent.s)
     recognized = {nd.closed_form_name for nd in nodes} - {None}
     assert recognized == {"initial", "nn", "euler", "ising", "rr"}
-    assert all(nd.verified for nd in nodes if nd.closed_form_name)
+    verdicts = [verdict for verdict, _, _ in tree_verdicts(nodes, 2)]
+    assert all(v for nd, v in zip(nodes, verdicts) if nd.closed_form_name)
 
 
 def test_tree_level_n_leaves():
@@ -553,7 +553,8 @@ def test_tree_level_n_leaves():
     assert {nd.transform_tag for nd in leaves} == {"traf1", "traf2"}
     forms = {nd.closed_form_name for nd in leaves} - {None}
     assert forms == {"tadpole", "euler_n", "a_n", "rr_n"}
-    assert all(nd.verified for nd in leaves if nd.closed_form_name)
+    verdicts = [verdict for verdict, _, _ in tree_verdicts(nodes, 2)]
+    assert all(v for nd, v in zip(nodes, verdicts) if nd.N == 2 and nd.closed_form_name)
     for nd in leaves:
         parent = nodes[nd.parent_index]
         if nd.transform_tag == "traf1":
@@ -571,12 +572,12 @@ def test_tree_json_export_schema(tmp_path):
     assert main(["tree", "--depth", "2", "--N", "2", "--out", str(out)]) == 0
     back = json.loads(out.read_text())["nodes"]
     assert len(back) == len(nodes)
-    for entry, nd in zip(back, nodes):
+    for entry, nd, (verdict, _, _) in zip(back, nodes, tree_verdicts(nodes, 2)):
         assert entry["labels"] + [entry["N"], entry["sigma"]] == [
             nd.p, nd.pprime, nd.r, nd.s, nd.N, nd.sigma]
         assert entry["parent_index"] == nd.parent_index
         assert entry["transform_tag"] == nd.transform_tag
-        assert entry["verified"] == nd.verified
+        assert entry["verified"] == verdict
 
 
 def test_tree_rejects_bad_depth_and_sigma():
@@ -591,19 +592,21 @@ def test_tree_rejects_bad_depth_and_sigma():
             build_tree(2, n_lat=n_lat)
 
 
-def test_tree_rejects_negative_grid_and_never_verifies_on_no_points():
+def test_tree_rejects_negative_grid_and_never_verifies_on_no_points(monkeypatch):
     with pytest.raises(InvalidParams):
-        build_tree(1, verify_grid=-1)
-    from qident.burge import _verify_node
-
-    # an empty grid checks nothing, so the node's verdict is open
-    assert _verify_node(1, 2, 0, 1, 1, 0, "initial", -1) is None
-    assert _verify_node(1, 2, 0, 1, 1, 0, "initial", 0) is True
+        tree_verdicts(build_tree(1), -1)
+    nodes = build_tree(2)
+    assert tree_verdicts(nodes[:1], 0)[0][0] is True  # the seed's form at M = L = 0
+    # (1,4,0,1) has no closed form; with every edge point skipped, nothing is
+    # compared, so its verdict is open
+    monkeypatch.setattr(burge, "edge_applies", lambda *args: False)
+    assert (nodes[3].labels, nodes[3].closed_form_name) == ((1, 4, 0, 1), None)
+    assert tree_verdicts(nodes, 2)[3] == (None, None, [])
 
 
 def test_tree_rejects_a_grid_above_the_cap():
     # each node checks (grid + 1)^2 points, so the cap holds for every caller
     for grid in (TREE_GRID_CAP + 1, 30):
         with pytest.raises(InvalidParams, match=f"verify_grid must lie in 0..{TREE_GRID_CAP}"):
-            build_tree(1, verify_grid=grid)
-    assert build_tree(0, verify_grid=TREE_GRID_CAP)[0].verified is True
+            tree_verdicts(build_tree(1), grid)
+    assert tree_verdicts(build_tree(0), TREE_GRID_CAP)[0][0] is True

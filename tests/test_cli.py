@@ -27,7 +27,7 @@ from qident.cli import (
     main,
 )
 from qident.errors import InvalidParams, QIdentError
-from qident.qpoly import ONE, ZERO, QPoly
+from qident.qpoly import ONE, ZERO, QPoly, render
 
 
 def run(argv, capsys):
@@ -453,8 +453,12 @@ _ROW_FIELDS = [
 def test_row_line_matches_the_row_record(monkeypatch, fam, values, run_as, verdict, fields):
     # the row the chunk loop writes for each verdict, in both formats
     want_json, want_text = row_oracle(fam, values, verdict, fields, 0)
-    line, counts, notes = _chunk_rows(monkeypatch, fam, values, **run_as)
+    line, counts, notes, first = _chunk_rows(monkeypatch, fam, values, **run_as)
     assert line == want_json
+    # the first mismatch keeps its row index and both sides, the compared ones
+    assert (first is None) == (verdict != "mismatch")
+    if first is not None:
+        assert (first[0], render(first[1]), render(first[2])) == (0, fields["lhs_repr"], fields["rhs_repr"])
     assert json.loads(line)["params"]["n" if fam is _MIXED else "L1"] == values[0]
     assert counts == {**dict.fromkeys(counts, 0), verdict: 1}
     assert len(notes) == (verdict == "error")
@@ -709,6 +713,8 @@ print(json.dumps([code, sorted(ran), "concurrent.futures.process" in sys.modules
     # the parent of a pool evaluates no point, but runs the family's module before forking
     (["verify", "qs2", "--L1", "0", "--L2", "0", "--M", "0", "--ell", "0", "--jobs", "2"],
      {"saalschutz"}, {"burge", "multinom", "series"}, True),
+    # a tree checks its nodes in this process, through the burge families only
+    (["tree", "--depth", "1"], {"burge", "lattice"}, {"multinom", "saalschutz", "series"}, False),
 ])
 def test_a_command_runs_only_the_modules_it_uses(argv, present, absent, pool):
     proc = _launch("-c", _PROBE, *argv)
@@ -952,6 +958,59 @@ def test_tree_mismatch_carries_the_failing_node(capsys, monkeypatch):
     assert rows[0]["verdict"] == "mismatch"
     assert rows[0]["witness"] == {"node": 2, "M": 1, "L": 0}
     assert (rows[0]["lhs_repr"], rows[0]["rhs_repr"], rows[0]["diff_repr"]) == ("1", "2", "-1")
+
+
+def _patch_euler(monkeypatch, at_m, change):
+    """closed_form with the euler display changed by `change` at M = at_m."""
+    from qident import burge
+
+    real = burge.closed_form
+
+    def patched(name, M, L, n_lat=1, sigma=0):
+        value = real(name, M, L, n_lat, sigma)
+        return change(value) if name == "euler" and M == at_m else value
+
+    monkeypatch.setattr("qident.burge.closed_form", patched)
+
+
+def _planted(value):
+    raise ZeroDivisionError("planted")
+
+
+def test_tree_with_a_raising_point_writes_its_document(capsys, monkeypatch, tmp_path):
+    # one bad point makes its node false and leaves a note; the tree still comes out
+    _patch_euler(monkeypatch, 2, _planted)
+    out_path = tmp_path / "tree.json"
+    code, out, err = run(["tree", "--depth", "2", "--out", str(out_path)], capsys)
+    assert code == 1 and out == ""
+    doc = json.loads(out_path.read_text())
+    assert [nd["verified"] for nd in doc["nodes"]] == [True, True, False, True, True, True, True]
+    assert doc["all_verified"] is False
+    # the row loop's notes, one per raising point (M = 2, L in 0..2), and no witness line
+    notes = [ln for ln in err.splitlines() if ln.startswith("burge.forms ")]
+    assert notes == [f"burge.forms {{'name': 'euler', 'N': 1, 'sigma': 0, 'M': 2, 'L': {k}}}: "
+                     "ZeroDivisionError: planted" for k in range(3)]
+    assert "Traceback" in err and not err.startswith("node ")
+    # the suite's family gives the same fault an error row carrying the note, never equal
+    code, out, err = run(["verify", "burge.tree"], capsys)
+    rows, summary = rows_of(out)
+    assert code == 1 and [r["verdict"] for r in rows] == ["error"]
+    assert err.startswith("burge.tree {'depth': 3, 'N': 1, 'sigma': 0}: QIdentError: burge.forms "
+                          "{'name': 'euler', 'N': 1, 'sigma': 0, 'M': 2, 'L': 0}: ZeroDivisionError: planted")
+
+
+def test_tree_names_the_witness_of_a_false_node(capsys, monkeypatch):
+    code, good, _ = run(["tree", "--depth", "2"], capsys)
+    assert code == 0
+    _patch_euler(monkeypatch, 1, lambda value: value + ONE)
+    code, out, err = run(["tree", "--depth", "2"], capsys)
+    assert code == 1
+    # node 2 is (2,3,1,1), the euler node; its first failing point is (M, L) = (1, 0)
+    assert err == "node 2 (2, 3, 1, 1) burge.forms M=1 L=0 lhs[1] rhs[2]\n"
+    # the document keeps its form: only the node's verdict and the total change
+    want = json.loads(good)
+    want["nodes"][2]["verified"], want["all_verified"] = False, False
+    assert out == json.dumps(want, indent=1) + "\n"
 
 
 # --- output path and per-point validation ---------------------------------------------

@@ -20,16 +20,27 @@ of the family, each written out here over the package's lattice sums: the
 left side's inner exponent, its outer bottom, the right side's b1 bottom,
 and L1 exchanged with L2 on the right.  Every one of its 8,806 default points
 is checked.
+
+For burge.forms, three wrong displays go into burge.CLOSED_FORMS, each in
+place of every entry that shares its evaluator: the Euler display with every
+exponent off by one (times q), the Rogers-Ramanujan display with its inner
+binomial bottom off by one, and the lattice display (tadpole and A_N) with
+the parity of sigma flipped in its filter.  All 909 default points are
+checked; no catching point compares 0 with 0 under the true display.  The
+same displays are the closed-form checks of `qident tree`, which checks only
+M, L <= 2: each control names the nodes that come out false there.  The
+flipped parity reaches only even N, so the level-1 tree cannot see it.
 """
 
 import dataclasses
+import functools
 import json
 
 import pytest
 
 from qident import burge
 from qident.cli import REGISTRY, main
-from qident.lattice import axis_source, cartan, class_terms
+from qident.lattice import axis_source, cartan, class_terms, i_sum, system_sum
 from qident.qbinom import qbin
 from qident.qpoly import ZERO, dot, half_int, mul, twice
 from qident.saalschutz import ClassicParams, _gensum_inner, gensum_lhs, gensum_rhs, qs2_lhs, qs2_rhs
@@ -173,3 +184,88 @@ def test_wrong_gensum_is_caught_by_the_runner(capsys, monkeypatch, control, jobs
     caught = [r for r in rows if r["verdict"] == "mismatch"]
     assert len(caught) == mismatches
     assert sum(r[f"{true_side}_repr"] == "0" for r in caught) == zero_zero
+
+
+FORMS_CHECKED = 909
+
+
+def _euler_times_q(M, L, n_lat, sigma):
+    two_l = twice(L, "L")
+    return ZERO if sigma else qbin(two_l + M, two_l).times_monomial(1, 1)
+
+
+def _rr_inner_bottom(M, L, n_lat, sigma):
+    two_l = twice(L, "L")
+    return i_sum(cartan(n_lat), 0, sigma * n_lat, range(M + 1),
+                 lambda i, m: qbin(two_l - i + (m[0] if m else 0), i + 1),
+                 lambda i: qbin(two_l + M - i, two_l))
+
+
+def _lattice_flipped(M, L, n_lat, sigma, a_n):
+    """The tadpole or A_N display, its parity filter given 1 - sigma."""
+    two_l = twice(L, "L")
+    cd = cartan(n_lat + 1) if a_n else cartan(n_lat, "tadpole")
+    v = axis_source(cd.rank, [(1, two_l)])
+
+    def weight(m):
+        if not burge._parity_ok(m[2] if m else (), n_lat, 1 - sigma, flip=a_n):
+            return ZERO
+        return qbin(half_int((2 if a_n else 1) * two_l + 2 * M - (m[0] if m else 0), "top"), two_l)
+
+    pre = cd.qform(v) + (0 if a_n else cd.cinv_den * two_l * two_l)
+    return system_sum(cd, v, None, weight, shift=v).times_monomial(1, pre, 4 * cd.cinv_den)
+
+
+# name -> (the evaluator replaced, its wrong version, burge.forms mismatches,
+# false nodes of `tree --depth 4`, false nodes of `tree --depth 3 --N 2 --sigma 1`)
+FORM_CONTROLS = {
+    "true": (None, None, 0, [], []),
+    "euler_times_q": (burge._euler_n_form, _euler_times_q, 153, [2], [2]),
+    "rr_inner_bottom": (burge._rr_n_form, _rr_inner_bottom, 182, [5], [5, 11]),
+    "lattice_sigma_flipped": (burge._lattice_form, _lattice_flipped, 97, [], [7, 10]),
+}
+
+
+def _install_form_control(monkeypatch, control):
+    """Put the control's wrong display in place of every entry sharing the evaluator."""
+    real, wrong = FORM_CONTROLS[control][:2]
+    for name, form in list(burge.CLOSED_FORMS.items()):
+        if real is not None and form.display is real:
+            monkeypatch.setitem(burge.CLOSED_FORMS, name, form._replace(display=wrong))
+        elif real is not None and getattr(form.display, "func", None) is real:  # a partial
+            monkeypatch.setitem(burge.CLOSED_FORMS, name, form._replace(
+                display=functools.partial(wrong, **form.display.keywords)))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("control", list(FORM_CONTROLS))
+def test_wrong_closed_form_is_caught_by_the_runner(capsys, monkeypatch, control, jobs):
+    mismatches = FORM_CONTROLS[control][2]
+    _install_form_control(monkeypatch, control)
+    code = main(["verify", "burge.forms", "--jobs", jobs])
+    out, err = capsys.readouterr()
+    lines = [json.loads(line) for line in out.splitlines()]
+    summary, rows = lines[-1], lines[:-1]
+    assert summary["equal"] + summary["mismatch"] == summary["total"] == FORMS_CHECKED
+    assert summary["mismatch"] == mismatches and summary["error"] == 0
+    assert code == (1 if mismatches else 0) and err == ""
+    caught = [r for r in rows if r["verdict"] == "mismatch"]
+    assert len(caught) == mismatches
+    # the left side is the node's polynomial, which the control leaves true
+    assert sum(r["lhs_repr"] == "0" for r in caught) == 0
+
+
+@pytest.mark.parametrize("control", list(FORM_CONTROLS))
+def test_wrong_closed_form_makes_its_tree_nodes_false(capsys, monkeypatch, control):
+    *_, deep, level_two = FORM_CONTROLS[control]
+    _install_form_control(monkeypatch, control)
+    for argv, false_nodes in ((["tree", "--depth", "4"], deep),
+                              (["tree", "--depth", "3", "--N", "2", "--sigma", "1"], level_two)):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        nodes = json.loads(out)["nodes"]
+        assert [i for i, nd in enumerate(nodes) if nd["verified"] is False] == false_nodes
+        assert code == (1 if false_nodes else 0)
+        # one witness line per false node, each from its closed-form check
+        assert [line.split()[:2] + line.split()[6:7] for line in err.splitlines()] == [
+            ["node", str(i), "burge.forms"] for i in false_nodes]
