@@ -39,7 +39,7 @@ reader of stdout goes away, 2 for configuration problems (unknown family,
 malformed or empty ranges, a parameter given twice, oversized sweeps,
 out-of-range flags, --jobs above MAX_JOBS among them, a degree above
 MAX_DEGREE from --trunc or a parameter such as --limit, --trunc where nothing
-is truncated, an --out path that cannot be opened).
+is truncated, an --out path that cannot be opened or written).
 """
 
 from __future__ import annotations
@@ -188,13 +188,8 @@ class Family:
 
 _LABELS = ("p", "pprime", "r", "s")
 _BOUNDS = ("M1", "L1", "M2", "L2")
-_SYMMETRIC = ("M", "L", "M", "L")  # the bounds M1 = M2 = M, L1 = L2 = L
 _PRODUCTS = ("ising", "rr", "slater")
 _AGREED = (ONE, ONE)  # the sides when a family's own search found no failing pair
-
-
-def _get(p: Dict, names: Sequence[str]) -> Tuple:
-    return tuple(p[k] for k in names)
 
 
 def _sigmas(p: Dict) -> Tuple[int, ...]:
@@ -231,19 +226,17 @@ def _gensum_halves(p: Dict) -> List[Fraction]:
 
 def _edge_family(identity_id: str, tag: str, parents: Tuple) -> Family:
     """A transform edge over `parents` where burge.edge_applies holds: a classic
-    tag at bounds in 0..3, a level tag at symmetric bounds at N = 2, 3."""
+    tag at bounds in 0..3, a level tag at symmetric bounds at N = 2, 3.  A point
+    is edge_sides's argument tuple, built once."""
     if tag in ("bt", "bt2"):
-        params, names = _BOUNDS, _BOUNDS
-        axes = tuple((b, range(0, 4)) for b in _BOUNDS)
+        params, axes = _BOUNDS, tuple((b, range(0, 4)) for b in _BOUNDS)
+        point = lambda p, pprime, r, s, M1, L1, M2, L2: ((p, pprime, r, s), tag, M1, L1, M2, L2)
     else:
-        params, names = ("N", "sigma", "M", "L:rat"), _SYMMETRIC + ("N", "sigma")
+        params = ("N", "sigma", "M", "L:rat")
         axes = (("N", (2, 3)), ("sigma", _sigmas), ("M", range(0, 6)), ("L", _shifted(6)))
-
-    def args(p):
-        return (_get(p, _LABELS), tag, *_get(p, names))
-
+        point = lambda p, pprime, r, s, N, sigma, M, L: ((p, pprime, r, s), tag, M, L, M, L, N, sigma)
     return Family(identity_id, _ps(*_LABELS, *params), ((_LABELS, parents),) + axes,
-                  lambda p, d: burge.edge_sides(*args(p)), lambda p: burge.edge_applies(*args(p)),
+                  lambda a, d: burge.edge_sides(*a), lambda a: burge.edge_applies(*a), point,
                   modules=(burge,))
 
 
@@ -634,8 +627,8 @@ class _Pipeline:
     when drained), at most 2 x jobs in flight across families; their strings are
     written in submission order, and a family's summary after its last chunk."""
 
-    def __init__(self, stream, opts: Dict, pool, jobs: int):
-        self.stream, self.opts, self.limit = stream, opts, 2 * jobs
+    def __init__(self, write: Callable[[str], object], opts: Dict, pool, jobs: int):
+        self.write, self.opts, self.limit = write, opts, 2 * jobs
         self.submit = partial if pool is None else lambda *task: pool.submit(*task).result
         self.window: deque = deque()  # a result getter per chunk, (ident, t0) per family end
         self.counts, self.total, self.exit_code = Counter(), Counter(), 0
@@ -647,7 +640,7 @@ class _Pipeline:
             item = self.window.popleft()
             if not isinstance(item, tuple):
                 text, counts, notes, _ = item()
-                self.stream.write(text)
+                self.write(text)
                 self.counts.update(counts)
                 for note in notes:
                     print(note, file=sys.stderr)
@@ -658,7 +651,7 @@ class _Pipeline:
             # 0 only when nothing failed and the verdict rests on a checked point
             code = 0 if counts["mismatch"] == counts["error"] == 0 < counts["equal"] else 1
             elapsed = int((time.perf_counter() - t0) * 1000) if self.opts["timing"] else 0
-            self.stream.write(_summary_line(ident, counts, code, elapsed, self.opts["format"]))
+            self.write(_summary_line(ident, counts, code, elapsed, self.opts["format"]))
             self.exit_code = max(self.exit_code, code)
             self.total.update(counts)
 
@@ -678,16 +671,25 @@ def _run_family(fam: Family, ranges: Dict[str, List], opts: Dict, pipe: _Pipelin
 
 @contextmanager
 def _output(path: Optional[str]):
-    if path is None:
-        yield sys.stdout
-        sys.stdout.flush()  # a closed pipe shows here, inside main, not at exit
-    else:
+    """(write, isatty) for stdout or the --out file.  A failed open, write, flush or
+    close is a ConfigError naming the target, or a BrokenPipeError when the reader
+    left; stdout then goes to devnull first, so that exit writes nothing more."""
+    def guard(op, *args):
         try:
-            stream = open(path, "w")
+            return op(*args)
         except OSError as ex:
-            raise ConfigError(f"--out {path}: {ex.strerror or ex}")
-        with stream:
-            yield stream
+            if path is None:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(ex, BrokenPipeError):
+                raise
+            name = "stdout" if path is None else f"--out {path}"
+            raise ConfigError(f"{name}: {ex.strerror or ex}") from None
+
+    stream = sys.stdout if path is None else guard(open, path, "w")
+    try:
+        yield partial(guard, stream.write), hasattr(stream, "isatty") and stream.isatty()
+    finally:  # a failed write shows here at the latest, inside main, not at exit
+        guard(stream.flush if path is None else stream.close)
 
 
 def _new_pool(jobs: int):
@@ -706,17 +708,16 @@ def _sweep(args, runs: Sequence[Tuple[Family, Dict]], opts: Dict, suite: bool) -
             vars(module)
         pool = _new_pool(args.jobs)
     try:
-        with _output(args.out) as stream:
-            color = (args.format == "text" and os.environ.get("NO_COLOR") is None
-                     and hasattr(stream, "isatty") and stream.isatty())
+        with _output(args.out) as (write, tty):
+            color = args.format == "text" and os.environ.get("NO_COLOR") is None and tty
             opts = {**opts, "format": args.format, "color": color}
-            pipe = _Pipeline(stream, opts, pool, args.jobs)
+            pipe = _Pipeline(write, opts, pool, args.jobs)
             for fam, ranges in runs:
                 _run_family(fam, ranges, opts, pipe)
             pipe.drain(0)
             if suite:
                 elapsed = int((time.perf_counter() - t0) * 1000) if opts["timing"] else 0
-                stream.write(_summary_line("suite", pipe.total, pipe.exit_code, elapsed, args.format))
+                write(_summary_line("suite", pipe.total, pipe.exit_code, elapsed, args.format))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)  # leaving early drops the queued chunks
@@ -792,12 +793,12 @@ def cmd_tree(args) -> int:
            "nodes": [{"labels": list(nd.labels), **{k: getattr(nd, k) for k in (
                "N", "sigma", "depth", "parent_index", "transform_tag", "closed_form_name")},
                "verified": v} for nd, (v, _, _) in zip(nodes, verdicts)]}
-    with _output(args.out) as stream:
+    with _output(args.out) as (write, _):
         if args.format == "json":
-            stream.write(json.dumps(doc, indent=1) + "\n")
+            write(json.dumps(doc, indent=1) + "\n")
         else:
             for nd, (v, _, _) in zip(nodes, verdicts):
-                stream.write(f"depth={nd.depth} ({nd.p},{nd.pprime},{nd.r},{nd.s})"
+                write(f"depth={nd.depth} ({nd.p},{nd.pprime},{nd.r},{nd.s})"
                              f" N={nd.N} sigma={nd.sigma} via={nd.transform_tag or 'seed'}"
                              f" form={nd.closed_form_name or '-'} verified={v}\n")
     return 0 if doc["all_verified"] else 1
@@ -820,8 +821,8 @@ def cmd_eval(args, extras) -> int:
         raise ConfigError(f"{type(ex).__name__}: {ex}")
     except ValueError as ex:
         raise ConfigError(str(ex))
-    with _output(args.out) as stream:
-        stream.write(render(value) + "\n")
+    with _output(args.out) as (write, _):
+        write(render(value) + "\n")
     return 0
 
 
@@ -881,8 +882,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # the reader left: stdout to devnull, the signal docs' recipe
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader left; _output sent stdout to devnull, the signal docs' recipe
         return 1
 
 

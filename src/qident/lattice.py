@@ -1,26 +1,31 @@
-"""Cartan matrices, admissible (m,n)-systems, and the one sum over them.
+"""Inverse Cartan matrices in closed form, admissible (m,n)-systems, and the
+one sum over them.
 
-Two families are supported, both of rank N-1: the simply-laced "a" family
-with Cartan matrix C_ij = 2 d_ij - d_|i-j|,1 and the "tadpole" family whose
-incidence matrix carries an extra self-link at the first node.  For N = 1
-the rank is zero and every bilinear form is identically zero.
-
-Cinv is held as integer numerators cinv_num over one denominator cinv_den,
-and qform (n Cinv n) and cinv_component (one entry of Cinv n) return integer
+Two families are supported, both of rank N-1 with nodes i, j = 1..N-1: A_{N-1},
+C_ij = 2 d_ij - d_|i-j|,1, and the tadpole T_{N-1}, the same with C_11 = 1
+(its incidence matrix 2I - C has a self-link at the first node).  Only Cinv
+is read, and both have it in closed form (A. Schilling, S. O. Warnaar,
+Ramanujan J. 2, 1998): Cinv_ij = min(i, j) - i j / N for "a" and
+N - max(i, j) for "tadpole".  For the tadpole, C = D^T D with D the identity
+minus the superdiagonal shift; D^-1 is the upper triangle of ones, so entry
+(i, j) of Cinv = D^-1 D^-T counts the k in max(i, j)..N-1.  Cinv > 0 can be
+read off both: i (N - j) > 0 for i <= j, and N - max(i, j) >= 1.  At N = 1
+the rank is zero and every bilinear form is identically zero.  Cinv is held
+as integer numerators cinv_num over one denominator cinv_den, and qform
+(n Cinv n) and cinv_component (one entry of Cinv n) return integer
 numerators over cinv_den too: no rational number is formed on the way.
 
 A system solution pairs a nonnegative integer vector n with the derived
 vector m = Cinv (v - 2n), which rewrites the defining constraint
-m + n = (incidence*m + v)/2.  A solution is admissible when m is integral
+m + n = ((2I - C) m + v)/2.  A solution is admissible when m is integral
 and nonnegative (the support of the standard q-binomial products) and n
 satisfies the caller's congruence restriction t/(2N) + (Cinv n)_1 in Z.
 The integer t is the offset; every restriction in the package has this
 form, with N the level of the Cartan data.
 
-Enumeration is exhaustive by row bounds: Cinv > 0 entrywise for both
-families (irreducible nonsingular M-matrices), so m = Cinv (v - 2n) >= 0 reads
-(Cinv n)_j cinv_den <= floor((Cinv v)_j cinv_den / 2) on every row j, and
-shell, the package's one walk over lattice vectors, prunes by exactly that.
+Enumeration is exhaustive by row bounds: as Cinv > 0, m = Cinv (v - 2n) >= 0
+reads (Cinv n)_j cinv_den <= floor((Cinv v)_j cinv_den / 2) on every row j,
+and shell, the package's one walk over lattice vectors, prunes by exactly that.
 
 Every fermionic sum in the package has the same inner sum over these
 solutions, sum of weight(m) prod_j [m_j+n_j over n_j] q^(n Cinv n - s Cinv n),
@@ -43,9 +48,8 @@ difference_sides, limlm_sides and string_fermionic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import floor, lcm
+from math import floor
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParams
@@ -60,13 +64,10 @@ IWeight = Callable[[int, tuple], QPoly]  # of i and a class key, for i_term
 
 @dataclass(frozen=True)
 class CartanData:
-    """Exact matrix data for one lattice family at a fixed N."""
+    """Cinv of one lattice family at a fixed N, as integer numerators over one denominator."""
 
     n: int
-    kind: str
     rank: int
-    cartan: Tuple[Tuple[int, ...], ...]
-    incidence: Tuple[Tuple[int, ...], ...]
     cinv_num: Tuple[Tuple[int, ...], ...]  # cinv = cinv_num / cinv_den, exact
     cinv_den: int
 
@@ -93,74 +94,35 @@ class SystemSolution:
     form: int
 
 
-def _invert_fraction_matrix(rows: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[Fraction, ...], ...]:
-    rank = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(rank)] + [Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
-    for col in range(rank):
-        pivot = next(r for r in range(col, rank) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(rank):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[rank:]) for row in aug)
-
-
 @lru_cache(maxsize=None)
 def cartan(n: int, kind: str = "a") -> CartanData:
-    """Construct the rank n-1 matrix data for kind "a" or "tadpole"."""
+    """Cinv of rank n-1 in closed form: min(i, j) - i j / n for kind "a", n - max(i, j) for "tadpole"."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind not in ("a", "tadpole"):
         raise ValueError(f"unknown kind {kind!r}")
-    rank = n - 1
+    nodes = range(1, n)
     if kind == "a":
-        c = tuple(
-            tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank))
-            for i in range(rank)
-        )
+        num = tuple(tuple(min(i, j) * n - i * j for j in nodes) for i in nodes)
     else:
-        inc = tuple(
-            tuple((1 if abs(i - j) == 1 else 0) + (1 if i == j == 0 else 0) for j in range(rank))
-            for i in range(rank)
-        )
-        c = tuple(tuple(2 * int(i == j) - inc[i][j] for j in range(rank)) for i in range(rank))
-    incidence = tuple(tuple(2 * int(i == j) - c[i][j] for j in range(rank)) for i in range(rank))
-    if rank == 0:
-        return CartanData(n, kind, 0, (), (), (), 1)
-    if kind == "a":
-        # closed form: cinv_ij = min(i,j) - i*j/n in 1-based indexing
-        den = n
-        num = tuple(
-            tuple(min(i + 1, j + 1) * n - (i + 1) * (j + 1) for j in range(rank))
-            for i in range(rank)
-        )
-    else:
-        inv = _invert_fraction_matrix(c)
-        den = lcm(*(entry.denominator for row in inv for entry in row))
-        num = tuple(tuple(int(entry * den) for entry in row) for row in inv)
-    return CartanData(n, kind, rank, c, incidence, num, den)
+        num = tuple(tuple(n - max(i, j) for j in nodes) for i in nodes)
+    return CartanData(n, n - 1, num, n if kind == "a" else 1)
 
 
-def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int],
-                 form: Optional[int] = None) -> Optional[SystemSolution]:
-    """Derive m = Cinv (v - 2n), None unless integral; form is n's qform, if the caller has it."""
+def solve_system(cd: CartanData, n_vec: Sequence[int], v: Sequence[int], form: int) -> Optional[SystemSolution]:
+    """Derive m = Cinv (v - 2n), None unless integral; form is n's qform."""
     w = tuple(a - 2 * b for a, b in zip(v, n_vec))
-    den = cd.cinv_den
-    m = []
+    den, m = cd.cinv_den, []
     for row in cd.cinv_num:
         u = sum(r * x for r, x in zip(row, w))
         if u % den:
             return None
         m.append(u // den)
-    return SystemSolution(tuple(n_vec), tuple(m), cd.qform(n_vec) if form is None else form)
+    return SystemSolution(tuple(n_vec), tuple(m), form)
 
 
-def shell(
-    cd: CartanData, offset: Offset, bounds: Sequence[Optional[int]] = (), cap=None
-) -> Iterator[Tuple[IntVec, int]]:
+def shell(cd: CartanData, offset: Offset, bounds: Sequence[Optional[int]] = (),
+          cap=None) -> Iterator[Tuple[IntVec, int]]:
     """(eta, eta Cinv eta * cinv_den) for eta >= 0, in lexicographic order, with
     offset/(2N) + (Cinv eta)_1 in Z (offset None: unrestricted), form <= cap if
     a cap is given, and (Cinv eta)_{j+1} cinv_den <= bounds[j] for each bound
@@ -184,8 +146,7 @@ def shell(
     if cap is None and not rows:
         raise InvalidParams("the walk needs a cap or a row bound")
     limit = None if cap is None else floor(cap * den)
-    mod, last = two_n * den, rank - 1
-    vec = [0] * rank
+    mod, last, vec = two_n * den, rank - 1, [0] * rank
 
     def walk(pos: int, vals: List[int], form: int) -> Iterator[Tuple[IntVec, int]]:
         # vals[j] = (Cinv prefix)_{j+1} * den; column pos of Cinv is row pos, by symmetry
@@ -242,36 +203,34 @@ def _class_sum(cd: CartanData, sols: Sequence[SystemSolution], shift: Optional[I
     return total
 
 
-def class_terms(cd: CartanData, v: Sequence[int], offset: Offset, weight: Optional[Weight] = None,
+def class_terms(cd: CartanData, v: Sequence[int], offset: Offset, weight: Weight,
                 shift: Optional[Sequence[int]] = None) -> List[Tuple[tuple, QPoly]]:
     """system_sum's terms: (key, weight(key) times the class's weight-free sum) for
     each class of nonzero weight, in the order of the classes' first solutions."""
     if not cd.rank:  # n = () alone, of form 0, where the offset allows it
-        if offset is not None and offset % (2 * cd.n):
-            return []
-        w = ONE if weight is None else weight(())
+        w = ZERO if offset is not None and offset % (2 * cd.n) else weight(())
         return [((), w)] if w else []
     shift = tuple(shift) if shift is not None and any(shift) else None
     classes = _class_table(cd, tuple(v), offset, shift)  # shift None or nonzero
     terms = []
     for key, part in classes.items():
-        w = ONE if weight is None else weight(key)
+        w = weight(key)
         if w.is_zero():
             continue
         if type(part) is tuple:
             part = classes[key] = _class_sum(cd, part, shift)
-        terms.append((key, part if weight is None else mul(w, part)))
+        terms.append((key, mul(w, part)))
     return terms
 
 
-def system_sum(cd: CartanData, v: Sequence[int], offset: Offset, weight: Optional[Weight] = None,
+def system_sum(cd: CartanData, v: Sequence[int], offset: Offset, weight: Weight,
                shift: Optional[Sequence[int]] = None) -> QPoly:
     """Sum over admissible (m, n) of weight(key) prod_j [m_j+n_j over n_j] q^(n Cinv n - shift Cinv n).
 
     The key of m is (m_1, m_last, m mod 2), or () at rank 0: a weight sees m
     only through it, once per class of solutions sharing it, and a class of
-    zero weight builds no binomial.  weight defaults to 1, shift to 0; offset
-    is t in the restriction t/(2N) + (Cinv n)_1 in Z, or None.
+    zero weight builds no binomial.  shift defaults to 0; offset is t in the
+    restriction t/(2N) + (Cinv n)_1 in Z, or None.
     """
     return sum((term for _, term in class_terms(cd, v, offset, weight, shift)), ZERO)
 

@@ -214,7 +214,7 @@ def test_criterion_8_partition_counts_and_lattice_enumeration(tmp_path):
                 first = sum(Fraction((n - j) * x, n) for j, x in enumerate(n_vec, 1))
                 if (Fraction(offset, 2 * n) + first).denominator != 1:
                     continue
-            sol = solve_system(cd, n_vec, v)
+            sol = solve_system(cd, n_vec, v, cd.qform(n_vec))
             if sol is not None and all(x >= 0 for x in sol.m_vec):
                 expected.append(n_vec)
         got = [s.n_vec for s in enumerate_admissible(cd, v, offset)]

@@ -78,3 +78,36 @@ def test_no_attribute_is_looked_up_by_a_built_name():
                     and isinstance(node.args[1], (ast.JoinedStr, ast.BinOp, ast.Call))):
                 built.append(f"{path.name}:{node.lineno}")
     assert built == [], f"attributes looked up by a built name: {built}"
+
+
+def _dataclass_fields(tree):
+    """(class name, class node, field name) for every field of a top-level @dataclass."""
+    for statement in tree.body:
+        if isinstance(statement, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+                for d in statement.decorator_list):
+            for item in statement.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield statement.name, statement, item.target.id
+
+
+def test_every_dataclass_field_is_read_in_src():
+    """A field of a @dataclass in src/ must be read as an attribute (x.field) in
+    src/ outside its own class body; a field only the tests read is dead weight.
+
+    The check matches by name alone: a field passes when any attribute of that
+    name is read, so it misses a dead field that shares its name with a live
+    one, as a dead CartanData.kind once passed beside ParamSpec.kind.
+    NamedTuples are left out, since callers unpack them.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = [(node.attr, node) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for module, tree in trees.items():
+        for cls, definition, field in _dataclass_fields(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(name == field and id(node) not in own for name, node in reads):
+                unread.append(f"{module}.{cls}.{field}")
+    assert unread == [], f"dataclass fields no code in src/ reads: {unread}"

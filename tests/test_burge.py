@@ -383,7 +383,7 @@ def _grid_edges(identity_id):
     tag = identity_id.split(".")[1]
     for values in _points_for(fam, {})[1]:
         p = dict(zip(fam.names, values))
-        if fam.precondition(p):
+        if fam.precondition(fam.point(*values)):
             labels = (p["p"], p["pprime"], p["r"], p["s"])
             if tag in ("bt", "bt2"):
                 yield labels, tag, (p["M1"], p["L1"], p["M2"], p["L2"]), 1, 0

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -685,6 +686,23 @@ def test_closed_pipe_exits_1_without_a_traceback(jobs, box, lines):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that is always full")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failed_write_exits_2_with_one_line(capsys, jobs):
+    # --out, in-process: the pool shuts down and leaves no worker behind
+    for argv in (["verify", "qcv", "--jobs", jobs], ["eval", "qbin", "--m", "2", "--n", "2"], ["tree"]):
+        assert main(argv + ["--out", "/dev/full"]) == 2
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr() == ("", "error: --out /dev/full: No space left on device\n")
+    # stdout, in a child that exits without a traceback or an exit-time report
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", "import sys; from qident.cli import main; sys.exit(main())",
+                               "verify", "qcv", "--jobs", jobs], stdout=full, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, b"error: stdout: No space left on device\n")
 
 
 def _launch(*args: str) -> subprocess.CompletedProcess:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ from qident import lattice
 from qident.errors import InvalidParams
 from qident.lattice import (
     _class_sum,
-    _invert_fraction_matrix,
     axis_source,
     cartan,
     class_terms,
@@ -43,10 +43,25 @@ def invert_oracle(rows):
     return [row[r:] for row in aug]
 
 
-def box_oracle(cd, v, offset):
+def cartan_matrix(n, kind):
+    """C from the Dynkin data: 2 on the diagonal, -1 between neighbours, C_11 = 1 for the tadpole."""
+    c = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n - 1)] for i in range(n - 1)]
+    if kind == "tadpole" and c:
+        c[0][0] = 1
+    return tuple(map(tuple, c))
+
+
+def incidence_matrix(n, kind):
+    """2I - C."""
+    c = cartan_matrix(n, kind)
+    return tuple(tuple(2 * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(c))
+
+
+def box_oracle(cd, v, offset, kind="a"):
     """Exhaustive scan of 0 <= n_k <= N(|v|_1 + 1) with Fraction arithmetic.
 
-    offset is the integer t of the restriction t/(2N) + (Cinv n)_1 in Z.
+    offset is the integer t of the restriction t/(2N) + (Cinv n)_1 in Z; kind
+    names the family of cd, whose Cartan matrix the oracle inverts itself.
     """
     rank = cd.rank
     if offset is not None:
@@ -54,7 +69,7 @@ def box_oracle(cd, v, offset):
     if rank == 0:
         ok = offset is None or offset.denominator == 1
         return [((), ())] if ok else []
-    cinv = invert_oracle(cd.cartan)
+    cinv = invert_oracle(cartan_matrix(cd.n, kind))
     hi = cd.n * (sum(abs(x) for x in v) + 1)
     found = []
 
@@ -80,7 +95,7 @@ def box_oracle(cd, v, offset):
 
 def test_cartan_n3():
     cd = cartan(3)
-    assert cd.cartan == ((2, -1), (-1, 2))
+    assert cartan_matrix(3, "a") == ((2, -1), (-1, 2))
     assert cd.cinv_num == ((2, 1), (1, 2))
     assert cd.cinv_den == 3
 
@@ -94,15 +109,15 @@ def test_cartan_rank0():
 
 def test_cartan_n2():
     cd = cartan(2)
-    assert cd.cartan == ((2,),)
+    assert cartan_matrix(2, "a") == ((2,),)
     assert cd.cinv_num == ((1,),)
     assert cd.cinv_den == 2
 
 
 def test_tadpole_matrices():
     cd = cartan(3, "tadpole")
-    assert cd.incidence == ((1, 1), (1, 0))
-    assert cd.cartan == ((1, -1), (-1, 2))
+    assert incidence_matrix(3, "tadpole") == ((1, 1), (1, 0))
+    assert cartan_matrix(3, "tadpole") == ((1, -1), (-1, 2))
     # det T = 1, so the inverse is integral
     assert cd.cinv_den == 1
 
@@ -110,12 +125,25 @@ def test_tadpole_matrices():
 def test_cinv_is_exact_inverse():
     for kind in ("a", "tadpole"):
         for n in range(1, 13):
-            cd = cartan(n, kind)
+            cd, c = cartan(n, kind), cartan_matrix(n, kind)
             r = cd.rank
             for i in range(r):
                 for j in range(r):
-                    acc = sum(cd.cartan[i][k] * cd.cinv_num[k][j] for k in range(r))
+                    acc = sum(c[i][k] * cd.cinv_num[k][j] for k in range(r))
                     assert acc == (cd.cinv_den if i == j else 0)
+
+
+@pytest.mark.parametrize("kind", ["a", "tadpole"])
+@pytest.mark.parametrize("n", range(1, 16))
+def test_closed_forms_are_the_inverse_of_the_dynkin_matrix(kind, n):
+    # min(i, j) - i j / n for "a", n - max(i, j) for the tadpole, 1-based i, j <= n - 1
+    cd, inv = cartan(n, kind), invert_oracle(cartan_matrix(n, kind))
+    assert [f.name for f in dataclasses.fields(cd)] == ["n", "rank", "cinv_num", "cinv_den"]
+    assert (cd.n, cd.rank, cd.cinv_den) == (n, n - 1, n if kind == "a" else 1)
+    for i in range(1, n):
+        for j in range(1, n):
+            closed = Fraction(min(i, j) * n - i * j, n) if kind == "a" else Fraction(n - max(i, j))
+            assert Fraction(cd.cinv_num[i - 1][j - 1], cd.cinv_den) == closed == inv[i - 1][j - 1]
 
 
 def test_first_component_closed_form():
@@ -133,7 +161,7 @@ def test_integer_forms_match_fraction_inverse(kind, n):
     # qform and cinv_component are numerators over cinv_den of the Fraction inverse's values
     cd = cartan(n, kind)
     r = cd.rank
-    inv = _invert_fraction_matrix(cd.cartan)
+    inv = invert_oracle(cartan_matrix(n, kind))
     vecs = [tuple((k * (i + 3) + i * i) % 5 - (k % 3) for i in range(r)) for k in range(12)]
     for vec in vecs:
         form = sum(vec[i] * inv[i][j] * vec[j] for i in range(r) for j in range(r))
@@ -159,20 +187,20 @@ def test_restriction_examples():
 
 def test_solve_examples():
     cd = cartan(2)
-    assert solve_system(cd, (0,), (2,)).m_vec == (1,)
-    assert solve_system(cd, (1,), (2,)).m_vec == (0,)
-    assert solve_system(cartan(3), (1, 0), (3, 0)) is None
+    assert solve_system(cd, (0,), (2,), cd.qform((0,))).m_vec == (1,)
+    assert solve_system(cd, (1,), (2,), cd.qform((1,))).m_vec == (0,)
+    assert solve_system(cartan(3), (1, 0), (3, 0), cartan(3).qform((1, 0))) is None
 
 
 def test_resubstitution_identity():
     # m + n = (inc*m + v)/2 for every admissible solution
     for n in range(2, 6):
-        cd = cartan(n)
+        cd, inc = cartan(n), incidence_matrix(n, "a")
         for v0 in range(0, 7):
             v = axis_source(cd.rank, [(1, v0)])
             for sol in enumerate_admissible(cd, v, None):
                 lhs = [a + b for a, b in zip(sol.m_vec, sol.n_vec)]
-                im = [sum(cd.incidence[i][j] * sol.m_vec[j] for j in range(cd.rank)) for i in range(cd.rank)]
+                im = [sum(inc[i][j] * sol.m_vec[j] for j in range(cd.rank)) for i in range(cd.rank)]
                 rhs = [Fraction(im[i] + v[i], 2) for i in range(cd.rank)]
                 assert [Fraction(x) for x in lhs] == rhs
 
@@ -216,7 +244,7 @@ def test_tadpole_enumeration_matches_box_oracle():
         cd = cartan(n, "tadpole")
         v = axis_source(cd.rank, [(1, 2)])
         got = sorted((s.n_vec, s.m_vec) for s in enumerate_admissible(cd, v, None))
-        assert got == box_oracle(cd, v, None)
+        assert got == box_oracle(cd, v, None, "tadpole")
 
 
 @given(
@@ -235,14 +263,14 @@ def test_enumeration_oracle_randomized(n, i, ell):
 
 # --- the pruned walk ----------------------------------------------------------------
 
-def box_scan(cd, v, offset):
+def box_scan(cd, v, offset, kind):
     """The box scan the walk replaced: every n >= 0 with sum(n) <= floor(sum(v)/2),
     kept when m = Cinv (v - 2n) is integral and nonnegative and the restriction
     holds, in lexicographic order; Fraction arithmetic throughout."""
     rank, budget = cd.rank, sum(v) // 2
     if budget < 0:
         return []
-    cinv = invert_oracle(cd.cartan) if rank else []
+    cinv = invert_oracle(cartan_matrix(cd.n, kind)) if rank else []
     found = []
     for n_vec in itertools.product(range(budget + 1), repeat=rank):
         if sum(n_vec) > budget:
@@ -269,7 +297,7 @@ def test_walk_matches_the_box_scan(kind, n):
         for offset in (None, 2 * rng.randint(-3, 3), 2 * rng.randint(-3, 3) + 1):
             sols = enumerate_admissible(cd, v, offset)
             got = [(s.n_vec, s.m_vec) for s in sols]
-            assert got == box_scan(cd, v, offset), (v, offset)
+            assert got == box_scan(cd, v, offset, kind), (v, offset)
             assert all(s.form == cd.qform(s.n_vec) for s in sols)  # the form the walk yields
             kept += len(got)
     assert kept
@@ -363,9 +391,9 @@ def test_unit_vector_and_axis_source():
 
 # --- the system-sum kernel ---------------------------------------------------------
 
-def system_sum_oracle(cd, solutions, weight, shift):
+def system_sum_oracle(cd, solutions, weight, shift, kind="a"):
     """Binomial products term by term over box_oracle's solutions."""
-    cinv = invert_oracle(cd.cartan)
+    cinv = invert_oracle(cartan_matrix(cd.n, kind))
     r = cd.rank
     total = ZERO
     for n_vec, m_vec in solutions:
@@ -390,9 +418,13 @@ def _dropping_weight(key):
     return QPoly.monomial(1 + m1 + 2 * m_last + sum(m_mod2), Fraction(m1 + m_last, 3))
 
 
+def _one(key):
+    return ONE
+
+
 def _on_keys(weight):
-    """The oracle's weight of m: weight of m's class key, 1 for None."""
-    return (lambda m: ONE) if weight is None else (lambda m: weight(class_key(m)))
+    """The oracle's weight of m: weight of m's class key."""
+    return lambda m: weight(class_key(m))
 
 
 @pytest.mark.parametrize("kind", ["a", "tadpole"])
@@ -404,12 +436,12 @@ def test_system_sum_matches_oracle(kind, n):
     units = [axis_source(r, [(k, 1)]) for k in range(1, r + 1)]
     nonzero = dropped = 0
     for offset in (None, 2 * n // max(n, 2)):  # 1/max(N, 2) over 2N
-        solutions = box_oracle(cd, v, offset)
+        solutions = box_oracle(cd, v, offset, kind)
         dropped += sum(1 for _, m in solutions if m and m[0] == 0)
         for shift in [None] + units + [v]:
-            for weight in (None, _dropping_weight):
+            for weight in (_one, _dropping_weight):
                 got = system_sum(cd, v, offset, weight, shift)
-                want = system_sum_oracle(cd, solutions, _on_keys(weight), shift or (0,) * r)
+                want = system_sum_oracle(cd, solutions, _on_keys(weight), shift or (0,) * r, kind)
                 assert got == want
                 nonzero += not got.is_zero()
     assert nonzero
@@ -441,12 +473,12 @@ def test_class_table_matches_the_term_by_term_sum(kind, n):
                 sizes[class_key(m)] = sizes.get(class_key(m), 0) + 1
             merged += any(size > 1 for size in sizes.values())
             for shift in (None, axis_source(r, [(r, 1)]), v):
-                for weight in (None, _dropping_weight, _parity_weight):
-                    want = system_sum_oracle(cd, solutions, _on_keys(weight), shift or (0,) * r)
+                for weight in (_one, _dropping_weight, _parity_weight):
+                    want = system_sum_oracle(cd, solutions, _on_keys(weight), shift or (0,) * r, kind)
                     assert system_sum(cd, v, offset, weight, shift) == want, (v, offset, shift)
                     terms = class_terms(cd, v, offset, weight, shift)
                     assert [key for key, _ in terms] == [
-                        key for key in sizes if weight is None or not weight(key).is_zero()]
+                        key for key in sizes if not weight(key).is_zero()]
     assert merged or r < 3
 
 
@@ -489,13 +521,13 @@ def test_rank_zero_sum_is_the_weight_where_the_offset_allows(kind, monkeypatch):
         raise AssertionError("rank 0 built a class table")
 
     monkeypatch.setattr(lattice, "_class_table", fail_table)
-    weights = {"none": None, "zero": lambda key: seen.append(key) or ZERO,
+    weights = {"one": lambda key: seen.append(key) or ONE, "zero": lambda key: seen.append(key) or ZERO,
                "nonzero": lambda key: seen.append(key) or QPoly.monomial(-3, Fraction(5, 2))}
     kept = 0
     for offset in (None, 0, 4, -2, 1, -3):
         for name, weight in weights.items():
             for shift in (None, ()):
-                w = ONE if weight is None else weight(())
+                w = weight(())
                 want = mul(w, _class_sum(cd, enumerate_admissible(cd, (), offset), shift))
                 seen.clear()
                 assert system_sum(cd, (), offset, weight, shift) == want, (offset, name)
@@ -503,9 +535,9 @@ def test_rank_zero_sum_is_the_weight_where_the_offset_allows(kind, monkeypatch):
                 assert terms == ([((), want)] if want else []), (offset, name)
                 # each call reads the empty key once, and only where the offset allows it
                 allowed = offset is None or offset % 2 == 0
-                assert seen == ([(), ()] if weight and allowed else [])
+                assert seen == ([(), ()] if allowed else [])
                 kept += bool(terms)
-    assert kept == 2 * 4 * 2  # none and nonzero, at every even or absent offset, both shifts
+    assert kept == 2 * 4 * 2  # one and nonzero, at every even or absent offset, both shifts
 
 
 @pytest.mark.parametrize("kind", ["a", "tadpole"])
@@ -520,7 +552,7 @@ def test_plain_sum_keeps_the_uncached_weight_free_sum(kind, n):
         v = axis_source(r, [(1, rng.randint(-2, 8)), (r, rng.randint(-2, 5))])
         for offset in (None, 2 * rng.randint(-3, 3), 2 * rng.randint(-3, 3) + 1):
             for shift in shifts:
-                want = system_sum(cd, v, offset, shift=shift)
+                want = system_sum(cd, v, offset, _one, shift)
                 assert plain_sum(cd, v, offset, shift) == want, (v, offset, shift)
                 hits = plain_sum.cache_info().hits
                 assert plain_sum(cd, v, offset, shift) == want

@@ -30,20 +30,32 @@ checked; no catching point compares 0 with 0 under the true display.  The
 same displays are the closed-form checks of `qident tree`, which checks only
 M, L <= 2: each control names the nodes that come out false there.  The
 flipped parity reaches only even N, so the level-1 tree cannot see it.
+
+For qcv, sears and multinom.tnew, three wrong versions each go into a copy of
+the family, written out here: q-Chu-Vandermonde with its exponent off by one,
+its right bottom off by one, or L1 and L2 exchanged on the right; Sears's
+transform with its left exponent off by one, a right binomial top off by one,
+or its left sum's first term dropped; the quadratic-exponent T_0 with its
+exponent off by i/N, its two binomial tops exchanged, or its last i dropped.
+Their default grids check 1,261 points (70 more are exceptional), 1,200 and
+351.  Every wrong version is caught, some at points where the true identity
+compares 0 with 0: the signed modified binomials of Sears's sums cancel.
 """
 
 import dataclasses
 import functools
 import json
+from fractions import Fraction
 
 import pytest
 
-from qident import burge
+from qident import burge, multinom
 from qident.cli import REGISTRY, main
 from qident.lattice import axis_source, cartan, class_terms, i_sum, system_sum
-from qident.qbinom import qbin
-from qident.qpoly import ZERO, dot, half_int, mul, twice
-from qident.saalschutz import ClassicParams, _gensum_inner, gensum_lhs, gensum_rhs, qs2_lhs, qs2_rhs
+from qident.qbinom import qbin, qbin_mod_tb
+from qident.qpoly import ONE, ZERO, QPoly, dot, half_int, mul, twice
+from qident.saalschutz import (ClassicParams, _gensum_inner, gensum_lhs, gensum_rhs, qcv_lhs, qcv_rhs,
+                               qs2_lhs, qs2_rhs, sears_lhs, sears_rhs)
 
 CHECKED = 27_973
 
@@ -151,7 +163,7 @@ def _gensum_rhs(g, b1_shift=0, exchanged=False):
     cd = cartan(g.N)
     v = axis_source(cd.rank, [(1, g.M + g.ell), (cd.rank, g.M)])
     pairs = []
-    for key, term in class_terms(cd, v, g.ell + g.sigma * g.N):
+    for key, term in class_terms(cd, v, g.ell + g.sigma * g.N, lambda key: ONE):
         mu_first, mu_last = key[:2] if key else (g.M, g.M + g.ell)
         b1 = qbin(half_int(two_l1 + g.M + mu_first, "b1 top"), g.M + g.ell + b1_shift)
         b2 = qbin(half_int(two_l2 + g.M + g.ell + mu_last, "b2 top"), g.M)
@@ -269,3 +281,96 @@ def test_wrong_closed_form_makes_its_tree_nodes_false(capsys, monkeypatch, contr
         # one witness line per false node, each from its closed-form check
         assert [line.split()[:2] + line.split()[6:7] for line in err.splitlines()] == [
             ["node", str(i), "burge.forms"] for i in false_nodes]
+
+
+def _qcv_lhs(p, exponent):
+    """sum over i of q^exponent(i, ell) [L1 over i+ell] [L2 over i]."""
+    live = range(max(0, -p.ell), min(p.L2, p.L1 - p.ell) + 1)
+    terms = (mul(qbin(p.L1, i + p.ell), qbin(p.L2, i)).times_monomial(1, exponent(i, p.ell)) for i in live)
+    return sum(terms, ZERO)
+
+
+def _sears(p, i_range, entries, extra_exponent=0):
+    """sum over i of q^(i(i-a+e+g+extra_exponent)) times the modified binomials of entries(i)."""
+    a, e, g = p["a"], p["e"], p["g"]
+    total = ZERO
+    for i in i_range:
+        term = ONE
+        for top, bottom in entries(i):
+            term = mul(term, qbin_mod_tb(top, bottom))
+        total = total + term.times_monomial(1, i * (i - a + e + g + extra_exponent))
+    return total
+
+
+def _sears_lhs(p, extra_exponent=0, skip=0):
+    """The left sum, its exponent moved by i extra_exponent, its first `skip` terms dropped."""
+    a, b, c, d, e, f, g = p.values()
+    return _sears(p, range(max(-e, -g) + skip, c + 1) if a >= 0 else (),
+                  lambda i: ((i + a, a), (b - i, c - i), (d, i + e), (f, i + g)), extra_exponent)
+
+
+def _sears_rhs_top(p):
+    """The right sum with the top b-d+e of its second binomial one higher."""
+    a, b, c, d, e, f, g = p.values()
+    return _sears(p, range(-g, min(a - g, c) + 1) if c + e >= 0 else (),
+                  lambda i: ((a - g, a - g - i), (b - d + e + 1, c - i), (c + d - i, c + e), (i + f, i + g)))
+
+
+def _tnew(q, exponent=False, exchanged=False, drop_last=False):
+    """sum over i of q^(i(i+ell)/N) [(L+ell+m1)/2 over i+ell] [(L-ell+m1)/2 over i] times the
+    lattice sum, one more q^(i/N), the two tops exchanged or the last i dropped if asked."""
+    N, L, ell = q.N, q.L, twice(q.a, "a")
+
+    def weight(i, m):
+        tops = [half_int(L + ell + (m[0] if m else 0), "top"), half_int(L - ell + (m[0] if m else 0), "top")]
+        first, second = tops[::-1] if exchanged else tops
+        return mul(qbin(first, i + ell), qbin(second, i))
+
+    outer = (lambda i: QPoly.monomial(1, Fraction(i, N))) if exponent else None
+    return i_sum(cartan(N), ell, N * L, range(max(0, (N * L - ell) // 2) + 1 - drop_last), weight, outer)
+
+
+def _tnew_sides(**wrong):
+    return lambda q, d: (_tnew(q, **wrong), multinom.t_multinomial(q))
+
+
+# identity -> (checked points, {name: (sides, mismatches, mismatches where the
+# true identity compares 0 with 0)})
+MORE_CONTROLS = {
+    "qcv": (1261, {
+        "left_exponent": (lambda c, d: (_qcv_lhs(c, lambda i, ell: i * (i + ell + 1)), qcv_rhs(c)), 165, 0),
+        "right_bottom": (lambda c, d: (qcv_lhs(c), qbin(c.L1 + c.L2, c.L1 - c.ell + 1)), 253, 55),
+        "right_L1_L2_exchanged": (lambda c, d: (qcv_lhs(c), qbin(c.L1 + c.L2, c.L2 - c.ell)), 290, 140),
+    }),
+    "sears": (1200, {
+        "left_exponent": (lambda p, d: (_sears_lhs(p, extra_exponent=1), sears_rhs(*p.values())), 205, 65),
+        "right_top": (lambda p, d: (sears_lhs(*p.values()), _sears_rhs_top(p)), 145, 9),
+        "left_first_term_dropped": (lambda p, d: (_sears_lhs(p, skip=1), sears_rhs(*p.values())), 158, 43),
+    }),
+    "multinom.tnew": (351, {
+        "exponent": (_tnew_sides(exponent=True), 324, 0),
+        "tops_exchanged": (_tnew_sides(exchanged=True), 328, 0),
+        "last_term_dropped": (_tnew_sides(drop_last=True), 351, 0),
+    }),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("identity, control", [(ident, name) for ident, (_, controls) in MORE_CONTROLS.items()
+                                                for name in controls])
+def test_wrong_qcv_sears_and_tnew_are_caught_by_the_runner(capsys, monkeypatch, identity, control, jobs):
+    checked, controls = MORE_CONTROLS[identity]
+    sides, mismatches, zero_zero = controls[control]
+    fam = REGISTRY[identity]
+    monkeypatch.setitem(REGISTRY, identity, dataclasses.replace(fam, sides=sides))
+    code = main(["verify", identity, "--jobs", jobs])
+    out, err = capsys.readouterr()
+    lines = [json.loads(line) for line in out.splitlines()]
+    summary, rows = lines[-1], lines[:-1]
+    assert summary["equal"] + summary["mismatch"] == checked
+    assert summary["mismatch"] == mismatches and summary["error"] == 0
+    assert code == 1 and err == ""
+    caught = [r["params"] for r in rows if r["verdict"] == "mismatch"]
+    assert len(caught) == mismatches
+    points = [fam.point(*p.values()) if fam.point else p for p in caught]
+    assert sum(all(side.is_zero() for side in fam.sides(p, None)[:2]) for p in points) == zero_zero

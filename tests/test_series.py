@@ -111,7 +111,7 @@ class TestEtaShell:
             assert got == box_shell_oracle(cd, a, cap), (N, cap, a)
 
     def test_rejects_negative_inverse_entry(self):
-        cd = CartanData(3, "a", 2, ((2, -1), (-1, 2)), ((0, 1), (1, 0)), ((2, -1), (-1, 2)), 3)
+        cd = CartanData(3, 2, ((2, -1), (-1, 2)), 3)
         with pytest.raises(InvalidParams):
             list(shell(cd, 0, cap=5))
 
