@@ -13,7 +13,7 @@ from qident.series import durfee_sides, product_side, sum_side
 
 t = Truncation(30)
 
-# 1/(q)_inf expanded by series inversion vs the textbook partition recurrence
+# 1/(q)_inf expanded by one division pass per factor vs the textbook partition recurrence
 series = euler_inverse_truncated(t)
 table = [1] + [0] * 30
 for part in range(1, 31):
@@ -21,7 +21,7 @@ for part in range(1, 31):
         table[total] += table[total - part]
 dp = QPoly({k: v for k, v in enumerate(table)})
 print("partition numbers p(0..12): ", table[:13])
-print("series inversion matches DP:", series == dp)
+print("division passes match DP:  ", series == dp)
 
 print()
 print("sum-vs-product pairs to q^30:")

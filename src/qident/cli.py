@@ -67,7 +67,7 @@ from .qpoly import ONE, QPoly, Truncation, render, truncated_equal, twice
 GRID_VERSION = "1"
 MAX_SWEEP_POINTS = 200_000
 MAX_JOBS = 64  # a pool starts all its workers at once
-MAX_DEGREE = 1000  # a truncation degree; inverting to degree D costs about D^2
+MAX_DEGREE = 1000  # a truncation degree; a product to degree D takes up to D passes of D steps
 
 _VERDICTS = ("equal", "mismatch", "skipped_precondition", "error")
 

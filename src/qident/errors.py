@@ -13,10 +13,6 @@ class QIdentError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonUnitConstantTerm(QIdentError):
-    """Series inversion needs a constant term of +1 or -1."""
-
-
 class NonPolynomial(QIdentError):
     """Operation requires nonnegative integer exponents."""
 

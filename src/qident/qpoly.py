@@ -15,6 +15,11 @@ an integer numerator and denominator, the form its callers already hold.
 Truncation is inclusive: Truncation(D) keeps exactly the terms with
 exponent <= D, that is the keys k <= floor(D*den).  Every truncated
 operation equals the exact operation followed by a final truncation.
+A truncated product of factors (1 + c q^e)^(+-1), c = +-1, is one dense list
+of the degrees 0..D and one pass over it per factor (series_product):
+multiply descending, divide ascending.  Each pass reads only lower degrees,
+so the list cut at D stays exact.
+
 No operation changes a polynomial, so the first dense multiply it meets
 keeps a view of it (see _operand), which cannot go stale and dies with it.
 A view steps by the gcd of its key gaps, so a q^(1/N) sum whose keys lie in
@@ -32,10 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import index
+from operator import add, index, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .errors import InvalidParams, NonPolynomial, NonUnitConstantTerm
+from .errors import InvalidParams, NonPolynomial
 
 Exponent = Union[int, Fraction]
 ExponentLike = Union[int, Fraction]
@@ -494,51 +499,33 @@ def qpoch(s: int, m: int) -> QPoly:
         raise TypeError("qpoch takes integer arguments")
     if m < 0:
         raise ValueError("qpoch length must be >= 0")
-    if m == 0:
-        return ONE
-    if s <= 0 <= s + m - 1:
+    if s <= 0 < s + m:
         return ZERO  # the factor 1 - q^0 appears
-    return mul(qpoch(s, m - 1), QPoly({0: 1, s + m - 1: -1}))
+    out = ONE
+    for k in range(m):
+        out = mul(out, QPoly({0: 1, s + k: -1}))
+    return out
 
 
-@lru_cache(maxsize=None)
-def qpoch_signed_base2(n: int) -> QPoly:
-    """(-q; q^2)_n = prod_{k=0}^{n-1} (1 + q^{2k+1})."""
-    if n < 0:
-        raise ValueError("qpoch_signed_base2 length must be >= 0")
-    if n == 0:
-        return ONE
-    return mul(qpoch_signed_base2(n - 1), QPoly({0: 1, 2 * n - 1: 1}))
-
-
-def invert_truncated(p: QPoly, trunc: Truncation) -> QPoly:
-    """Multiplicative inverse of p modulo the truncation.
-
-    p must have only nonnegative exponents and a unit (+1 or -1) constant
-    term; the result r satisfies truncate(p*r) == 1.
-    """
-    terms = p._terms
-    c0 = terms.get(0, 0)
-    if c0 not in (1, -1):
-        raise NonUnitConstantTerm("constant term must be +1 or -1")
-    cap = _cap_key(trunc.degree_cap, p._den)
-    tail: Terms = {}
-    for k, c in terms.items():
-        if k < 0:
-            raise NonPolynomial("inverse requires nonnegative exponents")
-        if 0 < k <= cap:
-            tail[k] = -c * c0  # t = 1 - p/c0
-    if not tail:
-        return QPoly.monomial(c0)
-    t = _make(p._den, tail)
-    # geometric series 1 + t + ... + t^J via Horner; t^j vanishes below the
-    # cap once j*min(tail) > cap, so J = cap // min(tail)
-    r = ONE
-    for _ in range(cap // min(tail)):
-        r = mul(t, r, trunc) + ONE
-    if c0 == -1:
-        r = -r
-    return r
+def series_product(factors: Iterable[Tuple[int, int, int]], trunc: Truncation, start: QPoly = ONE) -> QPoly:
+    """start * prod (1 + c q^e)^power modulo the cap, over the factors (e, c, power)
+    with e >= 1 and c, power in {1, -1}; start has nonnegative integer exponents.
+    Each pass (see the module docstring) runs over list slices, not degree by degree."""
+    terms = start._terms
+    if start._den != 1 or (terms and min(terms) < 0):
+        raise NonPolynomial("series_product needs nonnegative integer exponents")
+    d = math.floor(trunc.degree_cap)
+    c = list(map(terms.get, range(d + 1), repeat(0)))
+    for e, sign, power in factors:
+        if e < 1 or sign not in (1, -1) or power not in (1, -1):
+            raise ValueError(f"not a factor (1 + c q^e)^power with e >= 1: {(e, sign, power)}")
+        op = add if sign == power else sub  # c[n] op= c[n-e]
+        if power == 1:  # every degree from the list before the pass, as a descending pass reads it
+            c[e:] = map(op, c[e:], c)
+        else:  # ascending, each block of e degrees from the finished block below it
+            for n in range(e, d + 1, e):
+                c[n:n + e] = map(op, c[n:n + e], c[n - e:n])
+    return from_dense(c)
 
 
 # (s, floor(cap)) -> [1/(q^s; q)_k for k = 0, 1, ...], each modulo q^(floor(cap)+1)
@@ -548,8 +535,8 @@ _INV_QPOCH: Dict[Tuple[int, int], List[QPoly]] = {}
 def inv_qpoch(s: int, k: int, trunc: Truncation) -> QPoly:
     """1/(q^s; q)_k modulo the cap, for s >= 1; zero for k < 0.
 
-    Each step of the ladder 1/(q^s;q)_k = 1/(q^s;q)_{k-1} / (1 - q^(s+k-1)) is
-    one O(D) pass c[n] += c[n-e], memoized per (s, D) with D = floor(cap);
+    Each rung of the ladder 1/(q^s;q)_k = 1/(q^s;q)_{k-1} / (1 - q^(s+k-1)) is
+    one series_product pass, memoized per (s, D) with D = floor(cap);
     factors with s+k-1 > D are 1 modulo q^(D+1), so k is clamped there.
     """
     if s < 1:
@@ -560,13 +547,7 @@ def inv_qpoch(s: int, k: int, trunc: Truncation) -> QPoly:
     k = min(k, max(0, d - s + 1))
     ladder = _INV_QPOCH.setdefault((s, d), [ONE])
     while len(ladder) <= k:
-        c = [0] * (d + 1)
-        for e, v in ladder[-1]._terms.items():
-            c[e] = v
-        step = s + len(ladder) - 1
-        for n in range(step, d + 1):
-            c[n] += c[n - step]
-        ladder.append(from_dense(c))
+        ladder.append(series_product([(s + len(ladder) - 1, -1, -1)], trunc, ladder[-1]))
     return ladder[k]
 
 

@@ -38,10 +38,9 @@ from .qpoly import (
     dot,
     euler_inverse_truncated,
     inv_qpoch,
-    invert_truncated,
     mul,
     prod,
-    qpoch_signed_base2,
+    series_product,
     truncated_equal,
 )
 
@@ -247,10 +246,20 @@ def string_lp(sq: StringFunctionQuery) -> QPoly:
     return body.times_monomial(1, pre_exp.numerator, pre_exp.denominator)
 
 
+# family -> factors (modulus, residue, c, power): (1 + c q^e)^power for every e >= 1
+# congruent to the residue
 _PRODUCTS = {
-    "ising": ([(8, 3, 1), (8, 5, 1)], [(8, 0, -1)], [(2, 0, -1)]),
-    "rr": ([], [], [(5, 1, -1), (5, 4, -1)]),
-    "slater": ([], [], [(8, 1, -1), (8, 4, -1), (8, 7, -1)]),
+    "ising": [(8, 3, 1, 1), (8, 5, 1, 1), (8, 0, -1, 1), (2, 0, -1, -1)],
+    "rr": [(5, 1, -1, -1), (5, 4, -1, -1)],
+    "slater": [(8, 1, -1, -1), (8, 4, -1, -1), (8, 7, -1, -1)],
+}
+
+# family -> (factors (a, b, c, power): (1 + c q^(a n + b))^power takes term n-1 to
+# term n, from term 0 = 1; term n is kept at q^(n^2/den) when stride divides n)
+_SUMS = {
+    "ising": ([(1, 0, -1, -1)], 2, 2),
+    "rr": ([(1, 0, -1, -1)], 1, 1),
+    "slater": ([(2, -1, 1, 1), (2, 0, -1, -1)], 1, 1),
 }
 
 
@@ -259,44 +268,23 @@ def product_side(which: str, trunc: Truncation) -> QPoly:
     or the Slater / Goellnitz-Gordon product, modulo the cap."""
     if which not in _PRODUCTS:
         raise InvalidParams(f"unknown product family: {which!r}")
-    plus, minus_num, minus_den = _PRODUCTS[which]
     d = math.floor(trunc.degree_cap)
-
-    def factors(triples) -> QPoly:
-        out = ONE
-        for mod, res, sign in triples:
-            e = mod - res if res else mod
-            while e <= d:
-                out = mul(out, QPoly({0: 1, e: sign}), trunc)
-                e += mod
-        return out
-
-    return mul(factors(plus + minus_num), invert_truncated(factors(minus_den), trunc), trunc)
+    return series_product(((e, c, power) for mod, res, c, power in _PRODUCTS[which]
+                           for e in range(res or mod, d + 1, mod)), trunc)
 
 
 def sum_side(which: str, trunc: Truncation) -> QPoly:
-    """Fermionic companion of product_side, same normalization and cap."""
-    d = trunc.degree_cap
-    total = ZERO
-    if which == "ising":
-        k = 0
-        while 2 * k * k <= d:
-            total = total + inv_qpoch(1, 2 * k, trunc).times_monomial(1, 2 * k * k)
-            k += 1
-    elif which == "rr":
-        n = 0
-        while n * n <= d:
-            total = total + inv_qpoch(1, n, trunc).times_monomial(1, n * n)
-            n += 1
-    elif which == "slater":
-        n = 0
-        while n * n <= d:
-            even_block = ONE
-            for k in range(1, n + 1):
-                even_block = mul(even_block, QPoly({0: 1, 2 * k: -1}), trunc)
-            term = mul(qpoch_signed_base2(n), invert_truncated(even_block, trunc), trunc)
-            total = total + term.times_monomial(1, n * n)
-            n += 1
-    else:
+    """Fermionic companion of product_side, same normalization and cap; term n
+    is needed only to degree D - n^2/den, so each step cuts its list there and
+    no term reaches past the cap."""
+    if which not in _SUMS:
         raise InvalidParams(f"unknown product family: {which!r}")
-    return total.truncate(trunc)
+    steps, den, stride = _SUMS[which]
+    total, term, n = ONE, ONE, 1
+    while Fraction(n * n, den) <= trunc.degree_cap:
+        room = Truncation(trunc.degree_cap - Fraction(n * n, den))
+        term = series_product([(a * n + b, c, power) for a, b, c, power in steps], room, term)
+        if n % stride == 0:
+            total = total + term.times_monomial(1, n * n, den)
+        n += 1
+    return total

@@ -111,3 +111,20 @@ def test_every_dataclass_field_is_read_in_src():
             if not any(name == field and id(node) not in own for name, node in reads):
                 unread.append(f"{module}.{cls}.{field}")
     assert unread == [], f"dataclass fields no code in src/ reads: {unread}"
+
+
+def test_oracles_import_only_the_polynomial_type_and_the_errors():
+    """tests/oracles.py promises oracles that share no code path with the
+    package: it may import QPoly, to build its answers, and qident.errors, to
+    raise them, and nothing else of qident."""
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    reached = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            reached += [alias.name for alias in node.names
+                        if alias.name.split(".")[0] == "qident" and alias.name != "qident.errors"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "qident"):
+            if node.module != "qident.errors":
+                reached += [f"{node.module}.{alias.name}" for alias in node.names
+                            if (node.module, alias.name) not in {("qident.qpoly", "QPoly"), ("qident", "QPoly")}]
+    assert reached == [], f"oracles.py reaches into the package: {reached}"

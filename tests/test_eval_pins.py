@@ -4,7 +4,8 @@ A verify row prints only its verdict, so a rewrite that changes both sides of
 an identity the same way keeps every stream.  These pins hold the values
 themselves: the quadratic-exponent T sum, Burge's classic closed forms and
 the level-N ones of the Burge tree, a fermionic string function at a negative
-m, and the two level-N transforms at N = 2 with M1 != M2.
+m, the two level-N transforms at N = 2 with M1 != M2, and the three classical
+products of series.products, whose sums run through the same product kernel.
 """
 
 from fractions import Fraction
@@ -86,6 +87,21 @@ EVAL_PINS = {
         "1640*q^(1559/120) + 2444*q^(1679/120) + 3591*q^(1799/120) + 5231*q^(1919/120) + "
         "7533*q^(2039/120) + 10765*q^(2159/120) + 15239*q^(2279/120) + "
         "21425*q^(2399/120)\n",
+    "product --family ising --trunc 30":
+        "1 + q^2 + q^3 + 2*q^4 + 2*q^5 + 3*q^6 + 3*q^7 + 5*q^8 + 5*q^9 + 7*q^10 + "
+        "8*q^11 + 11*q^12 + 12*q^13 + 16*q^14 + 18*q^15 + 23*q^16 + 26*q^17 + "
+        "33*q^18 + 37*q^19 + 46*q^20 + 52*q^21 + 63*q^22 + 72*q^23 + 87*q^24 + "
+        "98*q^25 + 117*q^26 + 133*q^27 + 157*q^28 + 178*q^29 + 209*q^30\n",
+    "product --family rr --trunc 30":
+        "1 + q + q^2 + q^3 + 2*q^4 + 2*q^5 + 3*q^6 + 3*q^7 + 4*q^8 + 5*q^9 + 6*q^10 + "
+        "7*q^11 + 9*q^12 + 10*q^13 + 12*q^14 + 14*q^15 + 17*q^16 + 19*q^17 + 23*q^18 + "
+        "26*q^19 + 31*q^20 + 35*q^21 + 41*q^22 + 46*q^23 + 54*q^24 + 61*q^25 + "
+        "70*q^26 + 79*q^27 + 91*q^28 + 102*q^29 + 117*q^30\n",
+    "product --family slater --trunc 30":
+        "1 + q + q^2 + q^3 + 2*q^4 + 2*q^5 + 2*q^6 + 3*q^7 + 4*q^8 + 5*q^9 + 5*q^10 + "
+        "6*q^11 + 8*q^12 + 9*q^13 + 10*q^14 + 12*q^15 + 15*q^16 + 17*q^17 + 19*q^18 + "
+        "22*q^19 + 26*q^20 + 30*q^21 + 33*q^22 + 38*q^23 + 45*q^24 + 51*q^25 + "
+        "56*q^26 + 64*q^27 + 74*q^28 + 83*q^29 + 92*q^30\n",
 }
 
 

@@ -40,6 +40,14 @@ exponent off by i/N, its two binomial tops exchanged, or its last i dropped.
 Their default grids check 1,261 points (70 more are exceptional), 1,200 and
 351.  Every wrong version is caught, some at points where the true identity
 compares 0 with 0: the signed modified binomials of Sears's sums cancel.
+
+For series.products, three wrong versions each break one family of its three
+default points: rr's product takes the residues 2 and 3 mod 5 (the second
+Rogers-Ramanujan product against the first sum), slater's sum takes
+q^(n^2+n) for q^(n^2), and ising's sum keeps the odd n for the even.  For
+qpoly.partitions, cli._partition_counts starts its parts at 2.  Its one
+default point, at limit 50, is caught.  No catching point of either family
+compares 0 with 0: every side is a series with constant term 1.
 """
 
 import dataclasses
@@ -49,11 +57,11 @@ from fractions import Fraction
 
 import pytest
 
-from qident import burge, multinom
+from qident import burge, cli, multinom, series
 from qident.cli import REGISTRY, main
 from qident.lattice import axis_source, cartan, class_terms, i_sum, system_sum
 from qident.qbinom import qbin, qbin_mod_tb
-from qident.qpoly import ONE, ZERO, QPoly, dot, half_int, mul, twice
+from qident.qpoly import ONE, ZERO, QPoly, Truncation, dot, half_int, inv_qpoch, mul, series_product, twice
 from qident.saalschutz import (ClassicParams, _gensum_inner, gensum_lhs, gensum_rhs, qcv_lhs, qcv_rhs,
                                qs2_lhs, qs2_rhs, sears_lhs, sears_rhs)
 
@@ -374,3 +382,62 @@ def test_wrong_qcv_sears_and_tnew_are_caught_by_the_runner(capsys, monkeypatch, 
     assert len(caught) == mismatches
     points = [fam.point(*p.values()) if fam.point else p for p in caught]
     assert sum(all(side.is_zero() for side in fam.sides(p, None)[:2]) for p in points) == zero_zero
+
+
+def _ising_odd(d):
+    """sum over odd n of q^(n^2/2) / (q)_n, to degree d."""
+    t = Truncation(d)
+    return sum((inv_qpoch(1, n, t).times_monomial(1, n * n, 2) for n in range(1, d + 2, 2) if n * n <= 2 * d),
+               ZERO).truncate(t)
+
+
+def _slater_shifted(d):
+    """sum over n of q^(n^2+n) (-q; q^2)_n / (q^2; q^2)_n, to degree d."""
+    t = Truncation(d)
+    terms = (series_product([f for k in range(1, n + 1) for f in ((2 * k - 1, 1, 1), (2 * k, -1, -1))], t)
+             .times_monomial(1, n * n + n) for n in range(d + 1) if n * n + n <= d)
+    return sum(terms, ZERO).truncate(t)
+
+
+def _wrong_sum(monkeypatch, family, wrong):
+    real = series.sum_side
+    monkeypatch.setattr(series, "sum_side",
+                        lambda which, trunc: wrong(trunc.degree_cap) if which == family else real(which, trunc))
+
+
+def _partitions_from_parts_2(limit):
+    ways = [1] + [0] * limit
+    for part in range(2, limit + 1):
+        for n in range(part, limit + 1):
+            ways[n] += ways[n - part]
+    return ways
+
+
+# name -> (identity, installs the wrong version, the caught points' params)
+SERIES_CONTROLS = {
+    "rr_second_product": ("series.products", lambda mp: mp.setitem(
+        series._PRODUCTS, "rr", [(5, 2, -1, -1), (5, 3, -1, -1)]), [{"family": "rr"}]),
+    "slater_exponent": ("series.products", lambda mp: _wrong_sum(mp, "slater", _slater_shifted),
+                        [{"family": "slater"}]),
+    "ising_odd_terms": ("series.products", lambda mp: _wrong_sum(mp, "ising", _ising_odd),
+                        [{"family": "ising"}]),
+    "parts_from_2": ("qpoly.partitions", lambda mp: mp.setattr(cli, "_partition_counts", _partitions_from_parts_2),
+                     [{"limit": 50}]),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("control", list(SERIES_CONTROLS))
+def test_wrong_products_and_partitions_are_caught_by_the_runner(capsys, monkeypatch, control, jobs):
+    identity, install, caught = SERIES_CONTROLS[control]
+    install(monkeypatch)
+    code = main(["verify", identity, "--jobs", jobs])
+    out, err = capsys.readouterr()
+    lines = [json.loads(line) for line in out.splitlines()]
+    summary, rows = lines[-1], lines[:-1]
+    assert summary["equal"] + summary["mismatch"] == {"series.products": 3, "qpoly.partitions": 1}[identity]
+    assert summary["mismatch"] == len(caught) and summary["error"] == 0
+    assert code == 1 and err == ""
+    wrong = [r for r in rows if r["verdict"] == "mismatch"]
+    assert [r["params"] for r in wrong] == caught
+    assert not any(r["lhs_repr"] == "0" or r["rhs_repr"] == "0" for r in wrong)

@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident import qbinom, qpoly
-from qident.errors import InvalidParams, NonPolynomial, NonUnitConstantTerm
+from qident.errors import InvalidParams, NonPolynomial
 from qident.qpoly import (
     ONE,
     ZERO,
@@ -16,18 +20,17 @@ from qident.qpoly import (
     eval_at_one,
     half_int,
     inv_qpoch,
-    invert_truncated,
     mul,
     norm_rat,
     twice,
     prod,
     qpoch,
-    qpoch_signed_base2,
     render,
+    series_product,
     truncated_equal,
 )
 
-from oracles import NonExactDivision, exact_div
+from oracles import NonExactDivision, NonUnitConstantTerm, exact_div, invert_truncated
 
 
 # --- oracles -------------------------------------------------------------
@@ -595,10 +598,52 @@ def test_qpoch_eval_at_one_vanishes():
         assert eval_at_one(qpoch(1, m)) == 0
 
 
-def test_qpoch_signed_base2_examples():
-    assert qpoch_signed_base2(0) == ONE
-    assert qpoch_signed_base2(1) == QPoly({0: 1, 1: 1})
-    assert qpoch_signed_base2(2) == QPoly({0: 1, 1: 1, 3: 1, 4: 1})
+def test_qpoch_builds_long_products_without_recursion():
+    # one factor per loop step: a recursion per factor overflows this limit
+    code = ("import sys; sys.setrecursionlimit(100); from qident.qpoly import qpoch, eval_at_one; "
+            "p = qpoch(1, 150); print(p.max_exponent(), eval_at_one(p))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{150 * 151 // 2} 0\n", "")
+
+
+# --- series_product -----------------------------------------------------------
+
+def test_series_product_examples():
+    # (-q; q^2)_n = prod_{k=1}^{n} (1 + q^(2k-1)) has degree n^2, so the cap n^2 keeps all of it
+    def signed_base2(n):
+        return series_product([(2 * k - 1, 1, 1) for k in range(1, n + 1)], Truncation(n * n))
+
+    assert signed_base2(0) == ONE
+    assert signed_base2(1) == QPoly({0: 1, 1: 1})
+    assert signed_base2(2) == QPoly({0: 1, 1: 1, 3: 1, 4: 1})
+
+
+def test_series_product_rejects_what_it_cannot_pass_over():
+    t = Truncation(5)
+    for start in (QPoly({-1: 1}), QPoly({Fraction(1, 2): 1})):
+        with pytest.raises(NonPolynomial):
+            series_product([(1, -1, -1)], t, start)
+    for factor in ((0, 1, 1), (2, 2, 1), (2, 1, 0)):
+        with pytest.raises(ValueError):
+            series_product([factor], t)
+    assert series_product([], t, QPoly({0: 3, 6: 1})) == QPoly({0: 3})  # the start is cut at the cap
+
+
+factors = st.lists(st.tuples(st.integers(min_value=1, max_value=12), st.sampled_from([1, -1]),
+                             st.sampled_from([1, -1])), max_size=6)
+starts = st.dictionaries(st.integers(min_value=0, max_value=30), coeffs, max_size=8).map(QPoly)
+
+
+@given(factors, starts, st.integers(min_value=0, max_value=30))
+@settings(max_examples=150, deadline=None)
+def test_series_product_matches_mul_and_the_inverse_oracle(fs, start, d):
+    t = Truncation(d)
+    want = start.truncate(t)
+    for e, c, power in fs:
+        factor = QPoly({0: 1, e: c})
+        want = mul(want, factor if power == 1 else invert_truncated(factor, t), t)
+    assert series_product(fs, t, start) == want
 
 
 # --- exact division --------------------------------------------------------

@@ -21,7 +21,6 @@ from qident.qpoly import (
     ONE,
     Truncation,
     euler_inverse_truncated,
-    invert_truncated,
     mul,
     qpoch,
     render,
@@ -39,6 +38,8 @@ from qident.series import (
     string_spinon,
     sum_side,
 )
+
+from oracles import invert_truncated
 
 
 def durfee_holds(ell, trunc):
